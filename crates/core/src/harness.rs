@@ -6,8 +6,8 @@
 //! replays a trace through them in program order, scoring every branch
 //! prediction. This measures exactly what the paper's *misprediction-rate*
 //! tables (1, 2 and 4) measure; the execution-time tables additionally need
-//! the timing model in the `hps-uarch` crate, which embeds this same
-//! harness for its fetch decisions.
+//! the timing model in the `hps-uarch` crate, which makes its fetch
+//! decisions with the same two halves described below.
 //!
 //! ## Prediction protocol (Section 3.2 of the paper)
 //!
@@ -28,17 +28,27 @@
 //! 3. At resolution, every structure is trained: the BTB per its update
 //!    policy, the direction predictor, the history registers, and the
 //!    target cache at the fetch-time index A.
+//!
+//! The code is split along the line the timing model exploits: a
+//! [`BaseFrontEnd`] (BTB, direction predictor, return stack), whose state
+//! no indirect-predictor choice can change, and an [`IndirectStage`]
+//! (history register plus target cache, cascade or oracle), which only
+//! decides branches whose BTB entry is an indirect jump or call and trains
+//! on target-cache-eligible ones. [`PredictionHarness`] drives both per
+//! branch; `hps-uarch`'s timing sweep calls the same two halves, the
+//! first once per trace and the second once per configuration.
 
-use crate::cache::TargetCache;
+use crate::cache::{Access, TargetCache};
 use crate::cascade::{CascadeConfig, CascadedPredictor, Stage};
 use crate::config::TargetCacheConfig;
 use crate::history::HistoryTracker;
 use crate::stats::TargetCacheStats;
 use crate::telemetry::HarnessTelemetry;
 use branch_predictors::{
-    BranchClassStats, Btb, BtbConfig, DirectionConfig, DirectionPredictor, ReturnAddressStack,
+    BranchClassStats, Btb, BtbConfig, BtbHit, DirectionConfig, DirectionPredictor,
+    ReturnAddressStack,
 };
-use sim_isa::{Addr, BranchClass, DynInstr};
+use sim_isa::{Addr, BranchClass, BranchExec, DynInstr};
 
 /// How indirect-jump targets are predicted.
 #[derive(Clone, Copy, Debug, Default)]
@@ -150,7 +160,335 @@ impl PredictionOutcome {
     }
 }
 
-/// The paper's front end in trace-driven form.
+/// Which baseline structure a branch's prediction comes from: the fetch
+/// engine's dispatch on the BTB hit's stored branch kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum BaseSource {
+    /// BTB miss: the front end does not know this is a branch.
+    Fallthrough,
+    /// Conditional entry: the two-level direction predictor steers.
+    Direction,
+    /// Direct jump or call entry: the BTB target.
+    Btb,
+    /// Return entry: the return address stack.
+    ReturnStack,
+    /// Indirect jump or call entry: the [`IndirectStage`] decides,
+    /// falling back to the BTB's last-computed target.
+    Indirect,
+}
+
+impl BaseSource {
+    /// The sources in discriminant order.
+    pub const ALL: [BaseSource; 5] = [
+        BaseSource::Fallthrough,
+        BaseSource::Direction,
+        BaseSource::Btb,
+        BaseSource::ReturnStack,
+        BaseSource::Indirect,
+    ];
+
+    /// The telemetry `source` label (see
+    /// [`PREDICTOR_SOURCES`](crate::telemetry::PREDICTOR_SOURCES)); an
+    /// indirect entry the indirect stage leaves to the BTB reads
+    /// `btb-fallback`.
+    pub fn label(self) -> &'static str {
+        match self {
+            BaseSource::Fallthrough => "fallthrough",
+            BaseSource::Direction => "cond-direction",
+            BaseSource::Btb => "btb",
+            BaseSource::ReturnStack => "ras",
+            BaseSource::Indirect => "btb-fallback",
+        }
+    }
+}
+
+/// The baseline front end's fetch-time decision for one branch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BaseDecision {
+    /// The structure that supplies the prediction.
+    pub source: BaseSource,
+    /// The predicted next fetch address. For [`BaseSource::Indirect`] this
+    /// is the BTB's stored target — the prediction when the indirect stage
+    /// has none.
+    pub predicted: Addr,
+}
+
+/// The half of the front end no indirect-predictor choice can change: the
+/// BTB, the two-level direction predictor and the return address stack.
+///
+/// Their state depends only on the resolved branch stream (the BTB trains
+/// on computed targets, the direction predictor on outcomes, the return
+/// stack on call/return classes), never on which target the indirect
+/// stage predicted. [`PredictionHarness`] drives one alongside an
+/// [`IndirectStage`]; the `hps-uarch` timing sweep drives one once per
+/// trace and replays its decisions for every indirect-stage
+/// configuration.
+#[derive(Clone, Debug)]
+pub struct BaseFrontEnd {
+    btb: Btb,
+    cond: DirectionPredictor,
+    ras: ReturnAddressStack,
+}
+
+impl BaseFrontEnd {
+    /// Cold baseline structures for `config` (its indirect predictor is
+    /// ignored).
+    pub fn new(config: &FrontEndConfig) -> Self {
+        BaseFrontEnd {
+            btb: Btb::new(config.btb),
+            cond: DirectionPredictor::new(config.cond),
+            ras: ReturnAddressStack::new(config.ras_depth),
+        }
+    }
+
+    /// The fetch-time BTB probe.
+    #[inline]
+    pub fn lookup(&mut self, pc: Addr) -> Option<BtbHit> {
+        self.btb.lookup(pc)
+    }
+
+    /// Dispatches on the BTB hit's stored kind (Section 3.2's protocol).
+    #[inline]
+    pub fn decide(&self, pc: Addr, hit: Option<BtbHit>) -> BaseDecision {
+        let (source, predicted) = match hit {
+            None => (BaseSource::Fallthrough, pc.next()),
+            Some(hit) => match hit.class {
+                BranchClass::CondDirect => {
+                    let p = if self.cond.predict(pc) {
+                        hit.target
+                    } else {
+                        pc.next()
+                    };
+                    (BaseSource::Direction, p)
+                }
+                BranchClass::UncondDirect | BranchClass::Call => (BaseSource::Btb, hit.target),
+                BranchClass::Return => (
+                    BaseSource::ReturnStack,
+                    self.ras.peek().unwrap_or(hit.target),
+                ),
+                BranchClass::IndirectJump | BranchClass::IndirectCall => {
+                    (BaseSource::Indirect, hit.target)
+                }
+            },
+        };
+        BaseDecision { source, predicted }
+    }
+
+    /// Decode-driven return stack maintenance: the machine learns the true
+    /// class at decode, so the stack stays consistent regardless of BTB
+    /// hits.
+    #[inline]
+    pub fn resolve_ras(&mut self, pc: Addr, class: BranchClass) {
+        if class.is_call() {
+            self.ras.push(pc.next());
+        } else if class.is_return() {
+            let _ = self.ras.pop();
+        }
+    }
+
+    /// Resolution-time direction-predictor training.
+    #[inline]
+    pub fn resolve_direction(&mut self, pc: Addr, b: BranchExec) {
+        if b.class.is_conditional() {
+            self.cond.update(pc, b.taken);
+        }
+    }
+
+    /// Resolution-time BTB training.
+    #[inline]
+    pub fn resolve_btb(&mut self, pc: Addr, b: BranchExec) {
+        self.btb.update(pc, b.class, b.target, pc.next());
+    }
+}
+
+/// What the indirect stage looked up at fetch, carried to resolution so
+/// training writes the entry the prediction was read from ("index A").
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IndirectProbe {
+    tc: Option<(Access, Option<Addr>)>,
+    cascade: Option<(Stage, Option<Addr>, Option<Access>)>,
+    btb_target: Option<Addr>,
+}
+
+/// The configuration-specific half of the front end: the indirect-target
+/// predictor (target cache, cascade or oracle; nothing for the BTB-only
+/// baseline) and the history register it indexes with.
+#[derive(Debug)]
+pub struct IndirectStage {
+    oracle: bool,
+    target_cache: Option<TargetCache>,
+    cascade: Option<CascadedPredictor>,
+    history: Option<HistoryTracker>,
+    /// Indirect jumps where the target cache *served* the used prediction
+    /// (vs. falling back to the BTB), and how many of those were right.
+    tc_served: u64,
+    tc_served_correct: u64,
+}
+
+impl IndirectStage {
+    /// A cold stage for `indirect`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target-cache or cascade configuration is invalid.
+    pub fn new(indirect: IndirectPredictor) -> Self {
+        let (target_cache, cascade, history) = match indirect {
+            IndirectPredictor::TargetCache(tc) => (
+                Some(TargetCache::new(tc)),
+                None,
+                Some(HistoryTracker::new(tc.history)),
+            ),
+            IndirectPredictor::Cascade(c) => (
+                None,
+                Some(CascadedPredictor::new(c)),
+                Some(HistoryTracker::new(c.cache.history)),
+            ),
+            _ => (None, None, None),
+        };
+        IndirectStage {
+            oracle: matches!(indirect, IndirectPredictor::Oracle),
+            target_cache,
+            cascade,
+            history,
+            tc_served: 0,
+            tc_served_correct: 0,
+        }
+    }
+
+    /// The history value the target cache would be indexed with for a jump
+    /// at `pc` right now; `None` without a target cache.
+    #[inline]
+    pub fn history_value(&self, pc: Addr) -> Option<u64> {
+        self.history.as_ref().map(|h| h.value_for(pc))
+    }
+
+    /// The fetch-time lookup for a branch of `class` at `pc`. Only
+    /// target-cache-eligible classes consult the cache or cascade;
+    /// `btb_target` is the BTB hit's stored target, whatever its kind.
+    #[inline]
+    pub fn probe(
+        &mut self,
+        pc: Addr,
+        class: BranchClass,
+        history: Option<u64>,
+        btb_target: Option<Addr>,
+    ) -> IndirectProbe {
+        if !class.uses_target_cache() {
+            return IndirectProbe::default();
+        }
+        IndirectProbe {
+            tc: self.target_cache.as_mut().map(|tc| {
+                tc.lookup(
+                    pc,
+                    history.expect("history tracker exists with target cache"),
+                )
+            }),
+            cascade: self.cascade.as_mut().map(|c| {
+                c.predict(
+                    pc,
+                    history.expect("history tracker exists with cascade"),
+                    btb_target,
+                )
+            }),
+            btb_target,
+        }
+    }
+
+    /// The prediction for a branch whose BTB entry is an indirect jump or
+    /// call: the oracle's, the cascade's, the target cache's, or else
+    /// `fallback` (the BTB's last-computed target). Returns the prediction
+    /// and its telemetry source label.
+    #[inline]
+    pub fn predict(
+        &mut self,
+        probe: &IndirectProbe,
+        fallback: Addr,
+        actual: Addr,
+    ) -> (Addr, &'static str) {
+        if self.oracle {
+            // Perfect target prediction (limit study).
+            return (actual, "oracle");
+        }
+        if let Some((stage, pred, _)) = &probe.cascade {
+            let s = match stage {
+                Stage::Btb => "cascade-btb",
+                Stage::Cache => "cascade-cache",
+            };
+            return (pred.unwrap_or(fallback), s);
+        }
+        match probe.tc.and_then(|(_, pred)| pred) {
+            Some(tc_target) => {
+                self.tc_served += 1;
+                self.tc_served_correct += (tc_target == actual) as u64;
+                (tc_target, "target-cache")
+            }
+            // Target-cache miss (or no target cache): fall back to the
+            // BTB's last-computed target.
+            None => (fallback, "btb-fallback"),
+        }
+    }
+
+    /// Resolution-time training of the target cache or cascade at the
+    /// probe's fetch-time index, with the branch's computed target.
+    #[inline]
+    pub fn train(&mut self, pc: Addr, probe: IndirectProbe, target: Addr) {
+        if let Some((access, _)) = probe.tc {
+            self.target_cache
+                .as_mut()
+                .expect("a target-cache probe implies a target cache")
+                .update(access, target);
+        }
+        if let Some((_, _, access)) = probe.cascade {
+            self.cascade
+                .as_mut()
+                .expect("a cascade probe implies a cascade")
+                .update(pc, access, target, probe.btb_target);
+        }
+    }
+
+    /// Feeds one resolved branch to the history register.
+    #[inline]
+    pub fn train_history(&mut self, pc: Addr, b: BranchExec, actual: Addr) {
+        if let Some(h) = &mut self.history {
+            h.on_branch_resolved(pc, b.class, b.taken, actual);
+        }
+    }
+
+    /// Target-cache structural statistics, if one is configured (for a
+    /// cascade: the second stage's statistics).
+    pub fn target_cache_stats(&self) -> Option<&TargetCacheStats> {
+        self.target_cache
+            .as_ref()
+            .map(|tc| tc.stats())
+            .or_else(|| self.cascade.as_ref().map(|c| c.cache().stats()))
+    }
+
+    /// The cascade's raw `(filtered, total)` jump counts, if a cascade is
+    /// configured.
+    pub fn cascade_counts(&self) -> Option<(u64, u64)> {
+        self.cascade.as_ref().map(|c| (c.filtered(), c.total()))
+    }
+
+    /// The cascade's stage-one filter rate, if a cascade is configured.
+    pub fn cascade_filter_rate(&self) -> Option<f64> {
+        self.cascade.as_ref().map(|c| c.filter_rate())
+    }
+
+    /// Of the indirect jumps where the target cache supplied the used
+    /// prediction, the fraction it got right.
+    pub fn target_cache_served_accuracy(&self) -> Option<f64> {
+        self.target_cache.as_ref()?;
+        Some(if self.tc_served == 0 {
+            0.0
+        } else {
+            self.tc_served_correct as f64 / self.tc_served as f64
+        })
+    }
+}
+
+/// The paper's front end in trace-driven form: a [`BaseFrontEnd`] and an
+/// [`IndirectStage`] driven together, one branch at a time.
 ///
 /// # Example
 ///
@@ -172,17 +510,9 @@ impl PredictionOutcome {
 #[derive(Debug)]
 pub struct PredictionHarness {
     config: FrontEndConfig,
-    btb: Btb,
-    cond: DirectionPredictor,
-    ras: ReturnAddressStack,
-    target_cache: Option<TargetCache>,
-    cascade: Option<CascadedPredictor>,
-    history: Option<HistoryTracker>,
+    base: BaseFrontEnd,
+    indirect: IndirectStage,
     stats: BranchClassStats,
-    /// Mispredictions among indirect jumps where the target cache *served*
-    /// a prediction (vs. falling back to the BTB).
-    tc_served: u64,
-    tc_served_correct: u64,
     /// Optional observability hooks; `None` costs nothing on the hot path.
     telemetry: Option<HarnessTelemetry>,
 }
@@ -194,24 +524,11 @@ impl PredictionHarness {
     ///
     /// Panics if any sub-configuration is invalid.
     pub fn new(config: FrontEndConfig) -> Self {
-        let (target_cache, cascade) = match config.indirect {
-            IndirectPredictor::TargetCache(tc) => (Some(TargetCache::new(tc)), None),
-            IndirectPredictor::Cascade(c) => (None, Some(CascadedPredictor::new(c))),
-            _ => (None, None),
-        };
         PredictionHarness {
             config,
-            btb: Btb::new(config.btb),
-            cond: DirectionPredictor::new(config.cond),
-            ras: ReturnAddressStack::new(config.ras_depth),
-            target_cache,
-            cascade,
-            history: config
-                .target_cache()
-                .map(|tc| HistoryTracker::new(tc.history)),
+            base: BaseFrontEnd::new(&config),
+            indirect: IndirectStage::new(config.indirect),
             stats: BranchClassStats::default(),
-            tc_served: 0,
-            tc_served_correct: 0,
             telemetry: None,
         }
     }
@@ -241,32 +558,24 @@ impl PredictionHarness {
     /// Target-cache structural statistics, if one is configured (for a
     /// cascade: the second stage's statistics).
     pub fn target_cache_stats(&self) -> Option<&TargetCacheStats> {
-        self.target_cache
-            .as_ref()
-            .map(|tc| tc.stats())
-            .or_else(|| self.cascade.as_ref().map(|c| c.cache().stats()))
+        self.indirect.target_cache_stats()
     }
 
     /// The cascade's stage-one filter rate, if a cascade is configured.
     pub fn cascade_filter_rate(&self) -> Option<f64> {
-        self.cascade.as_ref().map(|c| c.filter_rate())
+        self.indirect.cascade_filter_rate()
     }
 
     /// The cascade's raw `(filtered, total)` jump counts, if a cascade is
     /// configured (what telemetry manifests record).
     pub fn cascade_counts(&self) -> Option<(u64, u64)> {
-        self.cascade.as_ref().map(|c| (c.filtered(), c.total()))
+        self.indirect.cascade_counts()
     }
 
     /// Of the indirect jumps where the target cache supplied the used
     /// prediction, the fraction it got right.
     pub fn target_cache_served_accuracy(&self) -> Option<f64> {
-        self.target_cache.as_ref()?;
-        Some(if self.tc_served == 0 {
-            0.0
-        } else {
-            self.tc_served_correct as f64 / self.tc_served as f64
-        })
+        self.indirect.target_cache_served_accuracy()
     }
 
     /// Processes one dynamic instruction; returns the prediction outcome if
@@ -285,121 +594,44 @@ impl PredictionHarness {
 
         // --- Fetch-time prediction -----------------------------------
         let t0 = clock(timed);
-        let history_value = self.history.as_ref().map(|h| h.value_for(pc));
+        let history_value = self.indirect.history_value(pc);
         let ns_tc_index = lap(t0);
         let t0 = clock(timed);
-        let btb_hit = self.btb.lookup(pc);
+        let btb_hit = self.base.lookup(pc);
         let ns_btb_lookup = lap(t0);
 
         // The target cache (or cascade) is probed in parallel with the BTB;
-        // its access handle is kept for the retire-time update ("index A").
+        // the probe is kept for the retire-time update ("index A").
         let t0 = clock(timed);
-        let tc_access = if b.class.uses_target_cache() {
-            self.target_cache.as_mut().map(|tc| {
-                tc.lookup(
-                    pc,
-                    history_value.expect("history tracker exists with target cache"),
-                )
-            })
-        } else {
-            None
-        };
-        let cascade_result = if b.class.uses_target_cache() {
-            let btb_target = btb_hit.map(|h| h.target);
-            self.cascade.as_mut().map(|c| {
-                c.predict(
-                    pc,
-                    history_value.expect("history tracker exists with cascade"),
-                    btb_target,
-                )
-            })
-        } else {
-            None
-        };
+        let probe = self
+            .indirect
+            .probe(pc, b.class, history_value, btb_hit.map(|h| h.target));
         let ns_tc_lookup = lap(t0);
 
         // Alongside the prediction, name the structure that supplied it
         // (the telemetry layer's `source` attribution; see
         // `telemetry::PREDICTOR_SOURCES`).
-        let (predicted, source) = match btb_hit {
-            // BTB miss: the front end does not know this is a branch.
-            None => (pc.next(), "fallthrough"),
-            Some(hit) => match hit.class {
-                BranchClass::CondDirect => {
-                    let p = if self.cond.predict(pc) {
-                        hit.target
-                    } else {
-                        pc.next()
-                    };
-                    (p, "cond-direction")
-                }
-                BranchClass::UncondDirect | BranchClass::Call => (hit.target, "btb"),
-                BranchClass::Return => (self.ras.peek().unwrap_or(hit.target), "ras"),
-                BranchClass::IndirectJump | BranchClass::IndirectCall => {
-                    if matches!(self.config.indirect, IndirectPredictor::Oracle) {
-                        // Perfect target prediction (limit study).
-                        (actual, "oracle")
-                    } else if let Some((stage, pred, _)) = &cascade_result {
-                        let s = match stage {
-                            Stage::Btb => "cascade-btb",
-                            Stage::Cache => "cascade-cache",
-                        };
-                        (pred.unwrap_or(hit.target), s)
-                    } else {
-                        match tc_access.as_ref().and_then(|(_, pred)| *pred) {
-                            Some(tc_target) => {
-                                self.tc_served += 1;
-                                self.tc_served_correct += (tc_target == actual) as u64;
-                                (tc_target, "target-cache")
-                            }
-                            // Target-cache miss (or no target cache): fall
-                            // back to the BTB's last-computed target.
-                            None => (hit.target, "btb-fallback"),
-                        }
-                    }
-                }
-            },
+        let decision = self.base.decide(pc, btb_hit);
+        let (predicted, source) = match decision.source {
+            BaseSource::Indirect => self.indirect.predict(&probe, decision.predicted, actual),
+            s => (decision.predicted, s.label()),
         };
-
-        // --- Decode-driven return stack maintenance ------------------
-        // The machine learns the true class at decode, so the RAS stays
-        // consistent regardless of BTB hits.
-        let t0 = clock(timed);
-        if b.class.is_call() {
-            self.ras.push(pc.next());
-        } else if b.class.is_return() {
-            let _ = self.ras.pop();
-        }
-        let ns_ras = lap(t0);
 
         // --- Resolution-time training --------------------------------
         let t0 = clock(timed);
-        if b.class.is_conditional() {
-            self.cond.update(pc, b.taken);
-        }
+        self.base.resolve_ras(pc, b.class);
+        let ns_ras = lap(t0);
+        let t0 = clock(timed);
+        self.base.resolve_direction(pc, b);
         let ns_dir_update = lap(t0);
         let t0 = clock(timed);
-        self.btb.update(pc, b.class, b.target, pc.next());
+        self.base.resolve_btb(pc, b);
         let ns_btb_update = lap(t0);
         let t0 = clock(timed);
-        if let Some((access, _)) = tc_access {
-            self.target_cache
-                .as_mut()
-                .expect("tc_access implies a target cache")
-                .update(access, b.target);
-        }
-        if let Some((_, _, access)) = cascade_result {
-            let btb_target = btb_hit.map(|h| h.target);
-            self.cascade
-                .as_mut()
-                .expect("cascade_result implies a cascade")
-                .update(pc, access, b.target, btb_target);
-        }
+        self.indirect.train(pc, probe, b.target);
         let ns_tc_update = lap(t0);
         let t0 = clock(timed);
-        if let Some(h) = &mut self.history {
-            h.on_branch_resolved(pc, b.class, b.taken, actual);
-        }
+        self.indirect.train_history(pc, b, actual);
         let ns_history_update = lap(t0);
 
         if let Some(p) = self.telemetry.as_ref().and_then(|t| t.prof()) {

@@ -10,7 +10,7 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{timing, trace, Scale};
+use crate::runner::{trace, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -46,13 +46,13 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
-    let tc = timing(
+    let mut sweep = Sweep::new(&t);
+    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
+    let tc = sweep.timing(
         ctx,
-        &t,
         FrontEndConfig::isca97_with(best_tagless_for(benchmark)),
     );
-    let oracle = timing(ctx, &t, FrontEndConfig::isca97_oracle());
+    let oracle = sweep.timing(ctx, FrontEndConfig::isca97_oracle());
     let mut d = CellData::new();
     d.set("target_cache", tc.exec_time_reduction_vs(&base));
     d.set("oracle", oracle.exec_time_reduction_vs(&base));

@@ -13,7 +13,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, timing, Scale};
+use crate::runner::{functional, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_isa::VecTrace;
 use sim_workloads::OoBenchmark;
@@ -84,7 +84,8 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = oo_benchmark(label);
     let t = oo_trace(benchmark, scale);
     let stats = t.stats();
-    let base_report = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let mut sweep = Sweep::new(&t);
+    let base_report = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
     let mut d = CellData::new();
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
     d.set("indirect_fraction", stats.indirect_jump_fraction());
@@ -99,7 +100,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         );
         d.set(
             format!("exec.{name}"),
-            timing(ctx, &t, fe).exec_time_reduction_vs(&base_report),
+            sweep.timing(ctx, fe).exec_time_reduction_vs(&base_report),
         );
     }
     d

@@ -16,9 +16,9 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale};
+use crate::runner::{trace, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
-use hps_uarch::{simulate, MachineConfig};
+use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
@@ -71,17 +71,19 @@ pub fn cell_labels() -> Vec<&'static str> {
 }
 
 /// Computes one benchmark's cell: `red.<machine>` and `ipc.<machine>` per
-/// design point.
+/// design point. The machines differ only in schedule parameters, so all
+/// six runs share one sweep.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
     let tc = best_tagless_for(benchmark);
+    let mut sweep = Sweep::new(&t);
     let mut d = CellData::new();
     for (name, machine) in machines() {
-        let base = simulate(&t, &machine);
+        let base = sweep.timing_on(ctx, &machine);
         let mut with_tc = machine.clone();
         with_tc.frontend = FrontEndConfig::isca97_with(tc);
-        let faster = simulate(&t, &with_tc);
+        let faster = sweep.timing_on(ctx, &with_tc);
         d.set(format!("red.{name}"), faster.exec_time_reduction_vs(&base));
         d.set(format!("ipc.{name}"), base.ipc());
     }
@@ -184,6 +186,16 @@ mod tests {
                 r.benchmark
             );
         }
+    }
+
+    #[test]
+    fn every_timing_run_is_credited_to_the_cell() {
+        let ctx = TelemetryCtx::off();
+        let len = trace(&ctx, Benchmark::Perl, Scale::Quick).len() as u64;
+        crate::telemetry::take_instructions();
+        cell(&ctx, "perl", Scale::Quick);
+        let runs = 2 * machines().len() as u64;
+        assert_eq!(crate::telemetry::take_instructions(), runs * len);
     }
 
     #[test]

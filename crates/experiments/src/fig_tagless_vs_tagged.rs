@@ -13,7 +13,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, Scale};
+use crate::runner::{trace, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -56,16 +56,17 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let mut sweep = Sweep::new(&t);
+    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
     let mut d = CellData::new();
     d.set(
         "tagless",
-        exec_reduction_with_base(ctx, &t, &base, TargetCacheConfig::isca97_tagless_gshare()),
+        sweep.exec_reduction(ctx, &base, TargetCacheConfig::isca97_tagless_gshare()),
     );
     for &assoc in &ASSOCS {
         d.set(
             format!("tagged.{assoc}"),
-            exec_reduction_with_base(ctx, &t, &base, TargetCacheConfig::isca97_tagged(assoc)),
+            sweep.exec_reduction(ctx, &base, TargetCacheConfig::isca97_tagged(assoc)),
         );
     }
     d

@@ -77,7 +77,12 @@ impl Scenario {
 /// * `functional-tc/<bench>` — functional prediction with the paper's
 ///   tagless gshare target cache, all 8 benchmarks.
 /// * `timing/<bench>` — the cycle-level timing model on the two
-///   heaviest indirect-jump workloads (perl, gcc).
+///   heaviest indirect-jump workloads (perl, gcc): one configuration,
+///   so it pays the per-trace recording too.
+/// * `timing-sweep/<bench>` — Table 5's 26 configurations (the BTB
+///   baseline plus 25 target caches) on one trace through one
+///   [`runner::Sweep`], as the timing tables run them; its time per
+///   instruction is the cost per configuration.
 /// * `analysis-static` — the full static-analysis stack (verification
 ///   plus the predictability profile) over all 8 benchmark models.
 /// * `analysis-conformance` — trace-conformance replay of the shared
@@ -189,6 +194,21 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         scenarios.push(Scenario::new(format!("timing/{bench}"), move || {
             claim(bench);
             runner::timing(&ctx, &trace, FrontEndConfig::isca97_baseline()).instructions
+        }));
+    }
+    for bench in [Benchmark::Perl, Benchmark::Gcc] {
+        let trace = Rc::clone(&traces[bench.name()]);
+        let ctx = ctx.clone();
+        let claim = claim.clone();
+        scenarios.push(Scenario::new(format!("timing-sweep/{bench}"), move || {
+            claim(bench);
+            let mut sweep = runner::Sweep::new(&trace);
+            let base = sweep.timing(&ctx, FrontEndConfig::isca97_baseline());
+            let configs = crate::table5::configs();
+            for (_, config) in &configs {
+                std::hint::black_box(sweep.exec_reduction(&ctx, &base, *config));
+            }
+            (1 + configs.len() as u64) * trace.len() as u64
         }));
     }
     scenarios.push(Scenario::new("analysis-static", move || {
@@ -843,12 +863,13 @@ mod tests {
             assert!(names.contains(&format!("functional-tc/{bench}")));
         }
         assert!(names.contains(&"timing/perl".to_string()));
+        assert!(names.contains(&"timing-sweep/gcc".to_string()));
         assert!(names.contains(&"analysis-static".to_string()));
         assert!(names.contains(&"analysis-conformance".to_string()));
         assert!(names.contains(&"simpoint-fingerprint".to_string()));
         assert!(names.contains(&"simpoint-sampled-table1".to_string()));
         assert!(names.contains(&"e2e/table1".to_string()));
-        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 1);
+        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 2 + 1);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 
 use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
-use hps_uarch::{simulate, simulate_instrumented, MachineConfig, SimReport};
+use hps_uarch::{MachineConfig, SimReport, TimingSweep};
 use sim_isa::VecTrace;
 use sim_trace::{TraceKey, TraceStore};
 use sim_workloads::Benchmark;
 use std::path::PathBuf;
 use std::time::Instant;
 use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
-use target_cache::TargetCacheConfig;
+use target_cache::{HarnessTelemetry, TargetCacheConfig};
 
 /// How much of each workload's canonical run to simulate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -311,36 +311,101 @@ pub fn functional(
     h.stats().clone()
 }
 
-/// Runs the timing model over a trace.
+/// Runs the timing model over a trace: a [`Sweep`] of one configuration.
 pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) -> SimReport {
-    let machine = MachineConfig::isca97(frontend);
-    let report = if let Some(hub) = ctx.hub() {
-        let started = Instant::now();
-        let report = {
-            let _g = hub.spans().span("uarch-sim");
-            simulate_instrumented(trace, &machine, Some(hub.harness_telemetry()))
+    Sweep::new(trace).timing(ctx, frontend)
+}
+
+/// Timing runs over one trace that share the configuration-independent
+/// half of the timing model.
+///
+/// The first run on a given baseline front end and data cache records a
+/// [`TimingSweep`] (inside that run's `uarch-sim` span, so the recording is
+/// charged to the timing layer); every later run on the same key replays
+/// only its indirect stage and schedule. Each run still gets its own
+/// `uarch-sim` span, manifest run record and `trace.len()` instructions
+/// of credit, exactly as [`timing`] does.
+pub struct Sweep<'a> {
+    trace: &'a VecTrace,
+    sweeps: Vec<TimingSweep<'a>>,
+}
+
+impl<'a> Sweep<'a> {
+    /// A sweep over `trace`; nothing is simulated until the first run.
+    pub fn new(trace: &'a VecTrace) -> Self {
+        Sweep {
+            trace,
+            sweeps: Vec::new(),
+        }
+    }
+
+    /// Runs the paper's HPS machine with `frontend`.
+    pub fn timing(&mut self, ctx: &TelemetryCtx, frontend: FrontEndConfig) -> SimReport {
+        self.timing_on(ctx, &MachineConfig::isca97(frontend))
+    }
+
+    /// Runs an arbitrary machine (the per-machine override: widths,
+    /// window, function units and depth may differ from run to run).
+    pub fn timing_on(&mut self, ctx: &TelemetryCtx, machine: &MachineConfig) -> SimReport {
+        let report = if let Some(hub) = ctx.hub() {
+            let started = Instant::now();
+            let report = {
+                let _g = hub.spans().span("uarch-sim");
+                let telemetry = hub.harness_telemetry();
+                self.sweep_for(machine, Some(&telemetry))
+                    .run_on(machine, Some(telemetry))
+            };
+            hub.finish_run(
+                &config_desc(&machine.frontend),
+                report.instructions,
+                &report.branch_stats,
+                None,
+                None,
+                started.elapsed().as_nanos() as u64,
+            );
+            report
+        } else {
+            self.sweep_for(machine, None).run_on(machine, None)
         };
-        hub.finish_run(
-            &config_desc(&frontend),
-            report.instructions,
-            &report.branch_stats,
-            None,
-            None,
-            started.elapsed().as_nanos() as u64,
-        );
+        hub::add_instructions(self.trace.len() as u64);
         report
-    } else {
-        simulate(trace, &machine)
-    };
-    hub::add_instructions(report.instructions);
-    report
+    }
+
+    /// Execution-time reduction of a target-cache configuration against a
+    /// baseline report from this sweep.
+    pub fn exec_reduction(
+        &mut self,
+        ctx: &TelemetryCtx,
+        base: &SimReport,
+        tc: TargetCacheConfig,
+    ) -> f64 {
+        self.timing(ctx, FrontEndConfig::isca97_with(tc))
+            .exec_time_reduction_vs(base)
+    }
+
+    /// The recorded sweep serving `machine`, recording it on first use.
+    fn sweep_for(
+        &mut self,
+        machine: &MachineConfig,
+        telemetry: Option<&HarnessTelemetry>,
+    ) -> &TimingSweep<'a> {
+        let i = match self.sweeps.iter().position(|s| s.serves(machine)) {
+            Some(i) => i,
+            None => {
+                self.sweeps.push(TimingSweep::new_instrumented(
+                    self.trace, machine, telemetry,
+                ));
+                self.sweeps.len() - 1
+            }
+        };
+        &self.sweeps[i]
+    }
 }
 
 /// The paper's headline derived metric: execution-time reduction of a
 /// target-cache configuration over the BTB-only baseline, on one trace.
 pub fn exec_time_reduction(ctx: &TelemetryCtx, trace: &VecTrace, tc: TargetCacheConfig) -> f64 {
-    let base = timing(ctx, trace, FrontEndConfig::isca97_baseline());
-    let with_tc = timing(ctx, trace, FrontEndConfig::isca97_with(tc));
+    let (base, with_tc) = baseline_and_tc(ctx, trace, tc);
     with_tc.exec_time_reduction_vs(&base)
 }
 
@@ -350,9 +415,10 @@ pub fn baseline_and_tc(
     trace: &VecTrace,
     tc: TargetCacheConfig,
 ) -> (SimReport, SimReport) {
+    let mut sweep = Sweep::new(trace);
     (
-        timing(ctx, trace, FrontEndConfig::isca97_baseline()),
-        timing(ctx, trace, FrontEndConfig::isca97_with(tc)),
+        sweep.timing(ctx, FrontEndConfig::isca97_baseline()),
+        sweep.timing(ctx, FrontEndConfig::isca97_with(tc)),
     )
 }
 
@@ -377,6 +443,62 @@ mod tests {
         let f = functional(&ctx, &t, FrontEndConfig::isca97_baseline());
         let r = timing(&ctx, &t, FrontEndConfig::isca97_baseline());
         assert_eq!(&f, &r.branch_stats);
+    }
+
+    #[test]
+    fn a_sweep_records_once_and_accounts_every_run() {
+        use crate::telemetry::{session_with_prof, ProfMode, TelemetryMode};
+
+        let off = TelemetryCtx::off();
+        let t = trace(&off, Benchmark::Perl, Scale::Quick);
+        let frontends = [
+            FrontEndConfig::isca97_baseline(),
+            FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
+            FrontEndConfig::isca97_oracle(),
+        ];
+        let single: Vec<SimReport> = frontends.iter().map(|&f| timing(&off, &t, f)).collect();
+
+        let dir = std::env::temp_dir().join(format!("runner-sweep-{}", std::process::id()));
+        let session = session_with_prof(
+            "sweep",
+            Scale::Quick,
+            TelemetryMode::Summary,
+            ProfMode::Full,
+            &dir,
+        );
+        let ctx = session.ctx();
+        hub::take_instructions();
+        let mut sweep = Sweep::new(&t);
+        for (frontend, want) in frontends.iter().zip(&single) {
+            assert_eq!(&sweep.timing(&ctx, *frontend), want);
+        }
+
+        // Every configuration keeps its own credit, span and counters ...
+        let (len, branches) = (t.len() as u64, t.stats().branches());
+        assert_eq!(hub::take_instructions(), 3 * len);
+        let h = ctx.hub().expect("telemetry on");
+        let spans = h.spans().snapshot();
+        let uarch = spans.iter().find(|s| s.name() == "uarch-sim").unwrap();
+        assert_eq!(uarch.count, 3);
+        let counters = h.registry().snapshot();
+        assert_eq!(counters.counter("harness.branches"), 3 * branches);
+        // ... while the baseline front end is sampled once, at recording.
+        let hot = h.hot().snapshot();
+        let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+        for stage in ["uarch-fetch", "uarch-execute", "uarch-retire"] {
+            assert_eq!(samples(stage), 3 * len, "{stage}");
+        }
+        assert_eq!(samples("btb-lookup"), branches);
+
+        // One manifest run record per configuration.
+        let manifest_path = session.manifest_path();
+        drop(session);
+        let manifest =
+            sim_telemetry::json::parse(&std::fs::read_to_string(&manifest_path).unwrap())
+                .expect("manifest parses");
+        let runs = manifest.get("runs").and_then(|r| r.as_arr()).unwrap();
+        assert_eq!(runs.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -442,14 +564,4 @@ impl PathScheme {
             PathScheme::Global(f) => target_cache::HistorySource::GlobalPath(config(*f)),
         }
     }
-}
-
-/// Execution-time reduction against a precomputed baseline report.
-pub fn exec_reduction_with_base(
-    ctx: &TelemetryCtx,
-    trace: &VecTrace,
-    base: &SimReport,
-    tc: TargetCacheConfig,
-) -> f64 {
-    timing(ctx, trace, FrontEndConfig::isca97_with(tc)).exec_time_reduction_vs(base)
 }

@@ -12,7 +12,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, PathScheme, Scale};
+use crate::runner::{trace, PathScheme, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -43,13 +43,11 @@ pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::FOCUS.iter().map(|b| b.name()).collect()
 }
 
-/// Computes one benchmark's cell: execution-time reductions for every
-/// (bit offset × path scheme) combination, keyed `b<offset>.<scheme>`.
-pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
-    let benchmark = crate::jobs::benchmark(label);
-    let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
+/// The table's 25 target-cache configurations — 512-entry tagless gshare
+/// caches indexed with 9-bit path history recording 1 bit per target —
+/// keyed `b<offset>.<scheme>`, in render order.
+pub fn configs() -> Vec<(String, TargetCacheConfig)> {
+    let mut configs = Vec::new();
     for &bit_offset in &BIT_OFFSETS {
         for scheme in PathScheme::all() {
             let config = TargetCacheConfig::new(
@@ -59,11 +57,22 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
                 },
                 scheme.source(9, 1, bit_offset),
             );
-            d.set(
-                key(bit_offset, &scheme),
-                exec_reduction_with_base(ctx, &t, &base, config),
-            );
+            configs.push((key(bit_offset, &scheme), config));
         }
+    }
+    configs
+}
+
+/// Computes one benchmark's cell: execution-time reductions for every
+/// (bit offset × path scheme) combination, keyed `b<offset>.<scheme>`.
+pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
+    let benchmark = crate::jobs::benchmark(label);
+    let t = trace(ctx, benchmark, scale);
+    let mut sweep = Sweep::new(&t);
+    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
+    let mut d = CellData::new();
+    for (key, config) in configs() {
+        d.set(key, sweep.exec_reduction(ctx, &base, config));
     }
     d
 }

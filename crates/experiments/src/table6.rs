@@ -10,7 +10,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, PathScheme, Scale};
+use crate::runner::{trace, PathScheme, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -45,7 +45,8 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let mut sweep = Sweep::new(&t);
+    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
     let mut d = CellData::new();
     for &bits in &BITS_PER_TARGET {
         for scheme in PathScheme::all() {
@@ -56,10 +57,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
                 },
                 scheme.source(9, bits, 0),
             );
-            d.set(
-                key(bits, &scheme),
-                exec_reduction_with_base(ctx, &t, &base, config),
-            );
+            d.set(key(bits, &scheme), sweep.exec_reduction(ctx, &base, config));
         }
     }
     d

@@ -12,7 +12,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reduction_with_base, timing, trace, Scale};
+use crate::runner::{trace, Scale, Sweep};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -49,7 +49,8 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let base = timing(ctx, &t, FrontEndConfig::isca97_baseline());
+    let mut sweep = Sweep::new(&t);
+    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
     let mut d = CellData::new();
     for &assoc in &ASSOCS {
         for &scheme in &TaggedIndexScheme::ALL {
@@ -61,10 +62,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
                 },
                 HistorySource::Pattern { bits: 9 },
             );
-            d.set(
-                key(assoc, scheme),
-                exec_reduction_with_base(ctx, &t, &base, config),
-            );
+            d.set(key(assoc, scheme), sweep.exec_reduction(ctx, &base, config));
         }
     }
     d

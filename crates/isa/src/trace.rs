@@ -74,6 +74,12 @@ impl VecTrace {
     }
 }
 
+impl AsRef<[DynInstr]> for VecTrace {
+    fn as_ref(&self) -> &[DynInstr] {
+        &self.instrs
+    }
+}
+
 impl FromIterator<DynInstr> for VecTrace {
     fn from_iter<T: IntoIterator<Item = DynInstr>>(iter: T) -> Self {
         VecTrace {

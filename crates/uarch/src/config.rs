@@ -2,6 +2,7 @@
 //! parameters.
 
 use sim_isa::InstrClass;
+use std::fmt;
 use target_cache::harness::FrontEndConfig;
 
 /// Data cache geometry and timing.
@@ -34,16 +35,86 @@ impl DCacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide into a power-of-two set count.
+    /// Panics if the geometry is malformed (see [`DCacheConfig::check`]).
     pub fn sets(&self) -> usize {
-        let sets = self.size_bytes / (self.line_bytes * self.assoc);
-        assert!(
-            sets.is_power_of_two() && sets >= 1,
-            "cache sets must be a power of two"
-        );
-        sets
+        self.set_count().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Validates the geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first defect: a zero line size, zero associativity, or
+    /// a geometry that does not divide into a nonzero power-of-two number
+    /// of sets.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        self.set_count().map(|_| ())
+    }
+
+    fn set_count(&self) -> Result<usize, ConfigError> {
+        if self.line_bytes == 0 {
+            return Err(ConfigError::ZeroLineBytes);
+        }
+        if self.assoc == 0 {
+            return Err(ConfigError::ZeroAssociativity);
+        }
+        let sets = self
+            .line_bytes
+            .checked_mul(self.assoc)
+            .map_or(0, |way_bytes| self.size_bytes / way_bytes);
+        if !sets.is_power_of_two() {
+            return Err(ConfigError::SetsNotPowerOfTwo { sets });
+        }
+        Ok(sets)
     }
 }
+
+/// Why a [`MachineConfig`] is invalid, one variant per defect
+/// [`MachineConfig::check`] detects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Fetch or retire width is zero.
+    ZeroWidth,
+    /// The in-flight window holds no instructions.
+    ZeroWindow,
+    /// There are no function units.
+    NoFunctionUnits,
+    /// Some instruction class has zero latency.
+    ZeroLatency,
+    /// The data cache's line size is zero.
+    ZeroLineBytes,
+    /// The data cache has zero ways.
+    ZeroAssociativity,
+    /// The data cache geometry divides into `sets` sets, which is not a
+    /// nonzero power of two.
+    SetsNotPowerOfTwo {
+        /// The set count the geometry implies.
+        sets: usize,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroWidth => f.write_str("fetch and retire width must be nonzero"),
+            ConfigError::ZeroWindow => f.write_str("window size must be nonzero"),
+            ConfigError::NoFunctionUnits => {
+                f.write_str("machine needs at least one function unit")
+            }
+            ConfigError::ZeroLatency => f.write_str("instruction latencies must be nonzero"),
+            ConfigError::ZeroLineBytes => f.write_str("data cache line size must be nonzero"),
+            ConfigError::ZeroAssociativity => {
+                f.write_str("data cache associativity must be nonzero")
+            }
+            ConfigError::SetsNotPowerOfTwo { sets } => write!(
+                f,
+                "data cache geometry gives {sets} sets; the set count must be a nonzero power of two"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Full machine configuration for the timing model.
 #[derive(Clone, Debug)]
@@ -103,23 +174,23 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid parameter (zero widths,
-    /// zero window, zero-latency classes).
-    pub fn check(&self) -> Result<(), String> {
+    /// Returns the first invalid parameter: zero widths, zero window, no
+    /// function units, zero-latency classes, or a malformed data cache
+    /// ([`DCacheConfig::check`]).
+    pub fn check(&self) -> Result<(), ConfigError> {
         if self.fetch_width == 0 || self.retire_width == 0 {
-            return Err("fetch and retire width must be nonzero".into());
+            return Err(ConfigError::ZeroWidth);
         }
         if self.window_size == 0 {
-            return Err("window size must be nonzero".into());
+            return Err(ConfigError::ZeroWindow);
         }
         if self.fu_count == 0 {
-            return Err("machine needs at least one function unit".into());
+            return Err(ConfigError::NoFunctionUnits);
         }
         if self.latencies.contains(&0) {
-            return Err("instruction latencies must be nonzero".into());
+            return Err(ConfigError::ZeroLatency);
         }
-        self.dcache.sets(); // panics on malformed geometry
-        Ok(())
+        self.dcache.check()
     }
 }
 
@@ -165,6 +236,51 @@ mod tests {
         assert!(c.check().is_err());
         let mut c = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
         c.latencies[0] = 0;
-        assert!(c.check().is_err());
+        assert_eq!(c.check(), Err(ConfigError::ZeroLatency));
+        let mut c = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+        c.fu_count = 0;
+        assert_eq!(c.check(), Err(ConfigError::NoFunctionUnits));
+    }
+
+    #[test]
+    fn check_rejects_malformed_data_caches_instead_of_panicking() {
+        let broken = |edit: fn(&mut DCacheConfig)| {
+            let mut c = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+            edit(&mut c.dcache);
+            c.check()
+        };
+        assert_eq!(
+            broken(|d| d.line_bytes = 0),
+            Err(ConfigError::ZeroLineBytes)
+        );
+        assert_eq!(broken(|d| d.assoc = 0), Err(ConfigError::ZeroAssociativity));
+        // 16 KB / (32 B x 3 ways) = 170 sets.
+        assert_eq!(
+            broken(|d| d.assoc = 3),
+            Err(ConfigError::SetsNotPowerOfTwo { sets: 170 })
+        );
+        // Smaller than one set.
+        assert_eq!(
+            broken(|d| d.size_bytes = 64),
+            Err(ConfigError::SetsNotPowerOfTwo { sets: 0 })
+        );
+        // A way size that overflows usize is rejected, not wrapped.
+        assert_eq!(
+            broken(|d| {
+                d.line_bytes = usize::MAX;
+                d.assoc = 2;
+            }),
+            Err(ConfigError::SetsNotPowerOfTwo { sets: 0 })
+        );
+        let e = broken(|d| d.line_bytes = 0).unwrap_err();
+        assert_eq!(e.to_string(), "data cache line size must be nonzero");
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be nonzero")]
+    fn sets_panics_with_the_check_diagnosis() {
+        let mut d = DCacheConfig::isca97();
+        d.assoc = 0;
+        d.sets();
     }
 }

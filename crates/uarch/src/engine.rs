@@ -1,17 +1,23 @@
 //! The timing engine: a deterministic trace-driven schedule of fetch,
-//! execute, and retire.
+//! execute, and retire, split into a per-trace and a per-configuration
+//! half.
+//!
+//! [`TimingSweep::new`] drives the data cache and the baseline front end
+//! over a trace once and keeps their decisions on a compact tape (see
+//! [`crate::tape`]); [`TimingSweep::run`] replays that tape through one
+//! configuration's indirect stage and the schedule. [`simulate`] is a
+//! sweep of one.
 
 use crate::config::MachineConfig;
-use crate::dcache::DataCache;
 use crate::report::SimReport;
-use sim_isa::{DynInstr, InstrClass};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use target_cache::harness::PredictionHarness;
-use target_cache::telemetry::HarnessTelemetry;
+use crate::tape::{timed, Tape, TapeBranch};
+use branch_predictors::BranchClassStats;
+use sim_isa::{Addr, BranchExec, DynInstr, InstrClass};
+use target_cache::harness::{BaseSource, FrontEndConfig, IndirectStage};
+use target_cache::telemetry::{HarnessProf, HarnessTelemetry};
 
 /// Simulates a trace on the configured machine and reports cycles and
-/// statistics.
+/// statistics — a [`TimingSweep`] of one configuration.
 ///
 /// The schedule honours, per instruction:
 ///
@@ -28,172 +34,399 @@ use target_cache::telemetry::HarnessTelemetry;
 ///
 /// Panics if the machine configuration is invalid
 /// ([`MachineConfig::check`]).
-pub fn simulate<'a, I>(trace: I, config: &MachineConfig) -> SimReport
+pub fn simulate<T>(trace: &T, config: &MachineConfig) -> SimReport
 where
-    I: IntoIterator<Item = &'a DynInstr>,
+    T: AsRef<[DynInstr]> + ?Sized,
 {
     simulate_instrumented(trace, config, None)
 }
 
-/// [`simulate`] with observability hooks attached to the embedded
-/// prediction harness: branch and mispredict counters feed the hooks'
-/// metrics registry, and (when the hooks carry an event sink) each
-/// misprediction records a structured event. Pass `None` for a plain,
-/// uninstrumented run — the timing schedule is identical either way.
-pub fn simulate_instrumented<'a, I>(
-    trace: I,
+/// [`simulate`] with observability hooks attached: branch and mispredict
+/// counters feed the hooks' metrics registry, and (when the hooks carry an
+/// event sink) each misprediction records a structured event. Pass `None`
+/// for a plain, uninstrumented run — the timing schedule is identical
+/// either way.
+pub fn simulate_instrumented<T>(
+    trace: &T,
     config: &MachineConfig,
     telemetry: Option<HarnessTelemetry>,
 ) -> SimReport
 where
-    I: IntoIterator<Item = &'a DynInstr>,
+    T: AsRef<[DynInstr]> + ?Sized,
 {
-    config.check().expect("machine configuration must be valid");
-    // When the hooks carry a hot-path profiler (`REPRO_PROF=full`), the
-    // engine times its own pipeline stages into it alongside the
-    // harness's prediction phases. Timers are resolved once, out here.
-    let stage_timers = telemetry.as_ref().and_then(|t| t.hot_profiler()).map(|h| {
-        (
-            h.timer("uarch-fetch"),
-            h.timer("uarch-execute"),
-            h.timer("uarch-retire"),
-        )
-    });
-    let clock = |on: bool| on.then(std::time::Instant::now);
-    let mut harness = PredictionHarness::new(config.frontend);
-    if let Some(t) = telemetry {
-        harness.attach_telemetry(t);
+    TimingSweep::new_instrumented(trace, config, telemetry.as_ref()).run_on(config, telemetry)
+}
+
+/// The timing model of one trace, split at the line no front-end
+/// configuration can cross.
+///
+/// Construction simulates what every configuration shares: the data cache
+/// (kept as a load-miss bitmap) and the baseline BTB, direction predictor
+/// and return stack (kept as a per-branch tape). Each [`run`](Self::run)
+/// then replays only its own indirect stage — history register plus
+/// target cache, cascade or oracle — and the out-of-order schedule. The
+/// split is exact: neither the data cache nor any baseline structure ever
+/// sees a value that depends on the indirect predictor or on timing, so a
+/// run returns the same [`SimReport`] as simulating the whole machine.
+///
+/// One sweep serves every machine with the same baseline front end (BTB,
+/// direction predictor, return-stack depth) and data cache; widths,
+/// window, function units, latencies, front-end depth and the indirect
+/// predictor may differ from run to run.
+///
+/// # Example
+///
+/// ```
+/// use hps_uarch::{simulate, MachineConfig, TimingSweep};
+/// use target_cache::harness::FrontEndConfig;
+/// use target_cache::TargetCacheConfig;
+/// use sim_workloads::Benchmark;
+///
+/// let trace = Benchmark::Perl.workload().generate(20_000);
+/// let machine = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+/// let sweep = TimingSweep::new(&trace, &machine);
+/// let base = sweep.run(&FrontEndConfig::isca97_baseline(), None);
+/// let tc = sweep.run(
+///     &FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
+///     None,
+/// );
+/// assert!(tc.cycles <= base.cycles);
+/// assert_eq!(base.cycles, simulate(&trace, &machine).cycles);
+/// ```
+pub struct TimingSweep<'a> {
+    trace: &'a [DynInstr],
+    machine: MachineConfig,
+    tape: Tape,
+}
+
+impl<'a> TimingSweep<'a> {
+    /// Records the configuration-independent half of `machine` over
+    /// `trace`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine configuration is invalid
+    /// ([`MachineConfig::check`]).
+    pub fn new<T>(trace: &'a T, machine: &MachineConfig) -> Self
+    where
+        T: AsRef<[DynInstr]> + ?Sized,
+    {
+        TimingSweep::new_instrumented(trace, machine, None)
     }
-    let mut dcache = DataCache::new(config.dcache);
 
-    // Fetch stream state.
-    let mut stream_cycle: u64 = 0;
-    let mut fetched_this_cycle: usize = 0;
+    /// [`new`](Self::new), timing the baseline prediction phases
+    /// (`btb-lookup`, `ras`, `dir-update`, `btb-update`) into the hooks'
+    /// hot-path profiler when one is attached (`REPRO_PROF=full`): they
+    /// run once per trace, so that is where they are sampled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine configuration is invalid.
+    pub fn new_instrumented<T>(
+        trace: &'a T,
+        machine: &MachineConfig,
+        telemetry: Option<&HarnessTelemetry>,
+    ) -> Self
+    where
+        T: AsRef<[DynInstr]> + ?Sized,
+    {
+        if let Err(e) = machine.check() {
+            panic!("machine configuration must be valid: {e}");
+        }
+        let trace = trace.as_ref();
+        TimingSweep {
+            trace,
+            machine: machine.clone(),
+            tape: Tape::record(trace, machine, telemetry.and_then(|t| t.prof())),
+        }
+    }
 
-    // Rename state: cycle each architectural register's latest value is
-    // available.
-    let mut reg_ready = [0u64; sim_isa::reg::REG_COUNT as usize];
+    /// Whether `machine` has this sweep's baseline front end and data
+    /// cache, so [`run_on`](Self::run_on) can replay it.
+    pub fn serves(&self, machine: &MachineConfig) -> bool {
+        let (a, b) = (&self.machine.frontend, &machine.frontend);
+        a.btb == b.btb
+            && a.cond == b.cond
+            && a.ras_depth == b.ras_depth
+            && self.machine.dcache == machine.dcache
+    }
 
-    // Function units: min-heap of next-free cycles, one entry per FU.
-    let mut fu_free: BinaryHeap<Reverse<u64>> = (0..config.fu_count).map(|_| Reverse(0)).collect();
+    /// Heap bytes of the recorded side data (tape and load-miss bitmap),
+    /// beside the borrowed trace.
+    pub fn side_data_bytes(&self) -> usize {
+        self.tape.heap_bytes()
+    }
 
-    // Retirement state.
-    let mut last_retire_cycle: u64 = 0;
-    let mut retired_in_cycle: usize = 0;
-    // Retire cycles of the youngest `window_size` instructions.
-    let mut window: VecDeque<u64> = VecDeque::with_capacity(config.window_size);
-
-    let mut instructions: u64 = 0;
-    let mut final_cycle: u64 = 0;
-    let mut mispredict_stall_cycles: u64 = 0;
-
-    let timed = stage_timers.is_some();
-    for instr in trace {
-        instructions += 1;
-
-        let t0 = clock(timed);
-        // --- Fetch ----------------------------------------------------
-        // Window constraint: the (i - window_size)-th instruction must
-        // have retired before this one can occupy a slot.
-        let window_barrier = if window.len() == config.window_size {
-            window.pop_front().expect("window full") + 1
-        } else {
-            0
+    /// Simulates the sweep's machine with `frontend`'s indirect predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frontend`'s baseline structures differ from the sweep's.
+    pub fn run(&self, frontend: &FrontEndConfig, telemetry: Option<HarnessTelemetry>) -> SimReport {
+        let machine = MachineConfig {
+            frontend: *frontend,
+            ..self.machine.clone()
         };
-        if window_barrier > stream_cycle {
-            stream_cycle = window_barrier;
-            fetched_this_cycle = 0;
-        }
-        if fetched_this_cycle == config.fetch_width {
-            stream_cycle += 1;
-            fetched_this_cycle = 0;
-        }
-        let fetch_cycle = stream_cycle;
-        fetched_this_cycle += 1;
-        if let (Some((fetch, _, _)), Some(t0)) = (&stage_timers, t0) {
-            fetch.stop(t0);
-        }
+        self.run_on(&machine, telemetry)
+    }
 
-        let t0 = clock(timed);
-        // --- Execute ---------------------------------------------------
-        let decode_done = fetch_cycle + config.front_depth as u64;
-        let operands_ready = instr
-            .srcs()
-            .iter()
-            .flatten()
-            .map(|r| reg_ready[r.index() as usize])
-            .max()
-            .unwrap_or(0);
-        let Reverse(fu_available) = fu_free.pop().expect("at least one FU");
-        let start = decode_done.max(operands_ready).max(fu_available);
-        // FUs are fully pipelined: each occupies its issue slot for one
-        // cycle.
-        fu_free.push(Reverse(start + 1));
+    /// Simulates `machine` — its schedule parameters and indirect
+    /// predictor — over the sweep's trace. With `telemetry`, every branch
+    /// feeds its counters and mispredict events exactly as a
+    /// [`PredictionHarness`](target_cache::harness::PredictionHarness)
+    /// with those hooks attached would, and a hot-path profiler times the
+    /// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages and the
+    /// indirect stage's `tc-index`/`tc-lookup`/`tc-update`/`history-update`
+    /// phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine` is invalid or is not [served](Self::serves) by
+    /// this sweep.
+    pub fn run_on(
+        &self,
+        machine: &MachineConfig,
+        telemetry: Option<HarnessTelemetry>,
+    ) -> SimReport {
+        if let Err(e) = machine.check() {
+            panic!("machine configuration must be valid: {e}");
+        }
+        assert!(
+            self.serves(machine),
+            "the sweep was recorded for a different baseline front end or data cache"
+        );
+        // When the hooks carry a hot-path profiler (`REPRO_PROF=full`), the
+        // engine times its own pipeline stages into it alongside the
+        // indirect stage's phases. Timers are resolved once, out here.
+        let stage_timers = telemetry.as_ref().and_then(|t| t.hot_profiler()).map(|h| {
+            (
+                h.timer("uarch-fetch"),
+                h.timer("uarch-execute"),
+                h.timer("uarch-retire"),
+            )
+        });
+        let prof = telemetry.as_ref().and_then(|t| t.prof());
+        let clock = |on: bool| on.then(std::time::Instant::now);
+        let timed_stages = stage_timers.is_some();
 
-        let mut latency = config.latency(instr.class()) as u64;
-        if let Some(mem) = instr.mem() {
-            let hit = dcache.access(mem.addr);
-            if instr.class() == InstrClass::Load && !hit {
-                latency += config.dcache.miss_penalty as u64;
-            }
-        }
-        let complete = start + latency;
-        if let Some(dst) = instr.dst() {
-            reg_ready[dst.index() as usize] = complete;
-        }
-        if let (Some((_, execute, _)), Some(t0)) = (&stage_timers, t0) {
-            execute.stop(t0);
-        }
+        let mut indirect = IndirectStage::new(machine.frontend.indirect);
+        let mut stats = BranchClassStats::default();
+        let mut tape = self.tape.cursor();
+        let front_depth = machine.front_depth as u64;
+        let miss_penalty = machine.dcache.miss_penalty as u64;
 
-        // --- Branch prediction and fetch redirection --------------------
-        // (The harness times its own prediction phases into the same
-        // profiler; no engine-level timer here to avoid double counting.)
-        if let Some(outcome) = harness.process(instr) {
-            if !outcome.correct() {
-                // Checkpoint repair: correct-path fetch resumes the cycle
-                // after the branch executes.
-                let resume = complete + 1;
-                if resume > stream_cycle {
-                    // The gap (minus the one cycle fetch would have taken
-                    // anyway) is pure misprediction stall.
-                    mispredict_stall_cycles += resume - stream_cycle - 1;
-                    stream_cycle = resume;
-                    fetched_this_cycle = 0;
-                }
-            } else if instr.branch_exec().is_some_and(|b| b.taken) {
-                // Correctly-predicted taken branch: the fetch group ends;
-                // the target is fetched next cycle.
-                stream_cycle = fetch_cycle + 1;
+        // Fetch stream state.
+        let mut stream_cycle: u64 = 0;
+        let mut fetched_this_cycle: usize = 0;
+
+        // Rename state: cycle each architectural register's latest value is
+        // available.
+        let mut reg_ready = [0u64; sim_isa::reg::REG_COUNT as usize];
+
+        // Function units: their next-free cycles as a sorted ring starting
+        // at `fu_head`; an instruction issues on the earliest-free one.
+        let mut fu_free = vec![0u64; machine.fu_count];
+        let mut fu_head = 0usize;
+
+        // Retirement state.
+        let mut last_retire_cycle: u64 = 0;
+        let mut retired_in_cycle: usize = 0;
+        // The youngest `window_size` instructions' retire cycles plus one
+        // (when each frees its window slot), as a ring: `window[slot]`
+        // belongs to the instruction `window_size` older than the next.
+        let mut window = vec![0u64; machine.window_size];
+        let mut slot = 0usize;
+
+        let mut final_cycle: u64 = 0;
+        let mut mispredict_stall_cycles: u64 = 0;
+
+        for instr in self.trace {
+            let t0 = clock(timed_stages);
+            // --- Fetch ----------------------------------------------------
+            // Window constraint: the instruction `window_size` older must
+            // have retired before this one can occupy a slot.
+            if window[slot] > stream_cycle {
+                stream_cycle = window[slot];
                 fetched_this_cycle = 0;
             }
+            if fetched_this_cycle == machine.fetch_width {
+                stream_cycle += 1;
+                fetched_this_cycle = 0;
+            }
+            let fetch_cycle = stream_cycle;
+            fetched_this_cycle += 1;
+            if let (Some((fetch, _, _)), Some(t0)) = (&stage_timers, t0) {
+                fetch.stop(t0);
+            }
+
+            let t0 = clock(timed_stages);
+            // --- Execute ---------------------------------------------------
+            let decode_done = fetch_cycle + front_depth;
+            let operands_ready = instr
+                .srcs()
+                .iter()
+                .flatten()
+                .map(|r| reg_ready[r.index() as usize])
+                .max()
+                .unwrap_or(0);
+            let start = decode_done.max(operands_ready).max(fu_free[fu_head]);
+            // FUs are fully pipelined: the unit issuing occupies its slot
+            // for one cycle. Its entry becomes the ring's tail; it bubbles
+            // back past any unit that frees up later (usually none).
+            let free = start + 1;
+            let mut at = fu_head;
+            for _ in 1..fu_free.len() {
+                let prev = at.checked_sub(1).unwrap_or(fu_free.len() - 1);
+                if fu_free[prev] <= free {
+                    break;
+                }
+                fu_free[at] = fu_free[prev];
+                at = prev;
+            }
+            fu_free[at] = free;
+            fu_head = ring_next(fu_head, fu_free.len());
+
+            let mut latency = machine.latency(instr.class()) as u64;
+            if instr.class() == InstrClass::Load && tape.load_missed() {
+                latency += miss_penalty;
+            }
+            let complete = start + latency;
+            if let Some(dst) = instr.dst() {
+                reg_ready[dst.index() as usize] = complete;
+            }
+            if let (Some((_, execute, _)), Some(t0)) = (&stage_timers, t0) {
+                execute.stop(t0);
+            }
+
+            // --- Branch prediction and fetch redirection --------------------
+            // The baseline's decision comes off the tape; the indirect
+            // stage decides indirect-kind BTB hits and trains on eligible
+            // branches. (It times its own phases into the profiler.)
+            if let Some(b) = instr.branch_exec() {
+                let pc = instr.pc();
+                let actual = b.next_pc(pc);
+                let base = tape.branch(b.class);
+                // Only target-cache-eligible branches and indirect-kind BTB
+                // hits involve the indirect stage's predictor.
+                let (predicted, source, history) =
+                    if b.class.uses_target_cache() || base.source == BaseSource::Indirect {
+                        replay_indirect(&mut indirect, prof, pc, b, base)
+                    } else {
+                        (
+                            base.mispredicted.unwrap_or(actual),
+                            base.source.label(),
+                            None,
+                        )
+                    };
+                let correct = predicted == actual;
+                if let Some(t) = &telemetry {
+                    // Events carry the fetch-time history value, read before
+                    // this branch trains the register.
+                    let history = match history {
+                        Some(h) => h,
+                        None if correct => 0,
+                        None => indirect.history_value(pc).unwrap_or(0),
+                    };
+                    t.observe(pc, b.class, predicted, actual, history, source);
+                }
+                timed(prof.map(|p| &p.history_update), || {
+                    indirect.train_history(pc, b, actual)
+                });
+                stats.record(b.class, correct);
+
+                if !correct {
+                    // Checkpoint repair: correct-path fetch resumes the cycle
+                    // after the branch executes.
+                    let resume = complete + 1;
+                    if resume > stream_cycle {
+                        // The gap (minus the one cycle fetch would have taken
+                        // anyway) is pure misprediction stall.
+                        mispredict_stall_cycles += resume - stream_cycle - 1;
+                        stream_cycle = resume;
+                        fetched_this_cycle = 0;
+                    }
+                } else if b.taken {
+                    // Correctly-predicted taken branch: the fetch group ends;
+                    // the target is fetched next cycle.
+                    stream_cycle = fetch_cycle + 1;
+                    fetched_this_cycle = 0;
+                }
+            }
+
+            // --- Retire ------------------------------------------------------
+            let t0 = clock(timed_stages);
+            let earliest = complete + 1;
+            let mut retire_cycle = earliest.max(last_retire_cycle);
+            if retire_cycle == last_retire_cycle && retired_in_cycle == machine.retire_width {
+                retire_cycle += 1;
+            }
+            if retire_cycle > last_retire_cycle {
+                last_retire_cycle = retire_cycle;
+                retired_in_cycle = 0;
+            }
+            retired_in_cycle += 1;
+            window[slot] = retire_cycle + 1;
+            slot = ring_next(slot, window.len());
+            final_cycle = retire_cycle;
+            if let (Some((_, _, retire)), Some(t0)) = (&stage_timers, t0) {
+                retire.stop(t0);
+            }
         }
 
-        // --- Retire ------------------------------------------------------
-        let t0 = clock(timed);
-        let earliest = complete + 1;
-        let mut retire_cycle = earliest.max(last_retire_cycle);
-        if retire_cycle == last_retire_cycle && retired_in_cycle == config.retire_width {
-            retire_cycle += 1;
-        }
-        if retire_cycle > last_retire_cycle {
-            last_retire_cycle = retire_cycle;
-            retired_in_cycle = 0;
-        }
-        retired_in_cycle += 1;
-        window.push_back(retire_cycle);
-        final_cycle = retire_cycle;
-        if let (Some((_, _, retire)), Some(t0)) = (&stage_timers, t0) {
-            retire.stop(t0);
+        SimReport {
+            cycles: final_cycle,
+            instructions: self.trace.len() as u64,
+            mispredict_stall_cycles,
+            branch_stats: stats,
+            dcache_stats: self.tape.dcache_stats(),
         }
     }
+}
 
-    SimReport {
-        cycles: final_cycle,
-        instructions,
-        mispredict_stall_cycles,
-        branch_stats: harness.stats().clone(),
-        dcache_stats: dcache.stats(),
+/// The index after `i` in a ring of `len` slots.
+#[inline]
+fn ring_next(i: usize, len: usize) -> usize {
+    if i + 1 == len {
+        0
+    } else {
+        i + 1
     }
+}
+
+/// The indirect stage's part of one branch the tape hands over: a
+/// target-cache-eligible branch (looked up and trained) or an
+/// indirect-kind BTB hit (predicted). Returns the prediction, its source
+/// label and the fetch-time history value the stage read.
+#[inline]
+fn replay_indirect(
+    indirect: &mut IndirectStage,
+    prof: Option<&HarnessProf>,
+    pc: Addr,
+    b: BranchExec,
+    base: TapeBranch,
+) -> (Addr, &'static str, Option<u64>) {
+    let actual = b.next_pc(pc);
+    let history = timed(prof.map(|p| &p.tc_index), || {
+        b.class
+            .uses_target_cache()
+            .then(|| indirect.history_value(pc))
+            .flatten()
+    });
+    let probe = timed(prof.map(|p| &p.tc_lookup), || {
+        indirect.probe(pc, b.class, history, base.hit_target)
+    });
+    let (predicted, source) = match base.source {
+        BaseSource::Indirect => indirect.predict(
+            &probe,
+            base.hit_target.expect("indirect-kind hits carry a target"),
+            actual,
+        ),
+        s => (base.mispredicted.unwrap_or(actual), s.label()),
+    };
+    timed(prof.map(|p| &p.tc_update), || {
+        indirect.train(pc, probe, b.target)
+    });
+    (predicted, source, history)
 }
 
 #[cfg(test)]

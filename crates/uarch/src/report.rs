@@ -5,7 +5,7 @@ use branch_predictors::BranchClassStats;
 use std::fmt;
 
 /// The result of one timing simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimReport {
     /// Total cycles to retire the whole trace.
     pub cycles: u64,

@@ -1,10 +1,19 @@
 //! Property-based tests for the timing engine: scheduling invariants that
-//! must hold for *any* trace, not just the workloads'.
+//! must hold for *any* trace, not just the workloads', and bit-identity
+//! with the per-instruction reference model in `reference/`.
 
-use hps_uarch::{simulate, MachineConfig};
+mod reference;
+
+use branch_predictors::{BtbConfig, DirectionConfig, PathFilter, PathHistoryConfig, UpdatePolicy};
+use hps_uarch::{simulate, simulate_instrumented, DCacheConfig, MachineConfig, TimingSweep};
 use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
-use target_cache::harness::FrontEndConfig;
+use sim_telemetry::{EventSink, MetricsRegistry};
+use target_cache::harness::{FrontEndConfig, IndirectPredictor};
+use target_cache::{
+    CascadeConfig, HarnessTelemetry, HistorySource, IndexScheme, Organization, TaggedIndexScheme,
+    TargetCacheConfig, PREDICTOR_SOURCES,
+};
 
 fn machine() -> MachineConfig {
     MachineConfig::isca97(FrontEndConfig::isca97_baseline())
@@ -14,17 +23,26 @@ fn machine() -> MachineConfig {
 /// caller (prediction correctness is irrelevant to these invariants, and
 /// the engine never requires path consistency).
 fn arb_instr() -> impl Strategy<Value = DynInstr> {
+    arb_instr_at(4096, 4096)
+}
+
+/// [`arb_instr`] with PCs drawn from the first `pcs` instruction words and
+/// branch targets from `targets` words. The same PC can be a branch of a
+/// different class each time it occurs, so the BTB can hit with a kind
+/// other than the branch's own — and, with few targets, hold the very
+/// target the branch then computes.
+fn arb_instr_at(pcs: u64, targets: u64) -> impl Strategy<Value = DynInstr> {
     let reg = proptest::option::of(0u16..32).prop_map(|r| r.map(Reg::new));
     (
-        0u64..4096,
-        0u8..10,
+        0u64..pcs,
+        0u8..12,
         any::<u64>(),
         reg.clone(),
         reg.clone(),
         reg,
         any::<bool>(),
     )
-        .prop_map(|(pc, kind, payload, a, b, d, taken)| {
+        .prop_map(move |(pc, kind, payload, a, b, d, taken)| {
             let pc = Addr::from_word_index(pc);
             match kind {
                 0..=3 => {
@@ -52,16 +70,10 @@ fn arb_instr() -> impl Strategy<Value = DynInstr> {
                     i
                 }
                 _ => {
-                    let classes = [
-                        BranchClass::CondDirect,
-                        BranchClass::UncondDirect,
-                        BranchClass::Call,
-                        BranchClass::Return,
-                        BranchClass::IndirectJump,
-                    ];
-                    let class = classes[(kind - 6) as usize % classes.len()];
+                    // Every branch class, indirect jumps and calls included.
+                    let class = BranchClass::ALL[(kind - 6) as usize];
                     let taken = taken || !class.is_conditional();
-                    let target = Addr::from_word_index(payload % 4096 + 5000);
+                    let target = Addr::from_word_index(payload % targets + 5000);
                     DynInstr::branch(pc, BranchExec::new(class, taken, target))
                 }
             }
@@ -140,5 +152,252 @@ proptest! {
             oracle.cycles,
             base.cycles
         );
+    }
+}
+
+/// Arbitrary traces over PC and target ranges from dense (heavy class
+/// aliasing, BTB conflicts, repeated targets) to sparse; half of them use
+/// at most four PCs and four targets.
+fn arb_trace() -> impl Strategy<Value = VecTrace> {
+    let range_log = || prop_oneof![0u32..3, 0u32..13];
+    (range_log(), range_log()).prop_flat_map(|(pcs_log, targets_log)| {
+        proptest::collection::vec(arb_instr_at(1 << pcs_log, 1 << targets_log), 1..500)
+            .prop_map(|instrs| instrs.into_iter().collect::<VecTrace>())
+    })
+}
+
+/// Every indirect-predictor variant: BTB-only; tagless (gshare, GAg, GAs)
+/// and tagged (address, history-concatenate, history-xor) target caches
+/// under pattern, global-path (every filter) and per-address history;
+/// the oracle; and cascades in front of either organisation.
+fn arb_indirect() -> impl Strategy<Value = IndirectPredictor> {
+    (
+        0u8..4,
+        0u8..6,
+        0u8..6,
+        1u32..10,
+        1u32..4,
+        0u32..3,
+        0u8..3,
+        any::<bool>(),
+    )
+        .prop_map(
+            |(kind, org, hist, bits, per_target, bit_lo, ways_log, two_bit)| {
+                let history = match hist {
+                    0 | 1 => HistorySource::Pattern { bits },
+                    2 => HistorySource::PerAddressPath(PathHistoryConfig {
+                        total_bits: bits,
+                        bits_per_target: per_target.min(bits),
+                        target_bit_lo: bit_lo,
+                        filter: PathFilter::IndirectJump,
+                    }),
+                    f => HistorySource::GlobalPath(PathHistoryConfig {
+                        total_bits: bits,
+                        bits_per_target: per_target.min(bits),
+                        target_bit_lo: bit_lo,
+                        filter: PathFilter::ALL[(f - 3 + org) as usize % PathFilter::ALL.len()],
+                    }),
+                };
+                let entries = 16usize << (org % 3);
+                let organization = match org {
+                    0 => Organization::Tagless {
+                        entries,
+                        scheme: IndexScheme::Gshare,
+                    },
+                    1 => Organization::Tagless {
+                        entries,
+                        scheme: IndexScheme::GAg,
+                    },
+                    2 => Organization::Tagless {
+                        entries,
+                        scheme: IndexScheme::GAs { addr_bits: 2 },
+                    },
+                    t => Organization::Tagged {
+                        entries,
+                        assoc: 1 << ways_log,
+                        scheme: TaggedIndexScheme::ALL[(t - 3) as usize],
+                    },
+                };
+                let mut cache = TargetCacheConfig::new(organization, history);
+                if two_bit {
+                    cache = cache.with_update_policy(UpdatePolicy::TwoBit);
+                }
+                match kind {
+                    0 => IndirectPredictor::BtbOnly,
+                    1 => IndirectPredictor::TargetCache(cache),
+                    2 => IndirectPredictor::Oracle,
+                    _ => IndirectPredictor::Cascade(CascadeConfig::new(cache)),
+                }
+            },
+        )
+}
+
+/// Random machine shapes: small BTBs of either update policy, short
+/// direction histories, shallow return stacks, tiny data caches, and
+/// every schedule parameter.
+fn arb_machine() -> impl Strategy<Value = MachineConfig> {
+    let frontend = (0u32..5, 1usize..5, any::<bool>(), 1u32..12, 1usize..9).prop_map(
+        |(sets_log, ways, two_bit, dir_bits, ras_depth)| FrontEndConfig {
+            btb: BtbConfig::new(
+                1 << sets_log,
+                ways,
+                if two_bit {
+                    UpdatePolicy::TwoBit
+                } else {
+                    UpdatePolicy::Always
+                },
+            ),
+            cond: DirectionConfig::gshare(dir_bits),
+            ras_depth,
+            indirect: IndirectPredictor::BtbOnly,
+        },
+    );
+    let dcache = (0u32..5, 2u32..7, 0u32..3, 0u32..20).prop_map(
+        |(sets_log, line_log, ways_log, miss_penalty)| DCacheConfig {
+            size_bytes: (1 << sets_log) << line_log << ways_log,
+            line_bytes: 1 << line_log,
+            assoc: 1 << ways_log,
+            miss_penalty,
+        },
+    );
+    let schedule = (
+        1usize..17,
+        1usize..17,
+        1usize..65,
+        1usize..13,
+        0u32..7,
+        any::<u64>(),
+    );
+    (frontend, dcache, schedule).prop_map(
+        |(frontend, dcache, (fetch, retire, window, fus, depth, lat_seed))| {
+            let mut m = MachineConfig::isca97(frontend);
+            m.dcache = dcache;
+            m.fetch_width = fetch;
+            m.retire_width = retire;
+            m.window_size = window;
+            m.fu_count = fus;
+            m.front_depth = depth;
+            for (k, l) in m.latencies.iter_mut().enumerate() {
+                *l = 1 + (lat_seed >> (8 * k) & 0xFF) as u32 % 10;
+            }
+            m
+        },
+    )
+}
+
+fn with_indirect(machine: &MachineConfig, indirect: IndirectPredictor) -> MachineConfig {
+    let mut m = machine.clone();
+    m.frontend.indirect = indirect;
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sweep_matches_the_reference_engine(
+        trace in arb_trace(),
+        machine in arb_machine(),
+        indirect in arb_indirect(),
+    ) {
+        let m = with_indirect(&machine, indirect);
+        prop_assert_eq!(simulate(&trace, &m), reference::simulate(trace.as_slice(), &m, None));
+    }
+
+    #[test]
+    fn one_sweep_serves_many_front_ends_and_schedules(
+        trace in arb_trace(),
+        machine in arb_machine(),
+        runs in proptest::collection::vec((arb_indirect(), 1usize..17, 1usize..65, 1usize..13, 0u32..7), 1..8),
+    ) {
+        let sweep = TimingSweep::new(&trace, &machine);
+        for (indirect, width, window, fus, depth) in runs {
+            let mut m = with_indirect(&machine, indirect);
+            prop_assert_eq!(sweep.run(&m.frontend, None), simulate(&trace, &m));
+            (m.fetch_width, m.window_size, m.fu_count, m.front_depth) = (width, window, fus, depth);
+            prop_assert!(sweep.serves(&m));
+            prop_assert_eq!(
+                sweep.run_on(&m, None),
+                reference::simulate(trace.as_slice(), &m, None)
+            );
+        }
+    }
+
+    #[test]
+    fn instrumented_sweep_reports_what_the_reference_harness_reports(
+        trace in arb_trace(),
+        machine in arb_machine(),
+        indirect in arb_indirect(),
+    ) {
+        let m = with_indirect(&machine, indirect);
+        let hooks = || {
+            let registry = MetricsRegistry::new();
+            let sink = EventSink::new();
+            let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
+            (registry, sink, telemetry)
+        };
+        let (ref_registry, ref_sink, ref_hooks) = hooks();
+        let expected = reference::simulate(trace.as_slice(), &m, Some(ref_hooks));
+        let (registry, sink, telemetry) = hooks();
+        prop_assert_eq!(simulate_instrumented(&trace, &m, Some(telemetry)), expected);
+
+        let (want, got) = (ref_registry.snapshot(), registry.snapshot());
+        for name in ["harness.branches".to_string(), "harness.mispredicts".to_string()]
+            .into_iter()
+            .chain(PREDICTOR_SOURCES.iter().map(|s| format!("harness.mispredicts.{s}")))
+        {
+            prop_assert_eq!(got.counter(&name), want.counter(&name), "{}", name);
+        }
+        // The same mispredict events, in order: pc, class, predicted,
+        // actual, history and source.
+        prop_assert_eq!(sink.drain(), ref_sink.drain());
+    }
+}
+
+#[test]
+fn sweep_matches_the_reference_on_the_paper_workloads() {
+    use sim_workloads::Benchmark;
+
+    let frontends = [
+        FrontEndConfig::isca97_baseline(),
+        FrontEndConfig::isca97_oracle(),
+        FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
+        FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_path(
+            PathFilter::IndirectJump,
+        )),
+        FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_per_address_path()),
+        FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagged(8)),
+        FrontEndConfig::isca97_cascade(TargetCacheConfig::isca97_tagged(4)),
+    ];
+    for bench in [Benchmark::Perl, Benchmark::Gcc] {
+        let trace = bench.workload().generate(30_000);
+        let machine = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+        let sweep = TimingSweep::new(&trace, &machine);
+        for frontend in frontends {
+            let m = MachineConfig::isca97(frontend);
+            assert_eq!(
+                sweep.run(&frontend, None),
+                reference::simulate(trace.as_slice(), &m, None),
+                "{bench} {:?}",
+                frontend.indirect
+            );
+        }
+    }
+}
+
+#[test]
+fn side_data_stays_within_budget_at_standard_scale() {
+    use sim_workloads::Benchmark;
+
+    // Standard scale replays 400k instructions: about 22 MB of trace. The
+    // tape beside it must stay under 0.4 MB.
+    for bench in [Benchmark::Perl, Benchmark::Gcc] {
+        let trace = bench.workload().generate(400_000);
+        let sweep = TimingSweep::new(
+            &trace,
+            &MachineConfig::isca97(FrontEndConfig::isca97_baseline()),
+        );
+        let bytes = sweep.side_data_bytes();
+        assert!(bytes <= 400_000, "{bench}: {bytes} bytes of side data");
     }
 }
