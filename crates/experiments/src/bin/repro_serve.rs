@@ -26,7 +26,7 @@
 //! `EXPERIMENTS.md` § Serving & soak.
 //!
 //! SIGTERM/SIGINT drain gracefully: admission stops, queued requests
-//! are cancelled, in-flight cells finish and journal, manifests flush,
+//! are cancelled, in-flight cells finish and log, manifests flush,
 //! and the process exits 0.
 //!
 //! Exit status: `0` — clean drain; `2` — operator error (bad knob,

@@ -1,45 +1,47 @@
-//! `repro-top` — live campaign status from a progress stream.
+//! `repro-top` — live campaign status from a campaign log.
 //!
 //! ```text
-//! repro-top [OPTIONS] [progress.jsonl]
+//! repro-top [OPTIONS] [run.jsonl]
 //! ```
 //!
-//! With no file argument the newest `*.progress.jsonl` under the
-//! progress directory is used — i.e. "show me the campaign that is
+//! With no file argument the newest campaign log (`*.jsonl`) under the
+//! journal directory is used — i.e. "show me the campaign that is
 //! running right now". One-shot by default; `--follow` redraws until
 //! the campaign finishes (plain ANSI, no terminal library).
 //!
 //! ```text
 //! options:
-//!   --dir DIR       progress directory to search (default: the
-//!                   configured REPRO_PROGRESS_DIR)
+//!   --dir DIR       campaign log directory to search (default: the
+//!                   configured REPRO_JOURNAL_DIR, else results/journal)
 //!   --follow        redraw until campaign-finished appears
 //!   --strict        with --follow: exit 3 once the campaign stalls
-//!                   (no stream growth for 3 heartbeat intervals)
+//!                   (no log growth for 3 heartbeat intervals)
 //!   --interval MS   refresh period for --follow (default 500)
 //!   --json          print machine-readable status and exit
 //!   -h, --help      this message
 //! ```
 //!
 //! A campaign whose producer dies (hung daemon, `kill -9` mid-run)
-//! leaves an unfinished stream that never grows: `--follow` marks it
+//! leaves an unfinished log that never grows: `--follow` marks it
 //! `STALLED` after [`experiments::watch::STALL_MISSED_BEATS`] missed
-//! heartbeat intervals (measured from the stream itself) and keeps
-//! watching in case it recovers — unless `--strict`, which exits with
-//! status 3 so CI soak jobs fail fast instead of hanging.
+//! heartbeat intervals (measured from the log itself), names the log
+//! whose tail holds the producer's last events, and keeps watching in
+//! case it recovers — unless `--strict`, which exits with status 3 so
+//! CI soak jobs fail fast instead of hanging.
 //!
 //! Exit status: `0` — status shown; `2` — operator error (bad flag, no
-//! stream found, corrupt stream); `3` — stalled under
+//! log found, a log the parser refuses); `3` — stalled under
 //! `--follow --strict`.
 
-use experiments::watch::{newest_progress_file, CampaignStatus};
-use sim_telemetry::{read_events, TelemetryConfig};
+use experiments::jobs::cli::DEFAULT_JOURNAL_DIR;
+use experiments::watch::{newest_log, CampaignStatus};
+use sim_telemetry::read_events;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Instant;
 
 const USAGE: &str =
-    "usage: repro-top [--dir DIR] [--follow] [--strict] [--interval MS] [--json] [progress.jsonl]";
+    "usage: repro-top [--dir DIR] [--follow] [--strict] [--interval MS] [--json] [run.jsonl]";
 
 fn operator_error(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -95,7 +97,7 @@ fn parse_args() -> Args {
             }
             path => {
                 if args.file.is_some() {
-                    operator_error("at most one progress file");
+                    operator_error("at most one campaign log");
                 }
                 args.file = Some(PathBuf::from(path));
             }
@@ -105,8 +107,8 @@ fn parse_args() -> Args {
 }
 
 fn status_of(path: &Path) -> CampaignStatus {
-    let stream = read_events(path).unwrap_or_else(|e| operator_error(&e));
-    CampaignStatus::from_stream(&stream)
+    let log = read_events(path).unwrap_or_else(|e| operator_error(&e));
+    CampaignStatus::from_log(&log)
 }
 
 /// Writes to stdout, treating a closed pipe (`repro-top --json | head`)
@@ -124,19 +126,17 @@ fn main() {
     let path = match args.file {
         Some(path) => path,
         None => {
-            let dir = match args.dir {
-                Some(dir) => dir,
-                // The single env parse site supplies the configured
-                // progress directory (REPRO_PROGRESS_DIR or default).
-                None => {
-                    TelemetryConfig::from_env()
-                        .unwrap_or_else(|e| operator_error(&e))
-                        .progress_dir
-                }
-            };
-            newest_progress_file(&dir).unwrap_or_else(|| {
+            let dir = args.dir.unwrap_or_else(|| {
+                PathBuf::from(
+                    std::env::var("REPRO_JOURNAL_DIR")
+                        .ok()
+                        .filter(|v| !v.is_empty())
+                        .unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
+                )
+            });
+            newest_log(&dir).unwrap_or_else(|| {
                 operator_error(&format!(
-                    "no *.progress.jsonl under {} — run a campaign with REPRO_PROGRESS=on",
+                    "no campaign log (*.jsonl) under {} — run a campaign first",
                     dir.display()
                 ))
             })
@@ -158,16 +158,11 @@ fn main() {
         ));
         return;
     }
-    // Stall tracking: the stream is "fresh" whenever its byte length
+    // Stall tracking: the log is "fresh" whenever its byte length
     // grows. A dead producer stops growing it; once the idle time
     // exceeds 3 expected heartbeat intervals the campaign is STALLED.
     let mut last_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let mut last_growth = Instant::now();
-    // Where a dead producer's flight recorder would have dumped: the
-    // STALLED banner points the operator straight at it.
-    let flight_dir = TelemetryConfig::from_env()
-        .map(|c| c.flight_dir)
-        .unwrap_or_else(|_| PathBuf::from(sim_telemetry::DEFAULT_FLIGHT_DIR));
     loop {
         let status = status_of(&path);
         let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -179,18 +174,13 @@ fn main() {
         let stalled = status.stalled(idle_ms);
         // Clear screen + home: plain ANSI is all the live view needs.
         let banner = if stalled {
-            let mut b = format!(
-                "\nSTALLED: no stream growth for {} (expected a heartbeat every {})\n",
+            format!(
+                "\nSTALLED: no log growth for {} (expected a heartbeat every {})\n\
+                 the producer's last events are at the tail of {}\n",
                 experiments::watch::fmt_ms(idle_ms),
                 experiments::watch::fmt_ms(status.expected_beat_ms()),
-            );
-            if !status.run.is_empty() {
-                b.push_str(&format!(
-                    "flight dump (if the producer dumped before dying): {}\n",
-                    sim_telemetry::flight_path(&flight_dir, &status.run).display()
-                ));
-            }
-            b
+                path.display()
+            )
         } else {
             String::new()
         };

@@ -15,10 +15,10 @@
 //! * `telemetry-report --cells <run.manifest.json>...` — the job-runner
 //!   cell view: outcome, attempts, wall time, simulated instructions,
 //!   and per-cell throughput;
-//! * `telemetry-report --progress <run.progress.jsonl>...` — post-mortem
-//!   of a campaign's live progress stream: per-cell timeline, slowest
-//!   cells, and the retry histogram (`repro-top` is the live view over
-//!   the same stream).
+//! * `telemetry-report --progress <run.jsonl>...` — post-mortem of a
+//!   campaign log: per-cell timeline, slowest cells, and the retry
+//!   histogram (`repro-top` is the live view over the same log). A log
+//!   the parser refuses exits 2.
 //!
 //! `--top N` changes how many sites are shown per benchmark (default
 //! 10); under `--progress` it bounds the slowest-cells list.
@@ -57,7 +57,7 @@ fn main() {
                     "usage: telemetry-report [--top N] [events.jsonl ...]\n\
                             telemetry-report --perf <run.manifest.json>...\n\
                             telemetry-report --cells <run.manifest.json>...\n\
-                            telemetry-report --progress <run.progress.jsonl>..."
+                            telemetry-report --progress <run.jsonl>..."
                 );
                 return;
             }
@@ -92,20 +92,19 @@ fn main() {
         }
         View::Progress => {
             if files.is_empty() {
-                eprintln!("error: --progress needs at least one run.progress.jsonl path");
+                eprintln!("error: --progress needs at least one campaign log (run.jsonl) path");
                 std::process::exit(2);
             }
             for f in &files {
                 println!("# {}", f.display());
                 match sim_telemetry::read_events(f) {
-                    Ok(stream) => print!(
+                    Ok(log) => print!(
                         "{}",
-                        experiments::watch::CampaignStatus::from_stream(&stream)
-                            .render_timeline(top_n)
+                        experiments::watch::CampaignStatus::from_log(&log).render_timeline(top_n)
                     ),
                     Err(e) => {
                         eprintln!("error: {e}");
-                        std::process::exit(1);
+                        std::process::exit(2);
                     }
                 }
             }

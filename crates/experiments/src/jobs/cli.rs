@@ -10,16 +10,17 @@
 //!
 //! * `0` — every cell produced data,
 //! * `1` — the campaign finished but some cells failed after retries,
-//! * `2` — the invocation itself was unusable (bad env, unreadable
-//!   journal, journal write failure).
+//! * `2` — the invocation itself was unusable (bad env, a campaign log
+//!   that cannot be resumed, a log write failure).
 //!
 //! Environment:
 //!
-//! * `REPRO_RUN_ID` — journal name for a fresh run (default
+//! * `REPRO_RUN_ID` — the campaign log's name for a fresh run (default
 //!   `<tool>-<unix-secs>-<pid>`).
-//! * `REPRO_RESUME` — run id of an existing journal; finished-ok cells
-//!   are restored from it and only the rest execute.
-//! * `REPRO_JOURNAL_DIR` — journal directory (default
+//! * `REPRO_RESUME` — run id of an existing campaign log; its finished
+//!   cells are restored and only the rest execute, appending to the same
+//!   log.
+//! * `REPRO_JOURNAL_DIR` — campaign log directory (default
 //!   [`DEFAULT_JOURNAL_DIR`]).
 //! * `REPRO_JOBS`, `REPRO_RETRIES`, `REPRO_DEADLINE_MS`,
 //!   `REPRO_BACKOFF_MS`, `REPRO_FAULTS` — see
@@ -29,21 +30,16 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use sim_telemetry::{
-    flight, CellRecord, FlightRecorder, Json, ProgressEvent, ProgressWriter, TraceCollector,
-    TraceId,
-};
+use sim_telemetry::{CellRecord, ChromeTrace};
 
 use super::journal::Journal;
-use super::pool::{
-    run_campaign_with, CampaignOutcome, CellTask, ProgressSink, RunControls, RunnerConfig,
-};
+use super::pool::{run_campaign_with, CampaignOutcome, CellTask, RunControls, RunnerConfig};
 use super::registry::ExperimentDef;
 use super::{cell_id, faults, CellSet};
 use crate::runner::Scale;
-use crate::telemetry::{self, TelemetryCtx};
+use crate::telemetry;
 
-/// Where campaign journals live unless `REPRO_JOURNAL_DIR` says otherwise.
+/// Where campaign logs live unless `REPRO_JOURNAL_DIR` says otherwise.
 pub const DEFAULT_JOURNAL_DIR: &str = "results/journal";
 
 fn env_nonempty(name: &str) -> Option<String> {
@@ -83,8 +79,8 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         return crate::sample::drive_sampled(tool, defs, scale);
     }
 
-    // The session parses the telemetry/progress knob surface (the one
-    // env read) and must outlive the campaign so cell records land in
+    // The session parses the telemetry knob surface (the one env
+    // read) and must outlive the campaign so cell records land in
     // the manifest. Every cell task carries a clone of its context.
     let session = telemetry::session_or_exit(tool, scale);
     let ctx = session.ctx();
@@ -124,208 +120,178 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
     )
 }
 
-/// What [`drive_campaign`] hands back to its caller for rendering and
-/// the exit epilogue.
+/// What [`drive_plan`] hands back to its caller for rendering and the
+/// exit epilogue.
 pub(crate) struct DrivenCampaign {
-    /// The run id (journal name) this campaign executed under.
+    /// The run id (campaign log name) this campaign executed under.
     pub run_id: String,
-    /// Journal directory, for the resume command.
+    /// Campaign log directory, for the resume command.
     pub journal_dir: PathBuf,
     /// Every cell's report.
     pub outcome: CampaignOutcome,
 }
 
-/// The campaign execution core shared by the exact driver ([`drive`])
-/// and the sampled driver ([`crate::sample::drive_sampled`]): journal
-/// create/resume, fault installation, progress stream, flight recorder,
-/// trace export, pool execution, and manifest cell records. The caller
-/// owns task enumeration, rendering, and the exit epilogue.
+/// Where a campaign's log starts from.
+pub(crate) enum LogSource {
+    /// A fresh log with a newly minted trace id.
+    Fresh,
+    /// Continue the plan's own log: restore its finished cells and
+    /// append under its trace id.
+    Continue,
+    /// A fresh log that restores from another run's log (directory, run
+    /// id) and adopts its trace id.
+    RestoreFrom(PathBuf, String),
+}
+
+/// Everything [`drive_plan`] needs besides the tasks: where the log
+/// goes and what it starts from, the pool configuration, and the
+/// embedding hooks.
+pub(crate) struct CampaignPlan {
+    /// Campaign log directory.
+    pub journal_dir: PathBuf,
+    /// Run id (the log's file stem).
+    pub run_id: String,
+    /// What the log starts from.
+    pub source: LogSource,
+    /// Pool configuration.
+    pub runner: RunnerConfig,
+    /// Cancellation and shared worker slots.
+    pub controls: RunControls,
+}
+
+impl CampaignPlan {
+    /// The batch binaries' plan, from `REPRO_RESUME`, `REPRO_RUN_ID`,
+    /// `REPRO_JOURNAL_DIR`, and the pool knobs.
+    pub(crate) fn from_env(tool: &str) -> Result<CampaignPlan, String> {
+        let journal_dir = PathBuf::from(
+            env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
+        );
+        let (run_id, source) = match env_nonempty("REPRO_RESUME") {
+            Some(id) => (id, LogSource::Continue),
+            None => (
+                env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool)),
+                LogSource::Fresh,
+            ),
+        };
+        Ok(CampaignPlan {
+            journal_dir,
+            run_id,
+            source,
+            runner: RunnerConfig::from_env()?,
+            controls: RunControls::default(),
+        })
+    }
+}
+
+/// [`drive_plan`] for the batch binaries: the plan comes from the
+/// environment, the fault plan is installed for the campaign's
+/// lifetime, and any error is an operator error (exit 2).
 pub(crate) fn drive_campaign(
     tool: &str,
     scale: Scale,
     session: &telemetry::Session,
     tasks: Vec<CellTask>,
 ) -> DrivenCampaign {
-    let config = RunnerConfig::from_env().unwrap_or_else(|e| operator_error(&e));
-    let journal_dir = PathBuf::from(
-        env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
-    );
-    let ctx = session.ctx();
-
-    let (run_id, mut journal, trace_id) = match env_nonempty("REPRO_RESUME") {
-        Some(id) => {
-            let journal = Journal::resume(&journal_dir, &id, tool, scale)
-                .unwrap_or_else(|e| operator_error(&e));
-            // A resumed run keeps the original campaign's trace id so all
-            // artifacts of one logical campaign — across resumes —
-            // correlate; journals from before the id existed get a fresh
-            // one.
-            let trace_id = journal
-                .trace_id()
-                .map(str::to_string)
-                .unwrap_or_else(|| TraceId::mint().to_string());
-            (id, journal, trace_id)
-        }
-        None => {
-            let id = env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool));
-            let trace_id = TraceId::mint().to_string();
-            // Bake the resume command into the header at create time:
-            // whoever finds this journal after a crash (the epilogue,
-            // `repro-serve`'s status endpoint) can surface it verbatim.
-            let resume = resume_command(tool, &id, scale, &journal_dir);
-            let journal = Journal::create_with_meta(
-                &journal_dir,
-                &id,
-                tool,
-                scale,
-                tasks.len(),
-                Some(&resume),
-                Some(&trace_id),
-            )
-            .unwrap_or_else(|e| {
-                operator_error(&format!(
-                    "cannot create journal {}: {e}",
-                    super::journal::journal_path(&journal_dir, &id).display()
-                ))
-            });
-            (id, journal, trace_id)
-        }
-    };
-    if let Some(hub) = ctx.hub() {
-        hub.set_trace_id(&trace_id);
-    }
-
+    let plan = CampaignPlan::from_env(tool).unwrap_or_else(|e| operator_error(&e));
     // The fault guard must outlive the campaign so workload truncation
     // faults stay visible to trace generation on worker threads.
-    let _faults = faults::install(config.faults.clone());
+    let _faults = faults::install(plan.runner.faults.clone());
+    drive_plan(tool, scale, session, tasks, plan).unwrap_or_else(|e| operator_error(&e))
+}
 
-    let progress = session.config().progress.then(|| {
-        let dir = &session.config().progress_dir;
-        let writer = ProgressWriter::create(dir, &run_id).unwrap_or_else(|e| {
-            operator_error(&format!(
-                "cannot create progress stream {}: {e}",
-                sim_telemetry::progress_path(dir, &run_id).display()
-            ))
-        });
-        let sink = ProgressSink::new(writer, session.config().progress_tick);
-        sink.emit(&ProgressEvent::CampaignStarted {
-            run: run_id.clone(),
-            tool: tool.to_string(),
-            scale: scale.name().to_string(),
-            total: tasks.len() as u64,
-            workers: config.workers as u64,
-            trace_id: trace_id.clone(),
-            unix_ms: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        });
-        sink
-    });
-
-    // The always-on flight recorder: armed into the panic-hook registry
-    // for the campaign's lifetime, disarmed (guard drop) on normal exit.
-    let recorder = FlightRecorder::new(
-        &session.config().flight_dir,
-        &run_id,
-        &trace_id,
-        session.config().flight_capacity,
-    );
-    let _armed = flight::arm(&recorder);
-    recorder.record(
-        "campaign-started",
-        [
-            ("run", Json::from(run_id.as_str())),
-            ("tool", Json::from(tool)),
-            ("scale", Json::from(scale.name())),
-            ("cells", Json::from(tasks.len() as u64)),
-        ],
-    );
-    let trace = session
-        .config()
-        .trace_export
-        .enabled()
-        .then(|| TraceCollector::new(&run_id, &trace_id));
+/// The campaign execution core shared by the exact driver ([`drive`]),
+/// the sampled driver ([`crate::sample::drive_sampled`]), and
+/// `repro-serve`'s per-request execution: open the campaign log, run
+/// the pool (whose scheduler writes every lifecycle event into it), and
+/// fold the log into the manifest `cells` array and, when
+/// `REPRO_TRACE_EXPORT=chrome`, the Chrome trace export. The caller owns
+/// task enumeration, rendering, and the exit epilogue.
+pub(crate) fn drive_plan(
+    tool: &str,
+    scale: Scale,
+    session: &telemetry::Session,
+    tasks: Vec<CellTask>,
+    plan: CampaignPlan,
+) -> Result<DrivenCampaign, String> {
+    let CampaignPlan {
+        journal_dir,
+        run_id,
+        source,
+        runner,
+        controls,
+    } = plan;
+    let cells = tasks.len();
+    let mut journal = match source {
+        LogSource::Fresh => {
+            Journal::create(&journal_dir, &run_id, tool, scale, cells).map_err(|e| {
+                format!(
+                    "cannot create campaign log {}: {e}",
+                    super::journal::journal_path(&journal_dir, &run_id).display()
+                )
+            })?
+        }
+        LogSource::Continue => Journal::resume(&journal_dir, &run_id, tool, scale)?,
+        LogSource::RestoreFrom(dir, run) => {
+            Journal::create_restoring(&journal_dir, &run_id, tool, scale, cells, &dir, &run)?
+        }
+    };
+    // Whoever finds this log after a crash (the epilogue, `repro-serve`'s
+    // status endpoint) can surface the resume command verbatim.
+    journal.set_resume_command(resume_command(tool, &run_id, scale, &journal_dir));
+    let ctx = session.ctx();
+    if let Some(hub) = ctx.hub() {
+        hub.set_trace_id(journal.trace_id());
+    }
 
     println!(
-        "run: {run_id}  trace: {trace_id}  scale: {}  cells: {}  workers: {}  journal: {}\n",
+        "run: {run_id}  trace: {}  scale: {}  cells: {cells}  workers: {}  log: {}\n",
+        journal.trace_id(),
         scale.name(),
-        tasks.len(),
-        config.workers,
+        runner.workers,
         journal.path().display()
     );
 
-    let controls = RunControls {
-        flight: Some(recorder.clone()),
-        trace: trace.clone(),
-        ..RunControls::default()
-    };
     let outcome = run_campaign_with(
         tasks,
-        &config,
+        &runner,
         &mut journal,
         &ctx,
-        progress.as_ref(),
+        Some(session.config().progress_tick),
         &controls,
-    )
-    .unwrap_or_else(|e| operator_error(&e));
-    record_cells(&ctx, &outcome);
+    )?;
 
-    if let Some(trace) = &trace {
-        trace.close_open("killed");
+    let export = session.config().trace_export.enabled();
+    if ctx.enabled() || export {
+        let log = journal.read()?;
         if let Some(hub) = ctx.hub() {
-            trace.add_spans(hub.spans());
+            for outcome in log.segment_outcomes().values() {
+                hub.record_cell(CellRecord::from(outcome));
+            }
         }
-        match trace.write(&session.config().traceviz_dir) {
-            Ok(path) => println!("trace export: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write trace export: {e}"),
+        if export {
+            let mut trace = ChromeTrace::from_log(&log);
+            if let Some(hub) = ctx.hub() {
+                trace.add_spans(hub.spans());
+            }
+            match trace.write(&session.config().traceviz_dir) {
+                Ok(path) => println!("trace export: {}", path.display()),
+                Err(e) => eprintln!("warning: cannot write trace export: {e}"),
+            }
         }
     }
 
-    if let Some(sink) = &progress {
-        let failed = outcome.failures().count() as u64;
-        let total = outcome.reports.len() as u64;
-        let t_ms = sink.t_ms();
-        sink.emit(&ProgressEvent::CampaignFinished {
-            done: total - failed,
-            failed,
-            total,
-            wall_ms: t_ms,
-            t_ms,
-        });
-    }
-
-    DrivenCampaign {
+    Ok(DrivenCampaign {
         run_id,
         journal_dir,
         outcome,
-    }
-}
-
-/// Mirrors every cell outcome into the telemetry manifest. Shared with
-/// the `repro-serve` per-request execution path.
-pub(crate) fn record_cells(ctx: &TelemetryCtx, outcome: &CampaignOutcome) {
-    if let Some(hub) = ctx.hub() {
-        for r in &outcome.reports {
-            hub.record_cell(CellRecord {
-                cell: r.cell.clone(),
-                ok: r.outcome.is_ok(),
-                attempts: r.attempts,
-                deadline_kills: r.deadline_kills,
-                resumed: r.resumed,
-                reason: r.outcome.as_ref().err().cloned(),
-                wall_ms: r.wall_ms,
-                instructions: r.instructions,
-            });
-        }
-    }
+    })
 }
 
 /// The full, copy-pasteable resume command for a failed campaign: the
 /// scale is pinned (a resume from a different shell must not silently
 /// run at another scale, which the journal would reject anyway) and a
-/// non-default journal directory rides along. Written into every fresh
-/// journal header and printed by the failure epilogue.
+/// non-default log directory rides along. Written into every
+/// campaign-started line and printed by the failure epilogue.
 pub(crate) fn resume_command(tool: &str, run_id: &str, scale: Scale, journal_dir: &Path) -> String {
     let mut cmd = format!("REPRO_SCALE={}", scale.name());
     if journal_dir != Path::new(DEFAULT_JOURNAL_DIR) {

@@ -5,9 +5,9 @@
 //! `table4/perl`. This module decomposes every experiment into cells
 //! (see [`registry`]), executes them on a worker pool with per-cell
 //! panic isolation, watchdog-enforced deadlines, and bounded
-//! exponential-backoff retry ([`pool`]), and records each completed
-//! cell in a crash-safe journal ([`journal`]) so a killed run resumes
-//! from what it already finished instead of restarting.
+//! exponential-backoff retry ([`pool`]), and records every lifecycle
+//! event in one append-only campaign log ([`journal`]) so a killed run
+//! resumes from what it already finished instead of restarting.
 //!
 //! Failure is a first-class outcome: a cell that exhausts its retries
 //! does **not** abort the campaign. Its slot in the rendered table
@@ -25,12 +25,12 @@
 //! | variable | meaning |
 //! |----------|---------|
 //! | `REPRO_JOBS` | worker threads (default 1 — deterministic order) |
-//! | `REPRO_RESUME=<run-id>` | resume from `results/journal/<run-id>.jsonl` |
-//! | `REPRO_RUN_ID=<id>` | name a fresh run's journal (default `<tool>-<timestamp>`) |
+//! | `REPRO_RESUME=<run-id>` | resume (and append to) `results/journal/<run-id>.jsonl` |
+//! | `REPRO_RUN_ID=<id>` | name a fresh run's log (default `<tool>-<timestamp>`) |
 //! | `REPRO_FAULTS=<spec>` | deterministic fault injection, see [`faults`] |
 //! | `REPRO_RETRIES=<n>` | attempts per cell (default 3) |
 //! | `REPRO_DEADLINE_MS=<ms>` | per-cell deadline (default 600000) |
-//! | `REPRO_JOURNAL_DIR=<dir>` | journal directory (default `results/journal`) |
+//! | `REPRO_JOURNAL_DIR=<dir>` | campaign log directory (default `results/journal`) |
 
 pub mod cli;
 pub mod faults;
@@ -39,20 +39,19 @@ pub mod pool;
 pub mod registry;
 
 pub use faults::FaultPlan;
-pub use journal::{Journal, JournalRecord};
+pub use journal::Journal;
 pub use pool::{
     run_campaign, run_campaign_with, CampaignOutcome, CancelToken, CellReport, RunControls,
     RunnerConfig, WorkerSlots,
 };
 pub use registry::ExperimentDef;
 
-use crate::runner::Scale;
-use sim_telemetry::json::{obj, Json};
 use std::collections::BTreeMap;
 
 /// The named scalar results of one cell: everything a table slot needs,
 /// as an ordered `key → f64` map that round-trips exactly through the
-/// journal's JSON (counts up to 2⁵³ and all rates/reductions are exact).
+/// campaign log's JSON (counts up to 2⁵³ and all rates/reductions are
+/// exact).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellData(pub BTreeMap<String, f64>);
 
@@ -78,31 +77,6 @@ impl CellData {
     pub fn req(&self, key: &str) -> f64 {
         self.get(key)
             .unwrap_or_else(|| panic!("cell data missing key {key:?}"))
-    }
-
-    /// The cell as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.0
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::from(v)))
-                .collect(),
-        )
-    }
-
-    /// Parses a cell back out of its JSON object form.
-    pub fn from_json(v: &Json) -> Result<CellData, String> {
-        let Json::Obj(fields) = v else {
-            return Err("cell data must be a JSON object".to_string());
-        };
-        let mut data = CellData::new();
-        for (k, v) in fields {
-            let n = v
-                .as_f64()
-                .ok_or_else(|| format!("cell data key {k:?} is not a number"))?;
-            data.set(k.clone(), n);
-        }
-        Ok(data)
     }
 }
 
@@ -154,7 +128,7 @@ impl CellSet {
         self.cells.insert(bench.to_string(), outcome);
     }
 
-    /// The outcome for `bench`, if any cell ran (or was journaled).
+    /// The outcome for `bench`, if any cell ran (or was restored).
     pub fn outcome(&self, bench: &str) -> Option<&Result<CellData, String>> {
         self.cells.get(bench)
     }
@@ -221,48 +195,9 @@ pub fn err_marker(reason: &str) -> String {
     format!("ERR({short})")
 }
 
-/// Builds the JSON header object shared by journal files. When a
-/// resume command is given it rides along so journal readers (the
-/// failure epilogue, `repro-serve`'s status endpoint) can surface it
-/// after a crash.
-pub(crate) fn json_header(
-    run_id: &str,
-    tool: &str,
-    scale: Scale,
-    cells: usize,
-    resume_command: Option<&str>,
-    trace_id: Option<&str>,
-) -> Json {
-    let mut header = vec![
-        ("journal", Json::from(1u64)),
-        ("run", Json::from(run_id)),
-        ("tool", Json::from(tool)),
-        ("scale", Json::from(scale.name())),
-        ("cells", Json::from(cells as u64)),
-    ];
-    if let Some(cmd) = resume_command {
-        header.push(("resume_command", Json::from(cmd)));
-    }
-    if let Some(id) = trace_id {
-        header.push(("trace_id", Json::from(id)));
-    }
-    obj(header)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cell_data_round_trips_through_json() {
-        let mut data = CellData::new();
-        data.set("btb_mispred", 0.7619047619047619);
-        data.set("instructions", 1_234_567.0);
-        data.set("zero", 0.0);
-        let json = data.to_json().to_string();
-        let parsed = CellData::from_json(&sim_telemetry::json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, data, "f64 values must round-trip exactly");
-    }
 
     #[test]
     fn cell_set_formats_values_and_errors() {

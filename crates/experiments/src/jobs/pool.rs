@@ -10,37 +10,39 @@
 //! eventual result is discarded by an attempt-id staleness check) and
 //! the cell is retried or failed. Failed attempts retry with jittered
 //! exponential backoff up to `REPRO_RETRIES` total attempts; a cell
-//! that exhausts them becomes an `Err` report, never an abort. Each
-//! cell's final outcome is journaled atomically the moment it resolves,
-//! which is what makes a `kill -9` resumable.
+//! that exhausts them becomes an `Err` report, never an abort.
+//!
+//! The scheduler is the campaign log's only writer: every lifecycle
+//! event — campaign start and end, each attempt's start and failure,
+//! each cell's final outcome, and the heartbeat it writes on its own
+//! tick — goes through one call path into the [`Journal`]. Final
+//! outcomes are fsynced the moment they resolve, which is what makes a
+//! `kill -9` resumable.
 //!
 //! Two optional [`RunControls`] make the pool embeddable in a resident
 //! daemon ([`crate::serve`]): a [`CancelToken`] stops the campaign at
-//! the next cell boundary (in-flight cells finish and are journaled;
-//! pending cells are reported `cancelled` *without* journaling, so a
+//! the next cell boundary (in-flight cells finish and are logged;
+//! pending cells are logged and reported as `cancelled` errors, so a
 //! resumed run re-executes exactly those), and shared [`WorkerSlots`]
 //! bound the total attempts in flight across many concurrent campaigns
 //! in one process.
 
 use super::faults::FaultPlan;
-use super::journal::{Journal, JournalRecord};
+use super::journal::Journal;
 use super::CellData;
 use crate::telemetry::TelemetryCtx;
-use sim_telemetry::manifest::per_sec;
-use sim_telemetry::{
-    eta_ms, flight, FlightRecorder, Json, ProgressEvent, ProgressWriter, SampleRow, Sampler,
-    TraceCollector,
-};
+use sim_telemetry::{CampaignEvent, CellOutcome, CellStatus, SampleRow};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 /// How often the scheduler wakes up even without messages, to poll the
-/// cancellation token, re-try shared-slot acquisition, and sweep
-/// expired deadlines. Bounds cancellation latency for idle campaigns.
+/// cancellation token, re-try shared-slot acquisition, sweep expired
+/// deadlines, and write due heartbeats. Bounds cancellation latency for
+/// idle campaigns.
 const SCHED_POLL: Duration = Duration::from_millis(25);
 
 /// One schedulable unit of work: a cell id plus the computation that
@@ -130,55 +132,13 @@ fn env_nonempty(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
 }
 
-/// Where a campaign's live progress events go: the stream writer plus
-/// the campaign clock every event's `t_ms` is measured against. Built by
-/// the driver ([`super::cli`]) when the session's `REPRO_PROGRESS` knob
-/// is on; the writer is shared with the heartbeat sampler thread.
-pub struct ProgressSink {
-    writer: Arc<ProgressWriter>,
-    started: Instant,
-    tick: Duration,
-}
-
-impl ProgressSink {
-    /// Wraps an open stream and starts the campaign clock; `tick` is the
-    /// heartbeat/sampler period.
-    pub fn new(writer: ProgressWriter, tick: Duration) -> ProgressSink {
-        ProgressSink {
-            writer: Arc::new(writer),
-            started: Instant::now(),
-            tick,
-        }
-    }
-
-    /// Milliseconds since the campaign clock started.
-    pub fn t_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Appends one event. A write failure (full disk, yanked volume)
-    /// degrades observability, never the campaign: it is reported once
-    /// on stderr and otherwise dropped.
-    pub fn emit(&self, event: &ProgressEvent) {
-        static WARNED: Once = Once::new();
-        if let Err(e) = self.writer.emit(event) {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "progress: cannot append to {}: {e}",
-                    self.writer.path().display()
-                );
-            });
-        }
-    }
-}
-
 /// A cooperative cancellation flag shared between a campaign and
 /// whoever may want to stop it (a `DELETE /run` handler, a drain path,
 /// a deadline enforcer). Cancellation is observed at cell boundaries:
 /// the scheduler stops launching attempts, lets in-flight cells finish
-/// (journaling their outcomes as usual), and reports every cell that
-/// never resolved as `cancelled: <reason>` without journaling it — so
-/// a resumed run re-executes exactly the unfinished cells.
+/// (logging their outcomes as usual), and reports every cell that never
+/// resolved as a `cancelled: <reason>` error — so a resumed run
+/// re-executes exactly the unfinished cells.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
@@ -276,23 +236,14 @@ impl WorkerSlots {
 }
 
 /// Optional embedding hooks for [`run_campaign_with`]: a cancellation
-/// token, a shared cross-campaign worker budget, and the observability
-/// taps. `Default` (all `None`) reproduces plain batch behaviour
-/// exactly.
+/// token and a shared cross-campaign worker budget. `Default` (both
+/// `None`) reproduces plain batch behaviour exactly.
 #[derive(Clone, Default)]
 pub struct RunControls {
     /// Cooperative cancellation, observed at cell boundaries.
     pub cancel: Option<CancelToken>,
     /// Shared attempt budget across concurrent campaigns.
     pub slots: Option<WorkerSlots>,
-    /// Always-on flight recorder: the scheduler records every cell
-    /// transition into it and dumps the ring on cell failure after
-    /// retries and on deadline sweeps.
-    pub flight: Option<FlightRecorder>,
-    /// Chrome trace collector: per-attempt slices on worker lanes plus
-    /// retry/kill instants, driven from the single-threaded scheduler so
-    /// timestamps are monotone per lane by construction.
-    pub trace: Option<TraceCollector>,
 }
 
 /// The final report for one cell.
@@ -302,16 +253,16 @@ pub struct CellReport {
     pub cell: String,
     /// The data, or the last failure reason.
     pub outcome: Result<CellData, String>,
-    /// Attempts executed this run (0 when restored from the journal).
+    /// Attempts executed this run (0 when restored from the log).
     pub attempts: u32,
     /// Attempts killed by the deadline watchdog.
     pub deadline_kills: u32,
-    /// Whether the outcome was restored from a resumed journal.
+    /// Whether the outcome was restored from an earlier log.
     pub resumed: bool,
     /// Wall-clock ms spent across this run's attempts.
     pub wall_ms: u64,
     /// Simulated instructions processed across this run's attempts (for
-    /// a resumed cell: the count its journal record carried).
+    /// a resumed cell: the count its logged outcome carried).
     pub instructions: u64,
 }
 
@@ -321,7 +272,7 @@ pub struct CampaignOutcome {
     pub reports: Vec<CellReport>,
     /// Whether the campaign was stopped by a [`CancelToken`] before
     /// every cell resolved. Cancelled cells carry `Err` outcomes whose
-    /// reason starts with `cancelled:` and are *not* journaled.
+    /// reason starts with `cancelled:`.
     pub cancelled: bool,
 }
 
@@ -375,31 +326,31 @@ struct TaskState {
     done: bool,
 }
 
-/// Runs `tasks` to completion under `config`, journaling every final
-/// outcome. Cells with an `ok` record already in `journal` are restored
-/// and skipped (`resumed: true`); journaled failures are re-run.
+/// Runs `tasks` to completion under `config`, logging every lifecycle
+/// event to `journal`. Cells whose last logged outcome has data are
+/// restored and skipped (`resumed: true`); logged failures are re-run.
 ///
 /// Telemetry flows through `ctx` (pass [`TelemetryCtx::off`] for an
-/// uninstrumented run). When `progress` is given, the scheduler streams
-/// `cell-started` / `cell-retry` / `cell-finished` events into it and a
-/// background [`Sampler`] adds `heartbeat` events on the sink's tick —
-/// plus, when `ctx` carries a hub, one manifest time-series row per tick.
+/// uninstrumented run). With `heartbeat`, the scheduler logs a
+/// `heartbeat` event on that tick — plus, when `ctx` carries a hub, one
+/// manifest time-series row per beat; `None` writes no heartbeats.
 ///
-/// Returns `Err` only for infrastructure faults (a journal write
-/// failing); cell failures are ordinary `CellReport` outcomes.
+/// Returns `Err` only for infrastructure faults (a log write failing,
+/// or a log opened for a different number of cells); cell failures are
+/// ordinary `CellReport` outcomes.
 pub fn run_campaign(
     tasks: Vec<CellTask>,
     config: &RunnerConfig,
     journal: &mut Journal,
     ctx: &TelemetryCtx,
-    progress: Option<&ProgressSink>,
+    heartbeat: Option<Duration>,
 ) -> Result<CampaignOutcome, String> {
     run_campaign_with(
         tasks,
         config,
         journal,
         ctx,
-        progress,
+        heartbeat,
         &RunControls::default(),
     )
 }
@@ -413,26 +364,40 @@ pub fn run_campaign_with(
     config: &RunnerConfig,
     journal: &mut Journal,
     ctx: &TelemetryCtx,
-    progress: Option<&ProgressSink>,
+    heartbeat: Option<Duration>,
     controls: &RunControls,
 ) -> Result<CampaignOutcome, String> {
     install_quiet_panic_hook();
     let total = tasks.len();
+    if total != journal.cells() {
+        return Err(format!(
+            "campaign log {} is for {} cells, but this campaign schedules {total}; \
+             start a fresh run",
+            journal.path().display(),
+            journal.cells()
+        ));
+    }
+    let started = Instant::now();
+    let start = journal.start_event(config.workers);
+    log(journal, start)?;
+
     let mut reports: Vec<Option<CellReport>> = Vec::new();
     let mut ready: VecDeque<usize> = VecDeque::new();
     let mut states: Vec<TaskState> = Vec::new();
     for (i, task) in tasks.iter().enumerate() {
         let restored = journal
             .record(&task.id)
-            .filter(|r| r.ok)
-            .map(|r| CellReport {
+            .filter(|o| o.ok())
+            .map(|o| CellReport {
                 cell: task.id.clone(),
-                outcome: Ok(r.data.clone().expect("ok journal record has data")),
+                outcome: Ok(CellData(
+                    o.data.clone().expect("logged ok outcome has data"),
+                )),
                 attempts: 0,
                 deadline_kills: 0,
                 resumed: true,
                 wall_ms: 0,
-                instructions: r.instructions,
+                instructions: o.instructions,
             });
         if restored.is_none() {
             ready.push_back(i);
@@ -449,61 +414,16 @@ pub fn run_campaign_with(
             done: false,
         });
     }
+    // Restored cells are final outcomes of this run too: announce them
+    // up front, so this run's part of the log stands on its own.
+    for report in reports.iter().flatten() {
+        log(journal, finished(report))?;
+    }
 
     let mut completed = reports.iter().filter(|r| r.is_some()).count();
     let mut running = 0usize;
     let (tx, rx) = mpsc::channel::<Msg>();
-
-    // Resumed cells are final outcomes too: announce them up front so a
-    // tail of the stream reconciles with the journal from the first line.
-    if let Some(sink) = progress {
-        for report in reports.iter().flatten() {
-            sink.emit(&finished_event(report, sink.t_ms()));
-        }
-    }
-    if let Some(rec) = &controls.flight {
-        for report in reports.iter().flatten() {
-            rec.record("cell-resumed", [("cell", Json::from(report.cell.as_str()))]);
-        }
-    }
-
-    // Shared with the heartbeat sampler thread; the single-threaded
-    // scheduler refreshes them after handling each message.
-    let done_count = Arc::new(AtomicU64::new(completed as u64));
-    let active_count = Arc::new(AtomicU64::new(0));
-    let mut sampler = progress.map(|sink| {
-        let writer = Arc::clone(&sink.writer);
-        let done = Arc::clone(&done_count);
-        let active = Arc::clone(&active_count);
-        let hub = ctx.hub().cloned();
-        let started = sink.started;
-        let total = total as u64;
-        Sampler::every(sink.tick, move |_| {
-            let done = done.load(Ordering::Relaxed);
-            let active = active.load(Ordering::Relaxed);
-            let t_ms = started.elapsed().as_millis() as u64;
-            let _ = writer.emit(&ProgressEvent::Heartbeat {
-                active_cells: active,
-                done,
-                total,
-                eta_ms: eta_ms(done, total, t_ms),
-                t_ms,
-            });
-            if let Some(hub) = &hub {
-                hub.push_sample(SampleRow {
-                    t_ms,
-                    done,
-                    active,
-                    counters: hub
-                        .registry()
-                        .snapshot()
-                        .counters()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                });
-            }
-        })
-    });
+    let mut next_beat = heartbeat.map(|tick| started + tick);
 
     let mut cancelled = false;
     loop {
@@ -535,58 +455,56 @@ pub fn run_campaign_with(
                 let attempt = state.attempts_used;
                 state.live_attempt = Some(attempt);
                 state.deadline_at = Some(Instant::now() + config.deadline);
-                if let Some(sink) = progress {
-                    sink.emit(&if attempt == 1 {
-                        ProgressEvent::CellStarted {
-                            cell: tasks[i].id.clone(),
-                            t_ms: sink.t_ms(),
-                        }
-                    } else {
-                        ProgressEvent::CellRetry {
-                            cell: tasks[i].id.clone(),
-                            attempt: u64::from(attempt),
-                            reason: first_line(&state.last_error),
-                            t_ms: sink.t_ms(),
-                        }
-                    });
-                }
-                if let Some(rec) = &controls.flight {
-                    rec.record(
-                        if attempt == 1 {
-                            "cell-started"
-                        } else {
-                            "cell-retry"
-                        },
-                        [
-                            ("cell", Json::from(tasks[i].id.as_str())),
-                            ("attempt", Json::from(u64::from(attempt))),
-                        ],
-                    );
-                }
-                if let Some(trace) = &controls.trace {
-                    if attempt > 1 {
-                        trace.instant("cell-retry", &tasks[i].id);
-                    }
-                    trace.begin(&tasks[i].id, attempt);
-                }
+                log(
+                    journal,
+                    CampaignEvent::AttemptStarted {
+                        cell: tasks[i].id.clone(),
+                        attempt,
+                    },
+                )?;
                 spawn_attempt(&tasks[i], i, attempt, config, ctx, &tx);
                 running += 1;
             }
         }
-        done_count.store(completed as u64, Ordering::Relaxed);
-        active_count.store(running as u64, Ordering::Relaxed);
+
+        let now = Instant::now();
+        if let (Some(tick), Some(at)) = (heartbeat, next_beat) {
+            if at <= now {
+                log(
+                    journal,
+                    CampaignEvent::Heartbeat {
+                        done: completed as u64,
+                        active: running as u64,
+                    },
+                )?;
+                if let Some(hub) = ctx.hub() {
+                    hub.push_sample(SampleRow {
+                        t_ms: started.elapsed().as_millis() as u64,
+                        done: completed as u64,
+                        active: running as u64,
+                        counters: hub
+                            .registry()
+                            .snapshot()
+                            .counters()
+                            .map(|(k, v)| (k.to_string(), v))
+                            .collect(),
+                    });
+                }
+                next_beat = Some(now + tick);
+            }
+        }
 
         // Sleep until the next message, but no longer than the nearest
-        // in-flight deadline (and never past the poll tick, which bounds
-        // cancellation/slot-retry latency).
-        let now = Instant::now();
+        // in-flight deadline or heartbeat (and never past the poll tick,
+        // which bounds cancellation/slot-retry latency).
         let mut wait = SCHED_POLL;
-        for state in &states {
-            if state.live_attempt.is_some() {
-                if let Some(at) = state.deadline_at {
-                    wait = wait.min(at.saturating_duration_since(now));
-                }
-            }
+        let due = states
+            .iter()
+            .filter(|s| s.live_attempt.is_some())
+            .filter_map(|s| s.deadline_at)
+            .chain(next_beat);
+        for at in due {
+            wait = wait.min(at.saturating_duration_since(now));
         }
         match rx.recv_timeout(wait) {
             Ok(Msg::Finished {
@@ -621,54 +539,29 @@ pub fn run_campaign_with(
                             wall_ms: state.wall_ms,
                             instructions: state.instructions,
                         };
-                        if let Some(trace) = &controls.trace {
-                            trace.end(&report.cell, "ok");
-                        }
-                        if let Some(rec) = &controls.flight {
-                            rec.record(
-                                "cell-finished",
-                                [
-                                    ("cell", Json::from(report.cell.as_str())),
-                                    ("attempts", Json::from(u64::from(report.attempts))),
-                                    ("wall_ms", Json::from(report.wall_ms)),
-                                ],
-                            );
-                        }
-                        journal_report(journal, &report)?;
-                        if let Some(sink) = progress {
-                            sink.emit(&finished_event(&report, sink.t_ms()));
-                        }
+                        log(journal, finished(&report))?;
                         reports[task] = Some(report);
                     }
                     Err(reason) => {
+                        log(
+                            journal,
+                            CampaignEvent::AttemptFailed {
+                                cell: tasks[task].id.clone(),
+                                attempt,
+                                reason: reason.clone(),
+                                killed: false,
+                            },
+                        )?;
                         state.last_error = reason;
-                        if let Some(trace) = &controls.trace {
-                            trace.end(&tasks[task].id, "err");
-                        }
-                        if let Some(rec) = &controls.flight {
-                            rec.record(
-                                "attempt-failed",
-                                [
-                                    ("cell", Json::from(tasks[task].id.as_str())),
-                                    ("attempt", Json::from(u64::from(attempt))),
-                                    (
-                                        "reason",
-                                        Json::from(first_line(&states[task].last_error).as_str()),
-                                    ),
-                                ],
-                            );
-                        }
                         retry_or_fail(
                             task,
                             &tasks,
-                            states.as_mut_slice(),
+                            state,
                             config,
                             journal,
                             &tx,
                             &mut reports,
                             &mut completed,
-                            progress,
-                            controls,
                         )?;
                     }
                 }
@@ -687,14 +580,14 @@ pub fn run_campaign_with(
         // Sweep expired deadlines. Detach each overrunning thread: mark
         // its attempt stale so whatever it eventually sends is dropped.
         let now = Instant::now();
-        let expired: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live_attempt.is_some() && s.deadline_at.is_some_and(|at| at <= now))
-            .map(|(i, _)| i)
-            .collect();
-        for task in expired {
+        for task in 0..states.len() {
             let state = &mut states[task];
+            let Some(attempt) = state.live_attempt else {
+                continue;
+            };
+            if state.deadline_at.is_some_and(|at| at > now) {
+                continue;
+            }
             state.live_attempt = None;
             state.deadline_at = None;
             state.deadline_kills += 1;
@@ -704,60 +597,40 @@ pub fn run_campaign_with(
             if let Some(slots) = &controls.slots {
                 slots.release();
             }
-            if let Some(trace) = &controls.trace {
-                trace.end(&tasks[task].id, "killed");
-                trace.instant("deadline-kill", &tasks[task].id);
-            }
-            if let Some(rec) = &controls.flight {
-                rec.record(
-                    "deadline-kill",
-                    [
-                        ("cell", Json::from(tasks[task].id.as_str())),
-                        (
-                            "deadline_ms",
-                            Json::from(config.deadline.as_millis() as u64),
-                        ),
-                    ],
-                );
-                rec.dump("deadline-sweep");
-            }
+            log(
+                journal,
+                CampaignEvent::AttemptFailed {
+                    cell: tasks[task].id.clone(),
+                    attempt,
+                    reason: state.last_error.clone(),
+                    killed: true,
+                },
+            )?;
             retry_or_fail(
                 task,
                 &tasks,
-                states.as_mut_slice(),
+                state,
                 config,
                 journal,
                 &tx,
                 &mut reports,
                 &mut completed,
-                progress,
-                controls,
             )?;
         }
     }
 
     // A cancelled campaign still reports every cell: the ones that never
-    // resolved become `cancelled` errors. They are NOT journaled — a
-    // resumed run must re-execute exactly these. Cells whose start was
-    // announced in the stream get a closing `cell-finished` so the
-    // stream's started/finished sets stay reconciled.
-    if cancelled {
-        let reason = controls
+    // resolved become `cancelled` errors, logged like any failure, so a
+    // resumed run re-executes exactly these.
+    let cancel_reason = cancelled.then(|| {
+        controls
             .cancel
             .as_ref()
             .map(CancelToken::reason)
             .filter(|r| !r.is_empty())
-            .unwrap_or_else(|| "no reason given".to_string());
-        if let Some(trace) = &controls.trace {
-            trace.close_open("cancelled");
-            trace.instant("campaign-cancelled", &reason);
-        }
-        if let Some(rec) = &controls.flight {
-            rec.record(
-                "campaign-cancelled",
-                [("reason", Json::from(reason.as_str()))],
-            );
-        }
+            .unwrap_or_else(|| "no reason given".to_string())
+    });
+    if let Some(reason) = &cancel_reason {
         for (i, slot) in reports.iter_mut().enumerate() {
             if slot.is_none() {
                 let state = &states[i];
@@ -770,84 +643,67 @@ pub fn run_campaign_with(
                     wall_ms: state.wall_ms,
                     instructions: state.instructions,
                 };
-                if state.attempts_used > 0 {
-                    if let Some(sink) = progress {
-                        sink.emit(&finished_event(&report, sink.t_ms()));
-                    }
-                }
+                log(journal, finished(&report))?;
                 *slot = Some(report);
             }
         }
     }
 
-    // Stop the sampler *before* the closing heartbeat so the final
-    // beat (`done == total` for a completed campaign) is the stream's
-    // last one.
-    if let Some(s) = sampler.as_mut() {
-        s.stop();
-    }
-    if let Some(sink) = progress {
-        let t_ms = sink.t_ms();
-        sink.emit(&ProgressEvent::Heartbeat {
-            active_cells: 0,
-            done: completed as u64,
-            total: total as u64,
-            eta_ms: eta_ms(completed as u64, total as u64, t_ms),
-            t_ms,
-        });
-    }
+    let reports: Vec<CellReport> = reports.into_iter().map(Option::unwrap).collect();
+    let failed = reports.iter().filter(|r| r.outcome.is_err()).count() as u64;
+    log(
+        journal,
+        CampaignEvent::CampaignFinished {
+            ok: total as u64 - failed,
+            failed,
+            cancelled: cancel_reason,
+        },
+    )?;
+    Ok(CampaignOutcome { reports, cancelled })
+}
 
-    Ok(CampaignOutcome {
-        reports: reports.into_iter().map(Option::unwrap).collect(),
-        cancelled,
+/// The one call path from the scheduler into the campaign log.
+fn log(journal: &mut Journal, event: CampaignEvent) -> Result<(), String> {
+    journal.append(event).map_err(|e| {
+        format!(
+            "cannot write campaign log {}: {e}",
+            journal.path().display()
+        )
     })
 }
 
 /// The `cell-finished` event for a final report (fresh or resumed).
-fn finished_event(report: &CellReport, t_ms: u64) -> ProgressEvent {
-    let outcome = if report.resumed {
-        "resumed"
-    } else if report.outcome.is_ok() {
-        "ok"
-    } else {
-        "err"
+fn finished(report: &CellReport) -> CampaignEvent {
+    let status = match (&report.outcome, report.resumed) {
+        (Ok(_), true) => CellStatus::Resumed,
+        (Ok(_), false) => CellStatus::Ok,
+        (Err(_), _) => CellStatus::Err,
     };
-    ProgressEvent::CellFinished {
+    CampaignEvent::CellFinished(CellOutcome {
         cell: report.cell.clone(),
-        outcome: outcome.to_string(),
-        attempts: u64::from(report.attempts),
+        status,
+        attempts: report.attempts,
+        deadline_kills: report.deadline_kills,
         wall_ms: report.wall_ms,
         instructions: report.instructions,
-        instr_per_sec: per_sec(
-            report.instructions,
-            report.wall_ms.saturating_mul(1_000_000),
-        ),
-        reason: report.outcome.as_ref().err().map(|r| first_line(r)),
-        t_ms,
-    }
-}
-
-/// The first line of a (possibly multi-line) failure reason.
-fn first_line(reason: &str) -> String {
-    reason.lines().next().unwrap_or(reason).to_string()
+        reason: report.outcome.as_ref().err().cloned(),
+        data: report.outcome.as_ref().ok().map(|d| d.0.clone()),
+    })
 }
 
 /// Handles a failed attempt: schedules a backoff retry if attempts
-/// remain, otherwise journals and reports the final failure.
+/// remain, otherwise logs and reports the final failure.
 #[allow(clippy::too_many_arguments)]
 fn retry_or_fail(
     task: usize,
     tasks: &[CellTask],
-    states: &mut [TaskState],
+    state: &mut TaskState,
     config: &RunnerConfig,
     journal: &mut Journal,
     tx: &mpsc::Sender<Msg>,
     reports: &mut [Option<CellReport>],
     completed: &mut usize,
-    progress: Option<&ProgressSink>,
-    controls: &RunControls,
 ) -> Result<(), String> {
-    let state = &mut states[task];
     if state.attempts_used < config.attempts {
         // Exponential backoff (backoff, 2*backoff, 4*backoff, ...) with
         // ±50% decorrelation jitter: exact powers of two make every cell
@@ -875,28 +731,7 @@ fn retry_or_fail(
         wall_ms: state.wall_ms,
         instructions: state.instructions,
     };
-    if let Some(rec) = &controls.flight {
-        rec.record(
-            "cell-failed",
-            [
-                ("cell", Json::from(report.cell.as_str())),
-                ("attempts", Json::from(u64::from(report.attempts))),
-                (
-                    "reason",
-                    Json::from(first_line(report.outcome.as_ref().unwrap_err()).as_str()),
-                ),
-            ],
-        );
-    }
-    journal_report(journal, &report)?;
-    if let Some(sink) = progress {
-        sink.emit(&finished_event(&report, sink.t_ms()));
-    }
-    // The journal line is written before the dump, so the dump's trailing
-    // `cell-failed` event reconciles with a journal record that exists.
-    if let Some(rec) = &controls.flight {
-        rec.dump("cell-failed");
-    }
+    log(journal, finished(&report))?;
     reports[task] = Some(report);
     Ok(())
 }
@@ -906,24 +741,6 @@ fn retry_or_fail(
 /// under a fixed salt, so the schedule is reproducible across runs.
 fn backoff_jitter(cell: &str, attempt: u32) -> f64 {
     0.5 + super::faults::split_mix_unit(0x6a17_7e2d_b0ff_0ff5, cell, attempt)
-}
-
-/// Journals a final cell outcome, translating I/O failure into the
-/// campaign-level error.
-fn journal_report(journal: &mut Journal, report: &CellReport) -> Result<(), String> {
-    let record = JournalRecord {
-        cell: report.cell.clone(),
-        ok: report.outcome.is_ok(),
-        attempts: report.attempts,
-        deadline_kills: report.deadline_kills,
-        wall_ms: report.wall_ms,
-        instructions: report.instructions,
-        data: report.outcome.as_ref().ok().cloned(),
-        reason: report.outcome.as_ref().err().cloned(),
-    };
-    journal
-        .append(record)
-        .map_err(|e| format!("cannot write journal {}: {e}", journal.path().display()))
 }
 
 /// Spawns one attempt. The attempt thread is named
@@ -987,10 +804,7 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Silences the default "thread panicked" stderr spew for isolated cell
 /// attempts (their panics are *reported*, as ERR table slots) while
-/// leaving every other thread's panics as loud as ever. A panic outside
-/// the cell fence is about to take the process down, so every armed
-/// flight recorder dumps first — the post-mortem must not depend on the
-/// dying process reaching its normal shutdown path.
+/// leaving every other thread's panics as loud as ever.
 fn install_quiet_panic_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -1000,7 +814,6 @@ fn install_quiet_panic_hook() {
                 .name()
                 .is_some_and(|n| n.starts_with("repro-cell-"));
             if !isolated {
-                flight::dump_armed("panic");
                 previous(info);
             }
         }));
@@ -1065,7 +878,7 @@ mod tests {
         assert!(outcome.report("t/c").unwrap().outcome.is_ok());
         // The journal captured all three final outcomes.
         assert_eq!(journal.records().count(), 3);
-        assert!(!journal.record("t/boom").unwrap().ok);
+        assert!(!journal.record("t/boom").unwrap().ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1163,8 +976,25 @@ mod tests {
         assert!(!b.resumed && b.outcome.is_ok());
         assert!(second.all_ok());
         assert!(
-            journal.record("t/b").unwrap().ok,
-            "journal updated in place"
+            journal.record("t/b").unwrap().ok(),
+            "the resume appended t/b's new outcome"
+        );
+
+        // A resume that schedules a different cell set is refused rather
+        // than spliced into the log.
+        let mut journal = Journal::resume(&dir, "r", "t", Scale::Quick).unwrap();
+        let err = run_campaign(
+            vec![value_task("t/a", 5.0)],
+            &fast(""),
+            &mut journal,
+            &TelemetryCtx::off(),
+            None,
+        )
+        .err()
+        .expect("a 1-cell campaign on a 2-cell log is refused");
+        assert!(
+            err.contains("2 cells") && err.contains("start a fresh run"),
+            "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1201,120 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_stream_reconciles_with_outcomes() {
-        use std::collections::BTreeSet;
-
-        let dir = scratch("progress");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 3).unwrap();
-        let writer = ProgressWriter::create(&dir, "r").unwrap();
-        let sink = ProgressSink::new(writer, Duration::from_millis(5));
-        let tasks = vec![
-            value_task("t/a", 1.0),
-            value_task("t/boom", 2.0),
-            value_task("t/c", 3.0),
-        ];
-        let config = RunnerConfig {
-            workers: 2,
-            ..fast("flaky:t/boom:1")
-        };
-        let outcome = run_campaign(
-            tasks,
-            &config,
-            &mut journal,
-            &TelemetryCtx::off(),
-            Some(&sink),
-        )
-        .unwrap();
-        assert!(outcome.all_ok());
-
-        let path = sim_telemetry::progress_path(&dir, "r");
-        let stream = sim_telemetry::read_events(&path).unwrap();
-        assert!(!stream.torn_tail);
-        let mut started = BTreeSet::new();
-        let mut finished = BTreeSet::new();
-        let mut retried = BTreeSet::new();
-        let mut beats: Vec<(u64, u64)> = Vec::new();
-        for e in &stream.events {
-            match e {
-                ProgressEvent::CellStarted { cell, .. } => {
-                    assert!(started.insert(cell.clone()), "{cell} started twice");
-                }
-                ProgressEvent::CellFinished { cell, outcome, .. } => {
-                    assert_eq!(outcome, "ok");
-                    assert!(finished.insert(cell.clone()), "{cell} finished twice");
-                }
-                ProgressEvent::CellRetry { cell, attempt, .. } => {
-                    assert!(*attempt >= 2);
-                    retried.insert(cell.clone());
-                }
-                ProgressEvent::Heartbeat { done, t_ms, .. } => beats.push((*t_ms, *done)),
-                other => panic!("pool never emits {:?}", other.name()),
-            }
-        }
-        // Every scheduled cell appears exactly once on each side and the
-        // stream reconciles with the journal.
-        let ids: BTreeSet<String> = ["t/a", "t/boom", "t/c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(started, ids);
-        assert_eq!(finished, ids);
-        assert!(
-            retried.contains("t/boom"),
-            "injected flake must surface as a retry"
-        );
-        assert_eq!(journal.records().count(), 3);
-        // Heartbeats come from one thread (sampler, then the scheduler's
-        // closing beat): time and completion are monotone, and the final
-        // beat reports a finished campaign.
-        assert!(!beats.is_empty(), "closing heartbeat is unconditional");
-        assert!(beats
-            .windows(2)
-            .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert_eq!(beats.last().unwrap().1, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resumed_cells_are_announced_in_the_stream() {
-        let dir = scratch("progress-resume");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 1).unwrap();
-        let first = run_campaign(
-            vec![value_task("t/a", 5.0)],
-            &fast(""),
-            &mut journal,
-            &TelemetryCtx::off(),
-            None,
-        )
-        .unwrap();
-        assert!(first.all_ok());
-        drop(journal);
-
-        let mut journal = Journal::resume(&dir, "r", "t", Scale::Quick).unwrap();
-        let writer = ProgressWriter::create(&dir, "r2").unwrap();
-        let sink = ProgressSink::new(writer, Duration::from_millis(1000));
-        let second = run_campaign(
-            vec![value_task("t/a", 5.0)],
-            &fast(""),
-            &mut journal,
-            &TelemetryCtx::off(),
-            Some(&sink),
-        )
-        .unwrap();
-        assert!(second.report("t/a").unwrap().resumed);
-
-        let stream = sim_telemetry::read_events(&sim_telemetry::progress_path(&dir, "r2")).unwrap();
-        let resumed = stream.events.iter().any(|e| {
-            matches!(e, ProgressEvent::CellFinished { cell, outcome, attempts, .. }
-                if cell == "t/a" && outcome == "resumed" && *attempts == 0)
-        });
-        assert!(resumed, "restored cell must appear as outcome=resumed");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn backoff_jitter_is_deterministic_and_bounded() {
         let mut distinct = std::collections::BTreeSet::new();
         for cell in ["t/a", "t/b", "table4/perl", "table4/gcc"] {
@@ -1333,14 +1049,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_stops_at_cell_boundary_and_skips_journaling_pending_cells() {
+    fn cancel_stops_at_cell_boundary_and_leaves_pending_cells_to_rerun() {
         let dir = scratch("cancel");
         let _ = std::fs::remove_dir_all(&dir);
         let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 3).unwrap();
         let token = CancelToken::new();
         // The first cell cancels the campaign from *inside* its work
         // closure, then completes normally: it must be journaled, while
-        // the two cells behind it never start.
+        // the two cells behind it never start and are logged as errors.
         let inner = token.clone();
         let tasks = vec![
             CellTask::new("t/a", move || {
@@ -1373,10 +1089,14 @@ mod tests {
             assert!(reason.starts_with("cancelled: test cancel"), "{reason}");
             assert_eq!(r.attempts, 0, "{cell} must never have started");
         }
-        // Only the completed cell reached the journal; a resume re-runs
-        // exactly the cancelled ones.
-        assert_eq!(journal.records().count(), 1);
-        assert!(journal.record("t/a").unwrap().ok);
+        // Only the completed cell is restorable; a resume re-runs exactly
+        // the cancelled ones.
+        let restorable: Vec<&str> = journal
+            .records()
+            .filter(|o| o.ok())
+            .map(|o| o.cell.as_str())
+            .collect();
+        assert_eq!(restorable, ["t/a"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1427,45 +1147,167 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One faulted, cancelled, two-worker campaign; its single log
+    /// folds into every view, and each view equals what the campaign
+    /// reported.
     #[test]
-    fn flight_and_trace_taps_observe_a_faulted_campaign() {
-        let dir = scratch("flight-trace");
+    fn one_log_folds_into_views_that_agree_with_the_outcome() {
+        use crate::watch::{CampaignStatus, CellState};
+        use sim_telemetry::{traceviz, CellRecord, ChromeTrace};
+
+        let dir = scratch("agree");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 2).unwrap();
-        let flight = FlightRecorder::new(&dir, "r", "tr-00000000000000f1", 64);
-        let trace = TraceCollector::new("r", "tr-00000000000000f1");
+        let mut journal = Journal::create(&dir, "r", "t", Scale::Quick, 4).unwrap();
+        let log_path = journal.path().to_path_buf();
+        let token = CancelToken::new();
+        // The gate cancels mid-run, once the log shows t/slow's first
+        // deadline kill and t/flaky's recovery: by then retries have run
+        // and t/slow still has attempts left, so the cancel catches it
+        // between them.
+        let gate = {
+            let token = token.clone();
+            CellTask::new("t/gate", move || {
+                let started = Instant::now();
+                while started.elapsed() < Duration::from_secs(30) {
+                    let log = sim_telemetry::read_events(&log_path).unwrap();
+                    let seen = |want: &dyn Fn(&CampaignEvent) -> bool| {
+                        log.entries.iter().any(|e| want(&e.event))
+                    };
+                    let killed = seen(&|e| {
+                        matches!(e, CampaignEvent::AttemptFailed { cell, killed: true, .. }
+                            if cell == "t/slow")
+                    });
+                    let recovered = seen(&|e| {
+                        matches!(e, CampaignEvent::CellFinished(o)
+                            if o.cell == "t/flaky" && o.ok())
+                    });
+                    if killed && recovered {
+                        token.cancel("test cancel");
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                CellData::new()
+            })
+        };
+        let tasks = vec![
+            value_task("t/boom", 1.0),
+            value_task("t/flaky", 2.0),
+            value_task("t/slow", 3.0),
+            gate,
+        ];
+        let config = RunnerConfig {
+            workers: 2,
+            attempts: 3,
+            deadline: Duration::from_millis(100),
+            ..fast("panic:t/boom,flaky:t/flaky:1,delay:t/slow:60000")
+        };
         let controls = RunControls {
-            flight: Some(flight.clone()),
-            trace: Some(trace.clone()),
+            cancel: Some(token),
             ..RunControls::default()
         };
         let outcome = run_campaign_with(
-            vec![value_task("t/ok", 1.0), value_task("t/boom", 2.0)],
-            &fast("panic:t/boom"),
+            tasks,
+            &config,
             &mut journal,
             &TelemetryCtx::off(),
-            None,
+            Some(Duration::from_millis(10)),
             &controls,
         )
         .unwrap();
-        assert_eq!(outcome.failures().count(), 1);
+        assert!(outcome.cancelled);
+        let slow = outcome.report("t/slow").unwrap();
+        assert!(slow.deadline_kills >= 1, "{slow:?}");
+        assert!(
+            slow.outcome.as_ref().unwrap_err().starts_with("cancelled:"),
+            "{slow:?}"
+        );
+        assert_eq!(outcome.report("t/flaky").unwrap().attempts, 2);
 
-        // Exactly one flight dump exists (every trigger rewrote the same
-        // path), and its trailing cell-failed event matches the journal.
-        let dump = sim_telemetry::flight_path(&dir, "r");
-        assert!(dump.exists(), "failure-after-retries must dump");
-        assert!(flight.dumps() >= 1);
-        let text = std::fs::read_to_string(&dump).unwrap();
-        let last = sim_telemetry::json::parse(text.lines().last().unwrap()).unwrap();
-        assert_eq!(last.get("kind").and_then(Json::as_str), Some("cell-failed"));
-        assert_eq!(last.get("cell").and_then(Json::as_str), Some("t/boom"));
-        assert!(!journal.record("t/boom").unwrap().ok);
+        let log = journal.read().unwrap();
+        assert!(!log.torn_tail);
+        let status_of = |r: &CellReport| match (&r.outcome, r.resumed) {
+            (Ok(_), true) => CellStatus::Resumed,
+            (Ok(_), false) => CellStatus::Ok,
+            (Err(_), _) => CellStatus::Err,
+        };
 
-        // The trace validates: 4 attempt slices (1 ok + 3 failed), 2
-        // retry instants, monotone ts per lane.
-        let summary = sim_telemetry::traceviz::validate(&trace.to_json()).unwrap();
-        assert_eq!(summary.complete, 4);
-        assert_eq!(summary.instants, 2);
+        // The resume map (and a resumed journal's fold of the file).
+        let last = log.last_outcomes();
+        let resumed = Journal::resume(&dir, "r", "t", Scale::Quick).unwrap();
+        assert_eq!(last.len(), outcome.reports.len());
+        for r in &outcome.reports {
+            let o = &last[&r.cell];
+            assert_eq!(resumed.record(&r.cell), Some(o));
+            assert_eq!(o.status, status_of(r), "{}", r.cell);
+            assert_eq!(
+                (o.attempts, o.deadline_kills, o.wall_ms, o.instructions),
+                (r.attempts, r.deadline_kills, r.wall_ms, r.instructions),
+                "{}",
+                r.cell
+            );
+            assert_eq!(o.reason.as_ref(), r.outcome.as_ref().err(), "{}", r.cell);
+            assert_eq!(o.data.as_ref(), r.outcome.as_ref().ok().map(|d| &d.0));
+        }
+
+        // The live status.
+        let status = CampaignStatus::from_log(&log);
+        assert!(status.finished);
+        assert_eq!(status.cancelled.as_deref(), Some("test cancel"));
+        assert_eq!(status.total, outcome.reports.len() as u64);
+        assert_eq!(status.done(), status.total);
+        assert_eq!(status.failed(), outcome.failures().count() as u64);
+        for r in &outcome.reports {
+            let view = status.cells.iter().find(|c| c.cell == r.cell).unwrap();
+            let state = if r.outcome.is_ok() {
+                CellState::Ok
+            } else {
+                CellState::Err
+            };
+            assert_eq!(view.state, state, "{}", r.cell);
+            assert_eq!(view.attempts, u64::from(r.attempts), "{}", r.cell);
+            assert_eq!(view.wall_ms, r.wall_ms, "{}", r.cell);
+            if let Err(reason) = &r.outcome {
+                assert_eq!(view.reason.as_deref(), reason.lines().next(), "{}", r.cell);
+            }
+        }
+
+        // The Chrome export: one slice per attempt; one instant per retry,
+        // per deadline kill, and for the cancellation.
+        let summary = traceviz::validate(&ChromeTrace::from_log(&log).to_json()).unwrap();
+        let attempts: u32 = outcome.reports.iter().map(|r| r.attempts).sum();
+        let retries: u32 = outcome
+            .reports
+            .iter()
+            .map(|r| r.attempts.saturating_sub(1))
+            .sum();
+        let kills: u32 = outcome.reports.iter().map(|r| r.deadline_kills).sum();
+        assert!(retries >= 1 && kills >= 1, "{:?}", outcome.reports);
+        assert_eq!(summary.complete, attempts as usize);
+        assert_eq!(summary.instants, (retries + kills + 1) as usize);
+
+        // The manifest cells.
+        let mut from_outcome: Vec<CellRecord> = outcome
+            .reports
+            .iter()
+            .map(|r| CellRecord {
+                cell: r.cell.clone(),
+                ok: r.outcome.is_ok(),
+                attempts: r.attempts,
+                deadline_kills: r.deadline_kills,
+                resumed: r.resumed,
+                reason: r.outcome.as_ref().err().cloned(),
+                wall_ms: r.wall_ms,
+                instructions: r.instructions,
+            })
+            .collect();
+        from_outcome.sort_by(|a, b| a.cell.cmp(&b.cell));
+        let from_log: Vec<CellRecord> = log
+            .segment_outcomes()
+            .values()
+            .map(CellRecord::from)
+            .collect();
+        assert_eq!(from_log, from_outcome);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,8 +11,7 @@
 //! carries too much variance to stand for a whole phase). Each slice is
 //! simulated — after warming predictor state on the [`WARMUP_RECORDS`]
 //! records before it — as an independent cell on the jobs worker pool,
-//! with the usual panic isolation, retry, journal, and progress-stream
-//! semantics. Shard cell ids carry their cluster, chunk, and weight
+//! with the usual panic isolation, retry, and campaign-log semantics. Shard cell ids carry their cluster, chunk, and weight
 //! (`table1/perl#p2c37@0.0714`) so live views can tell representative
 //! shards from exact cells.
 //!

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | `POST /run` | admit a campaign request (202) or shed (429/503) |
 //! | `GET /status/<id>` | lifecycle + live progress + terminal manifest view |
-//! | `GET /progress/<id>` | stream the request's progress JSONL |
+//! | `GET /progress/<id>` | stream the request's campaign log (JSONL) |
 //! | `DELETE /run/<id>` | cooperative cancel at the next cell boundary |
 //! | `GET /healthz` | liveness + drain state |
 //! | `GET /metrics` | request/HTTP telemetry counters |

@@ -11,33 +11,33 @@
 //! * **Fairness.** Dispatch is round-robin across client identities, so
 //!   one flooding client cannot starve the others.
 //! * **Cooperative cancellation.** `DELETE /run/<id>`, a dropped
-//!   progress stream (with `?cancel=1`), a per-request deadline, and
+//!   `GET /progress` stream (with `?cancel=1`), a per-request deadline, and
 //!   daemon drain all trip the same [`CancelToken`]; the pool stops at
-//!   the next cell boundary, journaling every finished cell so a resume
+//!   the next cell boundary, logging every finished cell so a resume
 //!   skips them.
 //! * **Isolation.** Every request gets its own namespace
-//!   `<root>/<req-id>/{journal,progress,telemetry}` and its own
-//!   telemetry session; the only shared mutable state is the trace
-//!   store, which is single-writer record-on-miss.
+//!   `<root>/<req-id>/{journal,telemetry}` and its own telemetry
+//!   session; the only shared mutable state is the trace store, which
+//!   is single-writer record-on-miss.
+//! * **One mechanism.** A request runs through the same driver core as
+//!   the batch binaries ([`cli::drive_plan`]); its campaign log is the
+//!   source of `GET /status`'s live view and of `GET /progress`.
 //! * **Graceful drain.** SIGTERM/SIGINT stop admission, cancel queued
-//!   work, let in-flight cells finish and journal, flush manifests, and
+//!   work, let in-flight cells finish and log, flush manifests, and
 //!   exit 0.
 
 use super::http::{read_request, HttpError, Request, Response};
 use super::signal;
 use super::state::{unix_ms, Registry, ReqState, RequestEntry, RequestSpec, Shed};
-use crate::jobs::pool::{CellTask, ProgressSink};
-use crate::jobs::{
-    cell_id, cli, faults, journal::Journal, registry, run_campaign_with, RunControls, RunnerConfig,
-    WorkerSlots,
-};
+use crate::jobs::cli::{self, CampaignPlan, LogSource};
+use crate::jobs::journal::journal_path;
+use crate::jobs::pool::CellTask;
+use crate::jobs::{cell_id, faults, registry, RunControls, RunnerConfig, WorkerSlots};
 use crate::runner::Scale;
 use crate::telemetry;
 use sim_telemetry::json::{obj, Json};
 use sim_telemetry::{
-    flight, progress_path, read_events, FlightRecorder, MetricsRegistry, ProfMode, ProgressEvent,
-    ProgressWriter, TelemetryConfig, TelemetryMode, TraceCollector, TraceExportMode, TraceId,
-    DEFAULT_FLIGHT_CAPACITY,
+    read_events, MetricsRegistry, ProfMode, TelemetryConfig, TelemetryMode, TraceExportMode,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -218,10 +218,6 @@ fn scheduler_loop(server: &Arc<Server>) {
     loop {
         if signal::shutdown_requested() && !server.registry.draining() {
             server.registry.begin_drain("server draining");
-            // Snapshot every in-flight campaign's last events before the
-            // drain unwinds them: each armed recorder dumps to its own
-            // request namespace.
-            flight::dump_armed("sigterm-drain");
         }
         for id in server.registry.deadline_overruns(unix_ms()) {
             server.registry.cancel(&id, "deadline exceeded");
@@ -248,8 +244,10 @@ fn scheduler_loop(server: &Arc<Server>) {
     }
 }
 
-/// Executes one admitted request as a campaign in its own namespace.
+/// Executes one admitted request as a campaign in its own namespace,
+/// through the batch binaries' driver core.
 fn run_request(server: &Arc<Server>, entry: RequestEntry) {
+    let started = Instant::now();
     let fail = |why: String| {
         server.metrics.counter("serve.failed").inc();
         server
@@ -262,8 +260,8 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
     let scale = entry.spec.scale;
     let ns = entry.namespace.clone();
 
-    // A private telemetry session per request: its manifest, progress
-    // stream, and counters can never alias another request's.
+    // A private telemetry session per request: its manifest and counters
+    // can never alias another request's.
     let session = telemetry::session_with_config(
         def.name,
         scale,
@@ -271,13 +269,9 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
             mode: TelemetryMode::Summary,
             prof: ProfMode::Off,
             dir: ns.join("telemetry"),
-            progress: true,
-            progress_dir: ns.join("progress"),
             progress_tick: Duration::from_millis(500),
             trace_export: server.config.trace_export,
             traceviz_dir: ns.join("traceviz"),
-            flight_dir: ns.join("flightrec"),
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         },
     );
     let ctx = session.ctx();
@@ -297,137 +291,42 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
     let total = tasks.len();
     server.registry.set_cells(&entry.id, total, 0, 0);
 
-    // Resumed requests append to the prior request's journal (which
-    // knows the finished cells); fresh ones journal in their own
-    // namespace with the resume command baked into the header.
-    let (journal_dir, journal_run) = match &entry.spec.resume {
+    // Every request logs in its own namespace; a resumed one restores
+    // from the prior request's log (and keeps its trace id).
+    let source = match &entry.spec.resume {
         Some(prior) => match server.registry.get(prior) {
-            Some(p) => (p.namespace.join("journal"), prior.clone()),
+            Some(p) => LogSource::RestoreFrom(p.namespace.join("journal"), prior.clone()),
             None => return fail(format!("resume target {prior:?} vanished")),
         },
-        None => (ns.join("journal"), entry.id.clone()),
+        None => LogSource::Fresh,
     };
-    // One trace id correlates everything the request leaves behind:
-    // resumed requests reuse the prior journal's id so the logical
-    // campaign stays one trace across resumes; fresh requests mint.
-    let minted = TraceId::mint().to_string();
-    let mut journal = if entry.spec.resume.is_some() {
-        match Journal::resume(&journal_dir, &journal_run, def.name, scale) {
-            Ok(j) => j,
-            Err(e) => return fail(e),
-        }
-    } else {
-        let resume = cli::resume_command(def.name, &journal_run, scale, &journal_dir);
-        match Journal::create_with_meta(
-            &journal_dir,
-            &journal_run,
-            def.name,
-            scale,
-            total,
-            Some(&resume),
-            Some(&minted),
-        ) {
-            Ok(j) => j,
-            Err(e) => return fail(format!("cannot create journal: {e}")),
-        }
+    let plan = CampaignPlan {
+        journal_dir: ns.join("journal"),
+        run_id: entry.id.clone(),
+        source,
+        runner: server.config.runner.clone(),
+        controls: RunControls {
+            cancel: Some(entry.cancel.clone()),
+            slots: Some(server.slots.clone()),
+        },
     };
-    let trace_id = journal.trace_id().map(str::to_string).unwrap_or(minted);
-    server.registry.set_trace_id(&entry.id, &trace_id);
-    if let Some(hub) = ctx.hub() {
-        hub.set_trace_id(&trace_id);
-    }
-    if let Some(cmd) = journal.resume_command() {
-        server.registry.set_resume_command(&entry.id, cmd);
-    }
-
-    // The flight recorder rides armed for the whole campaign so a
-    // daemon-level panic or SIGTERM drain dumps this request's last
-    // events even though the request thread never reaches a dump call.
-    let recorder = FlightRecorder::new(
-        &ns.join("flightrec"),
-        &entry.id,
-        &trace_id,
-        DEFAULT_FLIGHT_CAPACITY,
-    );
-    let _armed = flight::arm(&recorder);
-    recorder.record(
-        "request-started",
-        [
-            ("experiment", Json::from(def.name)),
-            ("client", Json::from(entry.spec.client.as_str())),
-            ("cells", Json::from(total as u64)),
-        ],
-    );
-    let trace = server
-        .config
-        .trace_export
-        .enabled()
-        .then(|| TraceCollector::new(&entry.id, &trace_id));
-
-    let writer = match ProgressWriter::create(&ns.join("progress"), &entry.id) {
-        Ok(w) => w,
-        Err(e) => return fail(format!("cannot create progress stream: {e}")),
-    };
-    let sink = ProgressSink::new(writer, Duration::from_millis(500));
-    sink.emit(&ProgressEvent::CampaignStarted {
-        run: entry.id.clone(),
-        tool: def.name.to_string(),
-        scale: scale.name().to_string(),
-        total: total as u64,
-        workers: server.config.runner.workers as u64,
-        trace_id: trace_id.clone(),
-        unix_ms: unix_ms(),
-    });
-
-    let controls = RunControls {
-        cancel: Some(entry.cancel.clone()),
-        slots: Some(server.slots.clone()),
-        flight: Some(recorder.clone()),
-        trace: trace.clone(),
-    };
-    let outcome = match run_campaign_with(
-        tasks,
-        &server.config.runner,
-        &mut journal,
-        &ctx,
-        Some(&sink),
-        &controls,
-    ) {
-        Ok(outcome) => outcome,
+    let outcome = match cli::drive_plan(def.name, scale, &session, tasks, plan) {
+        Ok(driven) => driven.outcome,
         Err(e) => return fail(e),
     };
-    cli::record_cells(&ctx, &outcome);
-    if let Some(trace) = &trace {
-        trace.close_open("killed");
-        if let Some(hub) = ctx.hub() {
-            trace.add_spans(hub.spans());
-        }
-        match trace.write(&ns.join("traceviz")) {
-            Ok(path) => println!("repro-serve: {} trace export: {}", entry.id, path.display()),
-            Err(e) => eprintln!("repro-serve: {} cannot write trace export: {e}", entry.id),
-        }
-    }
 
     let failed = outcome.failures().count();
     let done = outcome.reports.len() - failed;
-    let t_ms = sink.t_ms();
     server
         .metrics
         .histogram("serve.request_wall_ms")
-        .record(t_ms);
+        .record(started.elapsed().as_millis() as u64);
     for report in &outcome.reports {
         server
             .metrics
             .histogram("serve.cell_wall_ms")
             .record(report.wall_ms);
     }
-    sink.emit(&ProgressEvent::CampaignFinished {
-        done: done as u64,
-        failed: failed as u64,
-        total: outcome.reports.len() as u64,
-        wall_ms: t_ms,
-        t_ms,
-    });
     server.registry.set_cells(&entry.id, total, done, failed);
 
     // Drop the session *before* the terminal state so a client that
@@ -453,6 +352,11 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
         server.metrics.counter("serve.completed").inc();
         server.registry.finish(&entry.id, ReqState::Done, None);
     }
+}
+
+/// A request's campaign log.
+fn log_path(entry: &RequestEntry) -> PathBuf {
+    journal_path(&entry.namespace.join("journal"), &entry.id)
 }
 
 /// One connection: keep-alive request loop with typed error handling.
@@ -715,13 +619,17 @@ fn status(server: &Arc<Server>, id: &str) -> Response {
         Json::Obj(fields) => fields,
         _ => unreachable!("entry view is an object"),
     };
-    // Live view: fold the request's own progress stream.
-    let stream_path = progress_path(&entry.namespace.join("progress"), id);
-    if stream_path.exists() {
-        if let Ok(stream) = read_events(&stream_path) {
-            let status = crate::watch::CampaignStatus::from_stream(&stream);
-            fields.insert("progress".to_string(), status.to_json());
+    // Live view: fold the request's own campaign log, which also
+    // carries the trace id and the resume command.
+    if let Ok(log) = read_events(&log_path(&entry)) {
+        let status = crate::watch::CampaignStatus::from_log(&log);
+        if !status.trace_id.is_empty() {
+            fields.insert("trace_id".to_string(), Json::from(status.trace_id.as_str()));
         }
+        if let Some(cmd) = &status.resume_command {
+            fields.insert("resume_command".to_string(), Json::from(cmd.as_str()));
+        }
+        fields.insert("progress".to_string(), status.to_json());
     }
     // Terminal view: the manifest carries the trace-store section that
     // proves warm requests took the read path (`"misses": 0`).
@@ -774,7 +682,7 @@ fn cancel(server: &Arc<Server>, id: &str) -> Response {
     )
 }
 
-/// Streams the request's progress JSONL until it reaches a terminal
+/// Streams the request's campaign log until it reaches a terminal
 /// state; close-delimited (`Connection: close`). A client that vanishes
 /// mid-stream is detected on the next write; with `?cancel=1` that
 /// dropped connection cancels the request — "watching it" becomes the
@@ -795,7 +703,7 @@ fn stream_progress(server: &Arc<Server>, req: &Request, stream: &mut TcpStream) 
     if stream.write_all(head.as_bytes()).is_err() {
         return;
     }
-    let path = progress_path(&entry.namespace.join("progress"), id);
+    let path = log_path(&entry);
     let mut offset: u64 = 0;
     loop {
         let chunk = read_from(&path, offset);
@@ -810,7 +718,7 @@ fn stream_progress(server: &Arc<Server>, req: &Request, stream: &mut TcpStream) 
         }
         let now = server.registry.get(id).expect("entry persists");
         if now.state.is_terminal() && chunk.is_empty() {
-            // Drained the stream past the terminal transition.
+            // Drained the log past the terminal transition.
             return;
         }
         std::thread::sleep(Duration::from_millis(100));

@@ -499,7 +499,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
             ));
         }
         // Contamination: the request's namespace must be private and its
-        // progress stream must identify *this* request.
+        // campaign log must identify *this* request.
         let ns = s
             .status
             .get("namespace")
@@ -520,7 +520,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
         if let Some(run) = s.status.get("progress").and_then(|p| p.get("run")) {
             if run.as_str() != Some(s.id.as_str()) {
                 report.violations.push(format!(
-                    "{}: progress stream belongs to {run:?} — cross-request contamination",
+                    "{}: campaign log belongs to {run:?} — cross-request contamination",
                     s.id
                 ));
             }

@@ -72,7 +72,7 @@ pub struct RequestSpec {
     pub client: String,
     /// Optional per-request wall-clock deadline.
     pub deadline_ms: Option<u64>,
-    /// Prior request id whose journal this run resumes.
+    /// Prior request id whose campaign log this run restores from.
     pub resume: Option<String>,
     /// Client-supplied seed, echoed for provenance (cells themselves
     /// are deterministic; the seed tags the request, not the data).
@@ -108,16 +108,12 @@ pub struct RequestEntry {
     pub cells_failed: usize,
     /// This request's private results namespace.
     pub namespace: PathBuf,
-    /// Copy-pasteable resume command from the journal header.
-    pub resume_command: Option<String>,
-    /// Correlation id joining journal, progress, manifest, trace export,
-    /// and flight dump (set once the campaign thread mints/reuses it).
-    pub trace_id: Option<String>,
 }
 
 impl RequestEntry {
-    /// The status-endpoint JSON view (live progress fields are folded in
-    /// by the server, which owns the progress stream path).
+    /// The status-endpoint JSON view (the campaign-log fields — live
+    /// progress, trace id, resume command — are folded in by the server,
+    /// which owns the log path).
     pub fn to_json(&self) -> Json {
         let mut fields = match obj([
             ("id", Json::from(self.id.as_str())),
@@ -155,12 +151,6 @@ impl RequestEntry {
         }
         if let Some(e) = &self.error {
             fields.insert("error".to_string(), Json::from(e.as_str()));
-        }
-        if let Some(cmd) = &self.resume_command {
-            fields.insert("resume_command".to_string(), Json::from(cmd.as_str()));
-        }
-        if let Some(id) = &self.trace_id {
-            fields.insert("trace_id".to_string(), Json::from(id.as_str()));
         }
         if let Some(ms) = self.spec.deadline_ms {
             fields.insert("deadline_ms".to_string(), Json::from(ms));
@@ -256,8 +246,6 @@ impl Registry {
             cells_total: 0,
             cells_ok: 0,
             cells_failed: 0,
-            resume_command: None,
-            trace_id: None,
         };
         inner.entries.insert(id.clone(), entry);
         if !inner.clients.contains(&client) {
@@ -310,20 +298,6 @@ impl Registry {
             e.cells_total = total;
             e.cells_ok = ok;
             e.cells_failed = failed;
-        }
-    }
-
-    /// Records the resume command surfaced by `GET /status`.
-    pub fn set_resume_command(&self, id: &str, cmd: &str) {
-        if let Some(e) = self.lock().entries.get_mut(id) {
-            e.resume_command = Some(cmd.to_string());
-        }
-    }
-
-    /// Records the correlation id surfaced by `GET /status`.
-    pub fn set_trace_id(&self, id: &str, trace_id: &str) {
-        if let Some(e) = self.lock().entries.get_mut(id) {
-            e.trace_id = Some(trace_id.to_string());
         }
     }
 

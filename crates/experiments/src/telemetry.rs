@@ -13,7 +13,8 @@
 //!
 //! The session parses the whole knob surface once through
 //! [`TelemetryConfig::from_env`] (`REPRO_TELEMETRY`, `REPRO_PROF`,
-//! `REPRO_TELEMETRY_DIR`, `REPRO_PROGRESS*`) — that is the *only* place
+//! `REPRO_TELEMETRY_DIR`, `REPRO_PROGRESS_TICK_MS`, `REPRO_TRACE_EXPORT`,
+//! `REPRO_TRACEVIZ_DIR`) — that is the *only* place
 //! environment variables are read; everything downstream works against
 //! the explicit context. Unless the mode is `off`, the session owns a
 //! [`Hub`] that the shared [`runner`](crate::runner) entry points feed
@@ -91,7 +92,7 @@ struct State {
     events: Vec<(String, Event)>,
     /// Cell outcomes reported by the jobs runner.
     cells: Vec<CellRecord>,
-    /// Fixed-tick campaign snapshots pushed by the progress sampler.
+    /// Fixed-tick campaign snapshots pushed at each log heartbeat.
     timeseries: Vec<SampleRow>,
     /// Campaign correlation id, stamped into the manifest when set.
     trace_id: String,
@@ -187,8 +188,8 @@ impl Hub {
     }
 
     /// Stamps the campaign's correlation trace id so the manifest this
-    /// hub's session writes joins the journal, progress stream, flight
-    /// dump, and trace export on one grep-able key.
+    /// hub's session writes joins the campaign log and the trace export
+    /// on one grep-able key.
     pub fn set_trace_id(&self, id: &str) {
         self.state.lock().expect("hub state poisoned").trace_id = id.to_string();
     }
@@ -203,7 +204,7 @@ impl Hub {
             .push(record);
     }
 
-    /// Appends one sampler tick to the manifest's time series.
+    /// Appends one heartbeat's snapshot to the manifest's time series.
     pub fn push_sample(&self, row: SampleRow) {
         self.state
             .lock()
@@ -305,7 +306,7 @@ pub struct Session {
 /// Starts a capture for `tool` with the whole knob surface parsed once
 /// from the environment via [`TelemetryConfig::from_env`]
 /// (`REPRO_TELEMETRY`, `REPRO_PROF`, `REPRO_TELEMETRY_DIR`,
-/// `REPRO_PROGRESS`, `REPRO_PROGRESS_DIR`, `REPRO_PROGRESS_TICK_MS`).
+/// `REPRO_PROGRESS_TICK_MS`, `REPRO_TRACE_EXPORT`, `REPRO_TRACEVIZ_DIR`).
 /// With `REPRO_TELEMETRY` unset or `off` the session is inert and costs
 /// nothing.
 ///
@@ -388,9 +389,9 @@ impl Session {
         }
     }
 
-    /// The configuration this session was built from (the progress
-    /// knobs live here too — the campaign driver reads them off the
-    /// session rather than the environment).
+    /// The configuration this session was built from (the heartbeat
+    /// tick and trace-export knobs live here too — the campaign driver
+    /// reads them off the session rather than the environment).
     pub fn config(&self) -> &TelemetryConfig {
         &self.config
     }

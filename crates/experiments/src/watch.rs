@@ -1,16 +1,19 @@
-//! Campaign status reconstruction from a progress stream.
+//! Campaign status: the live fold of a campaign log.
 //!
-//! `repro-top` (live) and `telemetry-report --progress` (post-mortem)
-//! share this one reader: [`CampaignStatus::from_stream`] folds the
-//! event list from [`sim_telemetry::read_events`] into per-cell state,
-//! and the render functions turn that into an operator table, a JSON
-//! document, or a timeline report. Keeping the fold in one place means
-//! the live view and the post-mortem can never disagree about what a
-//! stream says.
+//! `repro-top` (live), `telemetry-report --progress` (post-mortem), and
+//! `repro-serve`'s `GET /status` share this one reader:
+//! [`CampaignStatus::from_log`] folds the entries
+//! [`sim_telemetry::read_events`] parsed from a campaign log into
+//! per-cell state, and the render functions turn that into an operator
+//! table, a JSON document, or a timeline report. The status describes
+//! the log's latest run: a resume starts a new run in the same log and
+//! re-announces every restored cell, so the fold starts over at each
+//! `campaign-started`.
 
 use crate::report::TextTable;
 use sim_telemetry::json::{obj, Json};
-use sim_telemetry::{eta_ms, ProgressEvent, ProgressStreamContents};
+use sim_telemetry::manifest::per_sec;
+use sim_telemetry::{eta_ms, CampaignEvent, CampaignLog, CellStatus};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -47,7 +50,7 @@ impl CellState {
     }
 }
 
-/// Everything the stream knows about one cell.
+/// Everything the log says about one cell.
 #[derive(Clone, Debug)]
 pub struct CellView {
     /// Cell id (`table4/perl`).
@@ -134,166 +137,143 @@ impl CellView {
     }
 }
 
-/// A campaign's reconstructed status: the fold of a progress stream.
+/// A campaign's reconstructed status: the fold of its log.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignStatus {
-    /// Run id (empty when the stream has no `campaign-started`).
+    /// Run id (empty when the log has no `campaign-started` yet).
     pub run: String,
     /// Tool name.
     pub tool: String,
     /// Scale name.
     pub scale: String,
-    /// Correlation id from `campaign-started` (empty for streams
-    /// written before correlation ids existed).
+    /// Correlation id from `campaign-started`.
     pub trace_id: String,
+    /// The command that resumes the campaign, if the log carries one.
+    pub resume_command: Option<String>,
     /// Worker threads.
     pub workers: u64,
     /// Cells scheduled.
     pub total: u64,
     /// Per-cell views, sorted by cell id.
     pub cells: Vec<CellView>,
-    /// Latest ETA estimate in milliseconds, if any.
+    /// Linear ETA estimate in milliseconds, if any cell has finished.
     pub eta_ms: Option<u64>,
-    /// The largest `t_ms` seen — how far into the campaign the stream
-    /// reaches.
+    /// How far into the run the log reaches, in ms since its
+    /// `campaign-started`.
     pub last_t_ms: u64,
     /// Whether `campaign-finished` was seen.
     pub finished: bool,
-    /// Failed-cell count from `campaign-finished` (derived from cell
-    /// states while the campaign is live).
-    pub failed: u64,
-    /// Whether the stream ended in a torn (skipped) trailing line.
+    /// Why the campaign was cancelled, if it was.
+    pub cancelled: Option<String>,
+    /// Whether the log ended in a torn (skipped) trailing line.
     pub torn_tail: bool,
-    /// The interval between the stream's last two heartbeats, if it has
+    /// The interval between the log's last two heartbeats, if it has
     /// at least two — the measured tick a stall detector should expect
     /// the next beat within.
     pub heartbeat_interval_ms: Option<u64>,
 }
 
-/// How many heartbeat intervals may pass without the stream growing
+/// How many heartbeat intervals may pass without the log growing
 /// before an unfinished campaign is declared stalled.
 pub const STALL_MISSED_BEATS: u64 = 3;
 
 impl CampaignStatus {
-    /// Folds a parsed stream into campaign status.
-    pub fn from_stream(stream: &ProgressStreamContents) -> CampaignStatus {
-        let mut status = CampaignStatus {
-            torn_tail: stream.torn_tail,
-            ..CampaignStatus::default()
-        };
+    /// Folds a parsed campaign log into the status of its latest run.
+    pub fn from_log(log: &CampaignLog) -> CampaignStatus {
+        let mut status = CampaignStatus::default();
         let mut cells: BTreeMap<String, CellView> = BTreeMap::new();
+        let mut run_start_us = 0;
         let mut prev_beat_ms: Option<u64> = None;
-        for event in &stream.events {
-            match event {
-                ProgressEvent::CampaignStarted {
+        for entry in &log.entries {
+            let t_ms = entry.t_us.saturating_sub(run_start_us) / 1000;
+            status.last_t_ms = status.last_t_ms.max(t_ms);
+            match &entry.event {
+                CampaignEvent::CampaignStarted {
                     run,
                     tool,
                     scale,
-                    total,
+                    cells: total,
                     workers,
                     trace_id,
+                    resume_command,
                     ..
                 } => {
-                    status.run = run.clone();
-                    status.tool = tool.clone();
-                    status.scale = scale.clone();
-                    status.total = *total;
-                    status.workers = *workers;
-                    status.trace_id = trace_id.clone();
-                }
-                ProgressEvent::CellStarted { cell, t_ms } => {
-                    let view = cells
-                        .entry(cell.clone())
-                        .or_insert_with(|| CellView::new(cell));
-                    view.state = CellState::Running;
-                    view.started_ms = Some(*t_ms);
-                    view.attempts = 1;
-                    status.last_t_ms = status.last_t_ms.max(*t_ms);
-                }
-                ProgressEvent::CellRetry {
-                    cell,
-                    attempt,
-                    reason,
-                    t_ms,
-                } => {
-                    let view = cells
-                        .entry(cell.clone())
-                        .or_insert_with(|| CellView::new(cell));
-                    view.state = CellState::Retrying;
-                    view.attempts = *attempt;
-                    view.reason = Some(reason.clone());
-                    status.last_t_ms = status.last_t_ms.max(*t_ms);
-                }
-                ProgressEvent::CellFinished {
-                    cell,
-                    outcome,
-                    attempts,
-                    wall_ms,
-                    instructions,
-                    instr_per_sec,
-                    reason,
-                    t_ms,
-                } => {
-                    let view = cells
-                        .entry(cell.clone())
-                        .or_insert_with(|| CellView::new(cell));
-                    view.state = match outcome.as_str() {
-                        "ok" => CellState::Ok,
-                        "resumed" => CellState::Resumed,
-                        _ => CellState::Err,
+                    status = CampaignStatus {
+                        run: run.clone(),
+                        tool: tool.clone(),
+                        scale: scale.clone(),
+                        trace_id: trace_id.clone(),
+                        resume_command: resume_command.clone(),
+                        workers: *workers,
+                        total: *total,
+                        ..CampaignStatus::default()
                     };
-                    view.finished_ms = Some(*t_ms);
-                    view.attempts = *attempts;
-                    view.wall_ms = *wall_ms;
-                    view.instructions = *instructions;
-                    view.instr_per_sec = *instr_per_sec;
-                    if let Some(reason) = reason {
-                        view.reason = Some(reason.clone());
-                    }
-                    status.last_t_ms = status.last_t_ms.max(*t_ms);
+                    cells.clear();
+                    run_start_us = entry.t_us;
+                    prev_beat_ms = None;
                 }
-                ProgressEvent::Heartbeat { eta_ms, t_ms, .. } => {
-                    if eta_ms.is_some() {
-                        status.eta_ms = *eta_ms;
+                CampaignEvent::AttemptStarted { cell, attempt } => {
+                    let view = view(&mut cells, cell);
+                    view.attempts = u64::from(*attempt);
+                    if *attempt == 1 {
+                        view.state = CellState::Running;
+                        view.started_ms = Some(t_ms);
+                    } else {
+                        view.state = CellState::Retrying;
                     }
-                    if let Some(prev) = prev_beat_ms {
-                        let delta = t_ms.saturating_sub(prev);
+                }
+                CampaignEvent::AttemptFailed { cell, reason, .. } => {
+                    let view = view(&mut cells, cell);
+                    view.state = CellState::Retrying;
+                    view.reason = Some(first_line(reason));
+                }
+                CampaignEvent::CellFinished(o) => {
+                    let view = view(&mut cells, &o.cell);
+                    view.state = match o.status {
+                        CellStatus::Ok => CellState::Ok,
+                        CellStatus::Err => CellState::Err,
+                        CellStatus::Resumed => CellState::Resumed,
+                    };
+                    view.finished_ms = Some(t_ms);
+                    view.attempts = u64::from(o.attempts);
+                    view.wall_ms = o.wall_ms;
+                    view.instructions = o.instructions;
+                    view.instr_per_sec =
+                        per_sec(o.instructions, o.wall_ms.saturating_mul(1_000_000));
+                    if let Some(reason) = &o.reason {
+                        view.reason = Some(first_line(reason));
+                    }
+                }
+                CampaignEvent::Heartbeat { .. } => {
+                    if let Some(delta) = prev_beat_ms.map(|prev| t_ms.saturating_sub(prev)) {
                         if delta > 0 {
                             status.heartbeat_interval_ms = Some(delta);
                         }
                     }
-                    prev_beat_ms = Some(*t_ms);
-                    status.last_t_ms = status.last_t_ms.max(*t_ms);
+                    prev_beat_ms = Some(t_ms);
                 }
-                ProgressEvent::CampaignFinished {
-                    failed,
-                    total,
-                    t_ms,
-                    ..
-                } => {
+                CampaignEvent::CampaignFinished { cancelled, .. } => {
                     status.finished = true;
-                    status.failed = *failed;
-                    if status.total == 0 {
-                        status.total = *total;
-                    }
-                    status.eta_ms = Some(0);
-                    status.last_t_ms = status.last_t_ms.max(*t_ms);
+                    status.cancelled = cancelled.clone();
                 }
             }
         }
         status.cells = cells.into_values().collect();
+        status.torn_tail = log.torn_tail;
         if status.total == 0 {
             status.total = status.cells.len() as u64;
         }
-        if !status.finished {
-            status.failed = status.count(CellState::Err);
-            // No heartbeat yet (stream caught between events): derive
-            // the same linear estimate the sampler would emit.
-            if status.eta_ms.is_none() {
-                status.eta_ms = eta_ms(status.done(), status.total, status.last_t_ms);
-            }
-        }
+        status.eta_ms = if status.finished {
+            Some(0)
+        } else {
+            eta_ms(status.done(), status.total, status.last_t_ms)
+        };
         status
+    }
+
+    /// Cells whose final outcome is a failure (cancelled ones included).
+    pub fn failed(&self) -> u64 {
+        self.count(CellState::Err)
     }
 
     fn count(&self, state: CellState) -> u64 {
@@ -301,15 +281,14 @@ impl CampaignStatus {
     }
 
     /// The heartbeat period a stall detector should expect: measured
-    /// from the stream's last two beats, else the configured default
-    /// tick.
+    /// from the log's last two beats, else the configured default tick.
     pub fn expected_beat_ms(&self) -> u64 {
         self.heartbeat_interval_ms
             .unwrap_or(sim_telemetry::DEFAULT_PROGRESS_TICK_MS)
             .max(1)
     }
 
-    /// Whether an unfinished campaign whose stream has not grown for
+    /// Whether an unfinished campaign whose log has not grown for
     /// `idle_ms` wall milliseconds should be declared `STALLED`: more
     /// than [`STALL_MISSED_BEATS`] expected heartbeats have been
     /// missed. A finished campaign never stalls, however stale its
@@ -353,7 +332,7 @@ impl CampaignStatus {
             "{identity}: {}/{} cells done, {} failed, {tail}{}",
             self.done(),
             self.total,
-            self.failed,
+            self.failed(),
             if self.torn_tail { "  [torn tail]" } else { "" }
         )
     }
@@ -395,7 +374,7 @@ impl CampaignStatus {
             ("workers", Json::from(self.workers)),
             ("total", Json::from(self.total)),
             ("done", Json::from(self.done())),
-            ("failed", Json::from(self.failed)),
+            ("failed", Json::from(self.failed())),
             ("active", Json::from(self.active())),
             ("finished", Json::from(self.finished)),
             ("torn_tail", Json::from(self.torn_tail)),
@@ -413,6 +392,12 @@ impl CampaignStatus {
         }
         if !self.trace_id.is_empty() {
             fields.insert("trace_id".to_string(), Json::from(self.trace_id.as_str()));
+        }
+        if let Some(cmd) = &self.resume_command {
+            fields.insert("resume_command".to_string(), Json::from(cmd.as_str()));
+        }
+        if let Some(reason) = &self.cancelled {
+            fields.insert("cancelled".to_string(), Json::from(reason.as_str()));
         }
         Json::Obj(fields)
     }
@@ -476,6 +461,18 @@ impl CampaignStatus {
     }
 }
 
+/// The view of `cell`, created on first sight.
+fn view<'a>(cells: &'a mut BTreeMap<String, CellView>, cell: &str) -> &'a mut CellView {
+    cells
+        .entry(cell.to_string())
+        .or_insert_with(|| CellView::new(cell))
+}
+
+/// The first line of a (possibly multi-line) failure reason.
+fn first_line(reason: &str) -> String {
+    reason.lines().next().unwrap_or(reason).to_string()
+}
+
 /// Milliseconds as a human duration (`450ms`, `12.3s`, `4m08s`).
 pub fn fmt_ms(ms: u64) -> String {
     if ms < 1_000 {
@@ -498,15 +495,15 @@ pub fn fmt_rate(per_sec: f64) -> String {
     }
 }
 
-/// The most recently modified `*.progress.jsonl` under `dir`.
-pub fn newest_progress_file(dir: &Path) -> Option<PathBuf> {
+/// The most recently modified campaign log (`*.jsonl`) under `dir`.
+pub fn newest_log(dir: &Path) -> Option<PathBuf> {
     std::fs::read_dir(dir)
         .ok()?
         .flatten()
         .filter(|e| {
             e.file_name()
                 .to_str()
-                .is_some_and(|n| n.ends_with(".progress.jsonl"))
+                .is_some_and(|n| n.ends_with(".jsonl"))
         })
         .max_by_key(|e| {
             e.metadata()
@@ -519,75 +516,93 @@ pub fn newest_progress_file(dir: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_telemetry::parse_events;
+    use sim_telemetry::{CellOutcome, LogEntry};
 
-    fn stream(events: &[ProgressEvent]) -> ProgressStreamContents {
-        let mut text = String::new();
-        for e in events {
-            text.push_str(&e.to_json().to_string());
-            text.push('\n');
+    fn log(events: Vec<(u64, CampaignEvent)>) -> CampaignLog {
+        CampaignLog {
+            entries: events
+                .into_iter()
+                .map(|(t_ms, event)| LogEntry {
+                    t_us: t_ms * 1000,
+                    event,
+                })
+                .collect(),
+            torn_tail: false,
         }
-        parse_events(&text).unwrap()
     }
 
-    fn started(total: u64) -> ProgressEvent {
-        ProgressEvent::CampaignStarted {
+    fn started(total: u64) -> CampaignEvent {
+        CampaignEvent::CampaignStarted {
             run: "r1".into(),
             tool: "table4".into(),
             scale: "quick".into(),
-            total,
+            cells: total,
             workers: 2,
-            unix_ms: 1_700_000_000_000,
             trace_id: "tr-00000000deadbeef".into(),
+            resume_command: Some("REPRO_RESUME=r1 table4".into()),
+            unix_ms: 1_700_000_000_000,
         }
     }
 
-    fn finished(cell: &str, outcome: &str, wall_ms: u64, t_ms: u64) -> ProgressEvent {
-        ProgressEvent::CellFinished {
+    fn attempt(cell: &str, attempt: u32) -> CampaignEvent {
+        CampaignEvent::AttemptStarted {
             cell: cell.into(),
-            outcome: outcome.into(),
-            attempts: 1,
+            attempt,
+        }
+    }
+
+    fn finished(cell: &str, status: CellStatus, wall_ms: u64) -> CampaignEvent {
+        CampaignEvent::CellFinished(CellOutcome {
+            cell: cell.into(),
+            status,
+            attempts: u32::from(status != CellStatus::Resumed),
+            deadline_kills: 0,
             wall_ms,
             instructions: 1_000,
-            instr_per_sec: 5e6,
-            reason: (outcome == "err").then(|| "boom".to_string()),
-            t_ms,
+            reason: (status == CellStatus::Err).then(|| "boom\nbacktrace".to_string()),
+            data: (status != CellStatus::Err).then(BTreeMap::new),
+        })
+    }
+
+    fn end() -> CampaignEvent {
+        CampaignEvent::CampaignFinished {
+            ok: 2,
+            failed: 0,
+            cancelled: None,
         }
+    }
+
+    fn beat() -> CampaignEvent {
+        CampaignEvent::Heartbeat { done: 0, active: 1 }
     }
 
     #[test]
     fn fold_reconstructs_live_state_and_counts() {
-        let status = CampaignStatus::from_stream(&stream(&[
-            started(3),
-            ProgressEvent::CellStarted {
-                cell: "t/a".into(),
-                t_ms: 1,
-            },
-            ProgressEvent::CellStarted {
-                cell: "t/b".into(),
-                t_ms: 2,
-            },
-            finished("t/a", "ok", 40, 41),
-            ProgressEvent::CellRetry {
-                cell: "t/b".into(),
-                attempt: 2,
-                reason: "panicked".into(),
-                t_ms: 50,
-            },
-            ProgressEvent::Heartbeat {
-                active_cells: 1,
-                done: 1,
-                total: 3,
-                eta_ms: Some(100),
-                t_ms: 60,
-            },
+        let status = CampaignStatus::from_log(&log(vec![
+            (0, started(3)),
+            (1, attempt("t/a", 1)),
+            (2, attempt("t/b", 1)),
+            (41, finished("t/a", CellStatus::Ok, 40)),
+            (
+                45,
+                CampaignEvent::AttemptFailed {
+                    cell: "t/b".into(),
+                    attempt: 1,
+                    reason: "panicked".into(),
+                    killed: false,
+                },
+            ),
+            (50, attempt("t/b", 2)),
+            (60, beat()),
         ]));
         assert_eq!(status.run, "r1");
         assert_eq!(status.total, 3);
         assert_eq!(status.done(), 1);
         assert_eq!(status.active(), 1);
-        assert_eq!(status.failed, 0);
-        assert_eq!(status.eta_ms, Some(100));
+        assert_eq!(status.failed(), 0);
+        assert_eq!(status.last_t_ms, 60);
+        // 1 of 3 done in 60ms: 120ms to go.
+        assert_eq!(status.eta_ms, Some(120));
         assert!(!status.finished);
         let b = status.cells.iter().find(|c| c.cell == "t/b").unwrap();
         assert_eq!(b.state, CellState::Retrying);
@@ -599,21 +614,12 @@ mod tests {
 
     #[test]
     fn fold_reaches_the_finished_state() {
-        let status = CampaignStatus::from_stream(&stream(&[
-            started(2),
-            ProgressEvent::CellStarted {
-                cell: "t/a".into(),
-                t_ms: 1,
-            },
-            finished("t/a", "ok", 10, 11),
-            finished("t/b", "resumed", 0, 12),
-            ProgressEvent::CampaignFinished {
-                done: 2,
-                failed: 0,
-                total: 2,
-                wall_ms: 13,
-                t_ms: 13,
-            },
+        let status = CampaignStatus::from_log(&log(vec![
+            (0, started(2)),
+            (1, attempt("t/a", 1)),
+            (11, finished("t/a", CellStatus::Ok, 10)),
+            (12, finished("t/b", CellStatus::Resumed, 0)),
+            (13, end()),
         ]));
         assert!(status.finished);
         assert_eq!(status.done(), 2);
@@ -626,23 +632,51 @@ mod tests {
         assert_eq!(json.get("done").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("finished").unwrap().as_bool(), Some(true));
         assert_eq!(json.get("cells").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(
+            json.get("resume_command").unwrap().as_str(),
+            Some("REPRO_RESUME=r1 table4")
+        );
+    }
+
+    #[test]
+    fn a_resumed_run_restarts_the_fold_from_its_own_start() {
+        // Run 1 fails t/b; run 2 (same log, clock continued) restores t/a
+        // and re-runs t/b. The status is run 2's, timed from its start.
+        let status = CampaignStatus::from_log(&log(vec![
+            (0, started(2)),
+            (1, attempt("t/a", 1)),
+            (2, attempt("t/b", 1)),
+            (5, finished("t/a", CellStatus::Ok, 4)),
+            (9, finished("t/b", CellStatus::Err, 7)),
+            (10, end()),
+            (1000, started(2)),
+            (1001, finished("t/a", CellStatus::Resumed, 0)),
+            (1002, attempt("t/b", 1)),
+            (1030, finished("t/b", CellStatus::Ok, 28)),
+            (1031, end()),
+        ]));
+        assert!(status.finished);
+        assert_eq!((status.done(), status.total, status.failed()), (2, 2, 0));
+        assert_eq!(status.last_t_ms, 31);
+        let b = status.cells.iter().find(|c| c.cell == "t/b").unwrap();
+        assert_eq!(
+            (b.state, b.started_ms, b.reason.clone()),
+            (CellState::Ok, Some(2), None)
+        );
     }
 
     #[test]
     fn failed_cells_are_counted_with_their_reason() {
-        let status = CampaignStatus::from_stream(&stream(&[
-            started(1),
-            ProgressEvent::CellStarted {
-                cell: "t/x".into(),
-                t_ms: 1,
-            },
-            finished("t/x", "err", 30, 31),
+        let status = CampaignStatus::from_log(&log(vec![
+            (0, started(1)),
+            (1, attempt("t/x", 1)),
+            (31, finished("t/x", CellStatus::Err, 30)),
         ]));
-        assert_eq!(status.failed, 1);
+        assert_eq!(status.failed(), 1);
         assert_eq!(status.done(), 1);
         let x = &status.cells[0];
         assert_eq!(x.state, CellState::Err);
-        assert_eq!(x.reason.as_deref(), Some("boom"));
+        assert_eq!(x.reason.as_deref(), Some("boom"), "first line only");
         let table = status.render_table();
         assert!(table.contains("boom"), "{table}");
         let timeline = status.render_timeline(5);
@@ -651,23 +685,17 @@ mod tests {
 
     #[test]
     fn stall_detection_uses_measured_heartbeat_interval() {
-        let beat = |t_ms| ProgressEvent::Heartbeat {
-            active_cells: 1,
-            done: 0,
-            total: 2,
-            eta_ms: None,
-            t_ms,
-        };
         // Two beats 250ms apart: the measured interval wins over the
         // 1000ms default, so 3 missed beats is 750ms, not 3s.
-        let live = CampaignStatus::from_stream(&stream(&[started(2), beat(100), beat(350)]));
+        let live =
+            CampaignStatus::from_log(&log(vec![(0, started(2)), (100, beat()), (350, beat())]));
         assert_eq!(live.heartbeat_interval_ms, Some(250));
         assert_eq!(live.expected_beat_ms(), 250);
         assert!(!live.stalled(700));
         assert!(live.stalled(751));
 
         // No measurable interval yet: fall back to the default tick.
-        let fresh = CampaignStatus::from_stream(&stream(&[started(2), beat(100)]));
+        let fresh = CampaignStatus::from_log(&log(vec![(0, started(2)), (100, beat())]));
         assert_eq!(fresh.heartbeat_interval_ms, None);
         assert_eq!(
             fresh.expected_beat_ms(),
@@ -677,37 +705,22 @@ mod tests {
         assert!(fresh.stalled(3_001));
 
         // A finished campaign never stalls: no producer is expected.
-        let done = CampaignStatus::from_stream(&stream(&[
-            started(1),
-            ProgressEvent::CellStarted {
-                cell: "t/a".into(),
-                t_ms: 1,
-            },
-            finished("t/a", "ok", 10, 11),
-            ProgressEvent::CampaignFinished {
-                done: 1,
-                failed: 0,
-                total: 1,
-                wall_ms: 12,
-                t_ms: 12,
-            },
+        let done = CampaignStatus::from_log(&log(vec![
+            (0, started(1)),
+            (1, attempt("t/a", 1)),
+            (11, finished("t/a", CellStatus::Ok, 10)),
+            (12, end()),
         ]));
         assert!(!done.stalled(u64::MAX / (STALL_MISSED_BEATS * 2)));
     }
 
     #[test]
     fn shard_cells_are_labeled_with_cluster_and_weight() {
-        let status = CampaignStatus::from_stream(&stream(&[
-            started(2),
-            ProgressEvent::CellStarted {
-                cell: "table1/perl#p2c37@0.3061".into(),
-                t_ms: 1,
-            },
-            finished("table1/perl#p2c37@0.3061", "ok", 10, 11),
-            ProgressEvent::CellStarted {
-                cell: "table1/gcc".into(),
-                t_ms: 2,
-            },
+        let status = CampaignStatus::from_log(&log(vec![
+            (0, started(2)),
+            (1, attempt("table1/perl#p2c37@0.3061", 1)),
+            (2, attempt("table1/gcc", 1)),
+            (11, finished("table1/perl#p2c37@0.3061", CellStatus::Ok, 10)),
         ]));
         let shard = status
             .cells
@@ -739,16 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn newest_progress_file_picks_the_latest() {
+    fn newest_log_picks_the_latest() {
         let dir = std::env::temp_dir().join(format!("repro-watch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("old.progress.jsonl"), "").unwrap();
+        std::fs::write(dir.join("old.jsonl"), "").unwrap();
         std::fs::write(dir.join("ignored.txt"), "").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        std::fs::write(dir.join("new.progress.jsonl"), "").unwrap();
-        let newest = newest_progress_file(&dir).unwrap();
-        assert!(newest.ends_with("new.progress.jsonl"), "{newest:?}");
+        std::fs::write(dir.join("new.jsonl"), "").unwrap();
+        let newest = newest_log(&dir).unwrap();
+        assert!(newest.ends_with("new.jsonl"), "{newest:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

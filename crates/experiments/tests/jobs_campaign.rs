@@ -5,9 +5,12 @@
 //! These tests assert the operator-visible behavior ISSUE-level tooling
 //! relies on: injected faults fail *one cell* while the rest of the run
 //! prints, failures render as `ERR(reason)` markers and exit status 1,
-//! resuming re-runs only the failed cells, retry recovers flaky cells,
+//! resuming re-runs only the failed cells and appends to the same
+//! campaign log under the same trace id, retry recovers flaky cells,
 //! and operator mistakes exit 2 with guidance instead of a backtrace.
 
+use experiments::watch::CellState;
+use sim_telemetry::{CampaignEvent, CellStatus};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -87,10 +90,11 @@ fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
     assert!(err.contains("REPRO_RESUME=chaos"), "resume hint:\n{err}");
 
     let journal = dir.join("chaos.jsonl");
-    let text = fs::read_to_string(&journal).expect("journal exists");
-    assert!(
-        text.contains("\"err\""),
-        "journal records the failure:\n{text}"
+    let first_log = sim_telemetry::read_events(&journal).expect("campaign log parses");
+    assert_eq!(
+        first_log.last_outcomes()["table4/perl"].status,
+        CellStatus::Err,
+        "the log records the failure"
     );
 
     // Resume without faults: the ok cell is restored, only perl re-runs.
@@ -105,11 +109,42 @@ fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
     assert!(!out.contains("ERR("), "all cells ok after resume:\n{out}");
     assert!(out.contains("restored from journal"), "{out}");
     assert!(out.contains("campaign: 2/2 cells ok"), "{out}");
-    let text = fs::read_to_string(&journal).expect("journal still exists");
-    assert!(
-        !text.contains("\"err\""),
-        "journal rewritten with ok records:\n{text}"
+
+    // The resume appended to the same log: both runs, one trace id.
+    let log = sim_telemetry::read_events(&journal).expect("campaign log parses");
+    let starts: Vec<&str> = log
+        .entries
+        .iter()
+        .filter_map(|e| match &e.event {
+            CampaignEvent::CampaignStarted { trace_id, .. } => Some(trace_id.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(starts.len(), 2, "{starts:?}");
+    assert_eq!(starts[0], starts[1], "one trace id across the resume");
+    assert_eq!(
+        log.entries[..first_log.entries.len()],
+        first_log.entries[..]
     );
+    // The fold: gcc was restored, perl re-ran and succeeded.
+    let last = log.last_outcomes();
+    assert_eq!(last["table4/gcc"].status, CellStatus::Resumed);
+    assert_eq!(last["table4/perl"].status, CellStatus::Ok);
+    let status = experiments::watch::CampaignStatus::from_log(&log);
+    let state = |cell: &str| status.cells.iter().find(|c| c.cell == cell).unwrap().state;
+    assert_eq!(state("table4/gcc"), CellState::Resumed);
+    assert_eq!(state("table4/perl"), CellState::Ok);
+    // repro-top reads the same log to the same verdict.
+    let top = Command::new(env!("CARGO_BIN_EXE_repro-top"))
+        .args(["--json", journal.to_str().unwrap()])
+        .output()
+        .expect("spawn repro-top");
+    assert_eq!(top.status.code(), Some(0), "{}", stderr(&top));
+    let top = sim_telemetry::json::parse(String::from_utf8_lossy(&top.stdout).trim()).unwrap();
+    let field = |k: &str| top.get(k).and_then(sim_telemetry::Json::as_u64);
+    assert_eq!(field("done"), field("total"), "{top:?}");
+    assert_eq!(field("total"), Some(2));
+    assert_eq!(field("failed"), Some(0));
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -92,10 +92,10 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
         );
     }
 
-    // The counts were journaled, so a resumed run restores them.
+    // The counts were logged, so a resumed run restores them.
     let resumed = Journal::resume(&journal_dir, "r1", "pool-prof-test", Scale::Quick).unwrap();
     for record in resumed.records() {
-        assert!(record.ok);
+        assert!(record.ok());
         assert!(record.instructions >= 50_000, "{}", record.cell);
     }
 

@@ -1,12 +1,11 @@
-//! Binary-level contract of the live progress stream: a chaos campaign
-//! (injected panics, retries, parallel workers) must emit a well-formed
-//! stream that reconciles with the resume journal, `repro-top --json`
-//! must agree, and the quiet panic hook must keep injected cell panics
-//! off stderr while still reporting them as retries.
+//! Binary-level contract of the campaign log as a live progress
+//! stream: a chaos campaign (injected panics, retries, parallel workers)
+//! must write a well-formed log, `repro-top --json` and the post-mortem
+//! timeline must agree with it, and the quiet panic hook must keep
+//! injected cell panics off stderr while the log still records them as
+//! retries.
 
-use experiments::jobs::Journal;
-use experiments::runner::Scale;
-use sim_telemetry::{parse_events, read_events, ProgressEvent};
+use sim_telemetry::{parse_events, read_events, CampaignEvent, CellStatus};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -25,8 +24,6 @@ fn run_tool(exe: &str, envs: &[(&str, &str)]) -> Output {
         "REPRO_TELEMETRY",
         "REPRO_TELEMETRY_DIR",
         "REPRO_PROF",
-        "REPRO_PROGRESS",
-        "REPRO_PROGRESS_DIR",
         "REPRO_PROGRESS_TICK_MS",
         "REPRO_FAULTS",
         "REPRO_RUN_ID",
@@ -50,23 +47,22 @@ fn stderr(out: &Output) -> String {
 }
 
 #[test]
-fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
+fn chaos_campaign_writes_a_well_formed_log_and_repro_top_agrees() {
     let dir = scratch("chaos");
-    let progress_dir = dir.join("progress");
     let journal_dir = dir.join("journal");
     let out = run_tool(
         env!("CARGO_BIN_EXE_table2"),
         &[
             ("REPRO_SCALE", "quick"),
             ("REPRO_TELEMETRY", "off"),
-            ("REPRO_PROGRESS", "on"),
-            ("REPRO_PROGRESS_DIR", progress_dir.to_str().unwrap()),
             ("REPRO_PROGRESS_TICK_MS", "25"),
             ("REPRO_JOURNAL_DIR", journal_dir.to_str().unwrap()),
             ("REPRO_RUN_ID", "chaos1"),
             ("REPRO_JOBS", "2"),
-            // table2/gcc panics on its first attempt, then recovers.
-            ("REPRO_FAULTS", "flaky:table2/gcc:1"),
+            // table2/gcc panics on its first attempt, then recovers;
+            // table2/perl's delay keeps the campaign alive for several
+            // heartbeat ticks.
+            ("REPRO_FAULTS", "flaky:table2/gcc:1,delay:table2/perl:200"),
         ],
     );
     assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr(&out));
@@ -79,36 +75,35 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
         stderr(&out)
     );
 
-    let stream_path = progress_dir.join("chaos1.progress.jsonl");
-    let stream = read_events(&stream_path).expect("stream parses");
-    assert!(!stream.torn_tail, "a finished campaign has no torn tail");
+    let log_path = journal_dir.join("chaos1.jsonl");
+    let log = read_events(&log_path).expect("log parses");
+    assert!(!log.torn_tail, "a finished campaign has no torn tail");
 
     // Bookends: campaign-started first, campaign-finished last.
-    match stream.events.first() {
-        Some(ProgressEvent::CampaignStarted {
+    match log.entries.first().map(|e| &e.event) {
+        Some(CampaignEvent::CampaignStarted {
             run,
             tool,
             scale,
-            total,
+            cells,
             workers,
             ..
         }) => {
             assert_eq!(run, "chaos1");
             assert_eq!(tool, "table2");
             assert_eq!(scale, "quick");
-            assert_eq!(*total, 8);
+            assert_eq!(*cells, 8);
             assert_eq!(*workers, 2);
         }
         other => panic!("first event must be campaign-started, got {other:?}"),
     }
-    match stream.events.last() {
-        Some(ProgressEvent::CampaignFinished {
-            done,
+    match log.entries.last().map(|e| &e.event) {
+        Some(CampaignEvent::CampaignFinished {
+            ok,
             failed,
-            total,
-            ..
+            cancelled,
         }) => {
-            assert_eq!((*done, *failed, *total), (8, 0, 8));
+            assert_eq!((*ok, *failed, cancelled.as_deref()), (8, 0, None));
         }
         other => panic!("last event must be campaign-finished, got {other:?}"),
     }
@@ -116,26 +111,23 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
     // Every started cell finished exactly once; the flaky cell retried.
     let mut started: BTreeMap<&str, u64> = BTreeMap::new();
     let mut finished: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut retried: Vec<(&str, u64)> = Vec::new();
+    let mut retried: Vec<(&str, u32)> = Vec::new();
+    let mut failures: Vec<(&str, u32)> = Vec::new();
     let mut beats: Vec<(u64, u64)> = Vec::new();
-    for event in &stream.events {
-        match event {
-            ProgressEvent::CellStarted { cell, .. } => {
+    for entry in &log.entries {
+        match &entry.event {
+            CampaignEvent::AttemptStarted { cell, attempt: 1 } => {
                 *started.entry(cell).or_insert(0) += 1;
             }
-            ProgressEvent::CellFinished {
-                cell,
-                outcome,
-                attempts,
-                ..
-            } => {
-                *finished.entry(cell).or_insert(0) += 1;
-                let expected_attempts = if cell == "table2/gcc" { 2 } else { 1 };
-                assert_eq!(outcome, "ok", "{cell}");
-                assert_eq!(*attempts, expected_attempts, "{cell}");
+            CampaignEvent::AttemptStarted { cell, attempt } => retried.push((cell, *attempt)),
+            CampaignEvent::AttemptFailed { cell, attempt, .. } => failures.push((cell, *attempt)),
+            CampaignEvent::CellFinished(o) => {
+                *finished.entry(&o.cell).or_insert(0) += 1;
+                let expected_attempts = if o.cell == "table2/gcc" { 2 } else { 1 };
+                assert_eq!(o.status, CellStatus::Ok, "{}", o.cell);
+                assert_eq!(o.attempts, expected_attempts, "{}", o.cell);
             }
-            ProgressEvent::CellRetry { cell, attempt, .. } => retried.push((cell, *attempt)),
-            ProgressEvent::Heartbeat { done, t_ms, .. } => beats.push((*t_ms, *done)),
+            CampaignEvent::Heartbeat { done, .. } => beats.push((entry.t_us, *done)),
             _ => {}
         }
     }
@@ -143,33 +135,19 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
     assert_eq!(finished, started, "every started cell finished once");
     assert!(started.values().all(|&n| n == 1), "{started:?}");
     assert_eq!(retried, vec![("table2/gcc", 2)], "{retried:?}");
+    assert_eq!(failures, vec![("table2/gcc", 1)], "{failures:?}");
 
-    // Heartbeats are monotone in both time and completed work, and the
-    // closing beat reports everything done.
-    assert!(!beats.is_empty(), "sampler at 25ms must have ticked");
+    // Stamps are monotone; the scheduler's heartbeats (a 200ms campaign
+    // on a 25ms tick) are monotone in completed work.
+    assert!(log.entries.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+    assert!(beats.len() >= 2, "25ms tick over 200ms: {beats:?}");
     for pair in beats.windows(2) {
-        assert!(pair[0].0 <= pair[1].0, "t_ms monotone: {beats:?}");
         assert!(pair[0].1 <= pair[1].1, "done monotone: {beats:?}");
-    }
-    assert_eq!(beats.last().unwrap().1, 8, "{beats:?}");
-
-    // The stream reconciles with the resume journal: same cells, all ok.
-    let journal = Journal::resume(&journal_dir, "chaos1", "table2", Scale::Quick).unwrap();
-    let records: Vec<_> = journal.records().collect();
-    assert_eq!(records.len(), 8);
-    for record in &records {
-        assert!(record.ok, "{}", record.cell);
-        assert_eq!(
-            finished.get(record.cell.as_str()),
-            Some(&1),
-            "{}",
-            record.cell
-        );
     }
 
     // repro-top --json reports the same campaign: done == total.
     let top = Command::new(env!("CARGO_BIN_EXE_repro-top"))
-        .args(["--json", stream_path.to_str().unwrap()])
+        .args(["--json", log_path.to_str().unwrap()])
         .output()
         .expect("spawn repro-top");
     assert_eq!(top.status.code(), Some(0), "{}", stderr(&top));
@@ -180,9 +158,9 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
     assert_eq!(status.get("failed").unwrap().as_u64(), Some(0));
     assert_eq!(status.get("finished").unwrap().as_bool(), Some(true));
 
-    // The post-mortem viewer renders the same stream.
+    // The post-mortem viewer renders the same log.
     let report = Command::new(env!("CARGO_BIN_EXE_telemetry-report"))
-        .args(["--progress", stream_path.to_str().unwrap()])
+        .args(["--progress", log_path.to_str().unwrap()])
         .output()
         .expect("spawn telemetry-report");
     assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
@@ -199,13 +177,13 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
     // Torn-tail tolerance end to end: a crash mid-append leaves a
     // partial final line, and the viewers still read everything before
     // it.
-    let torn_path = dir.join("torn.progress.jsonl");
-    let mut torn = std::fs::read_to_string(&stream_path).unwrap();
+    let torn_path = dir.join("torn.jsonl");
+    let mut torn = std::fs::read_to_string(&log_path).unwrap();
     torn.push_str("{\"event\":\"heartbeat\",\"done\":9");
     std::fs::write(&torn_path, &torn).unwrap();
-    let reread = parse_events(&torn).unwrap();
+    let reread = parse_events(&torn, "torn.jsonl").unwrap();
     assert!(reread.torn_tail);
-    assert_eq!(reread.events.len(), stream.events.len());
+    assert_eq!(reread.entries.len(), log.entries.len());
     let top = Command::new(env!("CARGO_BIN_EXE_repro-top"))
         .args(["--json", torn_path.to_str().unwrap()])
         .output()
@@ -215,30 +193,22 @@ fn chaos_campaign_emits_a_reconcilable_stream_and_repro_top_agrees() {
     assert_eq!(status.get("torn_tail").unwrap().as_bool(), Some(true));
     assert_eq!(status.get("done").unwrap().as_u64(), Some(8));
 
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn progress_off_writes_no_stream() {
-    let dir = scratch("off");
-    let progress_dir = dir.join("progress");
-    let journal_dir = dir.join("journal");
-    let out = run_tool(
-        env!("CARGO_BIN_EXE_table2"),
-        &[
-            ("REPRO_SCALE", "quick"),
-            ("REPRO_TELEMETRY", "off"),
-            ("REPRO_PROGRESS", "off"),
-            ("REPRO_PROGRESS_DIR", progress_dir.to_str().unwrap()),
-            ("REPRO_JOURNAL_DIR", journal_dir.to_str().unwrap()),
-            ("REPRO_RUN_ID", "silent1"),
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr(&out));
+    // The same fragment newline-terminated is corruption: refused with
+    // the file and line, exit 2.
+    torn.push('\n');
+    std::fs::write(&torn_path, &torn).unwrap();
+    let top = Command::new(env!("CARGO_BIN_EXE_repro-top"))
+        .args(["--json", torn_path.to_str().unwrap()])
+        .output()
+        .expect("spawn repro-top");
+    assert_eq!(top.status.code(), Some(2), "{}", stderr(&top));
+    let line = log.entries.len() + 1;
     assert!(
-        !progress_dir.exists(),
-        "REPRO_PROGRESS=off must not even create the directory"
+        stderr(&top).contains(&format!("torn.jsonl:{line}:")),
+        "{}",
+        stderr(&top)
     );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -249,12 +219,16 @@ fn a_typoed_progress_knob_is_an_operator_error() {
         env!("CARGO_BIN_EXE_table2"),
         &[
             ("REPRO_SCALE", "quick"),
-            ("REPRO_PROGRESS", "yes-please"),
+            ("REPRO_PROGRESS_TICK_MS", "fast"),
             ("REPRO_JOURNAL_DIR", dir.to_str().unwrap()),
         ],
     );
     assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
-    assert!(stderr(&out).contains("REPRO_PROGRESS"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("REPRO_PROGRESS_TICK_MS"),
+        "{}",
+        stderr(&out)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,7 +5,8 @@
 //! resume command and trace-store stats surfaced by `GET /status`, warm
 //! second requests reporting zero store misses, bounded admission
 //! shedding with `429` + `Retry-After`, mid-campaign `DELETE` stopping
-//! at a cell boundary with a journal a resume request then skips, abuse
+//! at a cell boundary with a campaign log a resume request then restores
+//! from into its own log, abuse
 //! resilience (malformed bodies, slow-loris, mid-body disconnects), and
 //! a clean SIGTERM drain (exit 0).
 
@@ -16,6 +17,7 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use sim_telemetry::json::{self, Json};
+use sim_telemetry::{CampaignEvent, CampaignLog, CellOutcome, CellStatus};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-serve-{tag}-{}", std::process::id()));
@@ -46,8 +48,6 @@ fn spawn_daemon(tag: &str, envs: &[(&str, &str)]) -> Daemon {
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
         "REPRO_TELEMETRY_DIR",
-        "REPRO_PROGRESS",
-        "REPRO_PROGRESS_DIR",
         "REPRO_FAULTS",
         "REPRO_RUN_ID",
         "REPRO_RESUME",
@@ -170,18 +170,23 @@ fn state_of(doc: &Json) -> &str {
     doc.get("state").and_then(Json::as_str).unwrap_or("?")
 }
 
-/// Counts ok cell records in a serve-namespace journal.
-fn journal_ok_cells(root: &Path, ns_id: &str, run_id: &str) -> usize {
+/// A request's campaign log, parsed.
+fn request_log(root: &Path, id: &str) -> CampaignLog {
     let path = root
         .join("serve")
-        .join(ns_id)
+        .join(id)
         .join("journal")
-        .join(format!("{run_id}.jsonl"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read journal {}: {e}", path.display()));
-    text.lines()
-        .filter_map(|line| json::parse(line).ok())
-        .filter(|v| v.get("status").and_then(Json::as_str) == Some("ok"))
+        .join(format!("{id}.jsonl"));
+    sim_telemetry::read_events(&path).unwrap_or_else(|e| panic!("read campaign log: {e}"))
+}
+
+/// Counts the cells a request's campaign log would restore: those whose
+/// last outcome carries data.
+fn journal_ok_cells(root: &Path, id: &str) -> usize {
+    request_log(root, id)
+        .last_outcomes()
+        .values()
+        .filter(|o| o.ok())
         .count()
 }
 
@@ -386,13 +391,14 @@ fn delete_stops_at_a_cell_boundary_and_resume_skips_journaled_cells() {
     assert_eq!(state_of(&doc), "cancelled", "{doc:?}");
     // Cell-boundary contract: at least one cell journaled ok, at least
     // one never ran (it would have taken 4 × 300ms to finish all four).
-    let journaled = journal_ok_cells(&daemon.root, &id, &id);
+    let journaled = journal_ok_cells(&daemon.root, &id);
     assert!(
         (1..4).contains(&journaled),
         "expected a partial journal, got {journaled}/4 ok cells"
     );
 
-    // Resume: a new request picks up the journal and runs only the rest.
+    // Resume: a new request restores from that log and runs only the
+    // rest.
     let resume_body = format!(
         r#"{{"experiment": "table2",
             "benchmarks": ["compress", "gcc", "go", "perl"],
@@ -407,21 +413,34 @@ fn delete_stops_at_a_cell_boundary_and_resume_skips_journaled_cells() {
         .to_string();
     let doc = wait_terminal(&daemon.addr, &id2);
     assert_eq!(state_of(&doc), "done", "{doc:?}");
-    // The shared journal now has all four cells...
-    assert_eq!(journal_ok_cells(&daemon.root, &id, &id), 4);
-    // ...and the resumed run restored (not re-ran) the journaled ones.
-    let progress = std::fs::read_to_string(
-        daemon
-            .root
-            .join("serve")
-            .join(&id2)
-            .join("progress")
-            .join(format!("{id2}.progress.jsonl")),
-    )
-    .expect("resumed run's progress stream");
-    assert!(
-        progress.contains("\"resumed\""),
-        "resume must restore journaled cells: {progress}"
+    // The resumed request's own log holds all four cells, so it alone
+    // serves status and any later resume; the prior log is untouched...
+    assert_eq!(journal_ok_cells(&daemon.root, &id2), 4);
+    assert_eq!(journal_ok_cells(&daemon.root, &id), journaled);
+    // ...and it restored (not re-ran) the cells the prior log finished:
+    // right after its start line come their `resumed` outcomes, data
+    // included, under the prior request's trace id.
+    let log = request_log(&daemon.root, &id2);
+    let resumed: Vec<&CellOutcome> = log.entries[1..]
+        .iter()
+        .map_while(|e| match &e.event {
+            CampaignEvent::CellFinished(o) if o.status == CellStatus::Resumed => Some(o),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resumed.len(), journaled, "{:?}", log.entries);
+    assert!(resumed.iter().all(|o| o.data.is_some()));
+    let trace_id = |log: &CampaignLog| match log.header() {
+        Some(CampaignEvent::CampaignStarted { trace_id, .. }) => trace_id.clone(),
+        other => panic!("no campaign-started: {other:?}"),
+    };
+    assert_eq!(trace_id(&log), trace_id(&request_log(&daemon.root, &id)));
+    assert_eq!(
+        doc.get("progress")
+            .and_then(|p| p.get("done"))
+            .and_then(Json::as_u64),
+        Some(4),
+        "GET /status folds the resumed request's own log: {doc:?}"
     );
 }
 

@@ -1,17 +1,16 @@
-//! End-to-end contract of the sim-flight observability layer, exercised
-//! through a real table binary (`table4`) and the `trace-viz` operator
-//! tool.
+//! End-to-end contract of the campaign log's correlation views,
+//! exercised through a real table binary (`table4`) and the `trace-viz`
+//! operator tool.
 //!
 //! Covered here: `REPRO_TRACE_EXPORT=chrome` writes a strictly valid
-//! Chrome trace export for a faulted campaign; one trace id correlates
-//! the journal header, the progress stream, the telemetry manifest, the
-//! trace export, and the flight dump; a cell that exhausts its retries
-//! leaves **exactly one** flight dump whose trailing event reconciles
-//! with the journal's error record; and `trace-viz` verify/summary/
-//! merge round-trip the export.
+//! Chrome trace export — a fold of the campaign log — for a faulted
+//! campaign; one trace id correlates the log's first line, the
+//! telemetry manifest, the trace export, and the driver's stdout; the
+//! log's final outcome for the faulted cell is the injected failure;
+//! and `trace-viz` verify/summary/merge round-trip the export.
 
 use sim_telemetry::json::{self, Json};
-use sim_telemetry::traceviz;
+use sim_telemetry::{traceviz, CampaignEvent, CellStatus};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -31,8 +30,6 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
         "REPRO_TELEMETRY_DIR",
-        "REPRO_PROGRESS",
-        "REPRO_PROGRESS_DIR",
         "REPRO_FAULTS",
         "REPRO_RUN_ID",
         "REPRO_RESUME",
@@ -45,19 +42,14 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
         "REPRO_TRACE_STORE_DIR",
         "REPRO_TRACE_EXPORT",
         "REPRO_TRACEVIZ_DIR",
-        "REPRO_FLIGHT_DIR",
-        "REPRO_FLIGHT_CAP",
     ] {
         cmd.env_remove(var);
     }
     cmd.env("REPRO_SCALE", "quick")
         .env("REPRO_TELEMETRY", "summary")
         .env("REPRO_TELEMETRY_DIR", dir.join("telemetry"))
-        .env("REPRO_PROGRESS", "on")
-        .env("REPRO_PROGRESS_DIR", dir.join("progress"))
         .env("REPRO_TRACE_EXPORT", "chrome")
         .env("REPRO_TRACEVIZ_DIR", dir.join("traceviz"))
-        .env("REPRO_FLIGHT_DIR", dir.join("flightrec"))
         .env("REPRO_JOURNAL_DIR", dir.join("journal"))
         .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
         .env("REPRO_BACKOFF_MS", "1");
@@ -98,32 +90,32 @@ fn one_trace_id_correlates_every_artifact_of_a_faulted_campaign() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The journal header owns the canonical trace id.
-    let journal_text =
-        fs::read_to_string(dir.join("journal").join("flt.jsonl")).expect("journal exists");
-    let header = json::parse(journal_text.lines().next().unwrap()).expect("journal header");
-    let trace_id = header
-        .get("trace_id")
-        .and_then(Json::as_str)
-        .expect("journal header carries trace_id")
-        .to_string();
+    // The log's first line owns the canonical trace id.
+    let log_path = dir.join("journal").join("flt.jsonl");
+    let log = sim_telemetry::read_events(&log_path).expect("campaign log parses");
+    let Some(CampaignEvent::CampaignStarted { trace_id, .. }) = log.header() else {
+        panic!("the log opens with campaign-started: {log:?}");
+    };
+    let first_line = fs::read_to_string(&log_path).unwrap();
+    let first_line = first_line.lines().next().unwrap();
+    assert!(first_line.contains(trace_id.as_str()), "{first_line}");
     assert!(trace_id.starts_with("tr-"), "{trace_id}");
 
     // The driver banner surfaces the same id to the operator.
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains(&trace_id),
+        stdout.contains(trace_id.as_str()),
         "banner carries the id:\n{stdout}"
     );
 
-    // The progress stream's campaign-started event carries it.
-    let progress = fs::read_to_string(dir.join("progress").join("flt.progress.jsonl"))
-        .expect("progress stream exists");
-    let started = json::parse(progress.lines().next().unwrap()).expect("campaign-started");
-    assert_eq!(
-        started.get("trace_id").and_then(Json::as_str),
-        Some(trace_id.as_str()),
-        "{progress}"
+    // The log's final outcome for the faulted cell is the injected
+    // failure, after every attempt.
+    let perl = &log.last_outcomes()["table4/perl"];
+    assert_eq!(perl.status, CellStatus::Err, "{perl:?}");
+    assert_eq!(perl.attempts, 3, "{perl:?}");
+    assert!(
+        perl.reason.as_deref().unwrap_or("").contains("injected"),
+        "{perl:?}"
     );
 
     // The telemetry manifest carries it.
@@ -142,51 +134,14 @@ fn one_trace_id_correlates_every_artifact_of_a_faulted_campaign() {
     assert_eq!(summary.trace_id.as_deref(), Some(trace_id.as_str()));
     assert_eq!(summary.run.as_deref(), Some("flt"));
     // Three failed perl attempts + one ok gcc cell = four cell slices,
-    // plus whatever span slices the telemetry hub contributed.
+    // plus whatever span slices the telemetry hub contributed; perl's
+    // two retries are the instants.
     assert!(summary.complete >= 4, "{summary:?}");
-    assert!(
-        summary.instants >= 2,
-        "retry instants exported: {summary:?}"
-    );
+    assert_eq!(summary.instants, 2, "retry instants exported: {summary:?}");
     assert!(
         summary.lanes >= 2,
         "control lane + worker lane: {summary:?}"
     );
-
-    // The flight dump carries it too — and reconciles with the journal:
-    // its trailing event is the cell failure the journal also records.
-    let dump_path = dir.join("flightrec").join("flt.flight.jsonl");
-    let dump_text = fs::read_to_string(&dump_path).expect("flight dump exists");
-    let dump_header = json::parse(dump_text.lines().next().unwrap()).expect("dump header");
-    assert_eq!(
-        dump_header.get("trace_id").and_then(Json::as_str),
-        Some(trace_id.as_str())
-    );
-    assert_eq!(
-        dump_header.get("reason").and_then(Json::as_str),
-        Some("cell-failed")
-    );
-    let last = json::parse(dump_text.lines().last().unwrap()).expect("dump tail");
-    assert_eq!(last.get("kind").and_then(Json::as_str), Some("cell-failed"));
-    assert_eq!(last.get("cell").and_then(Json::as_str), Some("table4/perl"));
-    assert!(
-        journal_text.lines().skip(1).any(|line| {
-            json::parse(line).is_ok_and(|r| {
-                r.get("cell").and_then(Json::as_str) == Some("table4/perl")
-                    && r.get("status").and_then(Json::as_str) == Some("err")
-            })
-        }),
-        "the dumped failure must already be journaled:\n{journal_text}"
-    );
-
-    // Exactly one flight dump per run: every trigger rewrites the same
-    // single-writer path.
-    let dumps: Vec<_> = fs::read_dir(dir.join("flightrec"))
-        .expect("flightrec dir")
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(dumps, vec!["flt.flight.jsonl".to_string()], "{dumps:?}");
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,10 @@
-//! `repro-top --follow --strict` stall detection: a progress stream
+//! `repro-top --follow --strict` stall detection: a campaign log
 //! whose producer died (hung daemon, `kill -9`) stops growing, and the
 //! follower must fail fast with exit 3 instead of redrawing forever.
 
-use sim_telemetry::{ProgressEvent, ProgressWriter};
+use experiments::jobs::Journal;
+use experiments::Scale;
+use sim_telemetry::CampaignEvent;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -14,47 +16,33 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A plausible unfinished stream from a producer that heartbeat every
-/// 50ms and then died: the follower must measure the 50ms interval from
-/// the stream and declare a stall after ~3 missed beats, not after 3 ×
-/// the 1000ms default.
-fn write_dead_stream(dir: &std::path::Path) -> PathBuf {
-    let writer = ProgressWriter::create(dir, "dead-run").expect("create stream");
-    writer
-        .emit(&ProgressEvent::CampaignStarted {
-            run: "dead-run".into(),
-            tool: "table2".into(),
-            scale: "quick".into(),
-            total: 4,
-            workers: 1,
-            unix_ms: 0,
-            trace_id: "tr-00000000feedface".into(),
-        })
-        .unwrap();
-    writer
-        .emit(&ProgressEvent::CellStarted {
+/// A plausible unfinished log, written through the campaign log writer
+/// by a producer that heartbeat every 50ms and then died: the follower
+/// must measure the 50ms interval from the log and declare a stall
+/// after ~3 missed beats, not after 3 × the 1000ms default. Returns the
+/// log path and its trace id.
+fn write_dead_log(dir: &std::path::Path) -> (PathBuf, String) {
+    let mut journal = Journal::create(dir, "dead-run", "table2", Scale::Quick, 4).unwrap();
+    journal.append(journal.start_event(1)).unwrap();
+    journal
+        .append(CampaignEvent::AttemptStarted {
             cell: "table2/perl".into(),
-            t_ms: 1,
+            attempt: 1,
         })
         .unwrap();
-    for beat in 1..=2u64 {
-        writer
-            .emit(&ProgressEvent::Heartbeat {
-                active_cells: 1,
-                done: 0,
-                total: 4,
-                eta_ms: None,
-                t_ms: beat * 50,
-            })
+    for _ in 0..2 {
+        std::thread::sleep(Duration::from_millis(50));
+        journal
+            .append(CampaignEvent::Heartbeat { done: 0, active: 1 })
             .unwrap();
     }
-    writer.path().to_path_buf()
+    (journal.path().to_path_buf(), journal.trace_id().to_string())
 }
 
 #[test]
 fn strict_follow_exits_3_on_a_stalled_stream() {
     let dir = scratch("strict");
-    let stream = write_dead_stream(&dir);
+    let (log, _) = write_dead_log(&dir);
 
     let started = Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_repro-top"))
@@ -63,7 +51,7 @@ fn strict_follow_exits_3_on_a_stalled_stream() {
             "--strict",
             "--interval",
             "25",
-            stream.to_str().unwrap(),
+            log.to_str().unwrap(),
         ])
         .output()
         .expect("spawn repro-top");
@@ -84,12 +72,12 @@ fn strict_follow_exits_3_on_a_stalled_stream() {
 #[test]
 fn non_strict_follow_reports_the_stall_but_keeps_watching() {
     let dir = scratch("lenient");
-    let stream = write_dead_stream(&dir);
+    let (log, trace_id) = write_dead_log(&dir);
 
     // Without --strict the follower must NOT exit on a stall; give it
     // ample time to (wrongly) do so, then kill it.
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro-top"))
-        .args(["--follow", "--interval", "25", stream.to_str().unwrap()])
+        .args(["--follow", "--interval", "25", log.to_str().unwrap()])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -108,12 +96,12 @@ fn non_strict_follow_reports_the_stall_but_keeps_watching() {
         "the live view must carry the STALLED banner"
     );
     assert!(
-        stdout.contains("[tr-00000000feedface]"),
+        stdout.contains(&format!("[{trace_id}]")),
         "the header must carry the campaign's trace id:\n{stdout}"
     );
     assert!(
-        stdout.contains("flight dump") && stdout.contains("dead-run.flight.jsonl"),
-        "the STALLED banner must point at the flight dump path:\n{stdout}"
+        stdout.contains("last events are at the tail of") && stdout.contains("dead-run.jsonl"),
+        "the STALLED banner must point at the log:\n{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

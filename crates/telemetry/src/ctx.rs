@@ -14,15 +14,10 @@
 //! | `REPRO_TELEMETRY` | `mode` | `off` |
 //! | `REPRO_PROF` | `prof` | `spans` |
 //! | `REPRO_TELEMETRY_DIR` | `dir` | `results/telemetry` |
-//! | `REPRO_PROGRESS` | `progress` | `off` |
-//! | `REPRO_PROGRESS_DIR` | `progress_dir` | `results/progress` |
 //! | `REPRO_PROGRESS_TICK_MS` | `progress_tick` | `1000` |
 //! | `REPRO_TRACE_EXPORT` | `trace_export` | `off` |
 //! | `REPRO_TRACEVIZ_DIR` | `traceviz_dir` | `results/traceviz` |
-//! | `REPRO_FLIGHT_DIR` | `flight_dir` | `results/flightrec` |
-//! | `REPRO_FLIGHT_CAP` | `flight_capacity` | `256` |
 
-use crate::flight::DEFAULT_FLIGHT_CAPACITY;
 use crate::prof::ProfMode;
 use crate::TelemetryMode;
 use std::path::PathBuf;
@@ -30,14 +25,10 @@ use std::time::Duration;
 
 /// Default output directory for session manifests and event streams.
 pub const DEFAULT_TELEMETRY_DIR: &str = "results/telemetry";
-/// Default output directory for campaign progress streams.
-pub const DEFAULT_PROGRESS_DIR: &str = "results/progress";
-/// Default heartbeat/sampler period in milliseconds.
+/// Default campaign-log heartbeat period in milliseconds.
 pub const DEFAULT_PROGRESS_TICK_MS: u64 = 1000;
 /// Default output directory for Chrome trace exports.
 pub const DEFAULT_TRACEVIZ_DIR: &str = "results/traceviz";
-/// Default output directory for flight-recorder dumps.
-pub const DEFAULT_FLIGHT_DIR: &str = "results/flightrec";
 
 /// Which trace-export format a campaign writes (`REPRO_TRACE_EXPORT`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,20 +73,13 @@ pub struct TelemetryConfig {
     pub prof: ProfMode,
     /// Where manifests/events/folded stacks go (`REPRO_TELEMETRY_DIR`).
     pub dir: PathBuf,
-    /// Whether campaigns write a live progress stream (`REPRO_PROGRESS`).
-    pub progress: bool,
-    /// Where progress streams go (`REPRO_PROGRESS_DIR`).
-    pub progress_dir: PathBuf,
-    /// Heartbeat/sampler period (`REPRO_PROGRESS_TICK_MS`).
+    /// How often the campaign log gets a heartbeat
+    /// (`REPRO_PROGRESS_TICK_MS`).
     pub progress_tick: Duration,
     /// Trace-export format (`REPRO_TRACE_EXPORT`).
     pub trace_export: TraceExportMode,
     /// Where Chrome trace exports go (`REPRO_TRACEVIZ_DIR`).
     pub traceviz_dir: PathBuf,
-    /// Where flight-recorder dumps go (`REPRO_FLIGHT_DIR`).
-    pub flight_dir: PathBuf,
-    /// Flight-recorder ring capacity (`REPRO_FLIGHT_CAP`).
-    pub flight_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -104,13 +88,9 @@ impl Default for TelemetryConfig {
             mode: TelemetryMode::Off,
             prof: ProfMode::Spans,
             dir: PathBuf::from(DEFAULT_TELEMETRY_DIR),
-            progress: false,
-            progress_dir: PathBuf::from(DEFAULT_PROGRESS_DIR),
             progress_tick: Duration::from_millis(DEFAULT_PROGRESS_TICK_MS),
             trace_export: TraceExportMode::Off,
             traceviz_dir: PathBuf::from(DEFAULT_TRACEVIZ_DIR),
-            flight_dir: PathBuf::from(DEFAULT_FLIGHT_DIR),
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -142,16 +122,6 @@ impl TelemetryConfig {
                 cfg.dir = PathBuf::from(v);
             }
         }
-        cfg.progress = match std::env::var("REPRO_PROGRESS") {
-            Ok(v) if v.is_empty() => false,
-            Ok(v) => parse_progress(&v)?,
-            Err(_) => false,
-        };
-        if let Ok(v) = std::env::var("REPRO_PROGRESS_DIR") {
-            if !v.is_empty() {
-                cfg.progress_dir = PathBuf::from(v);
-            }
-        }
         if let Ok(v) = std::env::var("REPRO_PROGRESS_TICK_MS") {
             if !v.is_empty() {
                 cfg.progress_tick = Duration::from_millis(parse_tick_ms(&v)?);
@@ -167,30 +137,7 @@ impl TelemetryConfig {
                 cfg.traceviz_dir = PathBuf::from(v);
             }
         }
-        if let Ok(v) = std::env::var("REPRO_FLIGHT_DIR") {
-            if !v.is_empty() {
-                cfg.flight_dir = PathBuf::from(v);
-            }
-        }
-        if let Ok(v) = std::env::var("REPRO_FLIGHT_CAP") {
-            if !v.is_empty() {
-                cfg.flight_capacity = parse_flight_cap(&v)?;
-            }
-        }
         Ok(cfg)
-    }
-}
-
-/// Accepted `REPRO_PROGRESS` values, for error messages.
-pub const PROGRESS_ACCEPTED: &str = "off, on";
-
-fn parse_progress(value: &str) -> Result<bool, String> {
-    match value.to_ascii_lowercase().as_str() {
-        "off" | "none" | "0" => Ok(false),
-        "on" | "1" => Ok(true),
-        other => Err(format!(
-            "unrecognized REPRO_PROGRESS value {other:?}; accepted values: {PROGRESS_ACCEPTED}"
-        )),
     }
 }
 
@@ -205,16 +152,6 @@ fn parse_tick_ms(value: &str) -> Result<u64, String> {
     }
 }
 
-fn parse_flight_cap(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(0) => Err("REPRO_FLIGHT_CAP must be a positive integer (events)".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "unrecognized REPRO_FLIGHT_CAP value {value:?}; expected a positive integer (events)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,13 +162,9 @@ mod tests {
         assert_eq!(cfg.mode, TelemetryMode::Off);
         assert_eq!(cfg.prof, ProfMode::Spans);
         assert_eq!(cfg.dir, PathBuf::from(DEFAULT_TELEMETRY_DIR));
-        assert!(!cfg.progress);
-        assert_eq!(cfg.progress_dir, PathBuf::from(DEFAULT_PROGRESS_DIR));
         assert_eq!(cfg.progress_tick, Duration::from_millis(1000));
         assert_eq!(cfg.trace_export, TraceExportMode::Off);
         assert_eq!(cfg.traceviz_dir, PathBuf::from(DEFAULT_TRACEVIZ_DIR));
-        assert_eq!(cfg.flight_dir, PathBuf::from(DEFAULT_FLIGHT_DIR));
-        assert_eq!(cfg.flight_capacity, DEFAULT_FLIGHT_CAPACITY);
     }
 
     #[test]
@@ -249,29 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn flight_cap_parses_strictly() {
-        assert_eq!(parse_flight_cap("512"), Ok(512));
-        assert!(parse_flight_cap("0").is_err());
-        assert!(parse_flight_cap("lots").is_err());
-    }
-
-    #[test]
     fn off_config_disables_profiling_too() {
         let cfg = TelemetryConfig::off();
         assert_eq!(cfg.prof, ProfMode::Off);
         assert!(!cfg.mode.enabled());
-    }
-
-    #[test]
-    fn progress_values_parse_strictly() {
-        assert_eq!(parse_progress("on"), Ok(true));
-        assert_eq!(parse_progress("ON"), Ok(true));
-        assert_eq!(parse_progress("1"), Ok(true));
-        assert_eq!(parse_progress("off"), Ok(false));
-        assert_eq!(parse_progress("0"), Ok(false));
-        let err = parse_progress("yes").unwrap_err();
-        assert!(err.contains("REPRO_PROGRESS"), "{err}");
-        assert!(err.contains("off, on"), "{err}");
     }
 
     #[test]

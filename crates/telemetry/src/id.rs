@@ -1,17 +1,16 @@
 //! Correlation identifiers joining every artifact of one run.
 //!
 //! A [`TraceId`] is minted once per campaign (or per `repro-serve`
-//! request) and then written into every artifact the run produces — the
-//! progress stream's `campaign-started` event, the journal header, the
-//! run manifest, the flight-recorder dump, the Chrome trace export, and
-//! the `/status` response — so one grep over `results/` joins all the
-//! silos for a run:
+//! request), written into the campaign log's `campaign-started` line,
+//! and kept across every resume of that campaign. The run manifest, the
+//! Chrome trace export, the driver banner, and `repro-serve`'s
+//! `/status` carry it too, so one grep over `results/` joins them:
 //!
 //! ```text
-//! $ grep -r tr-9f2ab04c71d3e586 results/
-//! results/progress/chaos.progress.jsonl:{"event":"campaign-started","trace_id":"tr-9f2ab04c71d3e586",...}
-//! results/journal/chaos.jsonl:{"journal":1,"trace_id":"tr-9f2ab04c71d3e586",...}
-//! results/flightrec/chaos.flight.jsonl:{"flight":1,"trace_id":"tr-9f2ab04c71d3e586",...}
+//! $ grep -rl tr-9f2ab04c71d3e586 results/
+//! results/journal/chaos.jsonl
+//! results/telemetry/repro_all.manifest.json
+//! results/traceviz/chaos.trace.json
 //! ```
 //!
 //! Ids are minted from a SplitMix64 stream seeded with the wall clock,

@@ -23,14 +23,15 @@
 //!   together: configuration snapshot, per-benchmark counters copied from
 //!   the simulator's own statistics, span totals, and the metrics
 //!   snapshot.
+//! - [`CampaignEvent`] / [`LogEntry`] — the typed vocabulary of the
+//!   append-only campaign log and its one strict parser
+//!   ([`parse_events`]); resume, live status, the Chrome export, and the
+//!   manifest `cells` array are all folds of that log ([`progress`]).
 //! - [`TraceId`] / [`SpanId`] — correlation ids minted once per
-//!   campaign and stamped into every artifact, so one grep joins the
-//!   progress stream, journal, manifest, flight dump, and trace export.
-//! - [`FlightRecorder`] — the always-on bounded ring of recent
-//!   structured events, dumped atomically on panic, cell failure,
-//!   deadline sweep, or drain ([`flight`]).
-//! - [`TraceCollector`] — Chrome trace-event export of cell lifecycles
-//!   and span phases, loadable in Perfetto ([`traceviz`]).
+//!   campaign and stamped into the campaign log, the manifest, and the
+//!   trace export, so one grep joins them.
+//! - [`ChromeTrace`] — Chrome trace-event export of a campaign log's
+//!   attempts plus the span phases, loadable in Perfetto ([`traceviz`]).
 //!
 //! All JSON is hand-rolled ([`json`]) — escaping, a value tree, and a
 //! strict parser — because the environment has no serde.
@@ -41,7 +42,6 @@
 
 pub mod ctx;
 pub mod event;
-pub mod flight;
 pub mod fsio;
 pub mod id;
 pub mod json;
@@ -49,16 +49,14 @@ pub mod manifest;
 pub mod metrics;
 pub mod prof;
 pub mod progress;
-pub mod sampler;
 pub mod span;
 pub mod traceviz;
 
 pub use ctx::{
-    TelemetryConfig, TraceExportMode, DEFAULT_FLIGHT_DIR, DEFAULT_PROGRESS_DIR,
-    DEFAULT_PROGRESS_TICK_MS, DEFAULT_TELEMETRY_DIR, DEFAULT_TRACEVIZ_DIR,
+    TelemetryConfig, TraceExportMode, DEFAULT_PROGRESS_TICK_MS, DEFAULT_TELEMETRY_DIR,
+    DEFAULT_TRACEVIZ_DIR,
 };
 pub use event::{write_jsonl, Event, EventRing, EventSink, DEFAULT_RING_CAPACITY};
-pub use flight::{flight_path, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fsio::{atomic_write, atomic_write_str};
 pub use id::{SpanId, TraceId};
 pub use json::Json;
@@ -69,12 +67,11 @@ pub use metrics::{
 };
 pub use prof::{HotProfiler, PhaseStat, PhaseTimer, ProfMode};
 pub use progress::{
-    eta_ms, parse_events, progress_path, read_events, ProgressEvent, ProgressStreamContents,
-    ProgressWriter,
+    eta_ms, parse_events, read_events, CampaignEvent, CampaignLog, CellOutcome, CellStatus,
+    LogEntry, LOG_FORMAT,
 };
-pub use sampler::Sampler;
 pub use span::{SpanGuard, SpanRegistry, SpanStat};
-pub use traceviz::{trace_path, TraceCollector, TraceSummary};
+pub use traceviz::{trace_path, ChromeTrace, TraceSummary};
 
 /// How much telemetry an experiment run captures.
 ///

@@ -9,6 +9,7 @@
 use crate::json::{obj, Json};
 use crate::metrics::MetricsSnapshot;
 use crate::prof::PhaseStat;
+use crate::progress::{CellOutcome, CellStatus};
 use crate::span::SpanRegistry;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -132,8 +133,24 @@ impl CellRecord {
     }
 }
 
-/// One fixed-tick snapshot of a running campaign, as captured by the
-/// progress sampler into the manifest's `timeseries` section.
+impl From<&CellOutcome> for CellRecord {
+    /// The manifest `cells` view of one logged outcome.
+    fn from(o: &CellOutcome) -> CellRecord {
+        CellRecord {
+            cell: o.cell.clone(),
+            ok: o.ok(),
+            attempts: o.attempts,
+            deadline_kills: o.deadline_kills,
+            resumed: o.status == CellStatus::Resumed,
+            reason: o.reason.clone(),
+            wall_ms: o.wall_ms,
+            instructions: o.instructions,
+        }
+    }
+}
+
+/// One fixed-tick snapshot of a running campaign, captured at each
+/// campaign-log heartbeat into the manifest's `timeseries` section.
 ///
 /// Rows give the manifest the same "phase behavior over time" lens the
 /// SimPoint line of work applies to programs: how throughput and cell
@@ -146,8 +163,8 @@ pub struct SampleRow {
     pub done: u64,
     /// Cells with an attempt in flight at this tick.
     pub active: u64,
-    /// Cumulative values of key counters at this tick (subset of the
-    /// metrics registry, chosen by the sampler).
+    /// Cumulative values of the metrics registry's counters at this
+    /// tick.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -199,8 +216,8 @@ pub struct RunManifest {
     pub wall_ns: u64,
     /// Hot-path phase totals (`REPRO_PROF=full` only; empty otherwise).
     pub hot_phases: Vec<PhaseStat>,
-    /// Fixed-tick campaign snapshots from the progress sampler
-    /// (`REPRO_PROGRESS=on` campaigns only; empty otherwise).
+    /// Fixed-tick campaign snapshots taken at each campaign-log
+    /// heartbeat (empty for runs without heartbeats).
     pub timeseries: Vec<SampleRow>,
 }
 

@@ -1,410 +1,476 @@
-//! The live campaign progress stream.
+//! The campaign log: one typed, append-only event vocabulary.
 //!
-//! A running campaign is observable through one append-only JSONL file,
-//! `<dir>/<run-id>.progress.jsonl`. The writer ([`ProgressWriter`])
-//! appends exactly one complete line per event; the reader
-//! ([`read_events`]) tolerates a torn trailing line (a crash or a
-//! concurrent append caught mid-write) by skipping it, so `repro-top`
-//! can tail a stream that is still being written.
-//!
-//! Event vocabulary, in the order a campaign emits them:
+//! Every campaign writes exactly one JSONL file, `<journal-dir>/<run-id>.jsonl`,
+//! through the experiments crate's `jobs::Journal`, whose only caller is
+//! the pool scheduler. Each line is one [`LogEntry`]: a
+//! [`CampaignEvent`] stamped with `t_us`, microseconds on the
+//! campaign's monotonic clock (a resumed campaign continues the clock
+//! from the log's last stamp, so `t_us` never decreases within a file).
 //!
 //! | event | fields |
 //! |-------|--------|
-//! | `campaign-started` | `run`, `tool`, `scale`, `total`, `workers`, `unix_ms`, `trace_id` |
-//! | `cell-started` | `cell`, `t_ms` |
-//! | `cell-retry` | `cell`, `attempt`, `reason`, `t_ms` |
-//! | `cell-finished` | `cell`, `outcome` (`ok`/`err`/`resumed`), `attempts`, `wall_ms`, `instructions`, `instr_per_sec`, `reason?`, `t_ms` |
-//! | `heartbeat` | `active_cells`, `done`, `total`, `eta_ms?`, `t_ms` |
-//! | `campaign-finished` | `done`, `failed`, `total`, `wall_ms`, `t_ms` |
+//! | `campaign-started` | `format`, `run`, `tool`, `scale`, `cells`, `workers`, `trace_id`, `resume_command?`, `unix_ms` |
+//! | `attempt-started` | `cell`, `attempt` |
+//! | `attempt-failed` | `cell`, `attempt`, `reason`, `killed` (deadline kill) |
+//! | `cell-finished` | `cell`, `status` (`ok`/`err`/`resumed`), `attempts`, `deadline_kills`, `wall_ms`, `instructions`, `reason?`, `data?` |
+//! | `heartbeat` | `done`, `active` |
+//! | `campaign-finished` | `ok`, `failed`, `cancelled?` |
 //!
-//! `t_ms` is milliseconds since `campaign-started` (monotonic clock), so
-//! two events from the same stream can always be ordered and diffed
-//! without trusting the wall clock.
+//! Every other campaign artifact is a fold of this log: the resume map
+//! ([`CampaignLog::last_outcomes`]), the live status (`repro-top`,
+//! `repro-serve`'s `/status`), the Chrome trace export
+//! ([`crate::traceviz::from_log`]), and the manifest `cells` array
+//! ([`CampaignLog::segment_outcomes`]). They agree by construction.
+//!
+//! One parser ([`parse_events`]) serves all of them and is strict: the
+//! first line must be a `campaign-started` event of the current
+//! [`LOG_FORMAT`], and any newline-terminated line that does not parse
+//! is an error naming the line. Only an unterminated final line — a
+//! crash or a concurrent reader catching an append mid-write — is a
+//! torn tail; it is skipped, and the cell it described re-runs.
 
 use crate::json::{obj, parse, Json};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::path::Path;
 
-/// One progress event, as written to (and parsed from) the stream.
+/// The log format version carried by every `campaign-started` event.
+/// Format 1 was the rewrite-on-every-outcome journal that preceded the
+/// append-only log (header `{"journal":1,...}`); it cannot be resumed.
+pub const LOG_FORMAT: u64 = 2;
+
+/// How a cell's final outcome came about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellStatus {
+    /// Produced data this run.
+    Ok,
+    /// Failed after retries, or was cancelled before it resolved.
+    Err,
+    /// Restored from an earlier log without running.
+    Resumed,
+}
+
+impl CellStatus {
+    /// The status as written in the log.
+    pub fn name(self) -> &'static str {
+        match self {
+            CellStatus::Ok => "ok",
+            CellStatus::Err => "err",
+            CellStatus::Resumed => "resumed",
+        }
+    }
+
+    fn parse(text: &str) -> Result<CellStatus, String> {
+        match text {
+            "ok" => Ok(CellStatus::Ok),
+            "err" => Ok(CellStatus::Err),
+            "resumed" => Ok(CellStatus::Resumed),
+            other => Err(format!("unrecognized cell status {other:?}")),
+        }
+    }
+}
+
+/// One cell's final outcome, as logged.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ProgressEvent {
-    /// The campaign was scheduled: identity plus the cell count.
+pub struct CellOutcome {
+    /// Cell id (`table4/perl`).
+    pub cell: String,
+    /// How the outcome came about.
+    pub status: CellStatus,
+    /// Attempts executed this run (0 when resumed).
+    pub attempts: u32,
+    /// Attempts killed by the deadline.
+    pub deadline_kills: u32,
+    /// Wall-clock milliseconds across this run's attempts.
+    pub wall_ms: u64,
+    /// Simulated instructions processed (for a resumed cell: the count
+    /// its restored outcome carried).
+    pub instructions: u64,
+    /// The failure reason (`err` only).
+    pub reason: Option<String>,
+    /// The cell's named results (`ok` and `resumed` only).
+    pub data: Option<BTreeMap<String, f64>>,
+}
+
+impl CellOutcome {
+    /// Whether the cell has data (`ok` or `resumed`).
+    pub fn ok(&self) -> bool {
+        self.status != CellStatus::Err
+    }
+}
+
+/// One campaign lifecycle event.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CampaignEvent {
+    /// A campaign (or a resume of one) began.
     CampaignStarted {
-        /// Run id (journal name).
+        /// Run id (the log's file stem).
         run: String,
         /// Tool name (`repro_all`, `table4`, …).
         tool: String,
         /// Scale name (`quick`, `standard`, `full`).
         scale: String,
-        /// Cells scheduled (including any later restored from journal).
-        total: u64,
+        /// Cells scheduled, restored ones included.
+        cells: u64,
         /// Worker threads.
         workers: u64,
-        /// Wall-clock milliseconds since the unix epoch at start.
-        unix_ms: u64,
-        /// The campaign's correlation id (`tr-…`; empty in streams
-        /// written before correlation ids existed).
+        /// The campaign's correlation id (`tr-…`), kept across resumes.
         trace_id: String,
+        /// The copy-pasteable command that resumes this log.
+        resume_command: Option<String>,
+        /// Wall-clock milliseconds since the unix epoch.
+        unix_ms: u64,
     },
-    /// A cell's first attempt was spawned.
-    CellStarted {
-        /// Cell id (`table4/perl`).
-        cell: String,
-        /// Milliseconds since campaign start.
-        t_ms: u64,
-    },
-    /// A retry attempt was spawned after a failure.
-    CellRetry {
+    /// An attempt was spawned (attempt 2 and up are retries).
+    AttemptStarted {
         /// Cell id.
         cell: String,
-        /// The attempt number being started (2 = first retry).
-        attempt: u64,
-        /// The failure that triggered the retry (first line).
+        /// Attempt number, from 1.
+        attempt: u32,
+    },
+    /// An attempt failed, or the deadline detached it.
+    AttemptFailed {
+        /// Cell id.
+        cell: String,
+        /// The attempt that failed.
+        attempt: u32,
+        /// The failure, first line only.
         reason: String,
-        /// Milliseconds since campaign start.
-        t_ms: u64,
+        /// Whether the deadline killed it.
+        killed: bool,
     },
     /// A cell reached its final outcome.
-    CellFinished {
-        /// Cell id.
-        cell: String,
-        /// `ok`, `err`, or `resumed` (restored from a journal).
-        outcome: String,
-        /// Attempts executed (0 when resumed).
-        attempts: u64,
-        /// Wall-clock milliseconds across the attempts.
-        wall_ms: u64,
-        /// Simulated instructions processed.
-        instructions: u64,
-        /// Throughput at the final outcome.
-        instr_per_sec: f64,
-        /// Failure reason when `outcome` is `err`.
-        reason: Option<String>,
-        /// Milliseconds since campaign start.
-        t_ms: u64,
-    },
-    /// A sampler tick: how the campaign is doing right now.
+    CellFinished(CellOutcome),
+    /// The scheduler's periodic liveness beat.
     Heartbeat {
-        /// Cells with an attempt currently in flight.
-        active_cells: u64,
-        /// Cells with a final outcome (including resumed).
+        /// Cells with a final outcome.
         done: u64,
-        /// Cells scheduled.
-        total: u64,
-        /// Estimated milliseconds to completion (absent before any
-        /// cell finishes).
-        eta_ms: Option<u64>,
-        /// Milliseconds since campaign start.
-        t_ms: u64,
+        /// Cells with an attempt in flight.
+        active: u64,
     },
-    /// The campaign resolved every cell.
+    /// The campaign resolved or cancelled every cell.
     CampaignFinished {
-        /// Cells that produced data.
-        done: u64,
-        /// Cells that failed after retries.
+        /// Cells with data.
+        ok: u64,
+        /// Cells without.
         failed: u64,
-        /// Cells scheduled.
-        total: u64,
-        /// Campaign wall-clock milliseconds.
-        wall_ms: u64,
-        /// Milliseconds since campaign start.
-        t_ms: u64,
+        /// Why the campaign was cancelled, if it was.
+        cancelled: Option<String>,
     },
 }
 
-impl ProgressEvent {
+impl CampaignEvent {
     /// The event's tag, as written in the `event` field.
     pub fn name(&self) -> &'static str {
         match self {
-            ProgressEvent::CampaignStarted { .. } => "campaign-started",
-            ProgressEvent::CellStarted { .. } => "cell-started",
-            ProgressEvent::CellRetry { .. } => "cell-retry",
-            ProgressEvent::CellFinished { .. } => "cell-finished",
-            ProgressEvent::Heartbeat { .. } => "heartbeat",
-            ProgressEvent::CampaignFinished { .. } => "campaign-finished",
+            CampaignEvent::CampaignStarted { .. } => "campaign-started",
+            CampaignEvent::AttemptStarted { .. } => "attempt-started",
+            CampaignEvent::AttemptFailed { .. } => "attempt-failed",
+            CampaignEvent::CellFinished(_) => "cell-finished",
+            CampaignEvent::Heartbeat { .. } => "heartbeat",
+            CampaignEvent::CampaignFinished { .. } => "campaign-finished",
         }
     }
+}
 
-    /// The event as a single-line JSON object.
+/// One log line: an event and its stamp.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LogEntry {
+    /// Microseconds on the campaign's monotonic clock.
+    pub t_us: u64,
+    /// What happened.
+    pub event: CampaignEvent,
+}
+
+impl LogEntry {
+    /// The entry as one JSON object.
     pub fn to_json(&self) -> Json {
-        let tag = ("event", Json::from(self.name()));
-        match self {
-            ProgressEvent::CampaignStarted {
+        let mut fields = vec![
+            ("event", Json::from(self.event.name())),
+            ("t_us", Json::from(self.t_us)),
+        ];
+        match &self.event {
+            CampaignEvent::CampaignStarted {
                 run,
                 tool,
                 scale,
-                total,
+                cells,
                 workers,
-                unix_ms,
                 trace_id,
-            } => obj([
-                tag,
-                ("run", Json::from(run.as_str())),
-                ("tool", Json::from(tool.as_str())),
-                ("scale", Json::from(scale.as_str())),
-                ("total", Json::from(*total)),
-                ("workers", Json::from(*workers)),
-                ("unix_ms", Json::from(*unix_ms)),
-                ("trace_id", Json::from(trace_id.as_str())),
-            ]),
-            ProgressEvent::CellStarted { cell, t_ms } => obj([
-                tag,
+                resume_command,
+                unix_ms,
+            } => {
+                fields.extend([
+                    ("format", Json::from(LOG_FORMAT)),
+                    ("run", Json::from(run.as_str())),
+                    ("tool", Json::from(tool.as_str())),
+                    ("scale", Json::from(scale.as_str())),
+                    ("cells", Json::from(*cells)),
+                    ("workers", Json::from(*workers)),
+                    ("trace_id", Json::from(trace_id.as_str())),
+                    ("unix_ms", Json::from(*unix_ms)),
+                ]);
+                if let Some(cmd) = resume_command {
+                    fields.push(("resume_command", Json::from(cmd.as_str())));
+                }
+            }
+            CampaignEvent::AttemptStarted { cell, attempt } => fields.extend([
                 ("cell", Json::from(cell.as_str())),
-                ("t_ms", Json::from(*t_ms)),
+                ("attempt", Json::from(u64::from(*attempt))),
             ]),
-            ProgressEvent::CellRetry {
+            CampaignEvent::AttemptFailed {
                 cell,
                 attempt,
                 reason,
-                t_ms,
-            } => obj([
-                tag,
+                killed,
+            } => fields.extend([
                 ("cell", Json::from(cell.as_str())),
-                ("attempt", Json::from(*attempt)),
+                ("attempt", Json::from(u64::from(*attempt))),
                 ("reason", Json::from(reason.as_str())),
-                ("t_ms", Json::from(*t_ms)),
+                ("killed", Json::from(*killed)),
             ]),
-            ProgressEvent::CellFinished {
-                cell,
-                outcome,
-                attempts,
-                wall_ms,
-                instructions,
-                instr_per_sec,
-                reason,
-                t_ms,
-            } => {
-                let mut fields = match obj([
-                    tag,
-                    ("cell", Json::from(cell.as_str())),
-                    ("outcome", Json::from(outcome.as_str())),
-                    ("attempts", Json::from(*attempts)),
-                    ("wall_ms", Json::from(*wall_ms)),
-                    ("instructions", Json::from(*instructions)),
-                    ("instr_per_sec", Json::from(*instr_per_sec)),
-                    ("t_ms", Json::from(*t_ms)),
-                ]) {
-                    Json::Obj(fields) => fields,
-                    _ => unreachable!("obj() builds an object"),
-                };
-                if let Some(reason) = reason {
-                    fields.insert("reason".to_string(), Json::from(reason.as_str()));
+            CampaignEvent::CellFinished(o) => {
+                fields.extend([
+                    ("cell", Json::from(o.cell.as_str())),
+                    ("status", Json::from(o.status.name())),
+                    ("attempts", Json::from(u64::from(o.attempts))),
+                    ("deadline_kills", Json::from(u64::from(o.deadline_kills))),
+                    ("wall_ms", Json::from(o.wall_ms)),
+                    ("instructions", Json::from(o.instructions)),
+                ]);
+                if let Some(reason) = &o.reason {
+                    fields.push(("reason", Json::from(reason.as_str())));
                 }
-                Json::Obj(fields)
-            }
-            ProgressEvent::Heartbeat {
-                active_cells,
-                done,
-                total,
-                eta_ms,
-                t_ms,
-            } => {
-                let mut fields = match obj([
-                    tag,
-                    ("active_cells", Json::from(*active_cells)),
-                    ("done", Json::from(*done)),
-                    ("total", Json::from(*total)),
-                    ("t_ms", Json::from(*t_ms)),
-                ]) {
-                    Json::Obj(fields) => fields,
-                    _ => unreachable!("obj() builds an object"),
-                };
-                if let Some(eta) = eta_ms {
-                    fields.insert("eta_ms".to_string(), Json::from(*eta));
+                if let Some(data) = &o.data {
+                    let data = data.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
+                    fields.push(("data", Json::Obj(data.collect())));
                 }
-                Json::Obj(fields)
             }
-            ProgressEvent::CampaignFinished {
-                done,
+            CampaignEvent::Heartbeat { done, active } => {
+                fields.extend([("done", Json::from(*done)), ("active", Json::from(*active))])
+            }
+            CampaignEvent::CampaignFinished {
+                ok,
                 failed,
-                total,
-                wall_ms,
-                t_ms,
-            } => obj([
-                tag,
-                ("done", Json::from(*done)),
-                ("failed", Json::from(*failed)),
-                ("total", Json::from(*total)),
-                ("wall_ms", Json::from(*wall_ms)),
-                ("t_ms", Json::from(*t_ms)),
-            ]),
+                cancelled,
+            } => {
+                fields.extend([("ok", Json::from(*ok)), ("failed", Json::from(*failed))]);
+                if let Some(reason) = cancelled {
+                    fields.push(("cancelled", Json::from(reason.as_str())));
+                }
+            }
         }
+        obj(fields)
     }
 
-    /// Parses one event back out of its JSON object form.
-    pub fn from_json(v: &Json) -> Result<ProgressEvent, String> {
+    /// Parses one entry back out of its JSON object form.
+    pub fn from_json(v: &Json) -> Result<LogEntry, String> {
         let s = |k: &str| {
             v.get(k)
                 .and_then(Json::as_str)
                 .map(String::from)
-                .ok_or_else(|| format!("event missing string {k:?}"))
+                .ok_or_else(|| format!("missing string {k:?}"))
         };
         let u = |k: &str| {
             v.get(k)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("event missing numeric {k:?}"))
+                .ok_or_else(|| format!("missing integer {k:?}"))
         };
-        match v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or("line has no \"event\" field")?
-        {
-            "campaign-started" => Ok(ProgressEvent::CampaignStarted {
+        let u32_of = |k: &str| u(k).map(|n| n.min(u64::from(u32::MAX)) as u32);
+        let opt = |k: &str| v.get(k).and_then(Json::as_str).map(String::from);
+        let event = match v.get("event").and_then(Json::as_str) {
+            Some("campaign-started") => CampaignEvent::CampaignStarted {
                 run: s("run")?,
                 tool: s("tool")?,
                 scale: s("scale")?,
-                total: u("total")?,
+                cells: u("cells")?,
                 workers: u("workers")?,
+                trace_id: s("trace_id")?,
+                resume_command: opt("resume_command"),
                 unix_ms: u("unix_ms")?,
-                // Lenient: streams written before correlation ids
-                // existed parse with an empty trace id.
-                trace_id: v
-                    .get("trace_id")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            }),
-            "cell-started" => Ok(ProgressEvent::CellStarted {
+            },
+            Some("attempt-started") => CampaignEvent::AttemptStarted {
                 cell: s("cell")?,
-                t_ms: u("t_ms")?,
-            }),
-            "cell-retry" => Ok(ProgressEvent::CellRetry {
+                attempt: u32_of("attempt")?,
+            },
+            Some("attempt-failed") => CampaignEvent::AttemptFailed {
                 cell: s("cell")?,
-                attempt: u("attempt")?,
+                attempt: u32_of("attempt")?,
                 reason: s("reason")?,
-                t_ms: u("t_ms")?,
-            }),
-            "cell-finished" => Ok(ProgressEvent::CellFinished {
-                cell: s("cell")?,
-                outcome: s("outcome")?,
-                attempts: u("attempts")?,
-                wall_ms: u("wall_ms")?,
-                instructions: u("instructions")?,
-                instr_per_sec: v.get("instr_per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-                reason: v.get("reason").and_then(Json::as_str).map(String::from),
-                t_ms: u("t_ms")?,
-            }),
-            "heartbeat" => Ok(ProgressEvent::Heartbeat {
-                active_cells: u("active_cells")?,
+                killed: v
+                    .get("killed")
+                    .and_then(Json::as_bool)
+                    .ok_or("missing boolean \"killed\"")?,
+            },
+            Some("cell-finished") => {
+                let cell = s("cell")?;
+                let status = CellStatus::parse(&s("status")?)?;
+                let data = match v.get("data") {
+                    Some(Json::Obj(fields)) => Some(
+                        fields
+                            .iter()
+                            .map(|(k, n)| {
+                                n.as_f64()
+                                    .map(|n| (k.clone(), n))
+                                    .ok_or_else(|| format!("data key {k:?} is not a number"))
+                            })
+                            .collect::<Result<BTreeMap<_, _>, String>>()?,
+                    ),
+                    Some(_) => return Err("\"data\" must be an object".to_string()),
+                    None => None,
+                };
+                if (status != CellStatus::Err) != data.is_some() {
+                    return Err(format!(
+                        "{} outcome for {cell:?} must carry data iff it is not an error",
+                        status.name()
+                    ));
+                }
+                CampaignEvent::CellFinished(CellOutcome {
+                    cell,
+                    status,
+                    attempts: u32_of("attempts")?,
+                    deadline_kills: u32_of("deadline_kills")?,
+                    wall_ms: u("wall_ms")?,
+                    instructions: u("instructions")?,
+                    reason: opt("reason"),
+                    data,
+                })
+            }
+            Some("heartbeat") => CampaignEvent::Heartbeat {
                 done: u("done")?,
-                total: u("total")?,
-                eta_ms: v.get("eta_ms").and_then(Json::as_u64),
-                t_ms: u("t_ms")?,
-            }),
-            "campaign-finished" => Ok(ProgressEvent::CampaignFinished {
-                done: u("done")?,
+                active: u("active")?,
+            },
+            Some("campaign-finished") => CampaignEvent::CampaignFinished {
+                ok: u("ok")?,
                 failed: u("failed")?,
-                total: u("total")?,
-                wall_ms: u("wall_ms")?,
-                t_ms: u("t_ms")?,
-            }),
-            other => Err(format!("unrecognized event {other:?}")),
-        }
-    }
-}
-
-/// The progress file path for a run id.
-pub fn progress_path(dir: &Path, run_id: &str) -> PathBuf {
-    dir.join(format!("{run_id}.progress.jsonl"))
-}
-
-/// An open progress stream: line-atomic appends to one JSONL file.
-///
-/// Every event is serialized to a complete `line + '\n'` buffer first
-/// and appended with a single `write` syscall under a mutex, so
-/// concurrent emitters (the scheduler and the heartbeat sampler) never
-/// interleave partial lines. A crash can still tear the *final* line —
-/// which is exactly the case [`read_events`] tolerates.
-#[derive(Debug)]
-pub struct ProgressWriter {
-    path: PathBuf,
-    file: Mutex<File>,
-}
-
-impl ProgressWriter {
-    /// Creates (truncating) the progress file for `run_id` under `dir`.
-    pub fn create(dir: &Path, run_id: &str) -> std::io::Result<ProgressWriter> {
-        std::fs::create_dir_all(dir)?;
-        let path = progress_path(dir, run_id);
-        // One mutex-serialized handle does all the writing, so plain
-        // write mode suffices; O_APPEND is only needed for multiple
-        // handles (and cannot be combined with truncate anyway).
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(ProgressWriter {
-            path,
-            file: Mutex::new(file),
+                cancelled: opt("cancelled"),
+            },
+            Some(other) => return Err(format!("unrecognized event {other:?}")),
+            None => return Err("line has no \"event\" field".to_string()),
+        };
+        Ok(LogEntry {
+            t_us: u("t_us")?,
+            event,
         })
     }
-
-    /// The stream's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one event as a complete line. Errors are returned, not
-    /// panicked: a full disk must degrade observability, never the
-    /// campaign itself (callers log and carry on).
-    pub fn emit(&self, event: &ProgressEvent) -> std::io::Result<()> {
-        let mut line = event.to_json().to_string();
-        line.push('\n');
-        let mut file = self.file.lock().expect("progress writer poisoned");
-        file.write_all(line.as_bytes())?;
-        file.flush()
-    }
 }
 
-/// A parsed progress stream: the events plus whether a torn trailing
-/// line was skipped.
+/// A parsed campaign log.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProgressStreamContents {
-    /// Events in stream order.
-    pub events: Vec<ProgressEvent>,
-    /// Whether the file ended in a partial (torn) line that was skipped.
+pub struct CampaignLog {
+    /// Entries in file order.
+    pub entries: Vec<LogEntry>,
+    /// Whether an unterminated final line was skipped.
     pub torn_tail: bool,
 }
 
-/// Parses a progress stream's text.
-///
-/// The final line is allowed to be torn — unterminated, or terminated
-/// but unparseable (a crash mid-append) — and is skipped with
-/// `torn_tail: true`. Corruption anywhere *else* is a loud error naming
-/// the line: only the tail can legitimately be mid-write.
-pub fn parse_events(text: &str) -> Result<ProgressStreamContents, String> {
-    let mut events = Vec::new();
-    let mut torn_tail = false;
-    let ends_complete = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let last = i + 1 == lines.len();
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|v| ProgressEvent::from_json(&v));
-        match parsed {
-            Ok(event) => events.push(event),
-            Err(_) if last && !ends_complete => {
-                torn_tail = true;
-            }
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
-        }
+impl CampaignLog {
+    /// The first `campaign-started` event: the campaign's identity.
+    pub fn header(&self) -> Option<&CampaignEvent> {
+        self.entries.first().map(|e| &e.event)
     }
-    Ok(ProgressStreamContents { events, torn_tail })
+
+    /// The entries since the last `campaign-started` — what the most
+    /// recent invocation (a fresh run or the latest resume) wrote.
+    pub fn last_segment(&self) -> &[LogEntry] {
+        let start = self
+            .entries
+            .iter()
+            .rposition(|e| matches!(e.event, CampaignEvent::CampaignStarted { .. }))
+            .unwrap_or(0);
+        &self.entries[start..]
+    }
+
+    /// The resume map: the last logged outcome of every cell, across
+    /// every run of the campaign.
+    pub fn last_outcomes(&self) -> BTreeMap<String, CellOutcome> {
+        outcomes(&self.entries)
+    }
+
+    /// The last outcome of every cell the most recent invocation
+    /// resolved — the manifest `cells` view.
+    pub fn segment_outcomes(&self) -> BTreeMap<String, CellOutcome> {
+        outcomes(self.last_segment())
+    }
 }
 
-/// Reads and parses a progress file. See [`parse_events`].
-pub fn read_events(path: &Path) -> Result<ProgressStreamContents, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_events(&text).map_err(|e| format!("{}: {e}", path.display()))
+fn outcomes(entries: &[LogEntry]) -> BTreeMap<String, CellOutcome> {
+    let mut map = BTreeMap::new();
+    for entry in entries {
+        if let CampaignEvent::CellFinished(outcome) = &entry.event {
+            map.insert(outcome.cell.clone(), outcome.clone());
+        }
+    }
+    map
+}
+
+/// Parses a campaign log's text; `source` names it in errors.
+///
+/// Only an unterminated final line is a torn tail: it is skipped with
+/// `torn_tail: true`. Every newline-terminated line must parse — a
+/// terminated but unparseable last line is an error like any other —
+/// and the first complete line must be a `campaign-started` event of
+/// format [`LOG_FORMAT`]. Errors name `source` and the line, and end
+/// with the "start a fresh run" guidance. An empty text parses to an
+/// empty log (a campaign caught before its first line).
+pub fn parse_events(text: &str, source: &str) -> Result<CampaignLog, String> {
+    let mut log = CampaignLog::default();
+    let mut rest = text;
+    let mut line_no = 0usize;
+    while !rest.is_empty() {
+        line_no += 1;
+        let Some(end) = rest.find('\n') else {
+            log.torn_tail = true;
+            break;
+        };
+        let line = &rest[..end];
+        rest = &rest[end + 1..];
+        let fail = |what: String| format!("{source}:{line_no}: {what}; start a fresh run");
+        let value = parse(line).map_err(|e| fail(format!("corrupt campaign log line: {e}")))?;
+        if line_no == 1 {
+            if let Some(v) = value.get("journal").and_then(Json::as_u64) {
+                return Err(fail(format!(
+                    "a format-{v} journal, written before the append-only campaign log, \
+                     cannot be read"
+                )));
+            }
+            match value.get("format").and_then(Json::as_u64) {
+                Some(LOG_FORMAT) => {}
+                Some(v) => {
+                    return Err(fail(format!(
+                        "campaign log format {v} is not supported (expected {LOG_FORMAT})"
+                    )))
+                }
+                None => {
+                    return Err(fail(
+                        "not a campaign log: the first line is not a campaign-started event"
+                            .to_string(),
+                    ))
+                }
+            }
+        }
+        let entry = LogEntry::from_json(&value).map_err(fail)?;
+        log.entries.push(entry);
+    }
+    Ok(log)
+}
+
+/// Reads and parses a campaign log file. See [`parse_events`]; a torn
+/// tail may end mid-character, so only the newline-terminated prefix
+/// must be UTF-8.
+pub fn read_events(path: &Path) -> Result<CampaignLog, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let complete = complete_len(&bytes);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| format!("{}: not UTF-8 ({e}); start a fresh run", path.display()))?;
+    let mut log = parse_events(text, &path.display().to_string())?;
+    log.torn_tail = complete < bytes.len();
+    Ok(log)
+}
+
+/// The length of `bytes` up to and including its last newline: the
+/// complete lines of a log, without any torn tail.
+pub fn complete_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
 /// Estimated milliseconds to completion, from completed work so far.
@@ -430,120 +496,190 @@ pub fn eta_ms(done: u64, total: u64, elapsed_ms: u64) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<ProgressEvent> {
+    fn entry(t_us: u64, event: CampaignEvent) -> LogEntry {
+        LogEntry { t_us, event }
+    }
+
+    fn outcome(cell: &str, status: CellStatus, attempts: u32) -> CellOutcome {
+        CellOutcome {
+            cell: cell.into(),
+            status,
+            attempts,
+            deadline_kills: 0,
+            wall_ms: 80,
+            instructions: 100_000,
+            reason: (status == CellStatus::Err).then(|| "panicked: injected".to_string()),
+            // Values must round-trip exactly: a restored cell renders
+            // the same table slot as the run that computed it.
+            data: (status != CellStatus::Err).then(|| {
+                BTreeMap::from([
+                    ("rate".to_string(), 0.7619047619047619),
+                    ("instructions".to_string(), 1_234_567.0),
+                    ("zero".to_string(), 0.0),
+                ])
+            }),
+        }
+    }
+
+    fn started() -> CampaignEvent {
+        CampaignEvent::CampaignStarted {
+            run: "r1".into(),
+            tool: "table4".into(),
+            scale: "quick".into(),
+            cells: 2,
+            workers: 4,
+            trace_id: "tr-9f2ab04c71d3e586".into(),
+            resume_command: Some("REPRO_SCALE=quick REPRO_RESUME=r1 table4".into()),
+            unix_ms: 1_700_000_000_000,
+        }
+    }
+
+    fn sample_entries() -> Vec<LogEntry> {
         vec![
-            ProgressEvent::CampaignStarted {
-                run: "r1".into(),
-                tool: "table4".into(),
-                scale: "quick".into(),
-                total: 2,
-                workers: 4,
-                unix_ms: 1_700_000_000_000,
-                trace_id: "tr-9f2ab04c71d3e586".into(),
-            },
-            ProgressEvent::CellStarted {
-                cell: "table4/gcc".into(),
-                t_ms: 1,
-            },
-            ProgressEvent::CellRetry {
-                cell: "table4/gcc".into(),
-                attempt: 2,
-                reason: "panicked: injected".into(),
-                t_ms: 40,
-            },
-            ProgressEvent::Heartbeat {
-                active_cells: 1,
-                done: 0,
-                total: 2,
-                eta_ms: None,
-                t_ms: 50,
-            },
-            ProgressEvent::CellFinished {
-                cell: "table4/gcc".into(),
-                outcome: "ok".into(),
-                attempts: 2,
-                wall_ms: 80,
-                instructions: 100_000,
-                instr_per_sec: 1_250_000.0,
-                reason: None,
-                t_ms: 81,
-            },
-            ProgressEvent::CampaignFinished {
-                done: 2,
-                failed: 0,
-                total: 2,
-                wall_ms: 95,
-                t_ms: 95,
-            },
+            entry(0, started()),
+            entry(
+                5,
+                CampaignEvent::AttemptStarted {
+                    cell: "table4/gcc".into(),
+                    attempt: 1,
+                },
+            ),
+            entry(
+                40,
+                CampaignEvent::AttemptFailed {
+                    cell: "table4/gcc".into(),
+                    attempt: 1,
+                    reason: "panicked: injected".into(),
+                    killed: false,
+                },
+            ),
+            entry(50, CampaignEvent::Heartbeat { done: 0, active: 1 }),
+            entry(
+                81,
+                CampaignEvent::CellFinished(outcome("table4/gcc", CellStatus::Ok, 2)),
+            ),
+            entry(
+                82,
+                CampaignEvent::CellFinished(outcome("table4/perl", CellStatus::Err, 3)),
+            ),
+            entry(
+                95,
+                CampaignEvent::CampaignFinished {
+                    ok: 1,
+                    failed: 1,
+                    cancelled: Some("operator DELETE".into()),
+                },
+            ),
         ]
     }
 
+    fn text_of(entries: &[LogEntry]) -> String {
+        entries
+            .iter()
+            .map(|e| format!("{}\n", e.to_json()))
+            .collect()
+    }
+
     #[test]
-    fn events_round_trip_through_json_lines() {
-        let mut text = String::new();
-        for e in sample_events() {
-            text.push_str(&e.to_json().to_string());
-            text.push('\n');
-        }
-        let parsed = parse_events(&text).unwrap();
+    fn entries_round_trip_through_json_lines() {
+        let parsed = parse_events(&text_of(&sample_entries()), "t.jsonl").unwrap();
         assert!(!parsed.torn_tail);
-        assert_eq!(parsed.events, sample_events());
+        assert_eq!(parsed.entries, sample_entries());
+        assert!(matches!(
+            parsed.header(),
+            Some(CampaignEvent::CampaignStarted { .. })
+        ));
     }
 
     #[test]
-    fn writer_appends_line_atomic_events() {
-        let dir = std::env::temp_dir().join(format!("sim-progress-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = ProgressWriter::create(&dir, "w1").unwrap();
-        for e in sample_events() {
-            w.emit(&e).unwrap();
-        }
-        let read = read_events(&progress_path(&dir, "w1")).unwrap();
-        assert_eq!(read.events.len(), sample_events().len());
-        assert_eq!(read.events, sample_events());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_trailing_line_is_skipped_not_fatal() {
-        let mut text = String::new();
-        for e in sample_events() {
-            text.push_str(&e.to_json().to_string());
-            text.push('\n');
-        }
-        // A crash mid-append: the final line is incomplete JSON with no
-        // terminating newline.
+    fn only_an_unterminated_final_line_is_a_torn_tail() {
+        let mut text = text_of(&sample_entries());
         text.push_str("{\"event\":\"heartbeat\",\"done\":1,");
-        let parsed = parse_events(&text).unwrap();
+        let parsed = parse_events(&text, "t.jsonl").unwrap();
         assert!(parsed.torn_tail);
-        assert_eq!(parsed.events, sample_events());
+        assert_eq!(parsed.entries, sample_entries());
+
+        // The same fragment, newline-terminated, is corruption.
+        text.push('\n');
+        let err = parse_events(&text, "t.jsonl").unwrap_err();
+        assert!(err.starts_with("t.jsonl:8:"), "{err}");
+        assert!(err.contains("start a fresh run"), "{err}");
     }
 
     #[test]
-    fn mid_stream_corruption_is_a_loud_error() {
-        let good = sample_events()[0].to_json().to_string();
-        let text = format!("{good}\n{{broken\n{good}\n");
-        let err = parse_events(&text).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+    fn a_tail_torn_mid_character_is_still_just_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("sim-log-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.jsonl");
+        let mut bytes = text_of(&sample_entries()).into_bytes();
+        let fragment = "{\"reason\":\"dash \u{2014}".as_bytes();
+        bytes.extend_from_slice(&fragment[..fragment.len() - 1]);
+        std::fs::write(&path, &bytes).unwrap();
+        let log = read_events(&path).unwrap();
+        assert!(log.torn_tail);
+        assert_eq!(log.entries, sample_entries());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn pre_trace_id_streams_still_parse() {
-        // Streams written before correlation ids existed have no
-        // trace_id field; they must parse with an empty one.
-        let text = "{\"event\":\"campaign-started\",\"run\":\"old\",\"tool\":\"table4\",\
-                    \"scale\":\"quick\",\"total\":2,\"workers\":1,\"unix_ms\":5}\n";
-        let parsed = parse_events(text).unwrap();
-        match &parsed.events[0] {
-            ProgressEvent::CampaignStarted { trace_id, .. } => assert!(trace_id.is_empty()),
-            other => panic!("unexpected event {other:?}"),
-        }
+    fn mid_log_corruption_and_unknown_events_are_loud() {
+        let good = text_of(&sample_entries()[..1]);
+        let err = parse_events(&format!("{good}{{broken\n{good}"), "x.jsonl").unwrap_err();
+        assert!(err.starts_with("x.jsonl:2:"), "{err}");
+        let err = parse_events(
+            &format!("{good}{{\"event\":\"time-travel\",\"t_us\":1}}\n"),
+            "x",
+        )
+        .unwrap_err();
+        assert!(err.contains("time-travel"), "{err}");
     }
 
     #[test]
-    fn unknown_event_names_are_rejected() {
-        let text = "{\"event\":\"time-travel\",\"t_ms\":1}\n";
-        assert!(parse_events(text).is_err());
+    fn format_one_journals_and_foreign_files_are_refused() {
+        let v1 =
+            "{\"journal\":1,\"run\":\"old\",\"tool\":\"table4\",\"scale\":\"quick\",\"cells\":2}\n";
+        let err = parse_events(v1, "old.jsonl").unwrap_err();
+        assert!(err.starts_with("old.jsonl:1:"), "{err}");
+        assert!(err.contains("format-1 journal"), "{err}");
+
+        let err = parse_events("{\"event\":\"heartbeat\",\"t_us\":1}\n", "f").unwrap_err();
+        assert!(err.contains("not a campaign log"), "{err}");
+
+        // An empty file is a campaign caught before its first line.
+        assert_eq!(parse_events("", "e").unwrap(), CampaignLog::default());
+    }
+
+    #[test]
+    fn outcome_data_is_required_exactly_when_the_cell_succeeded() {
+        let mut bad = outcome("a/b", CellStatus::Ok, 1);
+        bad.data = None;
+        let text = text_of(&[
+            entry(0, started()),
+            entry(1, CampaignEvent::CellFinished(bad)),
+        ]);
+        let err = parse_events(&text, "d").unwrap_err();
+        assert!(err.starts_with("d:2:"), "{err}");
+    }
+
+    #[test]
+    fn folds_pick_the_last_outcome_overall_and_per_segment() {
+        let mut entries = sample_entries();
+        entries.push(entry(100, started()));
+        entries.push(entry(
+            101,
+            CampaignEvent::CellFinished(outcome("table4/gcc", CellStatus::Resumed, 0)),
+        ));
+        entries.push(entry(
+            140,
+            CampaignEvent::CellFinished(outcome("table4/perl", CellStatus::Ok, 1)),
+        ));
+        let log = parse_events(&text_of(&entries), "r").unwrap();
+        let last = log.last_outcomes();
+        assert_eq!(last["table4/gcc"].status, CellStatus::Resumed);
+        assert_eq!(last["table4/perl"].status, CellStatus::Ok);
+        assert_eq!(log.last_segment().len(), 3);
+        assert_eq!(log.segment_outcomes().len(), 2);
+        assert!(last.values().all(CellOutcome::ok));
     }
 
     #[test]

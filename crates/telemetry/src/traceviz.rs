@@ -1,23 +1,25 @@
 //! Chrome trace-event export (`chrome://tracing` / Perfetto).
 //!
-//! `REPRO_TRACE_EXPORT=chrome` turns a campaign's cell lifecycle and its
+//! `REPRO_TRACE_EXPORT=chrome` turns a campaign's log and its
 //! hierarchical [`SpanRegistry`] phases into one trace-event JSON
-//! document at `results/traceviz/<run-id>.trace.json`. Load it in
-//! Perfetto (ui.perfetto.dev) or `chrome://tracing` to see per-worker
-//! lanes of cell attempts, retry markers, and the phase tree on its own
-//! lane — the systems-layer equivalent of the per-branch timelines the
-//! predictor analysis already has.
+//! document at `results/traceviz/<run-id>.trace.json`, built once when
+//! the campaign ends. Load it in Perfetto (ui.perfetto.dev) or
+//! `chrome://tracing` to see per-worker lanes of cell attempts, retry
+//! markers, and the phase tree on its own lane — the systems-layer
+//! equivalent of the per-branch timelines the predictor analysis
+//! already has.
 //!
 //! The document uses the object form of the trace-event format:
 //! `{"traceEvents": [...], "displayTimeUnit": "ms", "otherData": {...}}`
 //! with complete (`ph:"X"`) events for cell attempts and span phases,
 //! instant (`ph:"i"`) events for retries and deadline kills, and
-//! metadata (`ph:"M"`) events naming the lanes. All timestamps are
-//! microseconds from one monotonic clock owned by the collector, and
-//! cell begin/end is driven from the pool's single-threaded scheduler,
-//! so `ts` is non-decreasing per lane by construction — the invariant
-//! [`validate`] (and the `trace-viz verify` subcommand built on it)
-//! checks.
+//! metadata (`ph:"M"`) events naming the lanes. [`ChromeTrace::from_log`]
+//! is a fold of the campaign log ([`crate::progress`]): each
+//! `attempt-started` opens a slice on the smallest free worker lane and
+//! the attempt's failure, deadline kill, or `ok` outcome closes it. The
+//! log's `t_us` stamps come from one monotonic clock, so `ts` is
+//! non-decreasing per lane by construction — the invariant [`validate`]
+//! (and the `trace-viz verify` subcommand built on it) checks.
 //!
 //! Span phases carry aggregate totals, not timestamped intervals, so
 //! the exporter synthesizes their timeline: each parent's window is its
@@ -27,11 +29,10 @@
 
 use crate::fsio::atomic_write_str;
 use crate::json::{obj, Json};
+use crate::progress::{CampaignEvent, CampaignLog, CellStatus};
 use crate::span::SpanRegistry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The `pid` all campaign events share (one process per trace; merges
 /// remap it per source file).
@@ -50,7 +51,7 @@ struct TraceEvent {
     ts_us: u64,
     dur_us: Option<u64>,
     tid: u64,
-    args: Vec<(String, Json)>,
+    args: Vec<(&'static str, Json)>,
 }
 
 impl TraceEvent {
@@ -71,149 +72,155 @@ impl TraceEvent {
             fields.insert("s".to_string(), Json::from("t"));
         }
         if !self.args.is_empty() {
-            fields.insert(
-                "args".to_string(),
-                Json::Obj(self.args.iter().cloned().collect()),
-            );
+            fields.insert("args".to_string(), obj(self.args.iter().cloned()));
         }
         Json::Obj(fields)
     }
 }
 
-#[derive(Debug)]
+/// An attempt slice opened by `attempt-started`, awaiting its close.
 struct OpenSlice {
     lane: u64,
     started_us: u64,
     attempt: u32,
 }
 
+/// A Chrome trace document under construction: the folded campaign
+/// log, optionally plus the span phases.
 #[derive(Debug, Default)]
-struct CollectorInner {
+pub struct ChromeTrace {
     events: Vec<TraceEvent>,
-    /// Worker-lane occupancy; index i is lane tid `i + 1`.
-    lanes: Vec<bool>,
-    open: BTreeMap<String, OpenSlice>,
-}
-
-/// Collects cell-lifecycle events during a campaign and serializes the
-/// Chrome trace document. `Arc`-backed: the driver keeps one clone, the
-/// pool scheduler another.
-#[derive(Clone, Debug)]
-pub struct TraceCollector {
-    inner: Arc<Mutex<CollectorInner>>,
-    started: Instant,
     run_id: String,
     trace_id: String,
 }
 
-impl TraceCollector {
-    /// A collector for `run_id`, stamped with `trace_id`.
-    pub fn new(run_id: &str, trace_id: &str) -> TraceCollector {
-        TraceCollector {
-            inner: Arc::new(Mutex::new(CollectorInner::default())),
-            started: Instant::now(),
-            run_id: run_id.to_string(),
-            trace_id: trace_id.to_string(),
+impl ChromeTrace {
+    /// Folds a campaign log into attempt slices on worker lanes and
+    /// retry/kill/cancel instants on the scheduler lane. Every run of a
+    /// resumed campaign is included; an attempt a crashed run left open
+    /// is closed as `killed` where the next run starts (or where the
+    /// log ends).
+    pub fn from_log(log: &CampaignLog) -> ChromeTrace {
+        let mut trace = ChromeTrace::default();
+        if let Some(CampaignEvent::CampaignStarted { run, trace_id, .. }) = log.header() {
+            trace.run_id = run.clone();
+            trace.trace_id = trace_id.clone();
         }
-    }
-
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CollectorInner> {
-        self.inner.lock().expect("trace collector poisoned")
-    }
-
-    /// Marks a cell attempt as started; it occupies the smallest free
-    /// worker lane until [`TraceCollector::end`].
-    pub fn begin(&self, cell: &str, attempt: u32) {
-        let ts = self.now_us();
-        let mut inner = self.lock();
-        let lane = match inner.lanes.iter().position(|busy| !busy) {
-            Some(i) => {
-                inner.lanes[i] = true;
-                i as u64 + 1
+        // Worker-lane occupancy; index i is lane tid `i + 1`.
+        let mut lanes: Vec<bool> = Vec::new();
+        let mut open: BTreeMap<String, OpenSlice> = BTreeMap::new();
+        let mut last_us = 0;
+        for entry in &log.entries {
+            let ts = entry.t_us;
+            last_us = ts;
+            match &entry.event {
+                CampaignEvent::CampaignStarted { .. } => {
+                    trace.close_all(&mut open, &mut lanes, ts);
+                }
+                CampaignEvent::AttemptStarted { cell, attempt } => {
+                    if *attempt > 1 {
+                        trace.instant("cell-retry", ("cell", cell), ts);
+                    }
+                    let lane = match lanes.iter().position(|busy| !busy) {
+                        Some(i) => i,
+                        None => {
+                            lanes.push(false);
+                            lanes.len() - 1
+                        }
+                    };
+                    lanes[lane] = true;
+                    let slice = OpenSlice {
+                        lane: lane as u64 + 1,
+                        started_us: ts,
+                        attempt: *attempt,
+                    };
+                    open.insert(cell.clone(), slice);
+                }
+                CampaignEvent::AttemptFailed { cell, killed, .. } => {
+                    let outcome = if *killed { "killed" } else { "err" };
+                    trace.close(&mut open, &mut lanes, cell, outcome, ts);
+                    if *killed {
+                        trace.instant("deadline-kill", ("cell", cell), ts);
+                    }
+                }
+                CampaignEvent::CellFinished(o) if o.status == CellStatus::Ok => {
+                    trace.close(&mut open, &mut lanes, &o.cell, "ok", ts);
+                }
+                CampaignEvent::CampaignFinished {
+                    cancelled: Some(reason),
+                    ..
+                } => trace.instant("campaign-cancelled", ("reason", reason), ts),
+                _ => {}
             }
-            None => {
-                inner.lanes.push(true);
-                inner.lanes.len() as u64
-            }
-        };
-        inner.open.insert(
-            cell.to_string(),
-            OpenSlice {
-                lane,
-                started_us: ts,
-                attempt,
-            },
-        );
+        }
+        trace.close_all(&mut open, &mut lanes, last_us);
+        trace
     }
 
-    /// Closes a cell attempt opened by [`TraceCollector::begin`] as one
-    /// complete (`X`) slice on its lane, labeled with the outcome
-    /// (`ok`, `err`, `killed`). Unknown cells are ignored.
-    pub fn end(&self, cell: &str, outcome: &str) {
-        let ts = self.now_us();
-        let mut inner = self.lock();
-        let Some(slice) = inner.open.remove(cell) else {
+    fn instant(&mut self, name: &str, arg: (&'static str, &str), ts_us: u64) {
+        self.events.push(TraceEvent {
+            name: name.to_string(),
+            cat: "scheduler",
+            ph: "i",
+            ts_us,
+            dur_us: None,
+            tid: CONTROL_TID,
+            args: vec![(arg.0, Json::from(arg.1))],
+        });
+    }
+
+    /// Closes `cell`'s open attempt as one complete slice on its lane,
+    /// labeled with the outcome (`ok`, `err`, `killed`).
+    fn close(
+        &mut self,
+        open: &mut BTreeMap<String, OpenSlice>,
+        lanes: &mut [bool],
+        cell: &str,
+        outcome: &str,
+        ts_us: u64,
+    ) {
+        let Some(slice) = open.remove(cell) else {
             return;
         };
-        if let Some(busy) = inner.lanes.get_mut(slice.lane as usize - 1) {
-            *busy = false;
-        }
-        inner.events.push(TraceEvent {
+        lanes[slice.lane as usize - 1] = false;
+        self.events.push(TraceEvent {
             name: cell.to_string(),
             cat: "cell",
             ph: "X",
             ts_us: slice.started_us,
-            dur_us: Some(ts.saturating_sub(slice.started_us)),
+            dur_us: Some(ts_us.saturating_sub(slice.started_us)),
             tid: slice.lane,
             args: vec![
-                ("attempt".to_string(), Json::from(slice.attempt as u64)),
-                ("outcome".to_string(), Json::from(outcome)),
+                ("attempt", Json::from(u64::from(slice.attempt))),
+                ("outcome", Json::from(outcome)),
             ],
         });
     }
 
-    /// Records an instant marker (`cell-retry`, `deadline-kill`,
-    /// `campaign-cancelled`, …) on the scheduler's control lane.
-    pub fn instant(&self, name: &str, cell: &str) {
-        let ts = self.now_us();
-        let mut inner = self.lock();
-        inner.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: "scheduler",
-            ph: "i",
-            ts_us: ts,
-            dur_us: None,
-            tid: CONTROL_TID,
-            args: vec![("cell".to_string(), Json::from(cell))],
-        });
-    }
-
-    /// Closes any still-open attempts (campaign cancelled mid-flight) so
-    /// the export never loses a running cell.
-    pub fn close_open(&self, outcome: &str) {
-        let open: Vec<String> = self.lock().open.keys().cloned().collect();
-        for cell in open {
-            self.end(&cell, outcome);
+    fn close_all(
+        &mut self,
+        open: &mut BTreeMap<String, OpenSlice>,
+        lanes: &mut Vec<bool>,
+        ts_us: u64,
+    ) {
+        let cells: Vec<String> = open.keys().cloned().collect();
+        for cell in cells {
+            self.close(open, lanes, &cell, "killed", ts_us);
         }
+        lanes.clear();
     }
 
     /// Folds the span registry's aggregated phase tree into the export
     /// as nested `X` slices on a dedicated lane: each parent's window is
     /// its total time, children laid out sequentially inside it (exact
     /// durations, schematic offsets).
-    pub fn add_spans(&self, spans: &SpanRegistry) {
-        let snapshot = spans.snapshot();
+    pub fn add_spans(&mut self, spans: &SpanRegistry) {
         // Paths sort parents before children ("a" < "a;b"), so one pass
         // with a placement map suffices. Roots start where the previous
         // root ended.
         let mut placed: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new(); // path -> (start, end, cursor)
         let mut root_cursor = 0u64;
-        let mut inner = self.lock();
-        for stat in snapshot {
+        for stat in spans.snapshot() {
             let dur_us = stat.total_ns / 1000;
             let (start, end) = match crate::span::parent_path(&stat.path) {
                 Some(parent) => match placed.get_mut(parent) {
@@ -234,7 +241,7 @@ impl TraceCollector {
                 }
             };
             placed.insert(stat.path.clone(), (start, end, start));
-            inner.events.push(TraceEvent {
+            self.events.push(TraceEvent {
                 name: crate::span::leaf_name(&stat.path).to_string(),
                 cat: "phase",
                 ph: "X",
@@ -242,10 +249,10 @@ impl TraceCollector {
                 dur_us: Some(end.saturating_sub(start)),
                 tid: SPANS_TID,
                 args: vec![
-                    ("path".to_string(), Json::from(stat.path.as_str())),
-                    ("count".to_string(), Json::from(stat.count)),
-                    ("total_ns".to_string(), Json::from(stat.total_ns)),
-                    ("self_ns".to_string(), Json::from(stat.self_ns)),
+                    ("path", Json::from(stat.path.as_str())),
+                    ("count", Json::from(stat.count)),
+                    ("total_ns", Json::from(stat.total_ns)),
+                    ("self_ns", Json::from(stat.self_ns)),
                 ],
             });
         }
@@ -253,15 +260,12 @@ impl TraceCollector {
 
     /// The complete Chrome trace document.
     pub fn to_json(&self) -> Json {
-        let inner = self.lock();
-        let mut events = inner.events.clone();
-        drop(inner);
+        let mut events = self.events.clone();
         // Sort by (lane, ts) stably so per-lane ts monotonicity is
         // explicit in the serialized order, then prepend lane names.
         events.sort_by_key(|e| (e.tid, e.ts_us));
         let mut docs: Vec<Json> = Vec::new();
         let mut lanes: Vec<u64> = events.iter().map(|e| e.tid).collect();
-        lanes.sort_unstable();
         lanes.dedup();
         for tid in lanes {
             let label = match tid {
@@ -472,30 +476,95 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    #[test]
-    fn cell_lifecycle_exports_complete_events_on_worker_lanes() {
-        let tc = TraceCollector::new("r1", "tr-0000000000000001");
-        tc.begin("table4/perl", 1);
-        tc.begin("table4/gcc", 1);
-        tc.end("table4/perl", "err");
-        tc.instant("cell-retry", "table4/perl");
-        tc.begin("table4/perl", 2);
-        tc.end("table4/gcc", "ok");
-        tc.end("table4/perl", "ok");
-        let doc = tc.to_json();
-        let summary = validate(&doc).expect("export validates");
-        assert_eq!(summary.complete, 3);
-        assert_eq!(summary.instants, 1);
-        assert_eq!(
-            doc.get("otherData")
-                .unwrap()
-                .get("trace_id")
-                .unwrap()
-                .as_str(),
-            Some("tr-0000000000000001")
+    use crate::progress::{CampaignEvent as Ev, CellOutcome, LogEntry};
+
+    fn log(run: &str, events: Vec<(u64, Ev)>) -> CampaignLog {
+        let mut entries = vec![LogEntry {
+            t_us: 0,
+            event: Ev::CampaignStarted {
+                run: run.into(),
+                tool: "table4".into(),
+                scale: "quick".into(),
+                cells: 2,
+                workers: 2,
+                trace_id: format!("tr-000000000000000{}", run.len()),
+                resume_command: None,
+                unix_ms: 0,
+            },
+        }];
+        entries.extend(
+            events
+                .into_iter()
+                .map(|(t_us, event)| LogEntry { t_us, event }),
         );
-        // perl's two attempts: the first freed lane 1; gcc held lane 2.
-        // Lanes in use: control lane (instant) + two worker lanes.
+        CampaignLog {
+            entries,
+            torn_tail: false,
+        }
+    }
+
+    fn start(cell: &str, attempt: u32) -> Ev {
+        Ev::AttemptStarted {
+            cell: cell.into(),
+            attempt,
+        }
+    }
+
+    fn fail(cell: &str, attempt: u32, killed: bool) -> Ev {
+        Ev::AttemptFailed {
+            cell: cell.into(),
+            attempt,
+            reason: "boom".into(),
+            killed,
+        }
+    }
+
+    fn ok(cell: &str, attempts: u32) -> Ev {
+        Ev::CellFinished(CellOutcome {
+            cell: cell.into(),
+            status: CellStatus::Ok,
+            attempts,
+            deadline_kills: 0,
+            wall_ms: 1,
+            instructions: 1,
+            reason: None,
+            data: Some(BTreeMap::new()),
+        })
+    }
+
+    #[test]
+    fn attempts_fold_into_complete_events_on_worker_lanes() {
+        let trace = ChromeTrace::from_log(&log(
+            "r1",
+            vec![
+                (1, start("table4/perl", 1)),
+                (2, start("table4/gcc", 1)),
+                (3, fail("table4/perl", 1, false)),
+                (4, start("table4/perl", 2)),
+                (5, fail("table4/perl", 2, true)),
+                (6, start("table4/perl", 3)),
+                (7, ok("table4/gcc", 1)),
+                (8, ok("table4/perl", 3)),
+                (
+                    9,
+                    Ev::CampaignFinished {
+                        ok: 2,
+                        failed: 0,
+                        cancelled: Some("drain".into()),
+                    },
+                ),
+            ],
+        ));
+        let doc = trace.to_json();
+        let summary = validate(&doc).expect("export validates");
+        // One slice per attempt; one instant per retry (2), per deadline
+        // kill (1), and for the cancellation.
+        assert_eq!(summary.complete, 4);
+        assert_eq!(summary.instants, 4);
+        assert_eq!(summary.trace_id.as_deref(), Some("tr-0000000000000002"));
+        assert_eq!(summary.run.as_deref(), Some("r1"));
+        // Control lane + two worker lanes (perl's retries reuse a freed
+        // lane while gcc holds the other).
         assert_eq!(summary.lanes, 3);
         // Round-trip through text: what we write is what validates.
         let reparsed = parse(&doc.to_string()).unwrap();
@@ -503,13 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn close_open_flushes_running_cells() {
-        let tc = TraceCollector::new("r2", "tr-0000000000000002");
-        tc.begin("a/b", 1);
-        tc.begin("c/d", 1);
-        tc.close_open("killed");
-        let summary = validate(&tc.to_json()).unwrap();
-        assert_eq!(summary.complete, 2);
+    fn attempts_left_open_by_a_crashed_run_are_closed() {
+        let mut crashed = log("r2", vec![(1, start("a/b", 1)), (2, start("c/d", 1))]);
+        let resumed = log("r2", vec![(10, start("a/b", 1)), (11, ok("a/b", 1))]);
+        crashed
+            .entries
+            .extend(resumed.entries.into_iter().map(|mut e| {
+                e.t_us += 5;
+                e
+            }));
+        let summary = validate(&ChromeTrace::from_log(&crashed).to_json()).unwrap();
+        assert_eq!(summary.complete, 3, "two killed slices plus the rerun");
     }
 
     #[test]
@@ -523,9 +596,9 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let tc = TraceCollector::new("r3", "tr-0000000000000003");
-        tc.add_spans(&spans);
-        let doc = tc.to_json();
+        let mut trace = ChromeTrace::default();
+        trace.add_spans(&spans);
+        let doc = trace.to_json();
         validate(&doc).expect("span export validates");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let slices: Vec<&Json> = events
@@ -609,12 +682,9 @@ mod tests {
 
     #[test]
     fn merge_remaps_pids_per_source() {
-        let a = TraceCollector::new("r-a", "tr-000000000000000a");
-        a.begin("x/y", 1);
-        a.end("x/y", "ok");
-        let b = TraceCollector::new("r-b", "tr-000000000000000b");
-        b.begin("x/y", 1);
-        b.end("x/y", "ok");
+        let one_cell = |run| log(run, vec![(1, start("x/y", 1)), (2, ok("x/y", 1))]);
+        let a = ChromeTrace::from_log(&one_cell("r-a"));
+        let b = ChromeTrace::from_log(&one_cell("r-b"));
         let merged = merge(&[a.to_json(), b.to_json()]).unwrap();
         validate(&merged).expect("merged trace validates");
         let pids: std::collections::BTreeSet<u64> = merged
@@ -641,10 +711,9 @@ mod tests {
     fn write_produces_a_parseable_file() {
         let dir = std::env::temp_dir().join(format!("repro-traceviz-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tc = TraceCollector::new("r9", "tr-0000000000000009");
-        tc.begin("a/b", 1);
-        tc.end("a/b", "ok");
-        let path = tc.write(&dir).unwrap();
+        let trace =
+            ChromeTrace::from_log(&log("r9", vec![(1, start("a/b", 1)), (2, ok("a/b", 1))]));
+        let path = trace.write(&dir).unwrap();
         assert_eq!(path, trace_path(&dir, "r9"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.ends_with('\n'));
