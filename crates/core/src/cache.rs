@@ -4,6 +4,7 @@
 use crate::config::{Organization, TargetCacheConfig};
 use crate::index::{tagged_set_and_tag, tagless_index};
 use crate::stats::TargetCacheStats;
+use branch_predictors::SetAssoc;
 use sim_isa::Addr;
 use std::fmt;
 
@@ -21,47 +22,31 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Access {
     /// Tagless: entry index. Tagged: set index.
-    index: usize,
-    /// Tagged only: the tag that was (or must be) matched.
-    tag: Option<u64>,
-}
-
-#[derive(Clone, Debug)]
-struct TaggedEntry {
+    set: usize,
+    /// The tag that was (or must be) matched; always 0 when tagless.
     tag: u64,
-    target: Addr,
-    /// Consecutive update-time target mismatches (2-bit policy state).
-    miss_streak: bool,
-    lru: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct TaglessEntry {
+#[derive(Clone, Copy, Debug, Default)]
+struct Entry {
     target: Addr,
-    /// Consecutive update-time target mismatches (2-bit policy state).
+    /// Whether the last update mismatched (2-bit policy state).
     miss_streak: bool,
-}
-
-#[derive(Clone, Debug)]
-enum Storage {
-    Tagless {
-        entries: Vec<Option<TaglessEntry>>,
-    },
-    Tagged {
-        sets: Vec<Vec<TaggedEntry>>,
-        ways: usize,
-        clock: u64,
-    },
 }
 
 /// The target cache: a history-indexed store of indirect-jump targets.
+///
+/// Both organizations share one [`SetAssoc`] table: a tagged cache is
+/// `entries / assoc` sets of `assoc` ways, a tagless one is `entries`
+/// sets of one way whose tag is always 0, so any stored target answers
+/// whatever jump indexes its entry.
 ///
 /// See the [crate-level documentation](crate) for the quick-start example
 /// and design-space overview.
 #[derive(Clone)]
 pub struct TargetCache {
     config: TargetCacheConfig,
-    storage: Storage,
+    table: SetAssoc<Entry>,
     stats: TargetCacheStats,
 }
 
@@ -74,22 +59,13 @@ impl TargetCache {
     /// [`TargetCacheConfig::new`], so only hand-rolled configs can trip
     /// this).
     pub fn new(config: TargetCacheConfig) -> Self {
-        let storage = match config.organization {
-            Organization::Tagless { entries, .. } => Storage::Tagless {
-                entries: vec![None; entries],
-            },
-            Organization::Tagged { entries, assoc, .. } => {
-                let sets = entries / assoc;
-                Storage::Tagged {
-                    sets: vec![Vec::new(); sets],
-                    ways: assoc,
-                    clock: 0,
-                }
-            }
+        let (sets, ways) = match config.organization {
+            Organization::Tagless { entries, .. } => (entries, 1),
+            Organization::Tagged { entries, assoc, .. } => (entries / assoc, assoc),
         };
         TargetCache {
             config,
-            storage,
+            table: SetAssoc::new(sets, ways),
             stats: TargetCacheStats::default(),
         }
     }
@@ -106,13 +82,10 @@ impl TargetCache {
 
     fn access_for(&self, pc: Addr, history: u64) -> Access {
         match self.config.organization {
-            Organization::Tagless { entries, scheme } => {
-                let index_bits = entries.trailing_zeros();
-                Access {
-                    index: tagless_index(scheme, pc, history, index_bits),
-                    tag: None,
-                }
-            }
+            Organization::Tagless { entries, scheme } => Access {
+                set: tagless_index(scheme, pc, history, entries.trailing_zeros()),
+                tag: 0,
+            },
             Organization::Tagged {
                 entries,
                 assoc,
@@ -122,8 +95,8 @@ impl TargetCache {
                 let st =
                     tagged_set_and_tag(scheme, pc, history, set_bits, self.config.history.bits());
                 Access {
-                    index: st.set,
-                    tag: Some(st.tag),
+                    set: st.set,
+                    tag: st.tag,
                 }
             }
         }
@@ -139,21 +112,7 @@ impl TargetCache {
     /// back to the BTB's last-target prediction.
     pub fn lookup(&mut self, pc: Addr, history: u64) -> (Access, Option<Addr>) {
         let access = self.access_for(pc, history);
-        let prediction = match &mut self.storage {
-            Storage::Tagless { entries } => entries[access.index].map(|e| e.target),
-            Storage::Tagged { sets, clock, .. } => {
-                *clock += 1;
-                let clock = *clock;
-                let tag = access.tag.expect("tagged access carries a tag");
-                sets[access.index]
-                    .iter_mut()
-                    .find(|e| e.tag == tag)
-                    .map(|e| {
-                        e.lru = clock;
-                        e.target
-                    })
-            }
-        };
+        let prediction = self.table.get_mut(access.set, access.tag).map(|e| e.target);
         self.stats.record_lookup(prediction.is_some());
         (access, prediction)
     }
@@ -161,16 +120,7 @@ impl TargetCache {
     /// Reads the prediction without touching LRU state or statistics.
     pub fn peek(&self, pc: Addr, history: u64) -> Option<Addr> {
         let access = self.access_for(pc, history);
-        match &self.storage {
-            Storage::Tagless { entries } => entries[access.index].map(|e| e.target),
-            Storage::Tagged { sets, .. } => {
-                let tag = access.tag.expect("tagged access carries a tag");
-                sets[access.index]
-                    .iter()
-                    .find(|e| e.tag == tag)
-                    .map(|e| e.target)
-            }
-        }
+        self.table.get(access.set, access.tag).map(|e| e.target)
     }
 
     /// Writes the computed target of a retired indirect jump at the entry
@@ -178,64 +128,14 @@ impl TargetCache {
     pub fn update(&mut self, access: Access, target: Addr) {
         self.stats.record_update();
         let policy = self.config.update_policy;
-        // The 2-bit policy replaces a stored target only after two
-        // consecutive update-time mismatches; a match resets the streak.
-        let apply = |stored: &mut Addr, streak: &mut bool| {
-            if *stored == target {
-                *streak = false;
-            } else {
-                match policy {
-                    branch_predictors::UpdatePolicy::Always => *stored = target,
-                    branch_predictors::UpdatePolicy::TwoBit => {
-                        if *streak {
-                            *stored = target;
-                            *streak = false;
-                        } else {
-                            *streak = true;
-                        }
-                    }
-                }
-            }
-        };
-        match &mut self.storage {
-            Storage::Tagless { entries } => match &mut entries[access.index] {
-                Some(e) => apply(&mut e.target, &mut e.miss_streak),
-                slot @ None => {
-                    *slot = Some(TaglessEntry {
-                        target,
-                        miss_streak: false,
-                    });
-                }
-            },
-            Storage::Tagged { sets, ways, clock } => {
-                *clock += 1;
-                let clock = *clock;
-                let tag = access.tag.expect("tagged access carries a tag");
-                let set = &mut sets[access.index];
-                if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-                    apply(&mut e.target, &mut e.miss_streak);
-                    e.lru = clock;
-                } else if set.len() < *ways {
-                    set.push(TaggedEntry {
-                        tag,
-                        target,
-                        miss_streak: false,
-                        lru: clock,
-                    });
-                } else {
-                    let victim = set
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.lru)
-                        .map(|(i, _)| i)
-                        .expect("set is non-empty");
-                    set[victim] = TaggedEntry {
-                        tag,
-                        target,
-                        miss_streak: false,
-                        lru: clock,
-                    };
-                }
+        match self.table.get_mut(access.set, access.tag) {
+            Some(e) => policy.train(&mut e.target, &mut e.miss_streak, target),
+            None => {
+                let entry = Entry {
+                    target,
+                    miss_streak: false,
+                };
+                self.table.insert(access.set, access.tag, entry);
             }
         }
     }
@@ -251,21 +151,12 @@ impl TargetCache {
 
     /// Number of valid entries currently stored.
     pub fn occupancy(&self) -> usize {
-        match &self.storage {
-            Storage::Tagless { entries } => entries.iter().filter(|e| e.is_some()).count(),
-            Storage::Tagged { sets, .. } => sets.iter().map(Vec::len).sum(),
-        }
+        self.table.len()
     }
 
     /// Clears all entries and statistics.
     pub fn clear(&mut self) {
-        match &mut self.storage {
-            Storage::Tagless { entries } => entries.iter_mut().for_each(|e| *e = None),
-            Storage::Tagged { sets, clock, .. } => {
-                sets.iter_mut().for_each(Vec::clear);
-                *clock = 0;
-            }
-        }
+        self.table.clear();
         self.stats = TargetCacheStats::default();
     }
 }

@@ -1,5 +1,5 @@
-//! `traceinfo`-style viewer: the top-N mispredicting indirect branches
-//! per benchmark, plus manifest-backed perf and cell views.
+//! Misprediction viewer: the top-N mispredicting indirect branches per
+//! benchmark, plus manifest-backed perf and cell views.
 //!
 //! Modes:
 //!

@@ -161,8 +161,11 @@ pub(crate) struct CampaignPlan {
 
 impl CampaignPlan {
     /// The batch binaries' plan, from `REPRO_RESUME`, `REPRO_RUN_ID`,
-    /// `REPRO_JOURNAL_DIR`, and the pool knobs.
+    /// `REPRO_JOURNAL_DIR`, and the pool knobs. `REPRO_TRACE_STORE` is
+    /// checked here too: workers open the store per trace, so a typo must
+    /// stop the campaign before its log exists.
     pub(crate) fn from_env(tool: &str) -> Result<CampaignPlan, String> {
+        sim_trace::StoreMode::from_env()?;
         let journal_dir = PathBuf::from(
             env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
         );

@@ -89,8 +89,11 @@ fn env_usize(name: &str, default: usize) -> Result<usize, String> {
 
 impl ServeConfig {
     /// Reads the daemon configuration, rejecting malformed values
-    /// loudly rather than running with silently-defaulted knobs.
+    /// loudly rather than running with silently-defaulted knobs. The
+    /// trace-store mode (`REPRO_TRACE_STORE`) is checked here, before the
+    /// daemon binds, because request workers read it per trace.
     pub fn from_env() -> Result<ServeConfig, String> {
+        sim_trace::StoreMode::from_env()?;
         Ok(ServeConfig {
             addr: env_nonempty("REPRO_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:7877".into()),
             queue: env_usize("REPRO_SERVE_QUEUE", 16)?,

@@ -565,7 +565,8 @@ where
         .collect()
 }
 
-/// Renders aggregated sites in the `traceinfo` house style.
+/// Renders aggregated sites as a plain-text report: one block per
+/// benchmark, one line per site.
 pub fn render_report(aggregated: &[(String, Vec<SiteReport>)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

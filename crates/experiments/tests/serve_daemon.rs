@@ -7,8 +7,9 @@
 //! shedding with `429` + `Retry-After`, mid-campaign `DELETE` stopping
 //! at a cell boundary with a campaign log a resume request then restores
 //! from into its own log, abuse
-//! resilience (malformed bodies, slow-loris, mid-body disconnects), and
-//! a clean SIGTERM drain (exit 0).
+//! resilience (malformed bodies, slow-loris, mid-body disconnects), a
+//! mistyped trace-store mode refused before the daemon listens (exit 2),
+//! and a clean SIGTERM drain (exit 0).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -40,9 +41,9 @@ impl Drop for Daemon {
     }
 }
 
-fn spawn_daemon(tag: &str, envs: &[(&str, &str)]) -> Daemon {
-    let dir = scratch(tag);
-    let addr_file = dir.join("addr");
+/// The daemon command with a hermetic env rooted in `dir`, writing its
+/// address to `<dir>/addr`.
+fn daemon_command(dir: &Path, envs: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro-serve"));
     for var in [
         "REPRO_SCALE",
@@ -68,7 +69,7 @@ fn spawn_daemon(tag: &str, envs: &[(&str, &str)]) -> Daemon {
         cmd.env_remove(var);
     }
     cmd.env("REPRO_SERVE_ADDR", "127.0.0.1:0")
-        .env("REPRO_SERVE_ADDR_FILE", &addr_file)
+        .env("REPRO_SERVE_ADDR_FILE", dir.join("addr"))
         .env("REPRO_SERVE_ROOT", dir.join("serve"))
         .env("REPRO_SERVE_READ_TIMEOUT_MS", "300")
         .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
@@ -78,7 +79,15 @@ fn spawn_daemon(tag: &str, envs: &[(&str, &str)]) -> Daemon {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    let child = cmd.spawn().expect("spawn repro-serve");
+    cmd
+}
+
+fn spawn_daemon(tag: &str, envs: &[(&str, &str)]) -> Daemon {
+    let dir = scratch(tag);
+    let addr_file = dir.join("addr");
+    let child = daemon_command(&dir, envs)
+        .spawn()
+        .expect("spawn repro-serve");
     let start = Instant::now();
     let addr = loop {
         if let Ok(text) = std::fs::read_to_string(&addr_file) {
@@ -298,6 +307,40 @@ fn lifecycle_surfaces_resume_command_warm_store_and_drains_on_sigterm() {
         std::thread::sleep(Duration::from_millis(50));
     };
     assert!(status.success(), "drain must exit 0, got {status}");
+}
+
+#[test]
+fn a_mistyped_trace_store_mode_stops_the_daemon_before_it_listens() {
+    let dir = scratch("badstore");
+    let mut child = daemon_command(&dir, &[("REPRO_TRACE_STORE", "sometimes")])
+        .spawn()
+        .expect("spawn repro-serve");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll repro-serve") {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the daemon started despite REPRO_TRACE_STORE=sometimes");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("REPRO_TRACE_STORE"), "{stderr}");
+    assert!(
+        !dir.join("addr").exists(),
+        "the daemon announced an address before failing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -221,7 +221,19 @@ fn warm_store_replays_with_zero_misses_and_identical_output() {
     );
     assert_eq!(ro.status.code(), Some(0), "stderr:\n{}", stderr(&ro));
     assert_eq!(store_files(&ro_dir), Vec::<String>::new());
-    // And a typo in the mode is an operator error: exit 2 with guidance.
+    // And a typo in the mode is an operator error: exit 2 with guidance,
+    // before the campaign starts — the journal directory still holds only
+    // the `ro` run's log.
+    let logs = || -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(ro_dir.join("journal"))
+            .expect("the ro run wrote its log")
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(logs(), ["ro.jsonl"]);
     let bad = run_table4(&ro_dir, &[("REPRO_TRACE_STORE", "sometimes")]);
     assert_eq!(bad.status.code(), Some(2), "stderr:\n{}", stderr(&bad));
     assert!(
@@ -229,6 +241,7 @@ fn warm_store_replays_with_zero_misses_and_identical_output() {
         "{}",
         stderr(&bad)
     );
+    assert_eq!(logs(), ["ro.jsonl"], "the typo run started a campaign");
 
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&ro_dir);

@@ -32,7 +32,6 @@
 pub mod addr;
 pub mod branch;
 pub mod class;
-pub mod codec;
 pub mod instr;
 pub mod reg;
 pub mod trace;

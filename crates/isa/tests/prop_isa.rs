@@ -113,87 +113,3 @@ proptest! {
         prop_assert_eq!(merged.targets_per_jump_histogram(30), whole.targets_per_jump_histogram(30));
     }
 }
-
-// --- codec round-trip properties ------------------------------------
-
-fn arb_instr() -> impl Strategy<Value = DynInstr> {
-    let reg = proptest::option::of(0u16..32).prop_map(|r| r.map(Reg::new));
-    let pc = (0u64..1 << 40).prop_map(Addr::from_word_index);
-    prop_oneof![
-        // Plain ops
-        (
-            pc.clone(),
-            prop::sample::select(vec![
-                InstrClass::Integer,
-                InstrClass::FpAdd,
-                InstrClass::Mul,
-                InstrClass::Div,
-                InstrClass::BitField,
-            ]),
-            reg.clone(),
-            reg.clone(),
-            reg.clone(),
-        )
-            .prop_map(|(pc, class, a, b, d)| {
-                let mut i = DynInstr::op(pc, class).with_srcs(a, b);
-                if let Some(d) = d {
-                    i = i.with_dst(d);
-                }
-                i
-            }),
-        // Memory ops
-        (pc.clone(), any::<u64>(), any::<bool>(), reg.clone()).prop_map(|(pc, addr, load, r)| {
-            let mut i = if load {
-                DynInstr::load(pc, addr)
-            } else {
-                DynInstr::store(pc, addr)
-            };
-            if let Some(r) = r {
-                i = if load {
-                    i.with_dst(r)
-                } else {
-                    i.with_srcs(Some(r), None)
-                };
-            }
-            i
-        }),
-        // Branches
-        (
-            pc.clone(),
-            (0u64..1 << 40).prop_map(Addr::from_word_index),
-            prop::sample::select(BranchClass::ALL.to_vec()),
-            any::<bool>(),
-        )
-            .prop_map(|(pc, target, class, taken)| {
-                let taken = taken || !class.is_conditional();
-                DynInstr::branch(pc, BranchExec::new(class, taken, target))
-            }),
-    ]
-}
-
-proptest! {
-    #[test]
-    fn codec_roundtrip_preserves_arbitrary_traces(
-        instrs in proptest::collection::vec(arb_instr(), 0..200),
-    ) {
-        use sim_isa::codec::{read_trace, write_trace};
-        let trace: VecTrace = instrs.into_iter().collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let decoded = read_trace(buf.as_slice()).unwrap();
-        prop_assert_eq!(decoded, trace);
-    }
-
-    #[test]
-    fn codec_output_is_deterministic(
-        instrs in proptest::collection::vec(arb_instr(), 0..100),
-    ) {
-        use sim_isa::codec::write_trace;
-        let trace: VecTrace = instrs.into_iter().collect();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        write_trace(&mut a, &trace).unwrap();
-        write_trace(&mut b, &trace).unwrap();
-        prop_assert_eq!(a, b);
-    }
-}

@@ -14,7 +14,7 @@
 //!   entry's target is only replaced after **two consecutive** incorrect
 //!   predictions with that target.
 
-use crate::counter::SaturatingCounter;
+use crate::assoc::SetAssoc;
 use sim_isa::{Addr, BranchClass};
 use std::fmt;
 
@@ -26,6 +26,25 @@ pub enum UpdatePolicy {
     Always,
     /// Calder & Grunwald: replace only after two consecutive mismatches.
     TwoBit,
+}
+
+impl UpdatePolicy {
+    /// Trains a `stored` target toward the `actual` computed one. `streak`
+    /// records that the previous update mismatched: the 2-bit policy
+    /// replaces the target only on the second consecutive mismatch, and a
+    /// match resets the streak. The BTB and the target cache both train
+    /// their targets here.
+    #[inline]
+    pub fn train(self, stored: &mut Addr, streak: &mut bool, actual: Addr) {
+        if *stored == actual {
+            *streak = false;
+        } else if self == UpdatePolicy::Always || *streak {
+            *stored = actual;
+            *streak = false;
+        } else {
+            *streak = true;
+        }
+    }
 }
 
 /// Configuration of a [`Btb`].
@@ -83,17 +102,37 @@ pub struct BtbHit {
     pub class: BranchClass,
 }
 
-#[derive(Clone, Debug)]
+/// One way's payload: a [`BtbHit`]'s fields laid out flat, so the streak
+/// bit shares the class byte's padding.
+#[derive(Clone, Copy, Debug)]
 struct BtbEntry {
-    tag: u64,
     target: Addr,
     fallthrough: Addr,
     class: BranchClass,
-    /// Hysteresis counter for the 2-bit update policy: counts consecutive
-    /// mispredictions with the current target.
-    miss_streak: SaturatingCounter,
-    /// LRU timestamp (higher = more recently used).
-    lru: u64,
+    /// Whether the last update mismatched (2-bit policy state).
+    miss_streak: bool,
+}
+
+impl BtbEntry {
+    fn hit(&self) -> BtbHit {
+        BtbHit {
+            target: self.target,
+            fallthrough: self.fallthrough,
+            class: self.class,
+        }
+    }
+}
+
+impl Default for BtbEntry {
+    /// The placeholder of an empty way; never read.
+    fn default() -> Self {
+        BtbEntry {
+            target: Addr::NULL,
+            fallthrough: Addr::NULL,
+            class: BranchClass::CondDirect,
+            miss_streak: false,
+        }
+    }
 }
 
 /// A set-associative branch target buffer with true-LRU replacement.
@@ -114,38 +153,7 @@ struct BtbEntry {
 #[derive(Clone)]
 pub struct Btb {
     config: BtbConfig,
-    sets: Vec<Vec<BtbEntry>>,
-    clock: u64,
-    stats: BtbStats,
-}
-
-/// Mechanical lookup/update counters for a [`Btb`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BtbStats {
-    /// Fetch-time lookups performed.
-    pub lookups: u64,
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Resolution-time updates (train or install).
-    pub updates: u64,
-    /// Updates that evicted a live entry.
-    pub evictions: u64,
-}
-
-impl BtbStats {
-    /// Lookups that found no entry.
-    pub fn misses(&self) -> u64 {
-        self.lookups - self.hits
-    }
-
-    /// Fraction of lookups that hit.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
+    table: SetAssoc<BtbEntry>,
 }
 
 impl Btb {
@@ -153,15 +161,8 @@ impl Btb {
     pub fn new(config: BtbConfig) -> Self {
         Btb {
             config,
-            sets: vec![Vec::new(); config.sets],
-            clock: 0,
-            stats: BtbStats::default(),
+            table: SetAssoc::new(config.sets, config.ways),
         }
-    }
-
-    /// Mechanical lookup/update counters.
-    pub fn stats(&self) -> BtbStats {
-        self.stats
     }
 
     /// The BTB's configuration.
@@ -169,14 +170,13 @@ impl Btb {
         self.config
     }
 
+    /// The set `pc` maps to (its low word-index bits) and its tag (the
+    /// remaining bits).
     #[inline]
-    fn set_index(&self, pc: Addr) -> usize {
-        (pc.word_index() as usize) & (self.config.sets - 1)
-    }
-
-    #[inline]
-    fn tag(&self, pc: Addr) -> u64 {
-        pc.word_index() / self.config.sets as u64
+    fn set_and_tag(&self, pc: Addr) -> (usize, u64) {
+        let word = pc.word_index();
+        let sets = self.config.sets;
+        ((word as usize) & (sets - 1), word / sets as u64)
     }
 
     /// Looks up `pc`, refreshing the entry's LRU state on a hit.
@@ -184,35 +184,14 @@ impl Btb {
     /// A miss means the fetch engine does not know `pc` is a branch at all
     /// and will fall through.
     pub fn lookup(&mut self, pc: Addr) -> Option<BtbHit> {
-        let set = self.set_index(pc);
-        let tag = self.tag(pc);
-        self.clock += 1;
-        self.stats.lookups += 1;
-        let clock = self.clock;
-        let hit = self.sets[set].iter_mut().find(|e| e.tag == tag).map(|e| {
-            e.lru = clock;
-            BtbHit {
-                target: e.target,
-                fallthrough: e.fallthrough,
-                class: e.class,
-            }
-        });
-        self.stats.hits += hit.is_some() as u64;
-        hit
+        let (set, tag) = self.set_and_tag(pc);
+        self.table.get_mut(set, tag).map(|e| e.hit())
     }
 
     /// Looks up `pc` without disturbing LRU state (for instrumentation).
     pub fn peek(&self, pc: Addr) -> Option<BtbHit> {
-        let set = self.set_index(pc);
-        let tag = self.tag(pc);
-        self.sets[set]
-            .iter()
-            .find(|e| e.tag == tag)
-            .map(|e| BtbHit {
-                target: e.target,
-                fallthrough: e.fallthrough,
-                class: e.class,
-            })
+        let (set, tag) = self.set_and_tag(pc);
+        self.table.get(set, tag).map(|e| e.hit())
     }
 
     /// Installs or trains the entry for a resolved branch.
@@ -221,74 +200,34 @@ impl Btb {
     /// execution; `fallthrough` is `pc.next()` (stored so a call can push
     /// its return address even on a BTB-supplied prediction).
     pub fn update(&mut self, pc: Addr, class: BranchClass, actual_target: Addr, fallthrough: Addr) {
-        let set_index = self.set_index(pc);
-        let tag = self.tag(pc);
-        self.clock += 1;
-        self.stats.updates += 1;
-        let clock = self.clock;
+        let (set, tag) = self.set_and_tag(pc);
         let policy = self.config.update_policy;
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_index];
-
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-            e.lru = clock;
-            e.class = class;
-            e.fallthrough = fallthrough;
-            if e.target == actual_target {
-                e.miss_streak = SaturatingCounter::with_value(1, 0);
-            } else {
-                match policy {
-                    UpdatePolicy::Always => {
-                        e.target = actual_target;
-                    }
-                    UpdatePolicy::TwoBit => {
-                        if e.miss_streak.is_high() {
-                            // Second consecutive miss with this target.
-                            e.target = actual_target;
-                            e.miss_streak = SaturatingCounter::with_value(1, 0);
-                        } else {
-                            e.miss_streak = SaturatingCounter::with_value(1, 1);
-                        }
-                    }
-                }
+        match self.table.get_mut(set, tag) {
+            Some(e) => {
+                e.class = class;
+                e.fallthrough = fallthrough;
+                policy.train(&mut e.target, &mut e.miss_streak, actual_target);
             }
-            return;
-        }
-
-        let entry = BtbEntry {
-            tag,
-            target: actual_target,
-            fallthrough,
-            class,
-            miss_streak: SaturatingCounter::with_value(1, 0),
-            lru: clock,
-        };
-        if set.len() < ways {
-            set.push(entry);
-        } else {
-            // Evict the least-recently-used way.
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(i, _)| i)
-                .expect("set is non-empty");
-            set[victim] = entry;
-            self.stats.evictions += 1;
+            None => {
+                let entry = BtbEntry {
+                    target: actual_target,
+                    fallthrough,
+                    class,
+                    miss_streak: false,
+                };
+                self.table.insert(set, tag, entry);
+            }
         }
     }
 
     /// Number of valid entries currently stored.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.table.len()
     }
 
     /// Clears all entries.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.clock = 0;
+        self.table.clear();
     }
 }
 
@@ -462,32 +401,5 @@ mod tests {
         let c = BtbConfig::isca97_baseline();
         assert_eq!(c.entries(), 1024);
         assert_eq!(c.ways, 4);
-    }
-
-    #[test]
-    fn stats_count_lookups_updates_and_evictions() {
-        let mut b = btb(1, 1, UpdatePolicy::Always); // one entry total
-        assert_eq!(b.stats(), BtbStats::default());
-        b.lookup(Addr::new(0x100)); // miss
-        b.update(
-            Addr::new(0x100),
-            BranchClass::UncondDirect,
-            Addr::new(0x10),
-            Addr::new(0x104),
-        );
-        b.lookup(Addr::new(0x100)); // hit
-        b.update(
-            Addr::new(0x200), // conflicts: evicts 0x100's entry
-            BranchClass::UncondDirect,
-            Addr::new(0x20),
-            Addr::new(0x204),
-        );
-        let s = b.stats();
-        assert_eq!(s.lookups, 2);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses(), 1);
-        assert_eq!(s.updates, 2);
-        assert_eq!(s.evictions, 1);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -4,7 +4,6 @@
 use crate::tournament::{TournamentConfig, TournamentPredictor};
 use crate::twolevel::{TwoLevelConfig, TwoLevelPredictor};
 use sim_isa::Addr;
-use std::cell::Cell;
 
 /// Which direction predictor the front end uses.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -22,15 +21,6 @@ impl DirectionConfig {
     }
 }
 
-/// Lookup/update counters for a direction predictor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DirectionStats {
-    /// Directions predicted.
-    pub predictions: u64,
-    /// Training updates applied.
-    pub updates: u64,
-}
-
 #[derive(Clone, Debug)]
 enum Engine {
     TwoLevel(TwoLevelPredictor),
@@ -41,9 +31,6 @@ enum Engine {
 #[derive(Clone, Debug)]
 pub struct DirectionPredictor {
     engine: Engine,
-    /// `Cell` because `predict` is a logically-read-only probe.
-    predictions: Cell<u64>,
-    updates: u64,
 }
 
 impl DirectionPredictor {
@@ -57,17 +44,12 @@ impl DirectionPredictor {
             DirectionConfig::TwoLevel(c) => Engine::TwoLevel(TwoLevelPredictor::new(c)),
             DirectionConfig::Tournament(c) => Engine::Tournament(TournamentPredictor::new(c)),
         };
-        DirectionPredictor {
-            engine,
-            predictions: Cell::new(0),
-            updates: 0,
-        }
+        DirectionPredictor { engine }
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
     #[inline]
     pub fn predict(&self, pc: Addr) -> bool {
-        self.predictions.set(self.predictions.get() + 1);
         match &self.engine {
             Engine::TwoLevel(p) => p.predict(pc),
             Engine::Tournament(p) => p.predict(pc),
@@ -77,7 +59,6 @@ impl DirectionPredictor {
     /// Trains the predictor and shifts its history register(s).
     #[inline]
     pub fn update(&mut self, pc: Addr, taken: bool) {
-        self.updates += 1;
         match &mut self.engine {
             Engine::TwoLevel(p) => p.update(pc, taken),
             Engine::Tournament(p) => p.update(pc, taken),
@@ -90,14 +71,6 @@ impl DirectionPredictor {
         match &self.engine {
             Engine::TwoLevel(p) => p.global_history(),
             Engine::Tournament(p) => p.global_history(),
-        }
-    }
-
-    /// Mechanical prediction/update counters.
-    pub fn stats(&self) -> DirectionStats {
-        DirectionStats {
-            predictions: self.predictions.get(),
-            updates: self.updates,
         }
     }
 }
@@ -131,17 +104,5 @@ mod tests {
             p.update(Addr::new(0), true);
             assert_eq!(p.global_history() & 1, 1, "{config:?}");
         }
-    }
-
-    #[test]
-    fn stats_count_predictions_and_updates() {
-        let mut p = DirectionPredictor::new(DirectionConfig::gshare(8));
-        assert_eq!(p.stats(), DirectionStats::default());
-        p.predict(Addr::new(0x40));
-        p.predict(Addr::new(0x40));
-        p.update(Addr::new(0x40), true);
-        let s = p.stats();
-        assert_eq!(s.predictions, 2);
-        assert_eq!(s.updates, 1);
     }
 }

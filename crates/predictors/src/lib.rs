@@ -13,8 +13,12 @@
 //! * [`PathHistory`] / [`PerAddressPathHistory`] — the path-history
 //!   registers of Section 3.1 of the paper, with the Control / Branch /
 //!   Call-ret / Ind-jmp recording filters,
+//! * [`SetAssoc`] — the one set-associative, true-LRU table under the
+//!   BTB, both target-cache organizations and the timing model's data
+//!   cache,
 //! * [`Btb`] — a set-associative branch target buffer with the *default*
-//!   and *2-bit* (Calder & Grunwald) target-update strategies,
+//!   and *2-bit* (Calder & Grunwald) target-update strategies
+//!   ([`UpdatePolicy::train`]),
 //! * [`TwoLevelPredictor`] — GAg / GAs / gshare / PAg conditional-direction
 //!   predictors,
 //! * [`ReturnAddressStack`] — the return stack that excuses returns from
@@ -36,6 +40,7 @@
 //! assert_eq!(btb.lookup(jump).unwrap().target, Addr::new(0x3000));
 //! ```
 
+pub mod assoc;
 pub mod btb;
 pub mod counter;
 pub mod direction;
@@ -45,13 +50,14 @@ pub mod stats;
 pub mod tournament;
 pub mod twolevel;
 
-pub use btb::{Btb, BtbConfig, BtbHit, BtbStats, UpdatePolicy};
+pub use assoc::SetAssoc;
+pub use btb::{Btb, BtbConfig, BtbHit, UpdatePolicy};
 pub use counter::SaturatingCounter;
-pub use direction::{DirectionConfig, DirectionPredictor, DirectionStats};
+pub use direction::{DirectionConfig, DirectionPredictor};
 pub use history::{
     PathFilter, PathHistory, PathHistoryConfig, PatternHistory, PerAddressPathHistory,
 };
-pub use ras::{RasStats, ReturnAddressStack};
+pub use ras::ReturnAddressStack;
 pub use stats::{BranchClassStats, ClassCounters};
 pub use tournament::{TournamentConfig, TournamentPredictor};
 pub use twolevel::{TwoLevelConfig, TwoLevelPredictor, TwoLevelScheme};

@@ -9,22 +9,6 @@
 use sim_isa::Addr;
 use std::fmt;
 
-/// Push/pop counters for a [`ReturnAddressStack`], including the
-/// capacity events that corrupt predictions: overflows (a push wrapped
-/// around and destroyed the oldest entry) and underflows (a pop found the
-/// stack empty, leaving the return unpredicted).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RasStats {
-    /// Return addresses pushed.
-    pub pushes: u64,
-    /// Pop attempts (successful or not).
-    pub pops: u64,
-    /// Pushes that overwrote the oldest live entry.
-    pub overflows: u64,
-    /// Pops of an empty stack.
-    pub underflows: u64,
-}
-
 /// A bounded return address stack with wrap-around overwrite.
 ///
 /// # Example
@@ -40,25 +24,14 @@ pub struct RasStats {
 /// assert_eq!(ras.pop(), Some(Addr::new(0x104)));
 /// assert_eq!(ras.pop(), None);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ReturnAddressStack {
     slots: Vec<Addr>,
     /// Index of the next free slot (mod capacity).
     top: usize,
     /// Number of live entries (saturates at capacity).
     depth: usize,
-    stats: RasStats,
 }
-
-/// Equality compares predictive content (live entries and their order),
-/// not the statistics counters.
-impl PartialEq for ReturnAddressStack {
-    fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots && self.top == other.top && self.depth == other.depth
-    }
-}
-
-impl Eq for ReturnAddressStack {}
 
 impl ReturnAddressStack {
     /// Creates an empty stack with room for `capacity` return addresses.
@@ -72,13 +45,7 @@ impl ReturnAddressStack {
             slots: vec![Addr::NULL; capacity],
             top: 0,
             depth: 0,
-            stats: RasStats::default(),
         }
-    }
-
-    /// Push/pop counters, including overflow and underflow events.
-    pub fn stats(&self) -> RasStats {
-        self.stats
     }
 
     /// The stack's capacity.
@@ -100,8 +67,6 @@ impl ReturnAddressStack {
     /// full, the oldest entry is silently overwritten.
     #[inline]
     pub fn push(&mut self, return_addr: Addr) {
-        self.stats.pushes += 1;
-        self.stats.overflows += (self.depth == self.slots.len()) as u64;
         self.slots[self.top] = return_addr;
         self.top = (self.top + 1) % self.slots.len();
         self.depth = (self.depth + 1).min(self.slots.len());
@@ -111,9 +76,7 @@ impl ReturnAddressStack {
     /// (in which case the fetch engine has no prediction for the return).
     #[inline]
     pub fn pop(&mut self) -> Option<Addr> {
-        self.stats.pops += 1;
         if self.depth == 0 {
-            self.stats.underflows += 1;
             return None;
         }
         self.top = (self.top + self.slots.len() - 1) % self.slots.len();
@@ -205,21 +168,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         ReturnAddressStack::new(0);
-    }
-
-    #[test]
-    fn stats_count_capacity_events() {
-        let mut s = ReturnAddressStack::new(2);
-        s.pop(); // underflow
-        s.push(Addr::new(0x10));
-        s.push(Addr::new(0x20));
-        s.push(Addr::new(0x30)); // overflow
-        s.pop();
-        let st = s.stats();
-        assert_eq!(st.pushes, 3);
-        assert_eq!(st.pops, 2);
-        assert_eq!(st.overflows, 1);
-        assert_eq!(st.underflows, 1);
     }
 
     #[test]

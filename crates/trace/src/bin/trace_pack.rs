@@ -11,12 +11,13 @@
 //! Exit status: `0` on success, `1` when `verify` finds a bad file,
 //! `2` on a usage error.
 
-use sim_isa::TraceStats;
+use sim_isa::{BranchClass, TraceStats};
 use sim_trace::bbv::BbvSection;
 use sim_trace::{
     encode_to_vec, FingerprintBuilder, StatsSummary, TraceError, TraceReader, BBV_MAGIC,
     CHUNK_RECORDS,
 };
+use sim_workloads::{Benchmark, OoBenchmark};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};
 use std::path::{Path, PathBuf};
@@ -28,12 +29,14 @@ usage: trace-pack <COMMAND> [ARGS]
 
 commands:
   record --bench <name> [--budget N] [--seed N] [--scale LABEL] --out <path>
-        generate a workload trace and write it as .strc
+        generate a workload trace (a SPECint95 model, or the OO
+        benchmarks ixx and deltablue) and write it as .strc
         (--out may be a directory: the store file name is used)
   info <file>... [--chunks]
-        print each file's header, size, and bytes/instruction;
-        --chunks adds a per-chunk table (record count, payload bytes,
-        checksum, BBV fingerprint presence)
+        print each file's header, size, bytes/instruction, per-class
+        branch counts and the targets-per-site histogram of its
+        indirect jumps; --chunks adds a per-chunk table (record count,
+        payload bytes, checksum, BBV fingerprint presence)
   verify <file|dir>...
         fully decode each .strc file (directories are scanned for
         *.strc), checking chunk checksums, record validity, the
@@ -110,17 +113,23 @@ fn record(args: &[String]) {
     let bench_name =
         flag_value(args, "--bench").unwrap_or_else(|| usage_error("record wants --bench <name>"));
     let out = flag_value(args, "--out").unwrap_or_else(|| usage_error("record wants --out <path>"));
-    let bench = sim_workloads::Benchmark::from_name(&bench_name).unwrap_or_else(|| {
-        usage_error(&format!(
-            "unknown benchmark {bench_name:?}; accepted: {}",
-            sim_workloads::Benchmark::ALL
-                .iter()
-                .map(|b| b.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    });
-    let workload = bench.workload();
+    let workload = Benchmark::from_name(&bench_name)
+        .map(Benchmark::workload)
+        .or_else(|| {
+            let oo = OoBenchmark::ALL
+                .into_iter()
+                .find(|b| b.name() == bench_name);
+            oo.map(OoBenchmark::workload)
+        })
+        .unwrap_or_else(|| {
+            let spec = Benchmark::ALL.map(Benchmark::name);
+            let oo = OoBenchmark::ALL.map(OoBenchmark::name);
+            usage_error(&format!(
+                "unknown benchmark {bench_name:?}; accepted: {}, {}",
+                spec.join(", "),
+                oo.join(", ")
+            ))
+        });
     let budget = flag_value(args, "--budget")
         .map(|v| parse_number("--budget", &v))
         .unwrap_or(workload.default_budget() as u64);
@@ -129,7 +138,7 @@ fn record(args: &[String]) {
         .unwrap_or(workload.seed());
     let scale = flag_value(args, "--scale").unwrap_or_else(|| "adhoc".to_string());
     let key = sim_trace::TraceKey {
-        benchmark: bench.name().to_string(),
+        benchmark: bench_name,
         scale,
         budget,
         seed,
@@ -199,12 +208,41 @@ fn print_header(path: &Path, reader: &TraceReader<BufReader<File>>) {
         size as f64 / h.instructions.max(1) as f64
     );
     let branches: u64 = h.summary.branch_counts.iter().sum();
-    let indirect = h.summary.branch_counts[sim_isa::BranchClass::IndirectJump.index()]
-        + h.summary.branch_counts[sim_isa::BranchClass::IndirectCall.index()];
+    let indirect = h.summary.branch_counts[BranchClass::IndirectJump.index()]
+        + h.summary.branch_counts[BranchClass::IndirectCall.index()];
     println!(
         "  {branches} branches, {indirect} indirect jumps over {} static sites",
         h.summary.static_indirect_jumps
     );
+    for class in BranchClass::ALL {
+        let n = h.summary.branch_counts[class.index()];
+        if n > 0 {
+            println!("    {:>6}: {n}", class.mnemonic());
+        }
+    }
+}
+
+/// Decodes the whole trace and prints how many distinct targets each
+/// static indirect-jump site reached, as `targets:sites` buckets (the
+/// last bucket collects 30 or more).
+fn print_targets_histogram(path: &Path, reader: TraceReader<BufReader<File>>) {
+    let mut stats = TraceStats::default();
+    for record in reader {
+        match record {
+            Ok(i) => stats.record(&i),
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                exit(2);
+            }
+        }
+    }
+    print!("  targets/site histogram:");
+    for (k, &n) in stats.targets_per_jump_histogram(30).iter().enumerate() {
+        if n > 0 {
+            print!(" {}{}:{n}", if k == 29 { ">=" } else { "" }, k + 1);
+        }
+    }
+    println!();
 }
 
 fn info(args: &[String]) {
@@ -225,6 +263,7 @@ fn info(args: &[String]) {
         match open_reader(path) {
             Ok(reader) => {
                 print_header(path, &reader);
+                print_targets_histogram(path, reader);
                 if chunks {
                     print_chunk_table(path);
                 }

@@ -1,6 +1,7 @@
 //! A set-associative data cache with LRU replacement.
 
 use crate::config::DCacheConfig;
+use branch_predictors::SetAssoc;
 
 /// Access statistics for the data cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,12 +28,6 @@ impl DCacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    lru: u64,
-}
-
 /// A write-allocate, LRU, set-associative data cache model.
 ///
 /// # Example
@@ -47,8 +42,7 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct DataCache {
     config: DCacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    lines: SetAssoc<()>,
     stats: DCacheStats,
 }
 
@@ -59,42 +53,25 @@ impl DataCache {
     ///
     /// Panics if the geometry is malformed (see [`DCacheConfig::sets`]).
     pub fn new(config: DCacheConfig) -> Self {
-        let sets = config.sets();
         DataCache {
             config,
-            sets: vec![Vec::new(); sets],
-            clock: 0,
+            lines: SetAssoc::new(config.sets(), config.assoc),
             stats: DCacheStats::default(),
         }
     }
 
     /// Accesses a byte address; returns whether it hit. Misses allocate.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let line_addr = addr / self.config.line_bytes as u64;
-        let set_index = (line_addr as usize) & (self.sets.len() - 1);
-        let tag = line_addr / self.sets.len() as u64;
-        let ways = self.config.assoc;
-        let clock = self.clock;
-        let set = &mut self.sets[set_index];
+        let line = addr / self.config.line_bytes as u64;
+        let sets = self.lines.sets();
+        let (set, tag) = ((line as usize) & (sets - 1), line / sets as u64);
+        let hit = self.lines.get_mut(set, tag).is_some();
+        if !hit {
+            self.lines.insert(set, tag, ());
+        }
         self.stats.accesses += 1;
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = clock;
-            self.stats.hits += 1;
-            return true;
-        }
-        if set.len() < ways {
-            set.push(Line { tag, lru: clock });
-        } else {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("set non-empty");
-            set[victim] = Line { tag, lru: clock };
-        }
-        false
+        self.stats.hits += hit as u64;
+        hit
     }
 
     /// Access statistics.

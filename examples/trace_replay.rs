@@ -1,36 +1,50 @@
-//! Trace-artifact round trip: generate a workload, serialize it with the
-//! binary codec, read it back, and replay it through the predictors —
-//! the workflow for sharing traces between machines or archiving the
-//! exact inputs behind a result.
+//! Trace-artifact round trip: generate a workload, record it as a `.strc`
+//! file, read it back, and replay it through the predictors — the
+//! workflow for sharing traces between machines or archiving the exact
+//! inputs behind a result. (`trace-pack record|info|verify` does the same
+//! from the command line.)
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use indirect_jump_prediction::isa::codec::{read_trace, write_trace};
 use indirect_jump_prediction::prelude::*;
-use std::io::{BufReader, BufWriter, Seek, SeekFrom};
+use std::io::BufWriter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate a canonical trace.
-    let original = Benchmark::Xlisp.workload().generate(120_000);
+    let workload = Benchmark::Xlisp.workload();
+    let original = workload.generate(120_000);
     println!("generated {} instructions of xlisp", original.len());
 
-    // 2. Serialize to a temporary file.
-    let mut file = tempfile()?;
-    write_trace(BufWriter::new(&mut file), &original)?;
-    let bytes = file.seek(SeekFrom::End(0))?;
+    // 2. Record it as a .strc file.
+    let path = std::env::temp_dir().join(format!("ijp-trace-{}.strc", std::process::id()));
+    let meta = sim_trace::TraceMeta {
+        benchmark: "xlisp".into(),
+        scale: "example".into(),
+        seed: workload.seed(),
+        generator_version: indirect_jump_prediction::workloads::GENERATOR_VERSION,
+    };
+    let file = std::fs::File::create(&path)?;
+    let summary = sim_trace::write_trace(BufWriter::new(file), meta, &original)?;
     println!(
-        "serialized to {} bytes ({:.2} bytes/instruction)",
-        bytes,
-        bytes as f64 / original.len() as f64
+        "recorded to {} bytes ({:.2} bytes/instruction, {} chunks)",
+        summary.bytes,
+        summary.bytes as f64 / original.len() as f64,
+        summary.chunks
     );
 
-    // 3. Read it back and verify byte-exact equality.
-    file.seek(SeekFrom::Start(0))?;
-    let replayed = read_trace(BufReader::new(&mut file))?;
-    assert_eq!(replayed, original, "codec must round-trip exactly");
+    // 3. Read it back and verify exact equality.
+    let read = sim_trace::read_trace_file(&path);
+    std::fs::remove_file(&path)?;
+    let (header, replayed) = read?;
+    assert_eq!(
+        replayed, original,
+        "the .strc format must round-trip exactly"
+    );
     println!(
-        "round trip verified: {} instructions identical",
-        replayed.len()
+        "round trip verified: {} instructions identical (benchmark {}, seed {:#x})",
+        replayed.len(),
+        header.meta.benchmark,
+        header.meta.seed
     );
 
     // 4. Replay through the predictors: results must match the original.
@@ -49,17 +63,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.indirect_jump_misprediction_rate() * 100.0
     );
     Ok(())
-}
-
-/// A deleted-on-close temporary file (no tempfile crate: keep deps minimal).
-fn tempfile() -> std::io::Result<std::fs::File> {
-    let path = std::env::temp_dir().join(format!("ijp-trace-{}.trc", std::process::id()));
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .read(true)
-        .write(true)
-        .open(&path)?;
-    std::fs::remove_file(&path)?;
-    Ok(file)
 }
