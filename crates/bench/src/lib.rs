@@ -2,10 +2,10 @@
 //!
 //! The benches live in `benches/`:
 //!
-//! * `tables` — one bench per paper table (1, 2, 4, 5, 6, 7, 8, 9): each
-//!   measures the end-to-end regeneration of that table at quick scale and,
-//!   as a side effect, validates that the experiment still runs.
-//! * `figures` — Figures 1–8 and 12–13, plus the headline.
+//! * `experiments` — one bench per registry experiment (every table,
+//!   figure and extension): each measures the sequential regeneration of
+//!   that experiment at quick scale and, as a side effect, validates that
+//!   it still runs (`cargo bench --bench experiments -- table4`).
 //! * `ablations` — the design-choice ablations DESIGN.md calls out:
 //!   index-hash cost, tagless vs tagged lookup cost, and history-source
 //!   maintenance cost.

@@ -1,5 +1,7 @@
-//! Regenerates every table and figure of the paper in one fault-tolerant
-//! campaign.
+//! Regenerates the paper's tables and figures in one fault-tolerant
+//! campaign: `repro <experiment>` runs one registry experiment (`repro
+//! table4`), `repro all` runs every one. No argument, or an unknown
+//! name, exits 2 and lists the names.
 //!
 //! Scale is controlled by `REPRO_SCALE` (`quick` / `standard` / `full`),
 //! telemetry capture by `REPRO_TELEMETRY` (`off` / `summary` / `events`),
@@ -10,6 +12,6 @@
 //! markers and turn the exit status to 1; everything else still prints.
 
 fn main() {
-    println!("Reproduction of 'Target Prediction for Indirect Jumps' (ISCA 1997)");
-    experiments::jobs::cli::run_tool("repro_all", &experiments::jobs::registry::all());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    experiments::jobs::cli::repro(&args)
 }

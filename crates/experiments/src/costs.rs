@@ -12,6 +12,8 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
+use crate::runner::Scale;
+use crate::telemetry::TelemetryCtx;
 use branch_predictors::PathFilter;
 use target_cache::TargetCacheConfig;
 
@@ -21,19 +23,6 @@ pub const BTB_ENTRY_BITS: usize = 80;
 
 /// The baseline BTB's storage, in bits (1K entries).
 pub const BTB_BITS: usize = 1024 * BTB_ENTRY_BITS;
-
-/// One design point's cost summary.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Human-readable configuration name.
-    pub name: &'static str,
-    /// The configuration.
-    pub config: TargetCacheConfig,
-    /// Target-cache storage in bits.
-    pub cache_bits: usize,
-    /// Fractional increase over the BTB-only budget.
-    pub budget_increase: f64,
-}
 
 /// The design points the paper discusses.
 pub fn points() -> Vec<(&'static str, TargetCacheConfig)> {
@@ -68,8 +57,9 @@ pub fn cell_labels() -> Vec<&'static str> {
 }
 
 /// Computes the cost model's one cell: `bits.<name>` and `increase.<name>`
-/// per design point.
-pub fn cell(_label: &str) -> CellData {
+/// per design point. The model simulates nothing, so it ignores the
+/// telemetry context and the scale.
+pub fn cell(_ctx: &TelemetryCtx, _label: &str, _scale: Scale) -> CellData {
     let mut d = CellData::new();
     for (name, config) in points() {
         let cache_bits = config.hardware_bits();
@@ -80,39 +70,6 @@ pub fn cell(_label: &str) -> CellData {
         );
     }
     d
-}
-
-/// Runs the cost model.
-pub fn run() -> Vec<Row> {
-    points()
-        .into_iter()
-        .map(|(name, config)| {
-            let cache_bits = config.hardware_bits();
-            Row {
-                name,
-                config,
-                cache_bits,
-                budget_increase: cache_bits as f64 / BTB_BITS as f64,
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to the one-cell set.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut d = CellData::new();
-    for r in rows {
-        d.set(format!("bits.{}", r.name), r.cache_bits as f64);
-        d.set(format!("increase.{}", r.name), r.budget_increase);
-    }
-    let mut set = CellSet::new();
-    set.insert("model", Ok(d));
-    set
-}
-
-/// Renders the cost table.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly failed) cell set as the cost table.
@@ -142,32 +99,38 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// The cache bits and budget increase of the design point whose name
+    /// contains `name`.
+    fn point(name: &str) -> (f64, f64) {
+        let cells = quick("costs");
+        let d = cells.data("model").unwrap();
+        let (full, _) = points()
+            .into_iter()
+            .find(|(n, _)| n.contains(name))
+            .unwrap();
+        (
+            d.req(&format!("bits.{full}")),
+            d.req(&format!("increase.{full}")),
+        )
+    }
 
     #[test]
     fn tagless_and_tagged_presets_cost_the_same() {
         // The paper's equal-budget comparison: 512 tagless ≡ 256 tagged.
-        let rows = run();
-        let tagless = rows
-            .iter()
-            .find(|r| r.name.contains("tagless 512, gshare"))
-            .unwrap();
-        let tagged = rows
-            .iter()
-            .find(|r| r.name.contains("tagged 256, 4-way"))
-            .unwrap();
-        assert_eq!(tagless.cache_bits, tagged.cache_bits);
+        assert_eq!(point("tagless 512, gshare").0, point("tagged 256, 4-way").0);
     }
 
     #[test]
     fn target_cache_is_a_modest_fraction_of_the_btb() {
-        for r in run() {
+        for (name, _) in points() {
+            let (_, increase) = point(name);
             assert!(
-                r.budget_increase < 0.35,
-                "{}: budget increase {} is not modest",
-                r.name,
-                r.budget_increase
+                increase < 0.35,
+                "{name}: budget increase {increase} is not modest"
             );
-            assert!(r.budget_increase > 0.0);
+            assert!(increase > 0.0);
         }
     }
 
@@ -175,15 +138,6 @@ mod tests {
     fn history_source_does_not_change_storage_cost() {
         // Pattern vs path history reuse existing registers; the cache
         // storage itself is identical.
-        let rows = run();
-        let pattern = rows
-            .iter()
-            .find(|r| r.name.contains("gshare, pattern"))
-            .unwrap();
-        let path = rows
-            .iter()
-            .find(|r| r.name.contains("path ind-jmp"))
-            .unwrap();
-        assert_eq!(pattern.cache_bits, path.cache_bits);
+        assert_eq!(point("gshare, pattern").0, point("path ind-jmp").0);
     }
 }

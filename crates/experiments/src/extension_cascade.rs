@@ -29,23 +29,6 @@ fn tagless(entries: usize) -> TargetCacheConfig {
     )
 }
 
-/// One benchmark's comparison.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// BTB-only baseline misprediction.
-    pub baseline: f64,
-    /// Plain 512-entry target cache.
-    pub plain_512: f64,
-    /// Cascade with a 512-entry second stage.
-    pub cascade_512: f64,
-    /// Cascade with a 256-entry second stage.
-    pub cascade_256: f64,
-    /// Fraction of dynamic jumps the 512-cascade filtered into stage 1.
-    pub filter_rate: f64,
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
@@ -74,53 +57,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         cascade.cascade_filter_rate().expect("cascade configured"),
     );
     d
-}
-
-/// Runs the cascade study over the full suite.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("extension_cascade cell for {benchmark} missing or failed")
-            });
-            Row {
-                benchmark,
-                baseline: d.req("baseline"),
-                plain_512: d.req("plain_512"),
-                cascade_512: d.req("cascade_512"),
-                cascade_256: d.req("cascade_256"),
-                filter_rate: d.req("filter_rate"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("baseline", r.baseline);
-        d.set("plain_512", r.plain_512);
-        d.set("cascade_512", r.cascade_512);
-        d.set("cascade_256", r.cascade_256);
-        d.set("filter_rate", r.filter_rate);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the cascade table.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the cascade table.
@@ -154,22 +90,22 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn monomorphic_benchmarks_are_mostly_filtered() {
-        let rows = run(Scale::Quick);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick("extension_cascade");
+        let filter_rate = |b: Benchmark| cells.data(b.name()).unwrap().req("filter_rate");
         for easy in [Benchmark::Compress, Benchmark::Ijpeg, Benchmark::Vortex] {
-            let r = get(easy);
+            let rate = filter_rate(easy);
             assert!(
-                r.filter_rate > 0.5,
-                "{easy}: filter rate {} should be high for monomorphic dispatch",
-                r.filter_rate
+                rate > 0.5,
+                "{easy}: filter rate {rate} should be high for monomorphic dispatch"
             );
         }
         // perl's dispatch is polymorphic: almost nothing should be filtered
         // once confidence collapses.
-        assert!(get(Benchmark::Perl).filter_rate < 0.5);
+        assert!(filter_rate(Benchmark::Perl) < 0.5);
     }
 
     #[test]
@@ -180,28 +116,23 @@ mod tests {
         // confidence bit oscillates and starves the second stage. Either
         // way the cascade must never be meaningfully worse than *both* the
         // plain cache and the raw BTB.
-        for r in run(Scale::Quick) {
-            let envelope = r.plain_512.max(r.baseline) + 0.03;
+        let cells = quick("extension_cascade");
+        for b in Benchmark::ALL {
+            let d = cells.data(b.name()).unwrap();
+            let envelope = d.req("plain_512").max(d.req("baseline")) + 0.03;
+            let cascade = d.req("cascade_512");
             assert!(
-                r.cascade_512 <= envelope,
-                "{}: cascade 512 ({}) outside the BTB/plain envelope ({})",
-                r.benchmark,
-                r.cascade_512,
-                envelope
+                cascade <= envelope,
+                "{b}: cascade 512 ({cascade}) outside the BTB/plain envelope ({envelope})"
             );
         }
         // And the protection effect is real where the plain cache hurts.
-        let rows = run(Scale::Quick);
-        let ijpeg = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Ijpeg)
-            .unwrap();
-        if ijpeg.plain_512 > ijpeg.baseline {
+        let ijpeg = cells.data(Benchmark::Ijpeg.name()).unwrap();
+        let (plain, cascade) = (ijpeg.req("plain_512"), ijpeg.req("cascade_512"));
+        if plain > ijpeg.req("baseline") {
             assert!(
-                ijpeg.cascade_512 < ijpeg.plain_512,
-                "ijpeg: cascade ({}) should undo the plain cache's pollution ({})",
-                ijpeg.cascade_512,
-                ijpeg.plain_512
+                cascade < plain,
+                "ijpeg: cascade ({cascade}) should undo the plain cache's pollution ({plain})"
             );
         }
     }
@@ -211,13 +142,12 @@ mod tests {
         // The capacity argument: with monomorphic traffic filtered, half
         // the entries go (nearly) as far on the interference-bound
         // benchmark.
-        let rows = run(Scale::Quick);
-        let gcc = rows.iter().find(|r| r.benchmark == Benchmark::Gcc).unwrap();
+        let cells = quick("extension_cascade");
+        let gcc = cells.data(Benchmark::Gcc.name()).unwrap();
+        let (half, plain) = (gcc.req("cascade_256"), gcc.req("plain_512"));
         assert!(
-            gcc.cascade_256 <= gcc.plain_512 + 0.10,
-            "gcc: half-size cascade ({}) should stay close to plain 512 ({})",
-            gcc.cascade_256,
-            gcc.plain_512
+            half <= plain + 0.10,
+            "gcc: half-size cascade ({half}) should stay close to plain 512 ({plain})"
         );
     }
 }

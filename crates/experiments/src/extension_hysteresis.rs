@@ -24,17 +24,6 @@ use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
-/// One benchmark's comparison, for tagless-512 and tagged-256-4-way.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Tagless: [always, two-bit] misprediction rates.
-    pub tagless: [f64; 2],
-    /// Tagged 4-way: [always, two-bit] misprediction rates.
-    pub tagged: [f64; 2],
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
@@ -61,49 +50,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         rate(tagged.with_update_policy(UpdatePolicy::TwoBit)),
     );
     d
-}
-
-/// Runs the study over the full suite.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("extension_hysteresis cell for {benchmark} missing or failed")
-            });
-            Row {
-                benchmark,
-                tagless: [d.req("tagless.always"), d.req("tagless.two_bit")],
-                tagged: [d.req("tagged.always"), d.req("tagged.two_bit")],
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("tagless.always", r.tagless[0]);
-        d.set("tagless.two_bit", r.tagless[1]);
-        d.set("tagged.always", r.tagged[0]);
-        d.set("tagged.two_bit", r.tagged[1]);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the study.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the study's table.
@@ -135,38 +81,37 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// `[always, two-bit]` misprediction rates of the `org` cache
+    /// (`tagless` or `tagged`) on `b`.
+    fn rates(cells: &CellSet, b: Benchmark, org: &str) -> [f64; 2] {
+        let d = cells.data(b.name()).unwrap();
+        [
+            d.req(&format!("{org}.always")),
+            d.req(&format!("{org}.two_bit")),
+        ]
+    }
 
     #[test]
     fn hysteresis_is_second_order_next_to_indexing() {
         // The update policy moves rates by points, not the tens of points
         // the indexing scheme is worth.
-        let rows = run(Scale::Quick);
-        let perl = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl)
-            .unwrap();
+        let perl = rates(&quick("extension_hysteresis"), Benchmark::Perl, "tagless");
         assert!(
-            (perl.tagless[0] - perl.tagless[1]).abs() < 0.12,
-            "perl: policies should be within a few points, got {:?}",
-            perl.tagless
+            (perl[0] - perl[1]).abs() < 0.12,
+            "perl: policies should be within a few points, got {perl:?}"
         );
     }
 
     #[test]
     fn hysteresis_never_blows_up_a_benchmark() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.tagless[1] < r.tagless[0] + 0.15,
-                "{}: 2-bit tagless {:?}",
-                r.benchmark,
-                r.tagless
-            );
-            assert!(
-                r.tagged[1] < r.tagged[0] + 0.15,
-                "{}: 2-bit tagged {:?}",
-                r.benchmark,
-                r.tagged
-            );
+        let cells = quick("extension_hysteresis");
+        for b in Benchmark::ALL {
+            for org in ["tagless", "tagged"] {
+                let r = rates(&cells, b, org);
+                assert!(r[1] < r[0] + 0.15, "{b}: 2-bit {org} {r:?}");
+            }
         }
     }
 }

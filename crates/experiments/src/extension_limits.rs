@@ -15,25 +15,13 @@ use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
-/// One benchmark's limit-study numbers.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Exec-time reduction of the best 512-entry tagless target cache.
-    pub target_cache: f64,
-    /// Exec-time reduction of the oracle target predictor.
-    pub oracle: f64,
-}
-
-impl Row {
-    /// Fraction of the oracle's headroom the target cache captures.
-    pub fn capture_ratio(&self) -> f64 {
-        if self.oracle <= 0.0 {
-            1.0
-        } else {
-            (self.target_cache / self.oracle).clamp(-1.0, 1.0)
-        }
+/// The fraction of the oracle's headroom the target cache captures,
+/// from the two execution-time reductions.
+fn capture_ratio(target_cache: f64, oracle: f64) -> f64 {
+    if oracle <= 0.0 {
+        1.0
+    } else {
+        (target_cache / oracle).clamp(-1.0, 1.0)
     }
 }
 
@@ -59,47 +47,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the limit study over the full suite.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("extension_limits cell for {benchmark} missing or failed")
-            });
-            Row {
-                benchmark,
-                target_cache: d.req("target_cache"),
-                oracle: d.req("oracle"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("target_cache", r.target_cache);
-        d.set("oracle", r.oracle);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the limit-study table.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the limit-study table.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut table = TextTable::new(vec![
@@ -110,20 +57,13 @@ pub fn render_cells(cells: &CellSet) -> String {
     ]);
     for &b in &Benchmark::ALL {
         let n = b.name();
-        let captured = match cells.data(n) {
-            Some(d) => pct(Row {
-                benchmark: b,
-                target_cache: d.req("target_cache"),
-                oracle: d.req("oracle"),
-            }
-            .capture_ratio()),
-            None => crate::jobs::err_marker(cells.failure(n).unwrap_or("cell missing")),
-        };
         table.row(vec![
             n.into(),
             cells.fmt(n, "target_cache", pct),
             cells.fmt(n, "oracle", pct),
-            captured,
+            cells.fmt_derived(n, &["target_cache", "oracle"], |v| {
+                pct(capture_ratio(v[0], v[1]))
+            }),
         ]);
     }
     format!(
@@ -136,43 +76,48 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// `(target cache, oracle)` execution-time reductions per benchmark.
+    fn reductions() -> Vec<(Benchmark, f64, f64)> {
+        let cells = quick("extension_limits");
+        Benchmark::ALL
+            .iter()
+            .map(|&b| {
+                let d = cells.data(b.name()).unwrap();
+                (b, d.req("target_cache"), d.req("oracle"))
+            })
+            .collect()
+    }
 
     #[test]
     fn oracle_bounds_the_target_cache() {
-        for r in run(Scale::Quick) {
+        for (b, target_cache, oracle) in reductions() {
             assert!(
-                r.target_cache <= r.oracle + 0.005,
-                "{}: target cache ({}) cannot beat the oracle ({})",
-                r.benchmark,
-                r.target_cache,
-                r.oracle
+                target_cache <= oracle + 0.005,
+                "{b}: target cache ({target_cache}) cannot beat the oracle ({oracle})"
             );
-            assert!(
-                r.oracle >= -0.005,
-                "{}: oracle cannot slow the machine",
-                r.benchmark
-            );
+            assert!(oracle >= -0.005, "{b}: oracle cannot slow the machine");
         }
     }
 
     #[test]
     fn perl_captures_most_of_its_headroom() {
-        let rows = run(Scale::Quick);
-        let perl = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl)
+        let (_, target_cache, oracle) = reductions()
+            .into_iter()
+            .find(|r| r.0 == Benchmark::Perl)
             .unwrap();
+        let ratio = capture_ratio(target_cache, oracle);
         assert!(
-            perl.capture_ratio() > 0.8,
-            "perl: path-history target cache captures {} of the oracle headroom",
-            perl.capture_ratio()
+            ratio > 0.8,
+            "perl: path-history target cache captures {ratio} of the oracle headroom"
         );
     }
 
     #[test]
     fn headroom_concentrates_in_the_hard_benchmarks() {
-        let rows = run(Scale::Quick);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap().oracle;
+        let rows = reductions();
+        let get = |b: Benchmark| rows.iter().find(|r| r.0 == b).unwrap().2;
         assert!(get(Benchmark::Perl) > get(Benchmark::Compress));
         assert!(get(Benchmark::Gcc) > get(Benchmark::Ijpeg));
     }

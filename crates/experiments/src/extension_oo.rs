@@ -39,22 +39,6 @@ pub fn configs() -> Vec<(&'static str, Option<TargetCacheConfig>)> {
     ]
 }
 
-/// One benchmark's results across the configurations.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The OO benchmark.
-    pub benchmark: OoBenchmark,
-    /// Dynamic indirect branches in the trace.
-    pub indirect_jumps: u64,
-    /// Fraction of instructions that are indirect branches.
-    pub indirect_fraction: f64,
-    /// Misprediction rate per configuration, in [`configs`] order.
-    pub mispred: Vec<f64>,
-    /// Execution-time reduction vs the BTB baseline per configuration
-    /// (the first entry is 0 by construction).
-    pub exec_reduction: Vec<f64>,
-}
-
 fn oo_trace(bench: OoBenchmark, scale: Scale) -> VecTrace {
     let w = bench.workload();
     let budget = match scale {
@@ -106,62 +90,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    OoBenchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("extension_oo cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                indirect_jumps: d.req("indirect_jumps") as u64,
-                indirect_fraction: d.req("indirect_fraction"),
-                mispred: configs()
-                    .iter()
-                    .map(|(name, _)| d.req(&format!("mispred.{name}")))
-                    .collect(),
-                exec_reduction: configs()
-                    .iter()
-                    .map(|(name, _)| d.req(&format!("exec.{name}")))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("indirect_jumps", r.indirect_jumps as f64);
-        d.set("indirect_fraction", r.indirect_fraction);
-        for ((name, _), (&m, &e)) in configs()
-            .iter()
-            .zip(r.mispred.iter().zip(&r.exec_reduction))
-        {
-            d.set(format!("mispred.{name}"), m);
-            d.set(format!("exec.{name}"), e);
-        }
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the extension table.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the extension table.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -194,42 +122,47 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
     use sim_workloads::Benchmark;
+
+    /// `<prefix>.<config>` for every configuration of `bench`, in
+    /// [`configs`] order.
+    fn series(cells: &CellSet, bench: OoBenchmark, prefix: &str) -> Vec<f64> {
+        let d = cells.data(bench.name()).unwrap();
+        configs()
+            .iter()
+            .map(|(name, _)| d.req(&format!("{prefix}.{name}")))
+            .collect()
+    }
 
     #[test]
     fn oo_programs_execute_more_indirect_branches() {
-        let rows = run(Scale::Quick);
+        let cells = quick("extension_oo");
         let gcc_frac = crate::runner::trace(&TelemetryCtx::off(), Benchmark::Gcc, Scale::Quick)
             .stats()
             .indirect_jump_fraction();
-        for r in &rows {
+        for b in OoBenchmark::ALL {
+            let frac = cells.data(b.name()).unwrap().req("indirect_fraction");
             assert!(
-                r.indirect_fraction > gcc_frac,
-                "{}: OO indirect fraction {} should exceed gcc's {gcc_frac}",
-                r.benchmark,
-                r.indirect_fraction
+                frac > gcc_frac,
+                "{b}: OO indirect fraction {frac} should exceed gcc's {gcc_frac}"
             );
         }
     }
 
     #[test]
     fn target_caches_help_oo_programs_substantially() {
-        let rows = run(Scale::Quick);
-        for r in &rows {
-            let btb = r.mispred[0];
-            let best_tc = r.mispred[1..].iter().cloned().fold(f64::MAX, f64::min);
-            assert!(
-                best_tc < btb * 0.6,
-                "{}: best TC {best_tc} vs BTB {btb}",
-                r.benchmark
-            );
+        let cells = quick("extension_oo");
+        for b in OoBenchmark::ALL {
+            let mispred = series(&cells, b, "mispred");
+            let btb = mispred[0];
+            let best_tc = mispred[1..].iter().cloned().fold(f64::MAX, f64::min);
+            assert!(best_tc < btb * 0.6, "{b}: best TC {best_tc} vs BTB {btb}");
             // And it shows up in execution time.
-            let best_exec = r.exec_reduction.iter().cloned().fold(f64::MIN, f64::max);
-            assert!(
-                best_exec > 0.02,
-                "{}: best exec reduction {best_exec}",
-                r.benchmark
-            );
+            let best_exec = series(&cells, b, "exec")
+                .into_iter()
+                .fold(f64::MIN, f64::max);
+            assert!(best_exec > 0.02, "{b}: best exec reduction {best_exec}");
         }
     }
 
@@ -238,13 +171,9 @@ mod tests {
         // The paper's speculation: with more indirect branches and more
         // polymorphism, interference grows and tags matter more. Compare
         // the tagged-16-way advantage over tagless on ixx vs on perl.
-        let rows = run(Scale::Quick);
-        let ixx = rows
-            .iter()
-            .find(|r| r.benchmark == OoBenchmark::Ixx)
-            .unwrap();
-        let tagless = ixx.mispred[1];
-        let tagged16 = ixx.mispred[3];
+        let mispred = series(&quick("extension_oo"), OoBenchmark::Ixx, "mispred");
+        let tagless = mispred[1];
+        let tagged16 = mispred[3];
         assert!(
             tagged16 < tagless,
             "ixx: 16-way tagged ({tagged16}) should beat tagless ({tagless})"

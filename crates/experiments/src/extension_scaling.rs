@@ -53,18 +53,6 @@ pub fn machines() -> Vec<(&'static str, MachineConfig)> {
     ]
 }
 
-/// One benchmark's benefit across machine design points.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Execution-time reduction of the best tagless target cache per
-    /// machine, in [`machines`] order.
-    pub reductions: Vec<f64>,
-    /// Baseline IPC per machine (context for the reductions).
-    pub base_ipc: Vec<f64>,
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::FOCUS.iter().map(|b| b.name()).collect()
@@ -88,56 +76,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
         d.set(format!("ipc.{name}"), base.ipc());
     }
     d
-}
-
-/// Runs the sweep for the focus benchmarks.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::FOCUS
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("extension_scaling cell for {benchmark} missing or failed")
-            });
-            Row {
-                benchmark,
-                reductions: machines()
-                    .iter()
-                    .map(|(name, _)| d.req(&format!("red.{name}")))
-                    .collect(),
-                base_ipc: machines()
-                    .iter()
-                    .map(|(name, _)| d.req(&format!("ipc.{name}")))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        for ((name, _), (&red, &ipc)) in machines().iter().zip(r.reductions.iter().zip(&r.base_ipc))
-        {
-            d.set(format!("red.{name}"), red);
-            d.set(format!("ipc.{name}"), ipc);
-        }
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the sweep.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the sweep's tables.
@@ -168,22 +106,33 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// `<prefix>.<machine>` for every machine of `b`, in [`machines`]
+    /// order.
+    fn series(cells: &CellSet, b: Benchmark, prefix: &str) -> Vec<f64> {
+        let d = cells.data(b.name()).unwrap();
+        machines()
+            .iter()
+            .map(|(name, _)| d.req(&format!("{prefix}.{name}")))
+            .collect()
+    }
 
     #[test]
     fn benefit_grows_with_machine_aggressiveness() {
         // The paper's opening sentence, as an assertion.
-        for r in run(Scale::Quick) {
+        let cells = quick("extension_scaling");
+        for &b in &Benchmark::FOCUS {
+            let red = series(&cells, b, "red");
             assert!(
-                r.reductions[2] > r.reductions[0],
-                "{}: wide/deep machine ({}) should gain more than narrow/shallow ({})",
-                r.benchmark,
-                r.reductions[2],
-                r.reductions[0]
+                red[2] > red[0],
+                "{b}: wide/deep machine ({}) should gain more than narrow/shallow ({})",
+                red[2],
+                red[0]
             );
             assert!(
-                r.reductions[1] >= r.reductions[0] - 0.01,
-                "{}: the paper's machine should gain at least the narrow one",
-                r.benchmark
+                red[1] >= red[0] - 0.01,
+                "{b}: the paper's machine should gain at least the narrow one"
             );
         }
     }
@@ -200,13 +149,10 @@ mod tests {
 
     #[test]
     fn wider_machines_have_higher_baseline_ipc() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.base_ipc[2] > r.base_ipc[0],
-                "{}: IPC must grow with width ({:?})",
-                r.benchmark,
-                r.base_ipc
-            );
+        let cells = quick("extension_scaling");
+        for &b in &Benchmark::FOCUS {
+            let ipc = series(&cells, b, "ipc");
+            assert!(ipc[2] > ipc[0], "{b}: IPC must grow with width ({ipc:?})");
         }
     }
 }

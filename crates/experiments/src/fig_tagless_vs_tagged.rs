@@ -22,28 +22,9 @@ use target_cache::TargetCacheConfig;
 /// Associativities swept for the tagged series (the figures use 1..=256).
 pub const ASSOCS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// One benchmark's two series.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// The 512-entry tagless cache's execution-time reduction.
-    pub tagless: f64,
-    /// The 256-entry tagged cache's reduction at each associativity, in
-    /// [`ASSOCS`] order.
-    pub tagged: Vec<f64>,
-}
-
-impl Series {
-    /// The smallest associativity at which the tagged cache matches or
-    /// beats the tagless one (the figures' crossover), if any.
-    pub fn crossover_assoc(&self) -> Option<usize> {
-        ASSOCS
-            .iter()
-            .zip(&self.tagged)
-            .find(|(_, &red)| red >= self.tagless)
-            .map(|(&a, _)| a)
-    }
+/// The cell key of the tagged cache's reduction at `assoc` ways.
+fn tagged_key(assoc: usize) -> String {
+    format!("tagged.{assoc}")
 }
 
 /// The benchmark labels this experiment enumerates cells over.
@@ -65,57 +46,11 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     );
     for &assoc in &ASSOCS {
         d.set(
-            format!("tagged.{assoc}"),
+            tagged_key(assoc),
             sweep.exec_reduction(ctx, &base, TargetCacheConfig::isca97_tagged(assoc)),
         );
     }
     d
-}
-
-/// Runs the comparison for the focus benchmarks.
-pub fn run(scale: Scale) -> Vec<Series> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs the series from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Series> {
-    Benchmark::FOCUS
-        .iter()
-        .map(|&benchmark| {
-            let d = cells.data(benchmark.name()).unwrap_or_else(|| {
-                panic!("fig_tagless_vs_tagged cell for {benchmark} missing or failed")
-            });
-            Series {
-                benchmark,
-                tagless: d.req("tagless"),
-                tagged: ASSOCS
-                    .iter()
-                    .map(|a| d.req(&format!("tagged.{a}")))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Converts the series back to cells.
-pub fn cells_from_rows(series: &[Series]) -> CellSet {
-    let mut set = CellSet::new();
-    for s in series {
-        let mut d = CellData::new();
-        d.set("tagless", s.tagless);
-        for (&assoc, &red) in ASSOCS.iter().zip(&s.tagged) {
-            d.set(format!("tagged.{assoc}"), red);
-        }
-        set.insert(s.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders both figures' series.
-pub fn render(series: &[Series]) -> String {
-    render_cells(&cells_from_rows(series))
 }
 
 /// Renders a (possibly partial) cell set as the figures' series.
@@ -134,20 +69,23 @@ pub fn render_cells(cells: &CellSet) -> String {
         for &assoc in &ASSOCS {
             table.row(vec![
                 assoc.to_string(),
-                cells.fmt(n, &format!("tagged.{assoc}"), pct),
+                cells.fmt(n, &tagged_key(assoc), pct),
                 cells.fmt(n, "tagless", pct),
             ]);
         }
-        let crossover = match cells.data(n) {
-            Some(d) => {
-                let tagless = d.req("tagless");
-                ASSOCS
-                    .iter()
-                    .find(|a| d.req(&format!("tagged.{a}")) >= tagless)
-                    .map_or("no".to_string(), |a| a.to_string())
-            }
-            None => crate::jobs::err_marker(cells.failure(n).unwrap_or("cell missing")),
-        };
+        // The crossover: the smallest associativity at which the tagged
+        // cache matches or beats the tagless one.
+        let keys: Vec<String> = ASSOCS.iter().map(|&a| tagged_key(a)).collect();
+        let keys: Vec<&str> = std::iter::once("tagless")
+            .chain(keys.iter().map(String::as_str))
+            .collect();
+        let crossover = cells.fmt_derived(n, &keys, |v| {
+            ASSOCS
+                .iter()
+                .zip(&v[1..])
+                .find(|(_, &tagged)| tagged >= v[0])
+                .map_or("no".to_string(), |(a, _)| a.to_string())
+        });
         out.push_str(&format!(
             "\n[{benchmark}]  (crossover at {crossover} ways)\n{}",
             table.render()
@@ -159,34 +97,29 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn tagged_catches_tagless_as_associativity_grows() {
-        let series = run(Scale::Quick);
-        for s in &series {
+        let cells = quick("fig_tagless_vs_tagged");
+        for &b in &Benchmark::FOCUS {
+            let d = cells.data(b.name()).unwrap();
+            let tagless = d.req("tagless");
             // Both organizations beat the baseline.
-            assert!(
-                s.tagless > 0.0,
-                "{}: tagless reduction {}",
-                s.benchmark,
-                s.tagless
-            );
+            assert!(tagless > 0.0, "{b}: tagless reduction {tagless}");
             // The tagged series is (weakly) increasing from direct-mapped
             // to fully associative.
-            let first = s.tagged[0];
-            let last = *s.tagged.last().unwrap();
+            let first = d.req(&tagged_key(ASSOCS[0]));
+            let last = d.req(&tagged_key(ASSOCS[ASSOCS.len() - 1]));
             assert!(
                 last >= first - 0.005,
-                "{}: tagged should not degrade with associativity ({first} -> {last})",
-                s.benchmark
+                "{b}: tagged should not degrade with associativity ({first} -> {last})"
             );
             // At full associativity the tagged cache is at least close to
             // the tagless one (the paper's crossover claim).
             assert!(
-                last >= s.tagless * 0.8,
-                "{}: fully-associative tagged ({last}) should approach tagless ({})",
-                s.benchmark,
-                s.tagless
+                last >= tagless * 0.8,
+                "{b}: fully-associative tagged ({last}) should approach tagless ({tagless})"
             );
         }
     }

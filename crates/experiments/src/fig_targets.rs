@@ -15,31 +15,6 @@ use sim_workloads::Benchmark;
 /// The paper's histogram cap: the last bucket is "≥ 30".
 pub const CAP: usize = 30;
 
-/// One benchmark's histograms.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Static sites with exactly k distinct targets (slot k-1; last slot is
-    /// the ≥CAP bucket).
-    pub static_hist: Vec<u64>,
-    /// Same, weighted by dynamic executions.
-    pub dynamic_hist: Vec<u64>,
-}
-
-impl Row {
-    /// Fraction of *dynamic* indirect jumps executed at sites with at
-    /// least `k` distinct targets.
-    pub fn dynamic_fraction_at_least(&self, k: usize) -> f64 {
-        let total: u64 = self.dynamic_hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let ge: u64 = self.dynamic_hist[k.saturating_sub(1)..].iter().sum();
-        ge as f64 / total as f64
-    }
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
@@ -64,68 +39,39 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the characterization for every benchmark.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-fn hist_from_cell(d: &CellData, prefix: &str) -> Vec<u64> {
+/// Reads a sparse histogram back: slot k-1 holds `<prefix><k>`, zero
+/// when absent.
+fn hist_from_cell(d: &CellData, prefix: &str) -> Vec<f64> {
     (1..=CAP)
-        .map(|k| d.get(&format!("{prefix}{k}")).unwrap_or(0.0) as u64)
+        .map(|k| d.get(&format!("{prefix}{k}")).unwrap_or(0.0))
         .collect()
 }
 
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("fig_targets cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                static_hist: hist_from_cell(d, "s"),
-                dynamic_hist: hist_from_cell(d, "d"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        for (prefix, hist) in [("s", &r.static_hist), ("d", &r.dynamic_hist)] {
-            for (k, &n) in hist.iter().enumerate() {
-                if n > 0 {
-                    d.set(format!("{prefix}{}", k + 1), n as f64);
-                }
-            }
-        }
-        set.insert(r.benchmark.name(), Ok(d));
+/// The share of the histogram's mass in slots `lo..hi` (0 when empty).
+fn share(hist: &[f64], lo: usize, hi: usize) -> f64 {
+    let total: f64 = hist.iter().sum();
+    if total == 0.0 {
+        0.0
+    } else {
+        hist[lo..hi].iter().sum::<f64>() / total
     }
-    set
 }
 
 /// Renders one benchmark's per-k histogram as ASCII bars, the shape the
 /// paper's figures plot (percentage of dynamic indirect jumps whose site
 /// has exactly k distinct targets).
-pub fn render_figure(row: &Row) -> String {
-    let total: u64 = row.dynamic_hist.iter().sum();
-    let mut out = format!("Figure: {} — targets per indirect jump\n", row.benchmark);
-    if total == 0 {
+fn render_figure(benchmark: Benchmark, dynamic_hist: &[f64]) -> String {
+    let total: f64 = dynamic_hist.iter().sum();
+    let mut out = format!("Figure: {benchmark} — targets per indirect jump\n");
+    if total == 0.0 {
         out.push_str("  (no indirect jumps)\n");
         return out;
     }
-    for (k, &n) in row.dynamic_hist.iter().enumerate() {
-        if n == 0 {
+    for (k, &n) in dynamic_hist.iter().enumerate() {
+        if n == 0.0 {
             continue;
         }
-        let frac = n as f64 / total as f64;
+        let frac = n / total;
         let bar = "#".repeat((frac * 50.0).round() as usize);
         let label = if k + 1 == CAP {
             ">=30".to_string()
@@ -135,12 +81,6 @@ pub fn render_figure(row: &Row) -> String {
         out.push_str(&format!("  {label} |{bar:<50} {:5.1}%\n", frac * 100.0));
     }
     out
-}
-
-/// Renders the histograms (dynamic-weighted, the prediction-relevant view,
-/// plus the static site counts).
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set: failed benchmarks get `ERR`
@@ -154,46 +94,24 @@ pub fn render_cells(cells: &CellSet) -> String {
         "dyn % 5-15".into(),
         "dyn % >=16".into(),
     ]);
-    let row_for = |b: Benchmark| {
-        cells.data(b.name()).map(|d| Row {
-            benchmark: b,
-            static_hist: hist_from_cell(d, "s"),
-            dynamic_hist: hist_from_cell(d, "d"),
-        })
-    };
+    let marker =
+        |b: Benchmark| crate::jobs::err_marker(cells.failure(b.name()).unwrap_or("cell missing"));
     for &b in &Benchmark::ALL {
-        match row_for(b) {
-            Some(r) => {
-                let total: u64 = r.dynamic_hist.iter().sum();
-                let frac = |lo: usize, hi: usize| {
-                    if total == 0 {
-                        0.0
-                    } else {
-                        r.dynamic_hist[lo..hi].iter().sum::<u64>() as f64 / total as f64
-                    }
-                };
-                table.row(vec![
-                    b.name().into(),
-                    r.static_hist.iter().sum::<u64>().to_string(),
-                    pct(frac(0, 1)),
-                    pct(frac(1, 4)),
-                    pct(frac(4, 15)),
-                    pct(frac(15, CAP)),
-                ]);
+        let slots = match cells.data(b.name()) {
+            Some(d) => {
+                let dynamic = hist_from_cell(d, "d");
+                let sites: f64 = hist_from_cell(d, "s").iter().sum();
+                vec![
+                    (sites as u64).to_string(),
+                    pct(share(&dynamic, 0, 1)),
+                    pct(share(&dynamic, 1, 4)),
+                    pct(share(&dynamic, 4, 15)),
+                    pct(share(&dynamic, 15, CAP)),
+                ]
             }
-            None => {
-                let marker =
-                    crate::jobs::err_marker(cells.failure(b.name()).unwrap_or("cell missing"));
-                table.row(vec![
-                    b.name().into(),
-                    marker.clone(),
-                    marker.clone(),
-                    marker.clone(),
-                    marker.clone(),
-                    marker,
-                ]);
-            }
-        }
+            None => vec![marker(b); 5],
+        };
+        table.row(std::iter::once(b.name().to_string()).chain(slots).collect());
     }
     let mut out = format!(
         "Figures 1-8: distinct dynamic targets per static indirect jump\n\
@@ -202,12 +120,9 @@ pub fn render_cells(cells: &CellSet) -> String {
     );
     for &b in &Benchmark::ALL {
         out.push('\n');
-        match row_for(b) {
-            Some(r) => out.push_str(&render_figure(&r)),
-            None => out.push_str(&format!(
-                "Figure: {b} — {}\n",
-                crate::jobs::err_marker(cells.failure(b.name()).unwrap_or("cell missing"))
-            )),
+        match cells.data(b.name()) {
+            Some(d) => out.push_str(&render_figure(b, &hist_from_cell(d, "d"))),
+            None => out.push_str(&format!("Figure: {b} — {}\n", marker(b))),
         }
     }
     out
@@ -216,15 +131,21 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn easy_benchmarks_are_dominated_by_monomorphic_jumps() {
-        let rows = run(Scale::Quick);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick("fig_targets");
+        // The share of dynamic indirect jumps executed at sites with at
+        // least 5 distinct targets.
+        let at_least_5 = |b: Benchmark| {
+            let dynamic = hist_from_cell(cells.data(b.name()).unwrap(), "d");
+            share(&dynamic, 4, CAP)
+        };
         // perl and gcc: most dynamic indirect jumps run at polymorphic
         // sites (Figures 2 and 6 show wide distributions).
         for hard in [Benchmark::Perl, Benchmark::Gcc] {
-            let f = get(hard).dynamic_fraction_at_least(5);
+            let f = at_least_5(hard);
             assert!(
                 f > 0.5,
                 "{hard}: only {f} of dynamic jumps at >=5-target sites"
@@ -232,28 +153,23 @@ mod tests {
         }
         // compress and ijpeg: narrow distributions.
         for easy in [Benchmark::Compress, Benchmark::Ijpeg] {
-            let f = get(easy).dynamic_fraction_at_least(5);
+            let f = at_least_5(easy);
             assert!(f < 0.5, "{easy}: {f} of dynamic jumps at >=5-target sites");
         }
     }
 
     #[test]
-    fn figure_bars_sum_to_one() {
-        for r in run(Scale::Quick) {
-            let fig = render_figure(&r);
-            assert!(fig.contains(r.benchmark.name()));
-            // Every printed percentage is a share of the total; the bars
-            // for a benchmark with jumps must mention at least one row.
-            assert!(fig.contains('%'), "{fig}");
-        }
-    }
-
-    #[test]
     fn histogram_mass_is_consistent() {
-        for r in run(Scale::Quick) {
-            assert_eq!(r.static_hist.len(), CAP);
-            assert_eq!(r.dynamic_hist.len(), CAP);
-            assert!(r.static_hist.iter().sum::<u64>() > 0, "{}", r.benchmark);
+        let cells = quick("fig_targets");
+        for b in Benchmark::ALL {
+            let d = cells.data(b.name()).unwrap();
+            assert!(hist_from_cell(d, "s").iter().sum::<f64>() > 0.0, "{b}");
+            assert!(hist_from_cell(d, "d").iter().sum::<f64>() > 0.0, "{b}");
+            // Every stored slot lies inside the 1..=CAP histogram.
+            for key in d.0.keys() {
+                let k: usize = key[1..].parse().unwrap();
+                assert!((1..=CAP).contains(&k), "{b}: slot {key}");
+            }
         }
     }
 }

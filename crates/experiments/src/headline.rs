@@ -17,23 +17,6 @@ use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
-/// One benchmark's headline numbers.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Indirect-jump misprediction with the BTB baseline.
-    pub btb_mispred: f64,
-    /// Indirect-jump misprediction with the best-for-this-benchmark
-    /// 512-entry tagless target cache.
-    pub tc_mispred: f64,
-    /// Relative misprediction reduction (the paper's 93.4% / 63.3%).
-    pub mispred_reduction: f64,
-    /// Execution-time reduction on the HPS timing model (the paper's
-    /// ~14% / 5%).
-    pub exec_reduction: f64,
-}
-
 /// The per-benchmark "best" tagless configuration the paper converges on:
 /// path history (Ind jmp filter) for perl — the interpreter case study —
 /// and pattern history (gshare) for gcc and the rest.
@@ -74,51 +57,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the headline comparison for the paper's two focus benchmarks.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::FOCUS
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("headline cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                btb_mispred: d.req("btb_mispred"),
-                tc_mispred: d.req("tc_mispred"),
-                mispred_reduction: d.req("mispred_reduction"),
-                exec_reduction: d.req("exec_reduction"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("btb_mispred", r.btb_mispred);
-        d.set("tc_mispred", r.tc_mispred);
-        d.set("mispred_reduction", r.mispred_reduction);
-        d.set("exec_reduction", r.exec_reduction);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the headline table.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the headline table.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut table = TextTable::new(vec![
@@ -147,34 +85,26 @@ pub fn render_cells(cells: &CellSet) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn headline_shape_holds() {
-        let rows = run(Scale::Quick);
-        let perl = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl)
-            .unwrap();
-        let gcc = rows.iter().find(|r| r.benchmark == Benchmark::Gcc).unwrap();
+        let cells = quick("headline");
+        let perl = cells.data("perl").unwrap();
+        let gcc = cells.data("gcc").unwrap();
+        let (perl_mispred, gcc_mispred) =
+            (perl.req("mispred_reduction"), gcc.req("mispred_reduction"));
 
         // Large relative misprediction reductions, perl's larger than gcc's
         // (paper: 93.4% vs 63.3%).
-        assert!(
-            perl.mispred_reduction > 0.6,
-            "perl reduction {}",
-            perl.mispred_reduction
-        );
-        assert!(
-            gcc.mispred_reduction > 0.3,
-            "gcc reduction {}",
-            gcc.mispred_reduction
-        );
-        assert!(perl.mispred_reduction > gcc.mispred_reduction);
+        assert!(perl_mispred > 0.6, "perl reduction {perl_mispred}");
+        assert!(gcc_mispred > 0.3, "gcc reduction {gcc_mispred}");
+        assert!(perl_mispred > gcc_mispred);
 
         // Execution time improves for both, more for perl (paper: 14% vs 5%).
-        assert!(perl.exec_reduction > 0.0);
-        assert!(gcc.exec_reduction > 0.0);
-        assert!(perl.exec_reduction > gcc.exec_reduction);
+        let (perl_exec, gcc_exec) = (perl.req("exec_reduction"), gcc.req("exec_reduction"));
+        assert!(perl_exec > 0.0);
+        assert!(gcc_exec > 0.0);
+        assert!(perl_exec > gcc_exec);
     }
 }

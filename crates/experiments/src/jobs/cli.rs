@@ -1,6 +1,6 @@
-//! The shared campaign driver behind every reproduction binary.
+//! The campaign driver behind the `repro` binary.
 //!
-//! `repro_all` and each per-table tool funnel through [`run_tool`]: read
+//! `repro <experiment>` and `repro all` funnel through [`repro`]: read
 //! the operator environment, enumerate one `(experiment × benchmark)`
 //! cell task per registry entry, execute them on the fault-tolerant pool
 //! ([`super::pool`]), render everything that succeeded — failed cells
@@ -8,10 +8,12 @@
 //! and exit with a status that distinguishes data loss from operator
 //! error:
 //!
-//! * `0` — every cell produced data,
-//! * `1` — the campaign finished but some cells failed after retries,
-//! * `2` — the invocation itself was unusable (bad env, a campaign log
-//!   that cannot be resumed, a log write failure).
+//! * `0` — every cell produced data and every table slot rendered,
+//! * `1` — the campaign finished but some cells failed after retries, or
+//!   a slot printed `ERR(` (a restored cell lacking a key),
+//! * `2` — the invocation itself was unusable (no or an unknown
+//!   experiment name, bad env, a campaign log that cannot be resumed, a
+//!   log write failure).
 //!
 //! Environment:
 //!
@@ -59,18 +61,34 @@ pub(crate) fn operator_error(message: &str) -> ! {
     exit(2)
 }
 
-/// Runs a full campaign over `defs` and exits the process.
-pub fn run_tool(tool: &str, defs: &[ExperimentDef]) -> ! {
-    exit(drive(tool, defs))
-}
-
-/// Runs the single registry experiment `name` — the body of every
-/// per-table binary.
-pub fn run_single(name: &str) -> ! {
-    match super::registry::find(name) {
-        Some(def) => run_tool(name, &[def]),
-        None => operator_error(&format!("unknown experiment {name:?}")),
+/// The `repro` entry point, given its arguments without the program
+/// name: `[name]` runs the registry experiment `name`, `["all"]` runs
+/// every one in registry order. The argument is the tool name in the
+/// campaign log, the manifest and the resume command. Anything else
+/// exits 2 listing the names.
+pub fn repro(args: &[String]) -> ! {
+    let defs = super::registry::all();
+    let selected: Vec<ExperimentDef> = match args {
+        [name] => defs
+            .iter()
+            .filter(|d| name == "all" || d.name == name)
+            .copied()
+            .collect(),
+        _ => Vec::new(),
+    };
+    if selected.is_empty() {
+        let names: Vec<&str> = defs.iter().map(|d| d.name).collect();
+        eprintln!(
+            "usage: repro <experiment> | repro all\nexperiments: {}",
+            names.join(", ")
+        );
+        exit(2)
     }
+    let tool = &args[0];
+    if tool == "all" {
+        println!("Reproduction of 'Target Prediction for Indirect Jumps' (ISCA 1997)");
+    }
+    exit(drive(tool, &selected))
 }
 
 fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
@@ -99,6 +117,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
 
     let driven = drive_campaign(tool, scale, &session, tasks);
 
+    let mut err_slots = 0;
     for def in defs {
         let mut cells = CellSet::new();
         for label in (def.labels)() {
@@ -108,16 +127,25 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
                 .expect("every enumerated cell was scheduled");
             cells.insert(label, report.outcome.clone());
         }
-        println!("{}", (def.render)(&cells));
+        let render = (def.render)(&cells);
+        err_slots += render.matches("ERR(").count();
+        println!("{render}");
     }
 
-    epilogue(
+    let status = epilogue(
         tool,
         &driven.run_id,
         scale,
         &driven.journal_dir,
         &driven.outcome,
-    )
+    );
+    if status == 0 && err_slots > 0 {
+        // Every cell is ok, yet a slot could not be rendered: restored
+        // data lacks a key the table reads.
+        eprintln!("error: {err_slots} table slot(s) printed ERR( although every cell is ok");
+        return 1;
+    }
+    status
 }
 
 /// What [`drive_plan`] hands back to its caller for rendering and the
@@ -293,15 +321,31 @@ pub(crate) fn drive_plan(
 /// The full, copy-pasteable resume command for a failed campaign: the
 /// scale is pinned (a resume from a different shell must not silently
 /// run at another scale, which the journal would reject anyway) and a
-/// non-default log directory rides along. Written into every
-/// campaign-started line and printed by the failure epilogue.
+/// non-default log directory rides along, both shell-quoted. Written
+/// into every campaign-started line and printed by the failure epilogue.
 pub(crate) fn resume_command(tool: &str, run_id: &str, scale: Scale, journal_dir: &Path) -> String {
     let mut cmd = format!("REPRO_SCALE={}", scale.name());
     if journal_dir != Path::new(DEFAULT_JOURNAL_DIR) {
-        cmd.push_str(&format!(" REPRO_JOURNAL_DIR={}", journal_dir.display()));
+        let dir = journal_dir.display().to_string();
+        cmd.push_str(&format!(" REPRO_JOURNAL_DIR={}", shell_quote(&dir)));
     }
-    cmd.push_str(&format!(" REPRO_RESUME={run_id} {tool}"));
+    cmd.push_str(&format!(
+        " REPRO_RESUME={} repro {tool}",
+        shell_quote(run_id)
+    ));
     cmd
+}
+
+/// `value` as one POSIX shell word: bare when every character is in
+/// `[A-Za-z0-9_./:@%+=-]`, otherwise single-quoted with each `'`
+/// written `'\''`.
+fn shell_quote(value: &str) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "_./:@%+=-".contains(c);
+    if !value.is_empty() && value.chars().all(plain) {
+        value.to_string()
+    } else {
+        format!("'{}'", value.replace('\'', r"'\''"))
+    }
 }
 
 pub(crate) fn epilogue(
@@ -351,13 +395,28 @@ mod tests {
             Scale::Standard,
             Path::new(DEFAULT_JOURNAL_DIR),
         );
-        assert_eq!(cmd, "REPRO_SCALE=standard REPRO_RESUME=run-7 table4");
+        assert_eq!(cmd, "REPRO_SCALE=standard REPRO_RESUME=run-7 repro table4");
         // A custom journal dir must ride along or the resume cannot find
         // the journal.
-        let cmd = resume_command("repro_all", "r1", Scale::Quick, Path::new("/tmp/j"));
+        let cmd = resume_command("all", "r1", Scale::Quick, Path::new("/tmp/j"));
         assert_eq!(
             cmd,
-            "REPRO_SCALE=quick REPRO_JOURNAL_DIR=/tmp/j REPRO_RESUME=r1 repro_all"
+            "REPRO_SCALE=quick REPRO_JOURNAL_DIR=/tmp/j REPRO_RESUME=r1 repro all"
         );
+        // A directory a shell would split or unquote is quoted, so the
+        // printed command still names it exactly.
+        let dir = "/tmp/q dir/it's";
+        let cmd = resume_command("table2", "q1", Scale::Quick, Path::new(dir));
+        assert_eq!(
+            cmd,
+            r"REPRO_SCALE=quick REPRO_JOURNAL_DIR='/tmp/q dir/it'\''s' REPRO_RESUME=q1 repro table2"
+        );
+        let probe = cmd.replace("repro table2", "printenv REPRO_JOURNAL_DIR");
+        let out = std::process::Command::new("sh")
+            .args(["-c", &probe])
+            .output()
+            .expect("spawn sh");
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{dir}\n"));
     }
 }

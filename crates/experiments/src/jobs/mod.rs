@@ -71,9 +71,9 @@ impl CellData {
         self.0.get(key).copied()
     }
 
-    /// The value of `key`, panicking with a diagnostic if absent — used
-    /// by row reconstruction, where the producing cell and the consuming
-    /// table are compiled from the same module and a miss is a bug.
+    /// The value of `key`, panicking with a diagnostic if absent — for
+    /// tests, which compute the cell they read. Renderers go through
+    /// [`CellSet::fmt`] instead: restored data may lack any key.
     pub fn req(&self, key: &str) -> f64 {
         self.get(key)
             .unwrap_or_else(|| panic!("cell data missing key {key:?}"))
@@ -112,25 +112,9 @@ impl CellSet {
         CellSet::default()
     }
 
-    /// Computes every cell sequentially — the non-fault-tolerant path the
-    /// library `run(scale)` entry points use.
-    pub fn compute(labels: &[&str], mut cell: impl FnMut(&str) -> CellData) -> CellSet {
-        let mut set = CellSet::new();
-        for &label in labels {
-            let data = cell(label);
-            set.insert(label, Ok(data));
-        }
-        set
-    }
-
     /// Records one cell's outcome.
     pub fn insert(&mut self, bench: &str, outcome: Result<CellData, String>) {
         self.cells.insert(bench.to_string(), outcome);
-    }
-
-    /// The outcome for `bench`, if any cell ran (or was restored).
-    pub fn outcome(&self, bench: &str) -> Option<&Result<CellData, String>> {
-        self.cells.get(bench)
     }
 
     /// The data for `bench`, when its cell succeeded.
@@ -151,29 +135,33 @@ impl CellSet {
         }
     }
 
-    /// Whether every cell in the set succeeded.
-    pub fn all_ok(&self) -> bool {
-        self.cells.values().all(Result::is_ok)
-    }
-
-    /// Benchmarks whose cells failed, with reasons.
-    pub fn failures(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.cells
-            .iter()
-            .filter_map(|(bench, outcome)| match outcome {
-                Err(reason) => Some((bench.as_str(), reason.as_str())),
-                Ok(_) => None,
-            })
-    }
-
     /// Formats the slot `bench/key`: the formatted value when the cell
     /// succeeded and recorded `key`, an `ERR(reason)` marker otherwise.
     pub fn fmt(&self, bench: &str, key: &str, fmt: impl Fn(f64) -> String) -> String {
+        self.fmt_derived(bench, &[key], |v| fmt(v[0]))
+    }
+
+    /// Formats a slot derived from several keys of `bench`'s cell: `fmt`
+    /// of their values, in `keys` order, when the cell succeeded and
+    /// recorded all of them; `ERR(missing <key>)` naming the first absent
+    /// key, or the cell's own `ERR(reason)`, otherwise.
+    pub fn fmt_derived(
+        &self,
+        bench: &str,
+        keys: &[&str],
+        fmt: impl FnOnce(&[f64]) -> String,
+    ) -> String {
         match self.cells.get(bench) {
-            Some(Ok(data)) => match data.get(key) {
-                Some(v) => fmt(v),
-                None => err_marker(&format!("missing {key}")),
-            },
+            Some(Ok(data)) => {
+                let mut values = Vec::with_capacity(keys.len());
+                for key in keys {
+                    match data.get(key) {
+                        Some(v) => values.push(v),
+                        None => return err_marker(&format!("missing {key}")),
+                    }
+                }
+                fmt(&values)
+            }
             Some(Err(reason)) => err_marker(reason),
             None => err_marker("cell missing"),
         }
@@ -218,8 +206,17 @@ mod tests {
         assert!(set
             .fmt("compress", "rate", |v| format!("{v}"))
             .starts_with("ERR("));
-        assert!(!set.all_ok());
-        assert_eq!(set.failures().count(), 1);
+        // A derived slot needs every key it reads.
+        let sum = |v: &[f64]| format!("{:.1}", v.iter().sum::<f64>());
+        assert_eq!(set.fmt_derived("gcc", &["rate", "rate"], sum), "1.0");
+        assert_eq!(
+            set.fmt_derived("gcc", &["rate", "absent"], sum),
+            "ERR(missing absent)"
+        );
+        assert_eq!(
+            set.fmt_derived("perl", &["rate"], sum),
+            "ERR(panicked: injected fault)"
+        );
         assert_eq!(set.failure("perl"), Some("panicked: injected fault"));
         assert_eq!(set.failure("gcc"), None);
     }

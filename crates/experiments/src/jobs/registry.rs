@@ -7,7 +7,9 @@
 //! module: `labels` enumerates the benchmark cells, `cell` computes one
 //! of them, and `render` turns a (possibly partial) [`CellSet`] back
 //! into the experiment's table or figure, with `ERR(reason)` markers in
-//! any failed slot.
+//! any failed slot. The [`CellSet`] is the only result an experiment
+//! has: the campaign driver fills it on the worker pool,
+//! [`ExperimentDef::compute`] fills it in order on the calling thread.
 
 use super::{CellData, CellSet};
 use crate::runner::Scale;
@@ -17,7 +19,7 @@ use crate::telemetry::TelemetryCtx;
 #[derive(Clone, Copy)]
 pub struct ExperimentDef {
     /// Registry name — the `experiment` half of every cell id, and the
-    /// per-table binary name (`table4`).
+    /// `repro` argument that runs it (`repro table4`).
     pub name: &'static str,
     /// One-line description printed above the rendered output.
     pub title: &'static str,
@@ -30,13 +32,20 @@ pub struct ExperimentDef {
     pub render: fn(&CellSet) -> String,
 }
 
-/// Adapts the scale-less, simulation-free cost model to the uniform
-/// cell signature.
-fn costs_cell(_ctx: &TelemetryCtx, label: &str, _scale: Scale) -> CellData {
-    crate::costs::cell(label)
+impl ExperimentDef {
+    /// Computes every cell in label order on the calling thread, without
+    /// the pool's panic isolation, retries or campaign log: a panicking
+    /// cell panics the caller.
+    pub fn compute(&self, ctx: &TelemetryCtx, scale: Scale) -> CellSet {
+        let mut cells = CellSet::new();
+        for label in (self.labels)() {
+            cells.insert(label, Ok((self.cell)(ctx, label, scale)));
+        }
+        cells
+    }
 }
 
-/// Every experiment, in `repro_all`'s print order.
+/// Every experiment, in `repro all`'s print order.
 pub fn all() -> Vec<ExperimentDef> {
     use crate::*;
     vec![
@@ -142,7 +151,7 @@ pub fn all() -> Vec<ExperimentDef> {
             name: "costs",
             title: "Hardware cost model",
             labels: costs::cell_labels,
-            cell: costs_cell,
+            cell: costs::cell,
             render: costs::render_cells,
         },
         ExperimentDef {
@@ -188,6 +197,15 @@ pub fn find(name: &str) -> Option<ExperimentDef> {
     all().into_iter().find(|d| d.name == name)
 }
 
+/// Experiment `name` computed at quick scale with telemetry off — the
+/// module tests' way to run an experiment.
+#[cfg(test)]
+pub(crate) fn quick(name: &str) -> CellSet {
+    find(name)
+        .expect("registered experiment")
+        .compute(&TelemetryCtx::off(), Scale::Quick)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,18 +243,36 @@ mod tests {
     }
 
     #[test]
-    fn quick_cells_round_trip_through_render() {
-        // One real cell end-to-end for a cheap experiment: compute, wrap,
-        // render — the value must appear.
-        let def = find("costs").unwrap();
-        let mut cells = CellSet::new();
-        for label in (def.labels)() {
-            cells.insert(
-                label,
-                Ok((def.cell)(&TelemetryCtx::off(), label, Scale::Quick)),
-            );
+    fn renders_survive_cells_without_data() {
+        // A restored campaign log is outside input: a cell may come back
+        // ok but without some (here: every) key. No renderer may panic;
+        // a slot whose keys are absent reads ERR(missing <key>).
+        for def in all() {
+            let mut cells = CellSet::new();
+            for label in (def.labels)() {
+                cells.insert(label, Ok(CellData::new()));
+            }
+            let out = (def.render)(&cells);
+            // fig_targets stores its histograms sparsely: an absent slot
+            // is a zero count, not a missing key.
+            if def.name != "fig_targets" {
+                assert!(out.contains("ERR(missing "), "{}:\n{out}", def.name);
+            }
         }
-        let out = (def.render)(&cells);
+        let mut cells = CellSet::new();
+        cells.insert("perl", Ok(CellData::new()));
+        let out = (find("table2").unwrap().render)(&cells);
+        let perl = out.lines().find(|l| l.starts_with("perl")).unwrap();
+        assert_eq!(perl.matches("ERR(missing default)").count(), 2, "{perl}");
+        assert!(perl.contains("ERR(missing two_bit)"), "{perl}");
+    }
+
+    #[test]
+    fn quick_cells_round_trip_through_render() {
+        // One cheap experiment end to end: compute, render — the value
+        // must appear.
+        let def = find("costs").unwrap();
+        let out = (def.render)(&def.compute(&TelemetryCtx::off(), Scale::Quick));
         assert!(out.contains("tagless 512"), "{out}");
         assert!(!out.contains("ERR("), "{out}");
     }

@@ -3,17 +3,18 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation section.
 //!
-//! Each experiment module exposes a `run(scale)` function returning
-//! structured rows plus a `render` function producing the text table, and a
-//! binary of the same name (`cargo run --release --bin table1`) that prints
-//! it. `repro_all` runs the lot.
-//!
-//! Under the hood every experiment decomposes into `(experiment ×
-//! benchmark)` **cells** (`cell` / `render_cells` in each module), which
-//! the fault-tolerant [`jobs`] runner executes with panic isolation,
-//! per-cell deadlines, bounded retry, a crash-safe resume journal, and
-//! deterministic fault injection (`REPRO_FAULTS`); `run`/`render` are the
-//! sequential wrappers over the same cell functions.
+//! Each experiment module decomposes its table into `(experiment ×
+//! benchmark)` **cells**: `cell_labels` enumerates them, `cell` computes
+//! one as a [`jobs::CellData`] map of named values, and `render_cells`
+//! turns a (possibly partial) [`jobs::CellSet`] into the text table,
+//! with `ERR(reason)` in any slot it cannot fill. That cell set is the
+//! experiment's only result. The [`jobs::registry`] lists every
+//! experiment by name; the `repro` binary runs one (`repro table4`) or
+//! all of them (`repro all`) on the fault-tolerant [`jobs`] runner, with
+//! panic isolation, per-cell deadlines, bounded retry, a resumable
+//! campaign log, and deterministic fault injection (`REPRO_FAULTS`).
+//! [`jobs::ExperimentDef::compute`] runs an experiment's cells in order
+//! on the calling thread, for tests and benches.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -35,12 +36,14 @@
 //! | [`lint`] | Static analysis: simlint ground truth for the workload models |
 //! | [`extension_hysteresis`] | Extension: 2-bit update policy on the target cache |
 //! | [`extension_scaling`] | Extension: benefit vs machine aggressiveness |
+//! | [`predictability`] | Static predictability: census, accuracy envelopes, reconciliation |
+//! | [`sample`] (`simpoint`) | SimPoint phase sampling: sampled vs exact misprediction |
 //!
 //! Traces are synthetic (see `sim-workloads`), so EXPERIMENTS.md compares
 //! *shapes* — orderings, rough magnitudes, crossovers — against the paper,
 //! not absolute numbers.
 //!
-//! Every binary also honours `REPRO_TELEMETRY` (`off` / `summary` /
+//! Every campaign also honours `REPRO_TELEMETRY` (`off` / `summary` /
 //! `events`): the [`telemetry`] module captures counters, span timings,
 //! per-mispredict events, and a run manifest whose counters reconcile with
 //! the simulators' own statistics, and the `telemetry-report` binary shows

@@ -139,11 +139,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
-}
-
 /// Renders a (possibly partial) cell set as the static ground-truth
 /// table, with `ERR(reason)` markers in failed slots.
 pub fn render_cells(cells: &CellSet) -> String {
@@ -187,8 +182,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_cell_is_clean_at_quick_scale() {
-        let cells = run(Scale::Quick);
-        assert!(cells.all_ok());
+        let cells = crate::jobs::registry::quick("lint");
         for b in Benchmark::ALL {
             let d = cells.data(b.name()).unwrap();
             assert_eq!(d.req("errors"), 0.0, "{b}");

@@ -17,11 +17,10 @@
 //!   regression-gate acceptance test injects a synthetic 10× slowdown
 //!   and asserts the gate trips, without needing a genuinely slow build.
 //!
-//! The matrix reuses the same [`crate::runner`] entry points the table
-//! binaries and the `bench` crate's Criterion benches run, so
+//! The matrix reuses the same [`crate::runner`] entry points the
+//! registry cells and the `bench` crate's Criterion benches run, so
 //! `cargo bench` and `repro-bench` measure the same code paths.
 
-use crate::jobs::CellSet;
 use crate::runner::{self, Scale};
 use crate::telemetry::{self as hub, TelemetryCtx};
 use sim_telemetry::json::{obj, parse, Json};
@@ -303,11 +302,7 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     scenarios.push(Scenario::new("e2e/table1", move || {
         let def = crate::jobs::registry::find("table1").expect("table1 is registered");
         let _ = hub::take_instructions();
-        let mut cells = CellSet::new();
-        for label in (def.labels)() {
-            cells.insert(label, Ok((def.cell)(&e2e_ctx, label, Scale::Quick)));
-        }
-        let _ = (def.render)(&cells);
+        let _ = (def.render)(&def.compute(&e2e_ctx, Scale::Quick));
         hub::take_instructions()
     }));
     scenarios

@@ -213,11 +213,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
-}
-
 /// Renders a (possibly partial) cell set as the census × envelope table.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut table = TextTable::new(vec![
@@ -267,8 +262,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_reconciles_clean_at_quick_scale() {
-        let cells = run(Scale::Quick);
-        assert!(cells.all_ok());
+        let cells = crate::jobs::registry::quick("predictability");
         for b in Benchmark::ALL {
             let d = cells.data(b.name()).unwrap();
             assert_eq!(d.req("errors"), 0.0, "{b}");
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn polymorphic_benchmarks_have_wider_census() {
-        let cells = run(Scale::Quick);
+        let cells = crate::jobs::registry::quick("predictability");
         let wide = |n: &str| {
             let d = cells.data(n).unwrap();
             d.req("poly") + d.req("mega")

@@ -44,35 +44,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as CSV (RFC-4180-style quoting for cells
-    /// containing commas or quotes).
-    pub fn render_csv(&self) -> String {
-        let quote = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        for row in std::iter::once(&self.headers).chain(&self.rows) {
-            let line: Vec<String> = row.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the table with aligned columns: first column left-aligned,
     /// the rest right-aligned.
     pub fn render(&self) -> String {
@@ -111,11 +82,6 @@ impl TextTable {
 /// Formats a fraction as a percentage with one decimal ("66.0%").
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-/// Formats a fraction as a percentage with two decimals ("14.37%").
-pub fn pct2(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
 }
 
 /// Formats a count with thousands separators ("1,234,567").
@@ -160,26 +126,9 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.662), "66.2%");
-        assert_eq!(pct2(0.12345), "12.35%");
         assert_eq!(count(0), "0");
         assert_eq!(count(999), "999");
         assert_eq!(count(1_000), "1,000");
         assert_eq!(count(123_456_789), "123,456,789");
-    }
-
-    #[test]
-    fn csv_rendering_quotes_when_needed() {
-        let mut t = TextTable::new(vec!["name".into(), "value".into()]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.render_csv();
-        assert_eq!(csv, "name,value\n\"a,b\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn len_and_is_empty() {
-        let mut t = TextTable::new(vec!["a".into()]);
-        assert!(t.is_empty());
-        t.row(vec!["x".into()]);
-        assert_eq!(t.len(), 1);
     }
 }

@@ -21,7 +21,7 @@ use target_cache::{HarnessTelemetry, TargetCacheConfig};
 pub enum Scale {
     /// ~100k instructions per benchmark: CI-sized, shapes still hold.
     Quick,
-    /// ~400k instructions: the default for the table binaries.
+    /// ~400k instructions: the default for `repro`.
     #[default]
     Standard,
     /// The workloads' full canonical budgets (1–2M instructions).
@@ -93,7 +93,7 @@ impl Scale {
     }
 }
 
-/// Whether the table binaries simulate every instruction or only the
+/// Whether `repro table1` simulates every instruction or only the
 /// SimPoint-style representative slices chosen by phase clustering.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SampleMode {
@@ -199,7 +199,7 @@ fn store_key(bench: Benchmark, scale: Scale) -> TraceKey {
 /// store; the default is `rw` under `results/traces/`.
 ///
 /// With telemetry active this also declares `bench` as the benchmark
-/// subsequent runs are attributed to (the table binaries are sequential:
+/// subsequent runs are attributed to (cells are sequential:
 /// they generate one trace and run every configuration on it before
 /// moving to the next benchmark), and accounts store hits, misses, and
 /// decode throughput under `trace_store.*` counters.

@@ -2,7 +2,7 @@
 //! fingerprints, sharded representative-slice measurement, weighted
 //! recombination, and the mandatory exact-vs-sampled error report.
 //!
-//! `REPRO_SAMPLE=simpoint table1` turns the exact per-benchmark cells
+//! `REPRO_SAMPLE=simpoint repro table1` turns the exact per-benchmark cells
 //! into shard cells over *representative slices*: the trace is
 //! fingerprinted ([`sim_trace::fingerprint_trace`]), the chunk BBVs are
 //! clustered ([`simpoint::cluster`]), and each phase is sampled at up
@@ -677,7 +677,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
         if def.name != "table1" {
             operator_error(&format!(
                 "REPRO_SAMPLE=simpoint shards only the table1 experiment, not {:?}; \
-                 run `REPRO_SAMPLE=simpoint table1` (the simpoint experiment reports \
+                 run `REPRO_SAMPLE=simpoint repro table1` (the simpoint experiment reports \
                  sampled-vs-exact itself and needs no knob)",
                 def.name
             ));
@@ -875,11 +875,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d.set("abs_err_pp", row.abs_err_pp());
     d.set("rel_err", row.rel_err());
     d
-}
-
-/// Runs the experiment sequentially at the given scale.
-pub fn run(scale: Scale) -> CellSet {
-    CellSet::compute(&cell_labels(), |l| cell(&TelemetryCtx::off(), l, scale))
 }
 
 /// Renders a (possibly partial) cell set as the sampled-vs-exact table.

@@ -13,23 +13,6 @@ use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
-/// One row of Table 1.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Dynamic instructions simulated.
-    pub instructions: u64,
-    /// Dynamic control instructions.
-    pub branches: u64,
-    /// Dynamic target-cache-eligible indirect jumps.
-    pub indirect_jumps: u64,
-    /// Static indirect-jump sites observed.
-    pub static_sites: usize,
-    /// BTB indirect-jump misprediction rate.
-    pub btb_mispred: f64,
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
@@ -48,53 +31,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d.set("static_sites", stats.static_indirect_jumps() as f64);
     d.set("btb_mispred", pred.indirect_jump_misprediction_rate());
     d
-}
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("table1 cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                instructions: d.req("instructions") as u64,
-                branches: d.req("branches") as u64,
-                indirect_jumps: d.req("indirect_jumps") as u64,
-                static_sites: d.req("static_sites") as usize,
-                btb_mispred: d.req("btb_mispred"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells (the renderers' common currency).
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("instructions", r.instructions as f64);
-        d.set("branches", r.branches as f64);
-        d.set("indirect_jumps", r.indirect_jumps as f64);
-        d.set("static_sites", r.static_sites as f64);
-        d.set("btb_mispred", r.btb_mispred);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 1.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 1, with
@@ -129,61 +65,36 @@ pub fn render_cells(cells: &CellSet) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::jobs::registry::quick;
+    use sim_workloads::Benchmark;
 
     #[test]
     fn table1_shape_matches_paper() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 8);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick("table1");
+        let get = |b: Benchmark, key: &str| cells.data(b.name()).unwrap().req(key);
+        let mispred = |b: Benchmark| get(b, "btb_mispred");
 
         // The paper's headline orderings: perl and gcc are the
         // hard-to-predict benchmarks; compress/ijpeg/vortex/xlisp are easy.
-        let perl = get(Benchmark::Perl);
-        let gcc = get(Benchmark::Gcc);
-        assert!(
-            perl.btb_mispred > 0.55,
-            "perl BTB mispred {}",
-            perl.btb_mispred
-        );
-        assert!(
-            gcc.btb_mispred > 0.45,
-            "gcc BTB mispred {}",
-            gcc.btb_mispred
-        );
+        let perl = mispred(Benchmark::Perl);
+        let gcc = mispred(Benchmark::Gcc);
+        assert!(perl > 0.55, "perl BTB mispred {perl}");
+        assert!(gcc > 0.45, "gcc BTB mispred {gcc}");
         for easy in [
             Benchmark::Compress,
             Benchmark::Ijpeg,
             Benchmark::Vortex,
             Benchmark::Xlisp,
         ] {
-            let r = get(easy);
-            assert!(
-                r.btb_mispred < 0.35,
-                "{} BTB mispred {} should be low",
-                easy,
-                r.btb_mispred
-            );
-            assert!(perl.btb_mispred > r.btb_mispred);
-            assert!(gcc.btb_mispred > r.btb_mispred);
+            let r = mispred(easy);
+            assert!(r < 0.35, "{easy} BTB mispred {r} should be low");
+            assert!(perl > r);
+            assert!(gcc > r);
         }
         // m88ksim sits in the middle (paper: 37.3%).
-        let m88k = get(Benchmark::M88ksim);
-        assert!(
-            (0.2..0.55).contains(&m88k.btb_mispred),
-            "m88ksim {}",
-            m88k.btb_mispred
-        );
+        let m88k = mispred(Benchmark::M88ksim);
+        assert!((0.2..0.55).contains(&m88k), "m88ksim {m88k}");
         // gcc has by far the most static sites.
-        assert!(gcc.static_sites > perl.static_sites);
-    }
-
-    #[test]
-    fn render_contains_all_benchmarks() {
-        let rows = run(Scale::Quick);
-        let text = render(&rows);
-        for b in Benchmark::ALL {
-            assert!(text.contains(b.name()), "missing {b}");
-        }
+        assert!(get(Benchmark::Gcc, "static_sites") > get(Benchmark::Perl, "static_sites"));
     }
 }

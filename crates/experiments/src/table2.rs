@@ -14,24 +14,6 @@ use branch_predictors::{BtbConfig, UpdatePolicy};
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
-/// One row of Table 2.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Indirect misprediction with the default (always-update) BTB.
-    pub default_rate: f64,
-    /// Indirect misprediction with the 2-bit update strategy.
-    pub two_bit_rate: f64,
-}
-
-impl Row {
-    /// Whether the 2-bit strategy helped this benchmark.
-    pub fn two_bit_helps(&self) -> bool {
-        self.two_bit_rate < self.default_rate
-    }
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
@@ -55,47 +37,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| {
-            let d = cells
-                .data(benchmark.name())
-                .unwrap_or_else(|| panic!("table2 cell for {benchmark} missing or failed"));
-            Row {
-                benchmark,
-                default_rate: d.req("default"),
-                two_bit_rate: d.req("two_bit"),
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for r in rows {
-        let mut d = CellData::new();
-        d.set("default", r.default_rate);
-        d.set("two_bit", r.two_bit_rate);
-        set.insert(r.benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 2.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 2.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut table = TextTable::new(vec![
@@ -106,20 +47,13 @@ pub fn render_cells(cells: &CellSet) -> String {
     ]);
     for &b in &Benchmark::ALL {
         let n = b.name();
-        let effect = match cells.data(n) {
-            Some(d) => if d.req("two_bit") < d.req("default") {
-                "helps"
-            } else {
-                "hurts"
-            }
-            .to_string(),
-            None => crate::jobs::err_marker(cells.failure(n).unwrap_or("cell missing")),
-        };
         table.row(vec![
             n.into(),
             cells.fmt(n, "default", pct),
             cells.fmt(n, "two_bit", pct),
-            effect,
+            cells.fmt_derived(n, &["default", "two_bit"], |v| {
+                if v[1] < v[0] { "helps" } else { "hurts" }.to_string()
+            }),
         ]);
     }
     format!(
@@ -130,30 +64,31 @@ pub fn render_cells(cells: &CellSet) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::jobs::registry::quick;
+    use sim_workloads::Benchmark;
 
     #[test]
     fn two_bit_strategy_changes_rates_and_hurts_bursty_benchmarks() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 8);
-        let get = |b: Benchmark| rows.iter().find(|r| r.benchmark == b).unwrap();
+        let cells = quick("table2");
+        let rates = |b: Benchmark| {
+            let d = cells.data(b.name()).unwrap();
+            (d.req("default"), d.req("two_bit"))
+        };
         // The 2-bit strategy delays adoption of a new target, so benchmarks
         // whose dispatch moves in sticky runs pay an extra miss per run —
         // the paper found it *hurts* m88ksim, vortex, and xlisp.
         for bursty in [Benchmark::M88ksim, Benchmark::Vortex, Benchmark::Xlisp] {
-            let r = get(bursty);
+            let (default, two_bit) = rates(bursty);
             assert!(
-                r.two_bit_rate >= r.default_rate * 0.98,
-                "{}: 2-bit should not help a sticky dispatch (default {}, 2-bit {})",
-                bursty,
-                r.default_rate,
-                r.two_bit_rate
+                two_bit >= default * 0.98,
+                "{bursty}: 2-bit should not help a sticky dispatch (default {default}, 2-bit {two_bit})"
             );
         }
         // Rates stay sane everywhere.
-        for r in &rows {
-            assert!((0.0..=1.0).contains(&r.default_rate));
-            assert!((0.0..=1.0).contains(&r.two_bit_rate));
+        for b in Benchmark::ALL {
+            let (default, two_bit) = rates(b);
+            assert!((0.0..=1.0).contains(&default));
+            assert!((0.0..=1.0).contains(&two_bit));
         }
     }
 }

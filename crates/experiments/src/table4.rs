@@ -27,18 +27,6 @@ pub fn schemes() -> Vec<IndexScheme> {
     ]
 }
 
-/// One row of Table 4: a hashing scheme's misprediction rate per benchmark.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The index scheme.
-    pub scheme: IndexScheme,
-    /// Scheme label ("GAg(9)", "GAs(8,1)", ...).
-    pub label: String,
-    /// Misprediction rate per focus benchmark, in [`Benchmark::FOCUS`]
-    /// order (gcc, perl).
-    pub mispred: Vec<f64>,
-}
-
 /// The benchmark labels this experiment enumerates cells over.
 pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::FOCUS.iter().map(|b| b.name()).collect()
@@ -67,56 +55,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment: 512-entry tagless caches, 9 bits of pattern
-/// history, one column per focus benchmark.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    schemes()
-        .into_iter()
-        .map(|scheme| {
-            let label = scheme.label(9);
-            let mispred = Benchmark::FOCUS
-                .iter()
-                .map(|b| {
-                    cells
-                        .data(b.name())
-                        .unwrap_or_else(|| panic!("table4 cell for {b} missing or failed"))
-                        .req(&label)
-                })
-                .collect();
-            Row {
-                scheme,
-                label,
-                mispred,
-            }
-        })
-        .collect()
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for (i, &b) in Benchmark::FOCUS.iter().enumerate() {
-        let mut d = CellData::new();
-        for r in rows {
-            d.set(r.label.clone(), r.mispred[i]);
-        }
-        set.insert(b.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 4.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 4.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut headers = vec!["scheme".to_string()];
@@ -142,19 +80,22 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
-    fn col(rows: &[Row], bench: Benchmark) -> Vec<(String, f64)> {
-        let i = Benchmark::FOCUS.iter().position(|&b| b == bench).unwrap();
-        rows.iter()
-            .map(|r| (r.label.clone(), r.mispred[i]))
+    /// Every scheme's misprediction rate on `bench`, keyed by label.
+    fn col(cells: &CellSet, bench: Benchmark) -> Vec<(String, f64)> {
+        let d = cells.data(bench.name()).unwrap();
+        schemes()
+            .iter()
+            .map(|s| (s.label(9), d.req(&s.label(9))))
             .collect()
     }
 
     #[test]
     fn gshare_is_best_and_all_beat_the_btb() {
-        let rows = run(Scale::Quick);
+        let cells = quick("table4");
         for &bench in &Benchmark::FOCUS {
-            let c = col(&rows, bench);
+            let c = col(&cells, bench);
             let gshare = c.iter().find(|(l, _)| l == "gshare").unwrap().1;
             for (label, m) in &c {
                 assert!(
@@ -172,8 +113,7 @@ mod tests {
     fn address_bits_matter_more_for_gcc_than_perl() {
         // Paper: GAg > GAs for perl (pattern bits beat address bits);
         // GAs competitive with GAg for gcc (many static jumps).
-        let rows = run(Scale::Quick);
-        let gcc = col(&rows, Benchmark::Gcc);
+        let gcc = col(&quick("table4"), Benchmark::Gcc);
         let gag_gcc = gcc.iter().find(|(l, _)| l == "GAg(9)").unwrap().1;
         let gas_gcc = gcc.iter().find(|(l, _)| l == "GAs(8,1)").unwrap().1;
         // For gcc, spending an index bit on the address must not hurt much

@@ -22,17 +22,6 @@ use target_cache::{Organization, TargetCacheConfig};
 /// alignment bits, as the paper recommends).
 pub const BIT_OFFSETS: [u32; 5] = [0, 1, 2, 4, 8];
 
-/// One row: a benchmark × bit-offset slice across all path schemes.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Which slice of the target address was recorded.
-    pub bit_offset: u32,
-    /// Execution-time reduction per scheme, in [`PathScheme::all`] order.
-    pub reductions: Vec<f64>,
-}
-
 /// The cell key for one (bit offset × path scheme) slot.
 fn key(bit_offset: u32, scheme: &PathScheme) -> String {
     format!("b{bit_offset}.{}", scheme.label())
@@ -77,55 +66,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment: 512-entry tagless gshare caches indexed with 9-bit
-/// path history recording 1 bit per target, varying which bit.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table5 cell for {benchmark} missing or failed"));
-        for &bit_offset in &BIT_OFFSETS {
-            rows.push(Row {
-                benchmark,
-                bit_offset,
-                reductions: PathScheme::all()
-                    .iter()
-                    .map(|s| d.req(&key(bit_offset, s)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (scheme, &x) in PathScheme::all().iter().zip(&r.reductions) {
-                d.set(key(r.bit_offset, scheme), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 5.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 5.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -153,23 +93,27 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// Perl's reduction for the Ind jmp path scheme (the paper's winner)
+    /// recording target-address bit `bit_offset`.
+    fn perl(cells: &CellSet, bit_offset: u32, scheme: usize) -> f64 {
+        let d = cells.data(Benchmark::Perl.name()).unwrap();
+        d.req(&key(bit_offset, &PathScheme::all()[scheme]))
+    }
+
+    // Indices into PathScheme::all(): per-addr, branch, control, ind jmp,
+    // call/ret.
+    const IND_JMP: usize = 3;
+    const CALL_RET: usize = 4;
 
     #[test]
     fn low_bits_beat_high_bits_for_the_winning_perl_scheme() {
-        let rows = run(Scale::Quick);
+        let cells = quick("table5");
         // For perl's ind-jmp scheme (the paper's winner), recording the low
         // bit must beat recording bit 8.
-        let ind_jmp = 3; // index in PathScheme::all(): per-addr, branch, control, ind jmp, call/ret
-        let perl_low = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl && r.bit_offset == 0)
-            .unwrap()
-            .reductions[ind_jmp];
-        let perl_high = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl && r.bit_offset == 8)
-            .unwrap()
-            .reductions[ind_jmp];
+        let perl_low = perl(&cells, 0, IND_JMP);
+        let perl_high = perl(&cells, 8, IND_JMP);
         assert!(
             perl_low >= perl_high,
             "perl ind-jmp: bit 0 ({perl_low}) must beat bit 8 ({perl_high})"
@@ -179,13 +123,9 @@ mod tests {
 
     #[test]
     fn perl_favors_path_ind_jmp_over_call_ret() {
-        let rows = run(Scale::Quick);
-        let r = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl && r.bit_offset == 0)
-            .unwrap();
-        let ind_jmp = r.reductions[3];
-        let call_ret = r.reductions[4];
+        let cells = quick("table5");
+        let ind_jmp = perl(&cells, 0, IND_JMP);
+        let call_ret = perl(&cells, 0, CALL_RET);
         assert!(
             ind_jmp > call_ret,
             "perl: ind jmp ({ind_jmp}) should beat call/ret ({call_ret})"

@@ -19,17 +19,6 @@ use target_cache::{Organization, TargetCacheConfig};
 /// Bits-per-target values studied (the paper uses 1, 2, 3).
 pub const BITS_PER_TARGET: [u32; 3] = [1, 2, 3];
 
-/// One row: a benchmark × bits-per-target slice across all path schemes.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// How many bits of each target were recorded.
-    pub bits_per_target: u32,
-    /// Execution-time reduction per scheme, in [`PathScheme::all`] order.
-    pub reductions: Vec<f64>,
-}
-
 /// The cell key for one (bits-per-target × path scheme) slot.
 fn key(bits: u32, scheme: &PathScheme) -> String {
     format!("t{bits}.{}", scheme.label())
@@ -63,55 +52,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment: 9-bit path registers recording 1, 2, or 3 low bits
-/// per target.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table6 cell for {benchmark} missing or failed"));
-        for &bits in &BITS_PER_TARGET {
-            rows.push(Row {
-                benchmark,
-                bits_per_target: bits,
-                reductions: PathScheme::all()
-                    .iter()
-                    .map(|s| d.req(&key(bits, s)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (scheme, &x) in PathScheme::all().iter().zip(&r.reductions) {
-                d.set(key(r.bits_per_target, scheme), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 6.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 6.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -139,21 +79,17 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn one_bit_per_target_wins_for_perl_ind_jmp() {
         // The paper's best configuration records 1 bit per target: depth
         // of history beats per-target resolution.
-        let rows = run(Scale::Quick);
-        let ind_jmp = 3;
-        let get = |bits: u32| {
-            rows.iter()
-                .find(|r| r.benchmark == Benchmark::Perl && r.bits_per_target == bits)
-                .unwrap()
-                .reductions[ind_jmp]
-        };
-        let one = get(1);
-        let three = get(3);
+        let cells = quick("table6");
+        let ind_jmp = &PathScheme::all()[3];
+        let d = cells.data(Benchmark::Perl.name()).unwrap();
+        let one = d.req(&key(1, ind_jmp));
+        let three = d.req(&key(3, ind_jmp));
         assert!(
             one >= three,
             "perl ind-jmp: 1 bit/target ({one}) should beat 3 bits/target ({three})"

@@ -21,19 +21,6 @@ use target_cache::{HistorySource, Organization, TaggedIndexScheme, TargetCacheCo
 /// Associativities studied (the paper sweeps 1..=256; we sample it).
 pub const ASSOCS: [usize; 7] = [1, 2, 4, 8, 16, 64, 256];
 
-/// One row: a benchmark × associativity slice across the three indexing
-/// schemes.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Ways per set.
-    pub assoc: usize,
-    /// Execution-time reduction per scheme, in [`TaggedIndexScheme::ALL`]
-    /// order (Address, History-Concat, History-Xor).
-    pub reductions: Vec<f64>,
-}
-
 /// The cell key for one (associativity × indexing scheme) slot.
 fn key(assoc: usize, scheme: TaggedIndexScheme) -> String {
     format!("a{assoc}.{}", scheme.label())
@@ -68,54 +55,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table7 cell for {benchmark} missing or failed"));
-        for &assoc in &ASSOCS {
-            rows.push(Row {
-                benchmark,
-                assoc,
-                reductions: TaggedIndexScheme::ALL
-                    .iter()
-                    .map(|&s| d.req(&key(assoc, s)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (&scheme, &x) in TaggedIndexScheme::ALL.iter().zip(&r.reductions) {
-                d.set(key(r.assoc, scheme), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 7.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 7.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -143,18 +82,16 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn address_scheme_needs_associativity_history_xor_does_not() {
-        let rows = run(Scale::Quick);
+        let cells = quick("table7");
         for &bench in &Benchmark::FOCUS {
-            let get = |assoc: usize| {
-                rows.iter()
-                    .find(|r| r.benchmark == bench && r.assoc == assoc)
-                    .unwrap()
-            };
-            let direct = get(1);
-            let (addr_1, xor_1) = (direct.reductions[0], direct.reductions[2]);
+            let d = cells.data(bench.name()).unwrap();
+            let get = |assoc: usize, scheme| d.req(&key(assoc, scheme));
+            let addr_1 = get(1, TaggedIndexScheme::Address);
+            let xor_1 = get(1, TaggedIndexScheme::HistoryXor);
             // Direct-mapped: Address indexing thrashes, History-Xor works.
             assert!(
                 xor_1 > addr_1,
@@ -162,8 +99,7 @@ mod tests {
             );
             // High associativity rescues the Address scheme (paper: "a high
             // degree of set-associativity is required to avoid trashing").
-            let wide = get(256);
-            let addr_wide = wide.reductions[0];
+            let addr_wide = get(256, TaggedIndexScheme::Address);
             assert!(
                 addr_wide > addr_1,
                 "{bench}: 256-way address ({addr_wide}) must beat direct-mapped ({addr_1})"

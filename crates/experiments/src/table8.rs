@@ -20,17 +20,6 @@ use target_cache::{Organization, TaggedIndexScheme, TargetCacheConfig};
 /// Associativities studied.
 pub const ASSOCS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// One row: a benchmark × associativity slice across the path schemes.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Ways per set.
-    pub assoc: usize,
-    /// Execution-time reduction per scheme, in [`PathScheme::all`] order.
-    pub reductions: Vec<f64>,
-}
-
 /// The cell key for one (associativity × path scheme) slot.
 fn key(assoc: usize, scheme: &PathScheme) -> String {
     format!("a{assoc}.{}", scheme.label())
@@ -68,54 +57,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table8 cell for {benchmark} missing or failed"));
-        for &assoc in &ASSOCS {
-            rows.push(Row {
-                benchmark,
-                assoc,
-                reductions: PathScheme::all()
-                    .iter()
-                    .map(|s| d.req(&key(assoc, s)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (scheme, &x) in PathScheme::all().iter().zip(&r.reductions) {
-                d.set(key(r.assoc, scheme), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 8.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 8.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -143,32 +84,31 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
+
+    /// Perl's reduction at `assoc` ways for path scheme `scheme` (an
+    /// index into `PathScheme::all()`: 3 is Ind jmp, 4 is Call/ret).
+    fn perl(cells: &CellSet, assoc: usize, scheme: usize) -> f64 {
+        let d = cells.data(Benchmark::Perl.name()).unwrap();
+        d.req(&key(assoc, &PathScheme::all()[scheme]))
+    }
 
     #[test]
     fn perl_prefers_path_history_in_tagged_caches_too() {
-        let rows = run(Scale::Quick);
-        let r = rows
-            .iter()
-            .find(|r| r.benchmark == Benchmark::Perl && r.assoc == 4)
-            .unwrap();
-        let ind_jmp = r.reductions[3];
+        let cells = quick("table8");
+        let ind_jmp = perl(&cells, 4, 3);
         assert!(
             ind_jmp > 0.02,
             "perl tagged path ind-jmp reduction {ind_jmp}"
         );
         // Path ind-jmp beats call/ret for perl in tagged form as well.
-        assert!(ind_jmp > r.reductions[4]);
+        assert!(ind_jmp > perl(&cells, 4, 4));
     }
 
     #[test]
     fn associativity_helps_or_holds_for_perl_ind_jmp() {
-        let rows = run(Scale::Quick);
-        let get = |assoc: usize| {
-            rows.iter()
-                .find(|r| r.benchmark == Benchmark::Perl && r.assoc == assoc)
-                .unwrap()
-                .reductions[3]
-        };
+        let cells = quick("table8");
+        let get = |assoc: usize| perl(&cells, assoc, 3);
         assert!(
             get(8) >= get(1) - 0.01,
             "8-way {} vs direct {}",

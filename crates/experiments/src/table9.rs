@@ -22,17 +22,6 @@ pub const ASSOCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// History lengths compared.
 pub const HISTORY_BITS: [u32; 2] = [9, 16];
 
-/// One row: a benchmark × associativity pair of reductions (9-bit, 16-bit).
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Ways per set.
-    pub assoc: usize,
-    /// Execution-time reduction with 9 and 16 history bits respectively.
-    pub reductions: [f64; 2],
-}
-
 /// The cell key for one (associativity × history length) slot.
 fn key(assoc: usize, bits: u32) -> String {
     format!("a{assoc}.h{bits}")
@@ -67,54 +56,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     d
 }
 
-/// Runs the experiment: 256-entry History-Xor tagged caches.
-pub fn run(scale: Scale) -> Vec<Row> {
-    rows_from_cells(&CellSet::compute(&cell_labels(), |l| {
-        cell(&TelemetryCtx::off(), l, scale)
-    }))
-}
-
-/// Reconstructs rows from a fully-successful cell set.
-pub fn rows_from_cells(cells: &CellSet) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let d = cells
-            .data(benchmark.name())
-            .unwrap_or_else(|| panic!("table9 cell for {benchmark} missing or failed"));
-        for &assoc in &ASSOCS {
-            rows.push(Row {
-                benchmark,
-                assoc,
-                reductions: [
-                    d.req(&key(assoc, HISTORY_BITS[0])),
-                    d.req(&key(assoc, HISTORY_BITS[1])),
-                ],
-            });
-        }
-    }
-    rows
-}
-
-/// Converts rows back to cells.
-pub fn cells_from_rows(rows: &[Row]) -> CellSet {
-    let mut set = CellSet::new();
-    for &benchmark in &Benchmark::FOCUS {
-        let mut d = CellData::new();
-        for r in rows.iter().filter(|r| r.benchmark == benchmark) {
-            for (&bits, &x) in HISTORY_BITS.iter().zip(&r.reductions) {
-                d.set(key(r.assoc, bits), x);
-            }
-        }
-        set.insert(benchmark.name(), Ok(d));
-    }
-    set
-}
-
-/// Renders the rows as the paper's Table 9.
-pub fn render(rows: &[Row]) -> String {
-    render_cells(&cells_from_rows(rows))
-}
-
 /// Renders a (possibly partial) cell set as the paper's Table 9.
 pub fn render_cells(cells: &CellSet) -> String {
     let mut out = String::from(
@@ -138,6 +79,7 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::registry::quick;
 
     #[test]
     fn long_history_gains_more_from_associativity_than_short() {
@@ -145,15 +87,11 @@ mod tests {
         // direct-mapped to highly-associative helps the 16-bit cache more
         // than the 9-bit cache (long histories need associativity to
         // contain the conflict misses they create).
-        let rows = run(Scale::Quick);
+        let cells = quick("table9");
         for &bench in &Benchmark::FOCUS {
-            let get = |assoc: usize| {
-                rows.iter()
-                    .find(|r| r.benchmark == bench && r.assoc == assoc)
-                    .unwrap()
-            };
-            let gain9 = get(32).reductions[0] - get(1).reductions[0];
-            let gain16 = get(32).reductions[1] - get(1).reductions[1];
+            let d = cells.data(bench.name()).unwrap();
+            let gain = |bits: u32| d.req(&key(32, bits)) - d.req(&key(1, bits));
+            let (gain9, gain16) = (gain(9), gain(16));
             assert!(
                 gain16 >= gain9 - 0.01,
                 "{bench}: assoc gain with 16 bits ({gain16}) should be at least the 9-bit gain ({gain9})"

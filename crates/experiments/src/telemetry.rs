@@ -1,8 +1,8 @@
 //! The experiments-side telemetry context: opt-in observability for
-//! every table binary.
+//! every `repro` campaign.
 //!
-//! A table binary opts in by holding a [`Session`] for the duration of
-//! `main` and threading its [`TelemetryCtx`] into everything it runs:
+//! A campaign opts in by holding a [`Session`] for its whole duration
+//! and threading its [`TelemetryCtx`] into everything it runs:
 //!
 //! ```no_run
 //! let scale = experiments::Scale::from_env_or_exit();
@@ -293,8 +293,8 @@ impl TelemetryCtx {
     }
 }
 
-/// An active telemetry capture, held for the duration of a table binary's
-/// `main`. Writes the manifest (and event stream) when dropped.
+/// An active telemetry capture, held for the duration of a campaign.
+/// Writes the manifest (and event stream) when dropped.
 pub struct Session {
     hub: Option<Arc<Hub>>,
     tool: String,

@@ -1,6 +1,6 @@
 //! End-to-end contract of the fault-tolerant campaign driver, exercised
-//! through a real table binary (`table4`: two focus-benchmark cells, fast
-//! at quick scale).
+//! through a real campaign (`repro table4`: two focus-benchmark cells,
+//! fast at quick scale).
 //!
 //! These tests assert the operator-visible behavior ISSUE-level tooling
 //! relies on: injected faults fail *one cell* while the rest of the run
@@ -10,6 +10,7 @@
 //! and operator mistakes exit 2 with guidance instead of a backtrace.
 
 use experiments::watch::CellState;
+use sim_telemetry::json::{self, Json};
 use sim_telemetry::{CampaignEvent, CellStatus};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,9 +23,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the `table4` binary with a hermetic REPRO_* environment.
-fn run_table4(journal_dir: &Path, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table4"));
+/// Runs `repro <experiment>` with a hermetic REPRO_* environment.
+fn run_repro(experiment: &str, journal_dir: &Path, envs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg(experiment);
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -50,7 +52,7 @@ fn run_table4(journal_dir: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn table4")
+    cmd.output().expect("spawn repro")
 }
 
 fn stdout(out: &Output) -> String {
@@ -65,7 +67,8 @@ fn stderr(out: &Output) -> String {
 fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
     let dir = scratch("resume");
 
-    let first = run_table4(
+    let first = run_repro(
+        "table4",
         &dir,
         &[
             ("REPRO_FAULTS", "panic:table4/perl"),
@@ -98,7 +101,7 @@ fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
     );
 
     // Resume without faults: the ok cell is restored, only perl re-runs.
-    let second = run_table4(&dir, &[("REPRO_RESUME", "chaos")]);
+    let second = run_repro("table4", &dir, &[("REPRO_RESUME", "chaos")]);
     let out = stdout(&second);
     assert_eq!(
         second.status.code(),
@@ -152,7 +155,8 @@ fn injected_panic_fails_one_cell_and_resume_reruns_only_it() {
 #[test]
 fn flaky_cell_recovers_within_the_retry_budget() {
     let dir = scratch("flaky");
-    let out = run_table4(
+    let out = run_repro(
+        "table4",
         &dir,
         &[
             ("REPRO_FAULTS", "flaky:table4/perl:1"),
@@ -176,7 +180,7 @@ fn flaky_cell_recovers_within_the_retry_budget() {
 fn operator_errors_exit_two_with_guidance() {
     let dir = scratch("operator");
 
-    let bad_faults = run_table4(&dir, &[("REPRO_FAULTS", "explode:everything")]);
+    let bad_faults = run_repro("table4", &dir, &[("REPRO_FAULTS", "explode:everything")]);
     assert_eq!(bad_faults.status.code(), Some(2));
     assert!(
         stderr(&bad_faults).contains("REPRO_FAULTS"),
@@ -184,7 +188,7 @@ fn operator_errors_exit_two_with_guidance() {
         stderr(&bad_faults)
     );
 
-    let bad_resume = run_table4(&dir, &[("REPRO_RESUME", "no-such-run")]);
+    let bad_resume = run_repro("table4", &dir, &[("REPRO_RESUME", "no-such-run")]);
     assert_eq!(bad_resume.status.code(), Some(2));
     assert!(
         stderr(&bad_resume).contains("cannot resume"),
@@ -199,7 +203,8 @@ fn operator_errors_exit_two_with_guidance() {
 fn telemetry_manifest_records_cell_outcomes() {
     let dir = scratch("manifest");
     let telemetry_dir = dir.join("telemetry");
-    let out = run_table4(
+    let out = run_repro(
+        "table4",
         &dir,
         &[
             ("REPRO_TELEMETRY", "summary"),
@@ -214,5 +219,48 @@ fn telemetry_manifest_records_cell_outcomes() {
     assert!(manifest.contains("table4/perl"), "{manifest}");
     assert!(manifest.contains("table4/gcc"), "{manifest}");
     assert!(manifest.contains("deadline_kills"), "{manifest}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restored_cell_missing_a_key_renders_err_and_exits_one() {
+    // A campaign log is outside input: a restored ok cell may lack a key
+    // its table reads. The table still prints, the slots that need the
+    // key read ERR(missing <key>), nothing panics, and the run exits 1.
+    let dir = scratch("missing-key");
+    let first = run_repro("table2", &dir, &[("REPRO_RUN_ID", "gone")]);
+    assert_eq!(first.status.code(), Some(0), "{}", stderr(&first));
+
+    let journal = dir.join("gone.jsonl");
+    let mut edited = String::new();
+    for line in fs::read_to_string(&journal).unwrap().lines() {
+        let mut event = json::parse(line).expect("campaign log line parses");
+        let perl = event.get("cell").and_then(Json::as_str) == Some("table2/perl");
+        if let (true, Json::Obj(fields)) = (perl, &mut event) {
+            if let Some(Json::Obj(data)) = fields.get_mut("data") {
+                assert!(data.remove("two_bit").is_some(), "{line}");
+            }
+        }
+        edited.push_str(&event.to_string());
+        edited.push('\n');
+    }
+    fs::write(&journal, edited).unwrap();
+
+    let resumed = run_repro("table2", &dir, &[("REPRO_RESUME", "gone")]);
+    let (out, err) = (stdout(&resumed), stderr(&resumed));
+    assert_eq!(
+        resumed.status.code(),
+        Some(1),
+        "stdout:\n{out}\nstderr:\n{err}"
+    );
+    assert!(out.contains("campaign: 8/8 cells ok, 8 restored"), "{out}");
+    let perl = out
+        .lines()
+        .find(|l| l.starts_with("perl"))
+        .unwrap_or_else(|| panic!("table not printed:\n{out}"));
+    assert_eq!(perl.matches("ERR(missing two_bit)").count(), 2, "{perl}");
+    let gcc = out.lines().find(|l| l.starts_with("gcc")).unwrap();
+    assert!(!gcc.contains("ERR("), "{gcc}");
+    assert!(!err.contains("panicked"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }

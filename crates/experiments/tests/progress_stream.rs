@@ -17,8 +17,9 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Runs a table binary with a hermetic REPRO_* environment.
-fn run_tool(exe: &str, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(exe);
+fn run_tool(experiment: &str, envs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg(experiment);
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -39,7 +40,7 @@ fn run_tool(exe: &str, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn tool")
+    cmd.output().expect("spawn repro")
 }
 
 fn stderr(out: &Output) -> String {
@@ -51,7 +52,7 @@ fn chaos_campaign_writes_a_well_formed_log_and_repro_top_agrees() {
     let dir = scratch("chaos");
     let journal_dir = dir.join("journal");
     let out = run_tool(
-        env!("CARGO_BIN_EXE_table2"),
+        "table2",
         &[
             ("REPRO_SCALE", "quick"),
             ("REPRO_TELEMETRY", "off"),
@@ -216,7 +217,7 @@ fn chaos_campaign_writes_a_well_formed_log_and_repro_top_agrees() {
 fn a_typoed_progress_knob_is_an_operator_error() {
     let dir = scratch("typo");
     let out = run_tool(
-        env!("CARGO_BIN_EXE_table2"),
+        "table2",
         &[
             ("REPRO_SCALE", "quick"),
             ("REPRO_PROGRESS_TICK_MS", "fast"),

@@ -1,5 +1,5 @@
-//! End-to-end contract of `REPRO_SAMPLE=simpoint` through the real
-//! `table1` binary: the sharded campaign runs to completion, the
+//! End-to-end contract of `REPRO_SAMPLE=simpoint` through a real
+//! `repro table1` campaign: the sharded campaign runs to completion, the
 //! mandatory exact-vs-sampled error report is written and parseable,
 //! and the perl/gcc rows stay inside the default 1 pp tolerance.
 
@@ -16,8 +16,9 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Runs a table binary with a hermetic REPRO_* environment.
-fn run_tool(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(exe);
+fn run_tool(experiment: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg(experiment);
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -47,7 +48,7 @@ fn run_tool(exe: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn table binary")
+    cmd.output().expect("spawn repro")
 }
 
 fn stdout(out: &Output) -> String {
@@ -64,7 +65,7 @@ fn sampled_table1_stays_within_tolerance_and_writes_the_error_report() {
     // stated at (quick traces are too short for dense phase maps).
     let dir = scratch("table1");
     let out = run_tool(
-        env!("CARGO_BIN_EXE_table1"),
+        "table1",
         &dir,
         &[
             ("REPRO_SAMPLE", "simpoint"),
@@ -115,20 +116,12 @@ fn sampled_table1_stays_within_tolerance_and_writes_the_error_report() {
 fn sample_knob_parses_strictly_and_only_shards_table1() {
     let dir = scratch("knob");
 
-    let typo = run_tool(
-        env!("CARGO_BIN_EXE_table1"),
-        &dir,
-        &[("REPRO_SAMPLE", "simpont")],
-    );
+    let typo = run_tool("table1", &dir, &[("REPRO_SAMPLE", "simpont")]);
     assert_eq!(typo.status.code(), Some(2), "{}", stderr(&typo));
     assert!(stderr(&typo).contains("REPRO_SAMPLE"), "{}", stderr(&typo));
     assert!(stderr(&typo).contains("simpoint"), "{}", stderr(&typo));
 
-    let wrong_tool = run_tool(
-        env!("CARGO_BIN_EXE_table4"),
-        &dir,
-        &[("REPRO_SAMPLE", "simpoint")],
-    );
+    let wrong_tool = run_tool("table4", &dir, &[("REPRO_SAMPLE", "simpoint")]);
     assert_eq!(wrong_tool.status.code(), Some(2), "{}", stderr(&wrong_tool));
     assert!(
         stderr(&wrong_tool).contains("shards only the table1 experiment"),
@@ -143,7 +136,7 @@ fn sample_knob_parses_strictly_and_only_shards_table1() {
 fn exact_off_skips_the_error_report() {
     let dir = scratch("exact-off");
     let out = run_tool(
-        env!("CARGO_BIN_EXE_table1"),
+        "table1",
         &dir,
         &[
             ("REPRO_SAMPLE", "simpoint"),

@@ -1,6 +1,6 @@
 //! End-to-end contract of the campaign log's correlation views,
-//! exercised through a real table binary (`table4`) and the `trace-viz`
-//! operator tool.
+//! exercised through a real campaign (`repro table4`) and the
+//! `trace-viz` operator tool.
 //!
 //! Covered here: `REPRO_TRACE_EXPORT=chrome` writes a strictly valid
 //! Chrome trace export — a fold of the campaign log — for a faulted
@@ -22,10 +22,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the `table4` binary with a hermetic REPRO_* environment and the
+/// Runs `repro table4` with a hermetic REPRO_* environment and the
 /// full observability stack pointed into `dir`.
 fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table4"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg("table4");
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -56,7 +57,7 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn table4")
+    cmd.output().expect("spawn repro table4")
 }
 
 fn parse_file(path: &Path) -> Json {

@@ -1,5 +1,5 @@
 //! End-to-end contract of the trace store under the fault-tolerant
-//! campaign driver, exercised through a real table binary (`table4`:
+//! campaign driver, exercised through a real campaign (`repro table4`:
 //! two focus-benchmark cells, fast at quick scale).
 //!
 //! The operator-visible behavior: a torn store write (injected via
@@ -21,10 +21,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the `table4` binary with a hermetic REPRO_* environment and the
+/// Runs `repro table4` with a hermetic REPRO_* environment and the
 /// trace store rooted inside `dir` (at `<dir>/traces`).
 fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_table4"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.arg("table4");
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -50,7 +51,7 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn table4")
+    cmd.output().expect("spawn repro table4")
 }
 
 fn stdout(out: &Output) -> String {

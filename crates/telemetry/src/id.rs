@@ -9,7 +9,7 @@
 //! ```text
 //! $ grep -rl tr-9f2ab04c71d3e586 results/
 //! results/journal/chaos.jsonl
-//! results/telemetry/repro_all.manifest.json
+//! results/telemetry/all.manifest.json
 //! results/traceviz/chaos.trace.json
 //! ```
 //!

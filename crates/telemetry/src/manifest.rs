@@ -190,7 +190,7 @@ impl SampleRow {
 /// The manifest for one experiment invocation (one table binary run).
 #[derive(Clone, Debug, Default)]
 pub struct RunManifest {
-    /// Which experiment produced this (`table1`, `repro_all`, …).
+    /// Which experiment produced this (`table1`, `all`, …).
     pub tool: String,
     /// The campaign's correlation id (`tr-…`; empty when the invocation
     /// predates correlation ids or never minted one).

@@ -105,7 +105,7 @@ pub enum CampaignEvent {
     CampaignStarted {
         /// Run id (the log's file stem).
         run: String,
-        /// Tool name (`repro_all`, `table4`, …).
+        /// Tool name: the `repro` argument (`all`, `table4`, …).
         tool: String,
         /// Scale name (`quick`, `standard`, `full`).
         scale: String,
