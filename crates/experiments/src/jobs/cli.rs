@@ -38,7 +38,7 @@ use super::journal::Journal;
 use super::pool::{run_campaign_with, CampaignOutcome, CellTask, RunControls, RunnerConfig};
 use super::registry::ExperimentDef;
 use super::{cell_id, faults, CellSet};
-use crate::runner::Scale;
+use crate::runner::{SampleMode, Scale};
 use crate::telemetry;
 
 /// Where campaign logs live unless `REPRO_JOURNAL_DIR` says otherwise.
@@ -93,7 +93,7 @@ pub fn repro(args: &[String]) -> ! {
 
 fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
     let scale = Scale::from_env_or_exit();
-    if crate::runner::SampleMode::from_env_or_exit() == crate::runner::SampleMode::Simpoint {
+    if SampleMode::from_env_or_exit() == SampleMode::Simpoint {
         return crate::sample::drive_sampled(tool, defs, scale);
     }
 
@@ -115,7 +115,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         })
         .collect();
 
-    let driven = drive_campaign(tool, scale, &session, tasks);
+    let driven = drive_campaign(tool, scale, SampleMode::Off, &session, tasks);
 
     let mut err_slots = 0;
     for def in defs {
@@ -132,13 +132,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         println!("{render}");
     }
 
-    let status = epilogue(
-        tool,
-        &driven.run_id,
-        scale,
-        &driven.journal_dir,
-        &driven.outcome,
-    );
+    let status = epilogue(&driven.outcome, &driven.resume_command);
     if status == 0 && err_slots > 0 {
         // Every cell is ok, yet a slot could not be rendered: restored
         // data lacks a key the table reads.
@@ -153,8 +147,8 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
 pub(crate) struct DrivenCampaign {
     /// The run id (campaign log name) this campaign executed under.
     pub run_id: String,
-    /// Campaign log directory, for the resume command.
-    pub journal_dir: PathBuf,
+    /// The command that resumes this campaign, as its log records it.
+    pub resume_command: String,
     /// Every cell's report.
     pub outcome: CampaignOutcome,
 }
@@ -185,6 +179,9 @@ pub(crate) struct CampaignPlan {
     pub runner: RunnerConfig,
     /// Cancellation and shared worker slots.
     pub controls: RunControls,
+    /// Whether the tasks are the sampled driver's shards, which only a
+    /// sampled campaign can resume.
+    pub sample: SampleMode,
 }
 
 impl CampaignPlan {
@@ -192,7 +189,7 @@ impl CampaignPlan {
     /// `REPRO_JOURNAL_DIR`, and the pool knobs. `REPRO_TRACE_STORE` is
     /// checked here too: workers open the store per trace, so a typo must
     /// stop the campaign before its log exists.
-    pub(crate) fn from_env(tool: &str) -> Result<CampaignPlan, String> {
+    pub(crate) fn from_env(tool: &str, sample: SampleMode) -> Result<CampaignPlan, String> {
         sim_trace::StoreMode::from_env()?;
         let journal_dir = PathBuf::from(
             env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
@@ -210,6 +207,7 @@ impl CampaignPlan {
             source,
             runner: RunnerConfig::from_env()?,
             controls: RunControls::default(),
+            sample,
         })
     }
 }
@@ -220,10 +218,11 @@ impl CampaignPlan {
 pub(crate) fn drive_campaign(
     tool: &str,
     scale: Scale,
+    sample: SampleMode,
     session: &telemetry::Session,
     tasks: Vec<CellTask>,
 ) -> DrivenCampaign {
-    let plan = CampaignPlan::from_env(tool).unwrap_or_else(|e| operator_error(&e));
+    let plan = CampaignPlan::from_env(tool, sample).unwrap_or_else(|e| operator_error(&e));
     // The fault guard must outlive the campaign so workload truncation
     // faults stay visible to trace generation on worker threads.
     let _faults = faults::install(plan.runner.faults.clone());
@@ -250,6 +249,7 @@ pub(crate) fn drive_plan(
         source,
         runner,
         controls,
+        sample,
     } = plan;
     let cells = tasks.len();
     let mut journal = match source {
@@ -268,7 +268,8 @@ pub(crate) fn drive_plan(
     };
     // Whoever finds this log after a crash (the epilogue, `repro-serve`'s
     // status endpoint) can surface the resume command verbatim.
-    journal.set_resume_command(resume_command(tool, &run_id, scale, &journal_dir));
+    let resume_command = resume_command(tool, &run_id, scale, sample, &journal_dir);
+    journal.set_resume_command(resume_command.clone());
     let ctx = session.ctx();
     if let Some(hub) = ctx.hub() {
         hub.set_trace_id(journal.trace_id());
@@ -313,7 +314,7 @@ pub(crate) fn drive_plan(
 
     Ok(DrivenCampaign {
         run_id,
-        journal_dir,
+        resume_command,
         outcome,
     })
 }
@@ -321,10 +322,21 @@ pub(crate) fn drive_plan(
 /// The full, copy-pasteable resume command for a failed campaign: the
 /// scale is pinned (a resume from a different shell must not silently
 /// run at another scale, which the journal would reject anyway) and a
-/// non-default log directory rides along, both shell-quoted. Written
-/// into every campaign-started line and printed by the failure epilogue.
-pub(crate) fn resume_command(tool: &str, run_id: &str, scale: Scale, journal_dir: &Path) -> String {
+/// non-default log directory rides along, both shell-quoted. A sampled
+/// campaign's log holds shard cells, so its resume must be sampled too.
+/// Written into every campaign-started line and printed by the failure
+/// epilogue.
+pub(crate) fn resume_command(
+    tool: &str,
+    run_id: &str,
+    scale: Scale,
+    sample: SampleMode,
+    journal_dir: &Path,
+) -> String {
     let mut cmd = format!("REPRO_SCALE={}", scale.name());
+    if sample == SampleMode::Simpoint {
+        cmd.push_str(" REPRO_SAMPLE=simpoint");
+    }
     if journal_dir != Path::new(DEFAULT_JOURNAL_DIR) {
         let dir = journal_dir.display().to_string();
         cmd.push_str(&format!(" REPRO_JOURNAL_DIR={}", shell_quote(&dir)));
@@ -348,13 +360,7 @@ fn shell_quote(value: &str) -> String {
     }
 }
 
-pub(crate) fn epilogue(
-    tool: &str,
-    run_id: &str,
-    scale: Scale,
-    journal_dir: &Path,
-    outcome: &CampaignOutcome,
-) -> i32 {
+pub(crate) fn epilogue(outcome: &CampaignOutcome, resume_command: &str) -> i32 {
     let total = outcome.reports.len();
     let failed = outcome.failures().count();
     let resumed = outcome.reports.iter().filter(|r| r.resumed).count();
@@ -375,10 +381,7 @@ pub(crate) fn epilogue(
         let reason = r.outcome.as_ref().err().map(String::as_str).unwrap_or("?");
         eprintln!("  {}: {}", r.cell, reason.lines().next().unwrap_or(reason));
     }
-    eprintln!(
-        "re-run only the failed cells with: {}",
-        resume_command(tool, run_id, scale, journal_dir)
-    );
+    eprintln!("re-run only the failed cells with: {resume_command}");
     1
 }
 
@@ -393,12 +396,32 @@ mod tests {
             "table4",
             "run-7",
             Scale::Standard,
+            SampleMode::Off,
             Path::new(DEFAULT_JOURNAL_DIR),
         );
         assert_eq!(cmd, "REPRO_SCALE=standard REPRO_RESUME=run-7 repro table4");
+        // A sampled campaign's log holds shard cells: only a sampled
+        // campaign can resume it.
+        let cmd = resume_command(
+            "table1",
+            "s1",
+            Scale::Quick,
+            SampleMode::Simpoint,
+            Path::new(DEFAULT_JOURNAL_DIR),
+        );
+        assert_eq!(
+            cmd,
+            "REPRO_SCALE=quick REPRO_SAMPLE=simpoint REPRO_RESUME=s1 repro table1"
+        );
         // A custom journal dir must ride along or the resume cannot find
         // the journal.
-        let cmd = resume_command("all", "r1", Scale::Quick, Path::new("/tmp/j"));
+        let cmd = resume_command(
+            "all",
+            "r1",
+            Scale::Quick,
+            SampleMode::Off,
+            Path::new("/tmp/j"),
+        );
         assert_eq!(
             cmd,
             "REPRO_SCALE=quick REPRO_JOURNAL_DIR=/tmp/j REPRO_RESUME=r1 repro all"
@@ -406,7 +429,13 @@ mod tests {
         // A directory a shell would split or unquote is quoted, so the
         // printed command still names it exactly.
         let dir = "/tmp/q dir/it's";
-        let cmd = resume_command("table2", "q1", Scale::Quick, Path::new(dir));
+        let cmd = resume_command(
+            "table2",
+            "q1",
+            Scale::Quick,
+            SampleMode::Off,
+            Path::new(dir),
+        );
         assert_eq!(
             cmd,
             r"REPRO_SCALE=quick REPRO_JOURNAL_DIR='/tmp/q dir/it'\''s' REPRO_RESUME=q1 repro table2"

@@ -37,7 +37,7 @@ use crate::jobs::cli::{drive_campaign, epilogue, operator_error};
 use crate::jobs::pool::CellTask;
 use crate::jobs::{cell_id, registry::ExperimentDef, CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, trace_with_fingerprints, Scale};
+use crate::runner::{functional, trace_with_fingerprints, SampleMode, Scale};
 use crate::table1;
 use crate::telemetry::{self, TelemetryCtx};
 use branch_predictors::ClassCounters;
@@ -731,7 +731,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
             .add(tasks.len() as u64);
     }
 
-    let driven = drive_campaign(tool, scale, &session, tasks);
+    let driven = drive_campaign(tool, scale, SampleMode::Simpoint, &session, tasks);
 
     // Recombine each benchmark's shard cells into a sampled Table 1. A
     // benchmark with any failed shard renders as ERR: a partial
@@ -781,13 +781,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
     );
     println!("{}", table1::render_cells(&cells));
 
-    let status = epilogue(
-        tool,
-        &driven.run_id,
-        scale,
-        &driven.journal_dir,
-        &driven.outcome,
-    );
+    let status = epilogue(&driven.outcome, &driven.resume_command);
     if status != 0 {
         return status;
     }

@@ -33,7 +33,7 @@ use crate::jobs::cli::{self, CampaignPlan, LogSource};
 use crate::jobs::journal::journal_path;
 use crate::jobs::pool::CellTask;
 use crate::jobs::{cell_id, faults, registry, RunControls, RunnerConfig, WorkerSlots};
-use crate::runner::Scale;
+use crate::runner::{SampleMode, Scale};
 use crate::telemetry;
 use sim_telemetry::json::{obj, Json};
 use sim_telemetry::{
@@ -312,6 +312,7 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
             cancel: Some(entry.cancel.clone()),
             slots: Some(server.slots.clone()),
         },
+        sample: SampleMode::Off,
     };
     let outcome = match cli::drive_plan(def.name, scale, &session, tasks, plan) {
         Ok(driven) => driven.outcome,

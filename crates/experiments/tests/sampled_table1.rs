@@ -155,3 +155,59 @@ fn exact_off_skips_the_error_report() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn printed_resume_command_resumes_a_sampled_campaign() {
+    // A sampled campaign's log holds shard cells; the resume command the
+    // epilogue prints must carry REPRO_SAMPLE=simpoint, or the resumed
+    // run schedules exact cells and refuses the log. The resumed run's
+    // environment below has no REPRO_SAMPLE, REPRO_SCALE or
+    // REPRO_JOURNAL_DIR: only the printed command supplies them.
+    let dir = scratch("resume");
+    let first = run_tool(
+        "table1",
+        &dir,
+        &[
+            ("REPRO_SAMPLE", "simpoint"),
+            ("REPRO_SAMPLE_EXACT", "off"),
+            ("REPRO_FAULTS", "random:3:0.5"),
+            ("REPRO_RETRIES", "1"),
+            ("REPRO_BACKOFF_MS", "1"),
+            ("REPRO_RUN_ID", "s1"),
+        ],
+    );
+    let err = stderr(&first);
+    assert_eq!(first.status.code(), Some(1), "stderr:\n{err}");
+    let printed = err
+        .lines()
+        .find_map(|l| l.strip_prefix("re-run only the failed cells with: "))
+        .unwrap_or_else(|| panic!("no resume command in stderr:\n{err}"));
+    assert!(printed.contains("REPRO_SAMPLE=simpoint"), "{printed}");
+    let command = printed
+        .strip_suffix(" repro table1")
+        .unwrap_or_else(|| panic!("resume command does not end in `repro table1`: {printed}"));
+    let mut sh = Command::new("sh");
+    sh.arg("-c").arg(format!(
+        "{command} '{}' table1",
+        env!("CARGO_BIN_EXE_repro")
+    ));
+    for (var, _) in std::env::vars() {
+        if var.starts_with("REPRO_") {
+            sh.env_remove(var);
+        }
+    }
+    sh.env("REPRO_TELEMETRY", "off")
+        .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
+        .env("REPRO_SAMPLE_DIR", dir.join("sampling"))
+        .env("REPRO_SAMPLE_EXACT", "off");
+    let resumed = sh.output().expect("spawn sh");
+    let text = stdout(&resumed);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "command: {printed}\nstdout:\n{text}\nstderr:\n{}",
+        stderr(&resumed)
+    );
+    assert!(text.contains("restored from journal"), "{text}");
+    let _ = fs::remove_dir_all(&dir);
+}

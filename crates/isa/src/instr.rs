@@ -1,6 +1,6 @@
 //! Dynamic instruction records.
 
-use crate::{Addr, BranchExec, InstrClass, Reg};
+use crate::{Addr, BranchClass, BranchExec, InstrClass, Reg};
 use std::fmt;
 
 /// A dynamic memory access made by a load or store.
@@ -27,8 +27,28 @@ impl MemAccess {
 /// resolved [`BranchExec`] outcome.
 ///
 /// Invariants, enforced by the constructors:
-/// * `class == Branch` ⟺ `branch.is_some()`
-/// * `class ∈ {Load, Store}` ⟺ `mem.is_some()`
+/// * `class == Branch` ⟺ `branch_exec().is_some()`
+/// * `class ∈ {Load, Store}` ⟺ `mem().is_some()`
+///
+/// # Layout
+///
+/// Traces hold hundreds of thousands to millions of these, and decode,
+/// generation and replay all stream them through memory, so the record
+/// is packed into 24 bytes:
+///
+/// | field     | bits  | contents                                              |
+/// |-----------|-------|-------------------------------------------------------|
+/// | `pc`      | 64    | the fetch address                                     |
+/// | `payload` | 64    | load/store data address, or raw branch target; else 0 |
+/// | `packed`  | 0–2   | [`InstrClass::index`]                                 |
+/// |           | 3–5   | [`BranchClass::index`] (branches only, else 0)        |
+/// |           | 6     | taken (branches only, else 0)                         |
+/// |           | 8–15  | source 0: 0 for none, register index + 1 otherwise    |
+/// |           | 16–23 | source 1, the same way                                |
+/// |           | 24–31 | destination, the same way                             |
+///
+/// Fields a class does not use are always zero, so the derived `==` and
+/// `Hash` agree with field-wise comparison of the accessors.
 ///
 /// # Example
 ///
@@ -40,18 +60,50 @@ impl MemAccess {
 ///     .with_dst(Reg::new(3));
 /// assert_eq!(add.class(), InstrClass::Integer);
 /// assert!(add.branch_exec().is_none());
+/// assert_eq!(std::mem::size_of::<DynInstr>(), 24);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynInstr {
     pc: Addr,
-    class: InstrClass,
-    srcs: [Option<Reg>; 2],
-    dst: Option<Reg>,
-    mem: Option<MemAccess>,
-    branch: Option<BranchExec>,
+    payload: u64,
+    packed: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<DynInstr>() == 24);
+
+const BRANCH_SHIFT: u32 = 3;
+const TAKEN: u32 = 1 << 6;
+const SRC0_SHIFT: u32 = 8;
+const SRC1_SHIFT: u32 = 16;
+const DST_SHIFT: u32 = 24;
+
+/// A register slot: 0 for none, register index + 1 otherwise.
+#[inline]
+const fn reg_slot(r: Option<Reg>) -> u32 {
+    match r {
+        Some(r) => r.index() as u32 + 1,
+        None => 0,
+    }
+}
+
+#[inline]
+fn slot_reg(slot: u32) -> Option<Reg> {
+    match slot & 0xff {
+        0 => None,
+        s => Some(Reg::new((s - 1) as u16)),
+    }
 }
 
 impl DynInstr {
+    #[inline]
+    const fn with_class(pc: Addr, class: InstrClass, payload: u64) -> Self {
+        DynInstr {
+            pc,
+            payload,
+            packed: class.index() as u32,
+        }
+    }
+
     /// Creates a non-memory, non-branch operation of the given class.
     ///
     /// # Panics
@@ -59,68 +111,53 @@ impl DynInstr {
     /// Panics if `class` is `Branch`, `Load`, or `Store`; use
     /// [`DynInstr::branch`](DynInstr::branch()) /
     /// [`DynInstr::load`] / [`DynInstr::store`] for those.
+    #[inline]
     pub fn op(pc: Addr, class: InstrClass) -> Self {
         assert!(
             !class.is_control() && !class.is_memory(),
             "use the dedicated constructor for {class:?}"
         );
-        DynInstr {
-            pc,
-            class,
-            srcs: [None, None],
-            dst: None,
-            mem: None,
-            branch: None,
-        }
+        DynInstr::with_class(pc, class, 0)
     }
 
     /// Creates a load from `mem_addr`.
+    #[inline]
     pub fn load(pc: Addr, mem_addr: u64) -> Self {
-        DynInstr {
-            pc,
-            class: InstrClass::Load,
-            srcs: [None, None],
-            dst: None,
-            mem: Some(MemAccess::new(mem_addr)),
-            branch: None,
-        }
+        DynInstr::with_class(pc, InstrClass::Load, mem_addr)
     }
 
     /// Creates a store to `mem_addr`.
+    #[inline]
     pub fn store(pc: Addr, mem_addr: u64) -> Self {
-        DynInstr {
-            pc,
-            class: InstrClass::Store,
-            srcs: [None, None],
-            dst: None,
-            mem: Some(MemAccess::new(mem_addr)),
-            branch: None,
-        }
+        DynInstr::with_class(pc, InstrClass::Store, mem_addr)
     }
 
     /// Creates a control instruction with the given resolved outcome.
+    #[inline]
     pub fn branch(pc: Addr, exec: BranchExec) -> Self {
-        DynInstr {
-            pc,
-            class: InstrClass::Branch,
-            srcs: [None, None],
-            dst: None,
-            mem: None,
-            branch: Some(exec),
+        let mut i = DynInstr::with_class(pc, InstrClass::Branch, exec.target.raw());
+        i.packed |= (exec.class.index() as u32) << BRANCH_SHIFT;
+        if exec.taken {
+            i.packed |= TAKEN;
         }
+        i
     }
 
     /// Sets the source registers (builder style).
     #[must_use]
+    #[inline]
     pub fn with_srcs(mut self, a: Option<Reg>, b: Option<Reg>) -> Self {
-        self.srcs = [a, b];
+        self.packed &= !(0xffff << SRC0_SHIFT);
+        self.packed |= reg_slot(a) << SRC0_SHIFT | reg_slot(b) << SRC1_SHIFT;
         self
     }
 
     /// Sets the destination register (builder style).
     #[must_use]
+    #[inline]
     pub fn with_dst(mut self, dst: Reg) -> Self {
-        self.dst = Some(dst);
+        self.packed &= !(0xff << DST_SHIFT);
+        self.packed |= reg_slot(Some(dst)) << DST_SHIFT;
         self
     }
 
@@ -133,37 +170,46 @@ impl DynInstr {
     /// The instruction's class.
     #[inline]
     pub fn class(&self) -> InstrClass {
-        self.class
+        InstrClass::ALL[(self.packed & 0x7) as usize]
     }
 
     /// Source register operands (up to two).
     #[inline]
     pub fn srcs(&self) -> [Option<Reg>; 2] {
-        self.srcs
+        [
+            slot_reg(self.packed >> SRC0_SHIFT),
+            slot_reg(self.packed >> SRC1_SHIFT),
+        ]
     }
 
     /// Destination register, if any.
     #[inline]
     pub fn dst(&self) -> Option<Reg> {
-        self.dst
+        slot_reg(self.packed >> DST_SHIFT)
     }
 
     /// Memory access, if this is a load or store.
     #[inline]
     pub fn mem(&self) -> Option<MemAccess> {
-        self.mem
+        self.class()
+            .is_memory()
+            .then_some(MemAccess::new(self.payload))
     }
 
     /// Resolved branch outcome, if this is a control instruction.
     #[inline]
     pub fn branch_exec(&self) -> Option<BranchExec> {
-        self.branch
+        self.class().is_control().then(|| BranchExec {
+            class: BranchClass::ALL[((self.packed >> BRANCH_SHIFT) & 0x7) as usize],
+            taken: self.packed & TAKEN != 0,
+            target: Addr::new(self.payload),
+        })
     }
 
     /// The address of the next instruction on the executed path.
     #[inline]
     pub fn next_pc(&self) -> Addr {
-        match self.branch {
+        match self.branch_exec() {
             Some(b) => b.next_pc(self.pc),
             None => self.pc.next(),
         }
@@ -172,8 +218,8 @@ impl DynInstr {
 
 impl fmt::Debug for DynInstr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.pc, self.class)?;
-        if let Some(b) = &self.branch {
+        write!(f, "{} {}", self.pc, self.class())?;
+        if let Some(b) = self.branch_exec() {
             write!(
                 f,
                 " {} {} -> {}",
@@ -182,10 +228,10 @@ impl fmt::Debug for DynInstr {
                 b.target
             )?;
         }
-        if let Some(m) = &self.mem {
+        if let Some(m) = self.mem() {
             write!(f, " [{:#x}]", m.addr)?;
         }
-        if let Some(d) = self.dst {
+        if let Some(d) = self.dst() {
             write!(f, " => {d}")?;
         }
         Ok(())

@@ -15,6 +15,13 @@
 //! * [`DynInstr`] — one dynamic instruction of an execution trace,
 //! * [`trace`] — trace abstractions and whole-trace statistics.
 //!
+//! A [`DynInstr`] is a dense 24-byte record: the PC, one `u64` holding a
+//! load/store's data address or a branch's target, and one `u32` packing
+//! the class, branch class, taken bit and the three optional registers
+//! (see its *Layout* section). Every trace in the workspace is a vector
+//! of them, so generation, `.strc` decode and every simulator pass move
+//! 24 bytes per instruction; the accessors unpack on read.
+//!
 //! # Example
 //!
 //! ```

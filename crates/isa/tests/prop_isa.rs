@@ -1,7 +1,134 @@
 //! Property-based tests for the ISA substrate.
 
 use proptest::prelude::*;
-use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
+use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, MemAccess, Reg, VecTrace};
+
+/// What a `DynInstr` was built from: the constructor's arguments plus
+/// the builder calls, possibly repeated (the second call must win).
+#[derive(Clone, Copy, Debug)]
+struct Spec {
+    pc: Addr,
+    class: InstrClass,
+    mem: u64,
+    branch: (BranchClass, bool, Addr),
+    srcs: [Option<Reg>; 2],
+    dst: Option<Reg>,
+    srcs_again: Option<[Option<Reg>; 2]>,
+    dst_again: Option<Reg>,
+}
+
+impl Spec {
+    fn exec(&self) -> BranchExec {
+        let (class, taken, target) = self.branch;
+        BranchExec::new(class, taken || !class.is_conditional(), target)
+    }
+
+    fn build(&self) -> DynInstr {
+        let i = match self.class {
+            InstrClass::Load => DynInstr::load(self.pc, self.mem),
+            InstrClass::Store => DynInstr::store(self.pc, self.mem),
+            InstrClass::Branch => DynInstr::branch(self.pc, self.exec()),
+            c => DynInstr::op(self.pc, c),
+        };
+        let mut i = i.with_srcs(self.srcs[0], self.srcs[1]);
+        if let Some(d) = self.dst {
+            i = i.with_dst(d);
+        }
+        if let Some([a, b]) = self.srcs_again {
+            i = i.with_srcs(a, b);
+        }
+        if let Some(d) = self.dst_again {
+            i = i.with_dst(d);
+        }
+        i
+    }
+
+    /// What every accessor must return.
+    fn expected(&self) -> Fields {
+        (
+            self.pc,
+            self.class,
+            self.srcs_again.unwrap_or(self.srcs),
+            self.dst_again.or(self.dst),
+            self.class.is_memory().then_some(MemAccess::new(self.mem)),
+            self.class.is_control().then(|| self.exec()),
+        )
+    }
+}
+
+/// Every accessor's value, in declaration order.
+type Fields = (
+    Addr,
+    InstrClass,
+    [Option<Reg>; 2],
+    Option<Reg>,
+    Option<MemAccess>,
+    Option<BranchExec>,
+);
+
+fn fields(i: &DynInstr) -> Fields {
+    (
+        i.pc(),
+        i.class(),
+        i.srcs(),
+        i.dst(),
+        i.mem(),
+        i.branch_exec(),
+    )
+}
+
+/// r0, r31, none, or any register.
+fn arb_reg() -> impl Strategy<Value = Option<Reg>> {
+    (0u8..4, 0u16..sim_isa::reg::REG_COUNT).prop_map(|(edge, r)| match edge {
+        0 => None,
+        1 => Some(Reg::new(0)),
+        2 => Some(Reg::new(sim_isa::reg::REG_COUNT - 1)),
+        _ => Some(Reg::new(r)),
+    })
+}
+
+/// 0, the largest value, or anything in between.
+fn edge_or_any(max: u64) -> impl Strategy<Value = u64> {
+    (0u8..4, any::<u64>()).prop_map(move |(edge, v)| match edge {
+        0 => 0,
+        1 => max,
+        _ if max == u64::MAX => v,
+        _ => v % (max + 1),
+    })
+}
+
+fn arb_spec() -> impl Strategy<Value = Spec> {
+    let word = u64::MAX / sim_isa::addr::INSTR_BYTES;
+    (
+        (edge_or_any(word), 0usize..8, edge_or_any(u64::MAX)),
+        (0usize..6, any::<bool>(), edge_or_any(word)),
+        (arb_reg(), arb_reg(), arb_reg()),
+        (any::<bool>(), arb_reg(), arb_reg()),
+        (any::<bool>(), arb_reg()),
+    )
+        .prop_map(
+            |(
+                (pc, class, mem),
+                (bclass, taken, target),
+                (s0, s1, d),
+                (again, a0, a1),
+                (dst_again, d2),
+            )| Spec {
+                pc: Addr::from_word_index(pc),
+                class: InstrClass::ALL[class],
+                mem,
+                branch: (
+                    BranchClass::ALL[bclass],
+                    taken,
+                    Addr::from_word_index(target),
+                ),
+                srcs: [s0, s1],
+                dst: d,
+                srcs_again: again.then_some([a0, a1]),
+                dst_again: if dst_again { d2 } else { None },
+            },
+        )
+}
 
 proptest! {
     #[test]
@@ -111,5 +238,36 @@ proptest! {
         prop_assert_eq!(merged.instructions(), whole.instructions());
         prop_assert_eq!(merged.indirect_jumps(), whole.indirect_jumps());
         prop_assert_eq!(merged.targets_per_jump_histogram(30), whole.targets_per_jump_histogram(30));
+    }
+
+    #[test]
+    fn packed_record_returns_what_went_in(spec in arb_spec()) {
+        let i = spec.build();
+        prop_assert_eq!(fields(&i), spec.expected());
+        // The fall-through of the very last word is outside the
+        // address space.
+        if spec.pc.word_index() < u64::MAX / sim_isa::addr::INSTR_BYTES {
+            let next = match spec.class {
+                InstrClass::Branch => spec.exec().next_pc(spec.pc),
+                _ => spec.pc.next(),
+            };
+            prop_assert_eq!(i.next_pc(), next);
+        }
+    }
+
+    #[test]
+    fn packed_equality_is_field_wise_equality(a in arb_spec(), b in arb_spec(), same in 0u8..4) {
+        // Rebuild `a` exactly, with other second builder calls, with
+        // other inputs its class ignores (a memory address on a branch,
+        // a target on an add: equal instructions all the same), or pair
+        // it with an independent spec.
+        let b = match same {
+            0 => a,
+            1 => Spec { dst_again: b.dst_again, srcs_again: b.srcs_again, ..a },
+            2 => Spec { mem: b.mem, branch: b.branch, ..a },
+            _ => b,
+        };
+        let (x, y) = (a.build(), b.build());
+        prop_assert_eq!(x == y, fields(&x) == fields(&y));
     }
 }

@@ -401,18 +401,14 @@ fn verify_file(path: &Path) -> Result<(u64, u64, Option<usize>), TraceError> {
     let declared = reader.header().instructions;
     let mut stats = TraceStats::default();
     let mut fingerprints = FingerprintBuilder::new();
-    let mut seen = 0u64;
-    for record in &mut reader {
-        let record = record?;
-        stats.record(&record);
-        fingerprints.observe(&record);
-        seen += 1;
-        if seen.is_multiple_of(u64::from(CHUNK_RECORDS)) {
-            fingerprints.end_chunk();
+    let mut chunk = Vec::with_capacity(CHUNK_RECORDS as usize);
+    while reader.next_chunk(&mut chunk)? {
+        for record in &chunk {
+            stats.record(record);
+            fingerprints.observe(record);
         }
-    }
-    if !seen.is_multiple_of(u64::from(CHUNK_RECORDS)) {
         fingerprints.end_chunk();
+        chunk.clear();
     }
     summary.check(&stats).map_err(TraceError::SummaryMismatch)?;
     let bbv_chunks = match reader.take_bbv() {

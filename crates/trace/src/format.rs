@@ -425,31 +425,49 @@ impl CodecState {
         }
     }
 
-    /// Decodes one record from `buf` at `*pos`, advancing `*pos`.
+    /// Decodes one checksum-verified chunk payload holding `records`
+    /// records, appending them to `out`.
     ///
     /// Every field is validated before any panicking `sim-isa`
     /// constructor runs, so corrupt (but checksum-valid) bytes surface
-    /// as an error string, never a panic.
-    pub fn decode(&mut self, buf: &[u8], pos: &mut usize) -> Result<DynInstr, String> {
-        let byte = |pos: &mut usize| -> Result<u8, String> {
-            let b = *buf.get(*pos).ok_or("record cut short")?;
-            *pos += 1;
-            Ok(b)
+    /// as an error string naming the first bad field, never a panic. The
+    /// payload must hold exactly `records` records: bytes left over
+    /// after the last one are an error too. On error `out` is left as
+    /// it was.
+    pub(crate) fn decode_chunk(
+        &mut self,
+        payload: &[u8],
+        records: u32,
+        out: &mut Vec<DynInstr>,
+    ) -> Result<(), String> {
+        let start = out.len();
+        out.reserve(records as usize);
+        let mut pos = 0;
+        let mut decode_all = || {
+            for _ in 0..records {
+                out.push(self.decode_record(payload, &mut pos)?);
+            }
+            match payload.len() - pos {
+                0 => Ok(()),
+                n => Err(format!("{n} trailing payload bytes")),
+            }
         };
-        let delta = |pos: &mut usize| -> Result<i64, String> {
-            varint::get_i64(buf, pos).ok_or_else(|| "invalid varint".to_string())
-        };
-        let tag = byte(pos)?;
+        decode_all().inspect_err(|_| out.truncate(start))
+    }
+
+    #[inline(always)]
+    fn decode_record(&mut self, buf: &[u8], pos: &mut usize) -> Result<DynInstr, String> {
+        let tag = byte(buf, pos)?;
         if tag & TAG_RESERVED != 0 {
             return Err(format!("reserved tag bit set ({tag:#04x})"));
         }
         let kind = tag & TAG_KIND_MASK;
         let taken = tag & TAG_TAKEN != 0;
         let branch_class = if kind == KIND_BRANCH {
-            let b = byte(pos)?;
+            // A branch-class byte is a nibble 0..6 with a clear high nibble.
+            let b = byte(buf, pos)?;
             let class = *BranchClass::ALL
-                .get((b & 0x0f) as usize)
-                .filter(|_| b & 0xf0 == 0)
+                .get(b as usize)
                 .ok_or_else(|| format!("invalid branch class byte {b:#04x}"))?;
             if !taken && !class.is_conditional() {
                 return Err(format!("not-taken {class:?} branch"));
@@ -461,49 +479,29 @@ impl CodecState {
             }
             None
         };
-        let word = self.prev_pc_word.wrapping_add(delta(pos)? as u64);
+        let word = self.prev_pc_word.wrapping_add(delta(buf, pos)?);
         self.prev_pc_word = word;
-        if word > u64::MAX / sim_isa::addr::INSTR_BYTES {
+        if word > MAX_WORD_INDEX {
             return Err(format!("pc word index {word:#x} out of address range"));
         }
         let pc = Addr::from_word_index(word);
-        let reg = |what: &str, pos: &mut usize| -> Result<Reg, String> {
-            let b = byte(pos)?;
-            if u16::from(b) >= sim_isa::reg::REG_COUNT {
-                return Err(format!("{what} register {b} out of range"));
+        let src0 = reg_if(tag & TAG_SRC0 != 0, buf, pos, "source")?;
+        let src1 = reg_if(tag & TAG_SRC1 != 0, buf, pos, "source")?;
+        let dst = reg_if(tag & TAG_DST != 0, buf, pos, "destination")?;
+        let instr = match branch_class {
+            Some(class) => {
+                let target = word.wrapping_add(delta(buf, pos)?);
+                if target > MAX_WORD_INDEX {
+                    return Err(format!(
+                        "target word index {target:#x} out of address range"
+                    ));
+                }
+                let target = Addr::from_word_index(target);
+                DynInstr::branch(pc, BranchExec::new(class, taken, target))
             }
-            Ok(Reg::new(u16::from(b)))
-        };
-        let src0 = if tag & TAG_SRC0 != 0 {
-            Some(reg("source", pos)?)
-        } else {
-            None
-        };
-        let src1 = if tag & TAG_SRC1 != 0 {
-            Some(reg("source", pos)?)
-        } else {
-            None
-        };
-        let dst = if tag & TAG_DST != 0 {
-            Some(reg("destination", pos)?)
-        } else {
-            None
-        };
-        let mut instr = if let Some(class) = branch_class {
-            let target_delta = delta(pos)?;
-            let target_word = word.wrapping_add(target_delta as u64);
-            if target_word > u64::MAX / sim_isa::addr::INSTR_BYTES {
-                return Err(format!(
-                    "target word index {target_word:#x} out of address range"
-                ));
-            }
-            let target = Addr::from_word_index(target_word);
-            DynInstr::branch(pc, BranchExec::new(class, taken, target))
-        } else {
-            let class = NON_BRANCH_CLASSES[kind as usize];
-            match class {
-                InstrClass::Load | InstrClass::Store => {
-                    let addr = self.prev_mem.wrapping_add(delta(pos)? as u64);
+            None => match NON_BRANCH_CLASSES[kind as usize] {
+                class @ (InstrClass::Load | InstrClass::Store) => {
+                    let addr = self.prev_mem.wrapping_add(delta(buf, pos)?);
                     self.prev_mem = addr;
                     if class == InstrClass::Load {
                         DynInstr::load(pc, addr)
@@ -511,15 +509,52 @@ impl CodecState {
                         DynInstr::store(pc, addr)
                     }
                 }
-                c => DynInstr::op(pc, c),
-            }
+                class => DynInstr::op(pc, class),
+            },
         };
-        instr = instr.with_srcs(src0, src1);
-        if let Some(dst) = dst {
-            instr = instr.with_dst(dst);
-        }
-        Ok(instr)
+        let instr = instr.with_srcs(src0, src1);
+        Ok(match dst {
+            Some(dst) => instr.with_dst(dst),
+            None => instr,
+        })
     }
+}
+
+/// The largest word index whose byte address fits in a `u64`.
+const MAX_WORD_INDEX: u64 = u64::MAX / sim_isa::addr::INSTR_BYTES;
+
+#[inline(always)]
+fn byte(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
+    let b = *buf.get(*pos).ok_or("record cut short")?;
+    *pos += 1;
+    Ok(b)
+}
+
+/// A zigzag varint delta, as the wrapping `u64` the state adds. Most
+/// deltas are one byte (sequential fetch), so that case skips the
+/// general loop.
+#[inline(always)]
+fn delta(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let raw = match buf.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            u64::from(b)
+        }
+        _ => varint::get_u64(buf, pos).ok_or("invalid varint")?,
+    };
+    Ok((raw >> 1) ^ (raw & 1).wrapping_neg())
+}
+
+#[inline(always)]
+fn reg_if(present: bool, buf: &[u8], pos: &mut usize, what: &str) -> Result<Option<Reg>, String> {
+    if !present {
+        return Ok(None);
+    }
+    let index = byte(buf, pos)?;
+    if u16::from(index) >= sim_isa::reg::REG_COUNT {
+        return Err(format!("{what} register {index} out of range"));
+    }
+    Ok(Some(Reg::new(u16::from(index))))
 }
 
 #[cfg(test)]
@@ -557,12 +592,10 @@ mod tests {
             enc.encode(&mut buf, &i);
         }
         let mut dec = CodecState::default();
-        let mut pos = 0;
-        for want in sample() {
-            let got = dec.decode(&buf, &mut pos).unwrap();
-            assert_eq!(got, want);
-        }
-        assert_eq!(pos, buf.len());
+        let mut out = Vec::new();
+        dec.decode_chunk(&buf, sample().len() as u32, &mut out)
+            .unwrap();
+        assert_eq!(out, sample());
     }
 
     #[test]
@@ -582,26 +615,47 @@ mod tests {
         assert_eq!(buf.len() - before, 2);
     }
 
+    fn decode_one(bytes: &[u8]) -> Result<Vec<DynInstr>, String> {
+        let mut out = Vec::new();
+        CodecState::default()
+            .decode_chunk(bytes, 1, &mut out)
+            .map(|()| out)
+    }
+
     #[test]
     fn decode_rejects_malformed_records() {
-        let mut dec = CodecState::default();
-        // Reserved bit.
-        assert!(dec.decode(&[0x80, 0x00], &mut 0).is_err());
-        // Bad branch class nibble.
-        assert!(dec.decode(&[0x47, 0x0e, 0x00, 0x00], &mut 0).is_err());
-        // Not-taken return (BranchExec::new would panic on this).
-        assert!(dec
-            .decode(
+        let cases: [(&[u8], &str); 7] = [
+            (&[0x80, 0x00], "reserved tag bit set (0x80)"),
+            (&[0x47, 0x0e, 0x00, 0x00], "invalid branch class byte 0x0e"),
+            // Not-taken return (BranchExec::new would panic on this).
+            (
                 &[0x07, BranchClass::Return.index() as u8, 0x00, 0x00],
-                &mut 0
-            )
-            .is_err());
-        // Taken bit on a non-branch.
-        assert!(dec.decode(&[0x40, 0x00], &mut 0).is_err());
-        // Out-of-range register.
-        assert!(dec.decode(&[0x08, 0x00, 0x3f], &mut 0).is_err());
-        // Cut short.
-        assert!(dec.decode(&[0x08, 0x00], &mut 0).is_err());
+                "not-taken Return branch",
+            ),
+            (&[0x40, 0x00], "taken bit set on a non-branch record"),
+            (&[0x08, 0x00, 0x3f], "source register 63 out of range"),
+            (&[0x08, 0x00], "record cut short"),
+            (&[0x00, 0x80], "invalid varint"),
+        ];
+        for (bytes, reason) in cases {
+            assert_eq!(decode_one(bytes).unwrap_err(), reason, "{bytes:02x?}");
+        }
+    }
+
+    #[test]
+    fn chunk_must_hold_exactly_its_records_and_fails_whole() {
+        let mut enc = CodecState::default();
+        let mut buf = Vec::new();
+        for i in sample() {
+            enc.encode(&mut buf, &i);
+        }
+        buf.push(0x00);
+        let mut out = vec![sample()[0]];
+        let err = CodecState::default()
+            .decode_chunk(&buf, sample().len() as u32, &mut out)
+            .unwrap_err();
+        assert_eq!(err, "1 trailing payload bytes");
+        assert_eq!(out, vec![sample()[0]], "a failed chunk appends nothing");
     }
 
     #[test]

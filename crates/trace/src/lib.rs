@@ -5,12 +5,21 @@
 //! run used to pay full price regenerating identical traces. This crate
 //! turns a trace into an artifact: [`TraceWriter`] packs `DynInstr`
 //! records into delta-encoded, varint-packed, checksummed chunks behind
-//! a self-describing header; [`TraceReader`] streams them back as an
-//! `Iterator<Item = Result<DynInstr, TraceError>>`; and [`TraceStore`]
-//! caches one file per `(benchmark, scale, seed, generator-version)`
-//! key so the whole campaign records each trace once and replays it
-//! everywhere else. The `trace-pack` binary inspects, validates, and
-//! micro-benchmarks `.strc` files.
+//! a self-describing header; [`TraceReader`] reads them back; and
+//! [`TraceStore`] caches one file per `(benchmark, scale, seed,
+//! generator-version)` key so the whole campaign records each trace
+//! once and replays it everywhere else. The `trace-pack` binary
+//! inspects, validates, and micro-benchmarks `.strc` files.
+//!
+//! [`TraceReader`] is a cursor over chunks. Each step reads one frame,
+//! verifies the payload's checksum, and decodes the whole payload (up to
+//! [`CHUNK_RECORDS`] records) in one call to `CodecState::decode_chunk`,
+//! the only record decoder. Its consumers are views of that one cursor:
+//! [`TraceReader::read_to_end`] appends every chunk to one trace,
+//! [`TraceReader::next_chunk`] hands out one decoded chunk at a time
+//! (the store's read-back verify compares each with the generated trace
+//! and never holds a second copy), and the `Iterator` yields
+//! `Result<DynInstr, TraceError>` records out of a reused chunk buffer.
 //!
 //! Corruption is loud by construction: every chunk carries its length
 //! and an FNV-1a-64 checksum, the header checksums itself, and a clean

@@ -10,24 +10,39 @@ use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 /// Streaming decoder: validates the magic and header on open, then
-/// yields instructions one at a time, verifying each chunk's checksum
-/// before decoding any of its records.
+/// walks the file a chunk at a time. Each chunk's checksum is verified
+/// before the chunk decoder turns its whole payload into records.
+///
+/// The chunk cursor has three consumers:
+/// * [`read_to_end`](TraceReader::read_to_end) appends every chunk to
+///   one output trace;
+/// * [`next_chunk`](TraceReader::next_chunk) hands the caller one
+///   decoded chunk at a time (the trace store's read-back verify
+///   compares each against the generated trace, `trace-pack verify`
+///   fingerprints each);
+/// * the `Iterator` impl yields records one at a time out of a reused
+///   chunk buffer, so a record is yielded only once its whole chunk
+///   has decoded.
 ///
 /// Iteration yields `Result<DynInstr, TraceError>`; after the first
-/// error the iterator fuses (further `next` calls return `None`). A
-/// clean end-of-stream with fewer records than the header declares is
-/// itself an error ([`TraceError::Truncated`]), so a file cut at a
-/// chunk boundary cannot pass for complete.
+/// error the reader is exhausted (further `next` calls return `None`,
+/// further `next_chunk` calls `Ok(false)`). A clean end-of-stream with
+/// fewer records than the header declares is itself an error
+/// ([`TraceError::Truncated`]), so a file cut at a chunk boundary cannot
+/// pass for complete.
 pub struct TraceReader<R: Read> {
     src: R,
     header: TraceHeader,
     codec: CodecState,
     payload: Vec<u8>,
-    pos: usize,
-    chunk_remaining: u32,
     chunk_index: u64,
     decoded: u64,
+    /// Input bytes not yet consumed, when the source's length is known.
+    unread: Option<u64>,
     bbv: Option<BbvSection>,
+    /// The iterator's current chunk and the index of its next record.
+    chunk: Vec<DynInstr>,
+    next: usize,
     state: State,
 }
 
@@ -45,7 +60,12 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Fails on I/O errors, wrong magic, an unsupported format version,
     /// or a header that is malformed or fails its checksum.
-    pub fn new(mut src: R) -> Result<Self, TraceError> {
+    pub fn new(src: R) -> Result<Self, TraceError> {
+        TraceReader::with_len(src, None)
+    }
+
+    /// [`TraceReader::new`] over a source of `len` bytes, when known.
+    fn with_len(mut src: R, len: Option<u64>) -> Result<Self, TraceError> {
         let mut magic = [0u8; 8];
         src.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -77,11 +97,12 @@ impl<R: Read> TraceReader<R> {
             header,
             codec: CodecState::default(),
             payload: Vec::new(),
-            pos: 0,
-            chunk_remaining: 0,
             chunk_index: 0,
             decoded: 0,
+            unread: len.map(|len| len.saturating_sub((MAGIC.len() + head.len()) as u64)),
             bbv: None,
+            chunk: Vec::new(),
+            next: 0,
             state: State::Reading,
         })
     }
@@ -108,8 +129,36 @@ impl<R: Read> TraceReader<R> {
         self.bbv.take()
     }
 
-    /// Loads the next chunk. `Ok(false)` means clean end of stream.
-    fn next_chunk(&mut self) -> Result<bool, TraceError> {
+    /// Decodes the next chunk, appending its records to `out`.
+    /// `Ok(false)` means the stream has ended: cleanly, with every
+    /// declared record decoded (and the BBV side-section, if any,
+    /// read), or after an earlier error. On error `out` is unchanged.
+    ///
+    /// Records the `Iterator` has buffered but not yet yielded are not
+    /// part of what this returns; use one consumer per reader.
+    ///
+    /// # Errors
+    ///
+    /// A malformed or cut-short frame, a checksum mismatch, a bad
+    /// record, or a clean end before the header's instruction count.
+    pub fn next_chunk(&mut self, out: &mut Vec<DynInstr>) -> Result<bool, TraceError> {
+        if self.state != State::Reading {
+            return Ok(false);
+        }
+        match self.read_chunk(out) {
+            Ok(true) => Ok(true),
+            Ok(false) => {
+                self.state = State::Done;
+                Ok(false)
+            }
+            Err(e) => {
+                self.state = State::Failed;
+                Err(e)
+            }
+        }
+    }
+
+    fn read_chunk(&mut self, out: &mut Vec<DynInstr>) -> Result<bool, TraceError> {
         let chunk = self.chunk_index;
         let corrupt = |reason: String| TraceError::CorruptChunk { chunk, reason };
         let mut frame = [0u8; 8];
@@ -184,61 +233,59 @@ impl<R: Read> TraceReader<R> {
                 actual,
             });
         }
-        self.pos = 0;
-        self.chunk_remaining = records;
-        self.chunk_index += 1;
-        Ok(true)
-    }
-
-    fn next_instr(&mut self) -> Result<Option<DynInstr>, TraceError> {
-        if self.chunk_remaining == 0 && !self.next_chunk()? {
-            return Ok(None);
-        }
-        let chunk = self.chunk_index - 1;
-        let instr = self
-            .codec
-            .decode(&self.payload, &mut self.pos)
+        self.codec
+            .decode_chunk(&self.payload, records, out)
             .map_err(|reason| TraceError::BadRecord { chunk, reason })?;
-        self.chunk_remaining -= 1;
-        self.decoded += 1;
-        if self.chunk_remaining == 0 && self.pos != self.payload.len() {
-            return Err(TraceError::BadRecord {
-                chunk,
-                reason: format!("{} trailing payload bytes", self.payload.len() - self.pos),
-            });
+        self.chunk_index += 1;
+        self.decoded += u64::from(records);
+        if let Some(unread) = &mut self.unread {
+            *unread = unread.saturating_sub(16 + u64::from(length));
         }
-        Ok(Some(instr))
+        Ok(true)
     }
 
     /// Decodes the remainder of the stream into a [`VecTrace`].
     ///
     /// # Errors
     ///
-    /// Any [`TraceError`] the streaming iterator would yield.
-    pub fn read_to_end(mut self) -> Result<VecTrace, TraceError> {
-        let mut trace = VecTrace::new();
-        trace.reserve((self.header.instructions - self.decoded) as usize);
-        for record in &mut self {
-            trace.push(record?);
-        }
-        Ok(trace)
+    /// Any [`TraceError`] the chunk cursor would return.
+    pub fn read_to_end(self) -> Result<VecTrace, TraceError> {
+        self.read_to_end_with_bbv().map(|(trace, _)| trace)
     }
 
     /// [`read_to_end`], also returning the BBV side-section when the
     /// stream carries one (`None` for pre-section traces).
     ///
+    /// The output is reserved up front only as far as the input can
+    /// back it: every record takes at least two bytes, so a header that
+    /// declares more records than the remaining bytes could hold never
+    /// turns into a huge allocation, and a source of unknown length
+    /// grows the output chunk by chunk.
+    ///
     /// # Errors
     ///
-    /// Any [`TraceError`] the streaming iterator would yield.
+    /// Any [`TraceError`] the chunk cursor would return.
     ///
     /// [`read_to_end`]: TraceReader::read_to_end
     pub fn read_to_end_with_bbv(mut self) -> Result<(VecTrace, Option<BbvSection>), TraceError> {
-        let mut trace = VecTrace::new();
-        trace.reserve((self.header.instructions - self.decoded) as usize);
-        for record in &mut self {
-            trace.push(record?);
-        }
-        Ok((trace, self.bbv))
+        let buffered = &self.chunk[self.next..];
+        let declared = self.header.instructions - self.decoded;
+        let backed = self.unread.map_or(0, |bytes| declared.min(bytes / 2));
+        let mut records = Vec::with_capacity(buffered.len() + backed as usize);
+        records.extend_from_slice(buffered);
+        while self.next_chunk(&mut records)? {}
+        Ok((VecTrace::from_iter(records), self.bbv))
+    }
+}
+
+impl TraceReader<BufReader<File>> {
+    /// Opens a `.strc` file. The file's length bounds what
+    /// [`read_to_end`](TraceReader::read_to_end) reserves, so a valid
+    /// file's trace is allocated once at its exact size.
+    pub(crate) fn open(path: &Path) -> Result<Self, TraceError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        TraceReader::with_len(BufReader::new(file), Some(len))
     }
 }
 
@@ -246,20 +293,21 @@ impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<DynInstr, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.state != State::Reading {
-            return None;
-        }
-        match self.next_instr() {
-            Ok(Some(i)) => Some(Ok(i)),
-            Ok(None) => {
-                self.state = State::Done;
-                None
-            }
-            Err(e) => {
-                self.state = State::Failed;
-                Some(Err(e))
+        if self.next == self.chunk.len() {
+            let mut chunk = std::mem::take(&mut self.chunk);
+            chunk.clear();
+            self.next = 0;
+            let more = self.next_chunk(&mut chunk);
+            self.chunk = chunk;
+            match more {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
+        let record = self.chunk[self.next];
+        self.next += 1;
+        Some(Ok(record))
     }
 }
 
@@ -313,7 +361,7 @@ fn header_eof(e: io::Error, what: &str) -> TraceError {
 /// Any [`TraceError`]; plain I/O failures (missing file, permissions)
 /// surface as [`TraceError::Io`].
 pub fn read_trace_file(path: &Path) -> Result<(TraceHeader, VecTrace), TraceError> {
-    let reader = TraceReader::new(BufReader::new(File::open(path)?))?;
+    let reader = TraceReader::open(path)?;
     let header = reader.header().clone();
     let trace = reader.read_to_end()?;
     Ok((header, trace))
@@ -328,8 +376,59 @@ pub fn read_trace_file(path: &Path) -> Result<(TraceHeader, VecTrace), TraceErro
 pub fn read_trace_file_with_bbv(
     path: &Path,
 ) -> Result<(TraceHeader, VecTrace, Option<BbvSection>), TraceError> {
-    let reader = TraceReader::new(BufReader::new(File::open(path)?))?;
+    let reader = TraceReader::open(path)?;
     let header = reader.header().clone();
     let (trace, bbv) = reader.read_to_end_with_bbv()?;
     Ok((header, trace, bbv))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::{StatsSummary, TraceMeta, FORMAT_VERSION};
+
+    /// A checksum-valid file whose header declares `instructions`
+    /// records (all integer ops) and which holds no chunks at all.
+    fn header_only(instructions: u64) -> Vec<u8> {
+        let mut summary = StatsSummary::default();
+        summary.class_counts[0] = instructions;
+        let header = TraceHeader {
+            format_version: FORMAT_VERSION,
+            meta: TraceMeta {
+                benchmark: "huge".into(),
+                scale: "quick".into(),
+                seed: 1,
+                generator_version: 1,
+            },
+            instructions,
+            summary,
+        };
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(header.encode().unwrap());
+        bytes
+    }
+
+    #[test]
+    fn a_header_declaring_more_than_the_input_holds_is_truncated_not_an_abort() {
+        // 2^36 records would be a 1.6 TB reservation: the allocator would
+        // abort the process, which no `catch_unwind` can contain.
+        let bytes = header_only(1 << 36);
+        let err = TraceReader::new(bytes.as_slice())
+            .unwrap()
+            .read_to_end()
+            .unwrap_err();
+        assert!(
+            matches!(err, TraceError::Truncated { expected, actual: 0 } if expected == 1 << 36),
+            "{err}"
+        );
+        // The file path knows its length and bounds the reservation by it.
+        let path = std::env::temp_dir().join(format!("huge-header-{}.strc", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_trace_file(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            matches!(err, TraceError::Truncated { expected, actual: 0 } if expected == 1 << 36),
+            "{err}"
+        );
+    }
 }

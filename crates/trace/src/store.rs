@@ -27,13 +27,13 @@
 //! request campaigns.
 
 use crate::bbv::BbvSection;
-use crate::format::{TraceError, TraceHeader, TraceMeta};
-use crate::reader::read_trace_file_with_bbv;
+use crate::format::{TraceError, TraceHeader, TraceMeta, CHUNK_RECORDS};
+use crate::reader::TraceReader;
 use crate::writer::encode_to_vec;
 use sim_isa::VecTrace;
 use std::collections::HashSet;
-use std::fs;
-use std::io::{self, Write};
+use std::fs::{self, File};
+use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -402,15 +402,12 @@ impl TraceStore {
         let bytes = encoded.len() as u64;
         self.write_atomic(&path, &encoded)?;
         // Read back what the filesystem now holds: verifies the write
-        // end to end and keeps hit and miss on the same decode path.
+        // end to end through the same reader a hit uses.
         let started = Instant::now();
-        let (replayed, bbv, _, _) = self.replay(key, &path)?;
+        let bbv = self.verify(key, &path, &trace)?;
         let decode_ns = started.elapsed().as_nanos() as u64;
-        if replayed != trace {
-            return Err(self.reject(&path, "read-back decoded a different trace".to_string()));
-        }
         Ok(StoreOutcome {
-            trace: replayed,
+            trace,
             hit: false,
             recorded: true,
             bytes,
@@ -419,6 +416,22 @@ impl TraceStore {
         })
     }
 
+    /// Opens a store file and checks its header against `key` before
+    /// any of the body is decoded, so a renamed or mislabeled file is
+    /// rejected for the price of its header.
+    fn open(
+        &self,
+        key: &TraceKey,
+        path: &Path,
+    ) -> Result<TraceReader<BufReader<File>>, StoreError> {
+        let reader = TraceReader::open(path).map_err(|e| self.decode_error(path, e))?;
+        key.check_header(reader.header())
+            .map_err(|reason| self.reject(path, reason))?;
+        Ok(reader)
+    }
+
+    /// Replays a hit: the whole body, decoded chunk by chunk into one
+    /// trace.
     #[allow(clippy::type_complexity)]
     fn replay(
         &self,
@@ -426,22 +439,59 @@ impl TraceStore {
         path: &Path,
     ) -> Result<(VecTrace, Option<BbvSection>, u64, u64), StoreError> {
         let started = Instant::now();
-        let (header, trace, bbv) = match read_trace_file_with_bbv(path) {
-            Ok(ok) => ok,
-            Err(TraceError::Io(source)) if source.kind() != io::ErrorKind::UnexpectedEof => {
-                return Err(StoreError::Io {
-                    path: path.to_path_buf(),
-                    source,
-                })
-            }
-            Err(e) => return Err(self.reject(path, e.to_string())),
-        };
-        if let Err(reason) = key.check_header(&header) {
-            return Err(self.reject(path, reason));
-        }
+        let (trace, bbv) = self
+            .open(key, path)?
+            .read_to_end_with_bbv()
+            .map_err(|e| self.decode_error(path, e))?;
         let decode_ns = started.elapsed().as_nanos() as u64;
         let bytes = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         Ok((trace, bbv, bytes, decode_ns))
+    }
+
+    /// Read-back verification of a freshly written file: decodes it one
+    /// chunk at a time and compares each chunk with the matching slice
+    /// of the generated trace, so no second copy of the trace is ever
+    /// held. Returns the file's BBV side-section.
+    fn verify(
+        &self,
+        key: &TraceKey,
+        path: &Path,
+        trace: &VecTrace,
+    ) -> Result<Option<BbvSection>, StoreError> {
+        let mut reader = self.open(key, path)?;
+        let expected = trace.as_slice();
+        let differs = || self.reject(path, "read-back decoded a different trace".to_string());
+        let mut chunk = Vec::with_capacity(CHUNK_RECORDS as usize);
+        let mut at = 0;
+        while reader
+            .next_chunk(&mut chunk)
+            .map_err(|e| self.decode_error(path, e))?
+        {
+            let end = at + chunk.len();
+            if expected.get(at..end) != Some(chunk.as_slice()) {
+                return Err(differs());
+            }
+            at = end;
+            chunk.clear();
+        }
+        if at != expected.len() {
+            return Err(differs());
+        }
+        Ok(reader.take_bbv())
+    }
+
+    /// Maps a reader error: plain I/O trouble stays an I/O error,
+    /// anything wrong with the bytes rejects the file.
+    fn decode_error(&self, path: &Path, e: TraceError) -> StoreError {
+        match e {
+            TraceError::Io(source) if source.kind() != io::ErrorKind::UnexpectedEof => {
+                StoreError::Io {
+                    path: path.to_path_buf(),
+                    source,
+                }
+            }
+            e => self.reject(path, e.to_string()),
+        }
     }
 
     /// Marks `path` bad: deletes it in read-write mode so the next
@@ -657,6 +707,12 @@ mod tests {
         let mut other = key();
         other.seed = 99;
         fs::rename(store.path_for(&key()), store.path_for(&other)).unwrap();
+        // The header is checked before the body is decoded: a damaged
+        // body would otherwise be what the error names.
+        let mut bytes = fs::read(store.path_for(&other)).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        fs::write(store.path_for(&other), &bytes).unwrap();
         let err = store.load_or_record(&other, || make_trace(64)).unwrap_err();
         assert!(err.to_string().contains("provenance"), "{err}");
         let _ = fs::remove_dir_all(&dir);
