@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use experiments::perf;
-use experiments::telemetry::{self, ProfMode, TelemetryMode};
+use experiments::telemetry::{self, TelemetryConfig, TelemetryMode};
 use experiments::Scale;
 
 /// The subset of the matrix worth a Criterion timing loop: one scenario
@@ -33,12 +33,14 @@ fn bench_throughput(c: &mut Criterion) {
     // Cargo runs benches with the crate directory as cwd; anchor the
     // output at the workspace root so it lands in the ignored
     // `results/telemetry/` with everything else.
-    let session = telemetry::session_with_prof(
+    let session = telemetry::session_with_config(
         "bench-throughput",
         Scale::Quick,
-        TelemetryMode::Summary,
-        ProfMode::default(),
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/telemetry"),
+        TelemetryConfig {
+            mode: TelemetryMode::Summary,
+            dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/telemetry").into(),
+            ..TelemetryConfig::default()
+        },
     );
     let ctx = session.ctx();
     let mut group = c.benchmark_group("throughput");

@@ -249,7 +249,6 @@ mod tests {
                 scale: "quick".to_string(),
                 warmup: 1,
                 iters: 3,
-                slowdown: 1.0,
                 unix_secs: 1_700_000_000,
                 scenarios,
             },

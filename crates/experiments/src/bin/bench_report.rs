@@ -37,6 +37,7 @@ fn operator_error(message: &str) -> ! {
 }
 
 fn main() {
+    experiments::knobs::get();
     let mut dir = PathBuf::from(".");
     let mut tolerance = 25.0f64;
     let mut out: Option<PathBuf> = None;

@@ -17,8 +17,8 @@
 //! unreadable baseline, bad `REPRO_*` value).
 //!
 //! Environment: `REPRO_SCALE` (overridden by `--scale`),
-//! `REPRO_TELEMETRY`, `REPRO_PROF` (phase breakdowns need spans on),
-//! and the `REPRO_BENCH_SLOWDOWN` test hook.
+//! `REPRO_TELEMETRY` (default `summary` here), `REPRO_PROF` (phase
+//! breakdowns need spans on).
 
 use experiments::perf::{self, BenchConfig, BenchReport};
 use experiments::{telemetry, Scale};
@@ -98,9 +98,9 @@ fn parse_args() -> Args {
 }
 
 fn main() {
+    let knobs = experiments::knobs::get();
     let args = parse_args();
-    let slowdown = perf::slowdown_from_env().unwrap_or_else(|e| operator_error(&e));
-    let scale = args.scale.unwrap_or_else(Scale::from_env_or_exit);
+    let scale = args.scale.unwrap_or(knobs.scale);
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         operator_error(&format!("cannot create {}: {e}", args.out.display()));
     }
@@ -110,9 +110,8 @@ fn main() {
     // table binaries, telemetry defaults to `summary` here — the BENCH
     // snapshot's per-phase breakdowns come from the span registry — but an
     // explicit `REPRO_TELEMETRY=off` still wins.
-    let mut tconfig =
-        sim_telemetry::TelemetryConfig::from_env().unwrap_or_else(|e| operator_error(&e));
-    if std::env::var_os("REPRO_TELEMETRY").is_none_or(|v| v.is_empty()) {
+    let mut tconfig = knobs.telemetry.clone();
+    if !knobs.given.contains(&"REPRO_TELEMETRY") {
         tconfig.mode = telemetry::TelemetryMode::Summary;
     }
     let session = telemetry::session_with_config("repro-bench", scale, tconfig);
@@ -122,18 +121,12 @@ fn main() {
         scale,
         warmup: args.warmup,
         iters: args.iters,
-        slowdown,
     };
     println!(
-        "repro-bench: scale {}  warmup {}  iters {}{}\n",
+        "repro-bench: scale {}  warmup {}  iters {}\n",
         scale.name(),
         args.warmup,
         args.iters,
-        if slowdown != 1.0 {
-            format!("  synthetic slowdown {slowdown}x")
-        } else {
-            String::new()
-        }
     );
     let scenarios = perf::run_matrix(&ctx, &config, perf::scenario_matrix(&ctx, scale), |r| {
         println!(
@@ -149,7 +142,6 @@ fn main() {
         scale: scale.name().to_string(),
         warmup: args.warmup,
         iters: args.iters,
-        slowdown,
         unix_secs: SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())

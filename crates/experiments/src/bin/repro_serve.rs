@@ -32,19 +32,16 @@
 //! Exit status: `0` — clean drain; `2` — operator error (bad knob,
 //! unbindable address).
 
-use experiments::serve::{serve, ServeConfig};
+use experiments::serve::serve;
 use std::process::exit;
 
 fn main() {
+    let knobs = experiments::knobs::get();
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
         println!("usage: repro-serve  (configured via REPRO_SERVE_* environment variables)");
         exit(0);
     }
-    let config = ServeConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2);
-    });
-    match serve(config) {
+    match serve(knobs) {
         Ok(code) => exit(code),
         Err(e) => {
             eprintln!("error: {e}");

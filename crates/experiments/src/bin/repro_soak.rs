@@ -105,6 +105,7 @@ fn parse_count(v: &str, flag: &str) -> usize {
 }
 
 fn main() {
+    experiments::knobs::get();
     let config = parse_args();
     let report = run_soak(&config).unwrap_or_else(|e| operator_error(&e));
     println!(

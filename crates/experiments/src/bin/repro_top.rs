@@ -33,7 +33,6 @@
 //! log found, a log the parser refuses); `3` — stalled under
 //! `--follow --strict`.
 
-use experiments::jobs::cli::DEFAULT_JOURNAL_DIR;
 use experiments::watch::{newest_log, CampaignStatus};
 use sim_telemetry::read_events;
 use std::path::{Path, PathBuf};
@@ -122,18 +121,12 @@ fn emit(text: &str) {
 }
 
 fn main() {
+    let knobs = experiments::knobs::get();
     let args = parse_args();
     let path = match args.file {
         Some(path) => path,
         None => {
-            let dir = args.dir.unwrap_or_else(|| {
-                PathBuf::from(
-                    std::env::var("REPRO_JOURNAL_DIR")
-                        .ok()
-                        .filter(|v| !v.is_empty())
-                        .unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
-                )
-            });
+            let dir = args.dir.unwrap_or_else(|| knobs.journal_dir.clone());
             newest_log(&dir).unwrap_or_else(|| {
                 operator_error(&format!(
                     "no campaign log (*.jsonl) under {} — run a campaign first",

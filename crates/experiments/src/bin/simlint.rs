@@ -15,8 +15,7 @@
 //! Exit status: `0` when no finding reaches the `--deny` gate, `1` when
 //! one does, `2` on a usage or environment error.
 
-use experiments::jobs::{faults, FaultPlan};
-use experiments::runner::Scale;
+use experiments::jobs::faults;
 use experiments::{lint, predictability};
 use sim_analysis::{to_json, to_sarif, BenchReport, PolyClass, Rule, Severity};
 use sim_telemetry::atomic_write_str;
@@ -307,11 +306,11 @@ fn write_reports(out: &PathBuf, reports: &[BenchReport]) {
 }
 
 fn main() {
+    let knobs = experiments::knobs::get();
     let opts = parse_args();
-    let scale = Scale::from_env_or_exit();
-    let plan = FaultPlan::from_env().unwrap_or_else(|e| usage_error(&e));
-    let _faults = faults::install(plan);
-    let _telemetry = experiments::telemetry::session_or_exit("simlint", scale);
+    let scale = knobs.scale;
+    let _faults = faults::install(knobs.runner.faults.clone());
+    let _telemetry = experiments::telemetry::session("simlint", knobs);
     let ctx = _telemetry.ctx();
 
     let mode = if opts.trace.is_some() {

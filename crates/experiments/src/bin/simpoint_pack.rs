@@ -62,6 +62,7 @@ fn print_map(map: &PhaseMap) {
 }
 
 fn main() {
+    experiments::knobs::get();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         fail(USAGE);

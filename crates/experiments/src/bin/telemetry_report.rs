@@ -33,6 +33,7 @@ enum View {
 }
 
 fn main() {
+    let knobs = experiments::knobs::get();
     let mut top_n = 10usize;
     let mut view = View::Events;
     let mut files: Vec<PathBuf> = Vec::new();
@@ -68,14 +69,9 @@ fn main() {
     match view {
         View::Events => {
             if files.is_empty() {
-                let scale = experiments::Scale::from_env_or_exit();
-                let config = sim_telemetry::TelemetryConfig::from_env().unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
                 print!(
                     "{}",
-                    experiments::telemetry::live_report(scale, top_n, config.dir)
+                    experiments::telemetry::live_report(knobs.scale, top_n, &knobs.telemetry.dir)
                 );
                 return;
             }

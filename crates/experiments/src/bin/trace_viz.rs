@@ -62,6 +62,7 @@ fn summarize(path: &Path, s: &traceviz::TraceSummary) -> String {
 }
 
 fn main() {
+    experiments::knobs::get();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
         operator_error("a subcommand is required");

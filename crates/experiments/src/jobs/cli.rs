@@ -1,7 +1,7 @@
 //! The campaign driver behind the `repro` binary.
 //!
-//! `repro <experiment>` and `repro all` funnel through [`repro`]: read
-//! the operator environment, enumerate one `(experiment × benchmark)`
+//! `repro <experiment>` and `repro all` funnel through [`repro`]: take
+//! the parsed knobs ([`crate::knobs`]), enumerate one `(experiment × benchmark)`
 //! cell task per registry entry, execute them on the fault-tolerant pool
 //! ([`super::pool`]), render everything that succeeded — failed cells
 //! appear as `ERR(reason)` markers inside otherwise-complete tables —
@@ -12,41 +12,31 @@
 //! * `1` — the campaign finished but some cells failed after retries, or
 //!   a slot printed `ERR(` (a restored cell lacking a key),
 //! * `2` — the invocation itself was unusable (no or an unknown
-//!   experiment name, bad env, a campaign log that cannot be resumed, a
-//!   log write failure).
+//!   experiment name, a malformed knob, a campaign log that cannot be
+//!   resumed, a log write failure).
 //!
-//! Environment:
-//!
-//! * `REPRO_RUN_ID` — the campaign log's name for a fresh run (default
-//!   `<tool>-<unix-secs>-<pid>`).
-//! * `REPRO_RESUME` — run id of an existing campaign log; its finished
-//!   cells are restored and only the rest execute, appending to the same
-//!   log.
-//! * `REPRO_JOURNAL_DIR` — campaign log directory (default
-//!   [`DEFAULT_JOURNAL_DIR`]).
-//! * `REPRO_JOBS`, `REPRO_RETRIES`, `REPRO_DEADLINE_MS`,
-//!   `REPRO_BACKOFF_MS`, `REPRO_FAULTS` — see
-//!   [`super::pool::RunnerConfig`] and [`super::faults`].
+//! The knobs are listed in the README's knob reference: `REPRO_RUN_ID`
+//! names a fresh campaign log, `REPRO_RESUME` continues an existing one
+//! (its finished cells are restored and only the rest execute, appending
+//! to the same log), and the pool knobs fill
+//! [`RunnerConfig`](super::pool::RunnerConfig).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::exit;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use sim_telemetry::{CellRecord, ChromeTrace};
 
 use super::journal::Journal;
-use super::pool::{run_campaign_with, CampaignOutcome, CellTask, RunControls, RunnerConfig};
+use super::pool::{run_campaign_with, CampaignOutcome, CellTask, RunControls};
 use super::registry::ExperimentDef;
 use super::{cell_id, faults, CellSet};
-use crate::runner::{SampleMode, Scale};
+use crate::knobs::{Knobs, Resume, KNOBS};
+use crate::runner::SampleMode;
 use crate::telemetry;
 
 /// Where campaign logs live unless `REPRO_JOURNAL_DIR` says otherwise.
 pub const DEFAULT_JOURNAL_DIR: &str = "results/journal";
-
-fn env_nonempty(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
-}
 
 fn default_run_id(tool: &str) -> String {
     let secs = SystemTime::now()
@@ -92,15 +82,15 @@ pub fn repro(args: &[String]) -> ! {
 }
 
 fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
-    let scale = Scale::from_env_or_exit();
-    if SampleMode::from_env_or_exit() == SampleMode::Simpoint {
-        return crate::sample::drive_sampled(tool, defs, scale);
+    let knobs = crate::knobs::get();
+    if knobs.sample == SampleMode::Simpoint {
+        return crate::sample::drive_sampled(tool, defs, knobs);
     }
 
-    // The session parses the telemetry knob surface (the one env
-    // read) and must outlive the campaign so cell records land in
-    // the manifest. Every cell task carries a clone of its context.
-    let session = telemetry::session_or_exit(tool, scale);
+    // The session must outlive the campaign so cell records land in the
+    // manifest. Every cell task carries a clone of its context.
+    let scale = knobs.scale;
+    let session = telemetry::session(tool, knobs);
     let ctx = session.ctx();
 
     let tasks: Vec<CellTask> = defs
@@ -115,7 +105,7 @@ fn drive(tool: &str, defs: &[ExperimentDef]) -> i32 {
         })
         .collect();
 
-    let driven = drive_campaign(tool, scale, SampleMode::Off, &session, tasks);
+    let driven = drive_campaign(tool, knobs, &session, tasks);
 
     let mut err_slots = 0;
     for def in defs {
@@ -165,68 +155,48 @@ pub(crate) enum LogSource {
     RestoreFrom(PathBuf, String),
 }
 
-/// Everything [`drive_plan`] needs besides the tasks: where the log
-/// goes and what it starts from, the pool configuration, and the
-/// embedding hooks.
+/// Everything [`drive_plan`] needs besides the tasks: the run id and
+/// what the log starts from, the embedding hooks, and the knobs the
+/// campaign runs under — scale, log directory, pool, and the values its
+/// resume command carries.
 pub(crate) struct CampaignPlan {
-    /// Campaign log directory.
-    pub journal_dir: PathBuf,
     /// Run id (the log's file stem).
     pub run_id: String,
     /// What the log starts from.
     pub source: LogSource,
-    /// Pool configuration.
-    pub runner: RunnerConfig,
     /// Cancellation and shared worker slots.
     pub controls: RunControls,
-    /// Whether the tasks are the sampled driver's shards, which only a
-    /// sampled campaign can resume.
-    pub sample: SampleMode,
+    /// The campaign's knobs.
+    pub knobs: Knobs,
 }
 
-impl CampaignPlan {
-    /// The batch binaries' plan, from `REPRO_RESUME`, `REPRO_RUN_ID`,
-    /// `REPRO_JOURNAL_DIR`, and the pool knobs. `REPRO_TRACE_STORE` is
-    /// checked here too: workers open the store per trace, so a typo must
-    /// stop the campaign before its log exists.
-    pub(crate) fn from_env(tool: &str, sample: SampleMode) -> Result<CampaignPlan, String> {
-        sim_trace::StoreMode::from_env()?;
-        let journal_dir = PathBuf::from(
-            env_nonempty("REPRO_JOURNAL_DIR").unwrap_or_else(|| DEFAULT_JOURNAL_DIR.into()),
-        );
-        let (run_id, source) = match env_nonempty("REPRO_RESUME") {
-            Some(id) => (id, LogSource::Continue),
-            None => (
-                env_nonempty("REPRO_RUN_ID").unwrap_or_else(|| default_run_id(tool)),
-                LogSource::Fresh,
-            ),
-        };
-        Ok(CampaignPlan {
-            journal_dir,
-            run_id,
-            source,
-            runner: RunnerConfig::from_env()?,
-            controls: RunControls::default(),
-            sample,
-        })
-    }
-}
-
-/// [`drive_plan`] for the batch binaries: the plan comes from the
-/// environment, the fault plan is installed for the campaign's
-/// lifetime, and any error is an operator error (exit 2).
+/// [`drive_plan`] for the batch binaries: `REPRO_RESUME` continues a
+/// log, otherwise `REPRO_RUN_ID` (or a fresh id) names a new one; the
+/// fault plan is installed for the campaign's lifetime, and any error is
+/// an operator error (exit 2).
 pub(crate) fn drive_campaign(
     tool: &str,
-    scale: Scale,
-    sample: SampleMode,
+    knobs: &Knobs,
     session: &telemetry::Session,
     tasks: Vec<CellTask>,
 ) -> DrivenCampaign {
-    let plan = CampaignPlan::from_env(tool, sample).unwrap_or_else(|e| operator_error(&e));
+    let (run_id, source) = match &knobs.resume {
+        Some(id) => (id.clone(), LogSource::Continue),
+        None => (
+            knobs.run_id.clone().unwrap_or_else(|| default_run_id(tool)),
+            LogSource::Fresh,
+        ),
+    };
+    let plan = CampaignPlan {
+        run_id,
+        source,
+        controls: RunControls::default(),
+        knobs: knobs.clone(),
+    };
     // The fault guard must outlive the campaign so workload truncation
     // faults stay visible to trace generation on worker threads.
-    let _faults = faults::install(plan.runner.faults.clone());
-    drive_plan(tool, scale, session, tasks, plan).unwrap_or_else(|e| operator_error(&e))
+    let _faults = faults::install(knobs.runner.faults.clone());
+    drive_plan(tool, session, tasks, plan).unwrap_or_else(|e| operator_error(&e))
 }
 
 /// The campaign execution core shared by the exact driver ([`drive`]),
@@ -238,37 +208,35 @@ pub(crate) fn drive_campaign(
 /// task enumeration, rendering, and the exit epilogue.
 pub(crate) fn drive_plan(
     tool: &str,
-    scale: Scale,
     session: &telemetry::Session,
     tasks: Vec<CellTask>,
     plan: CampaignPlan,
 ) -> Result<DrivenCampaign, String> {
     let CampaignPlan {
-        journal_dir,
         run_id,
         source,
-        runner,
         controls,
-        sample,
+        knobs,
     } = plan;
+    let (scale, journal_dir, runner) = (knobs.scale, &knobs.journal_dir, &knobs.runner);
     let cells = tasks.len();
     let mut journal = match source {
         LogSource::Fresh => {
-            Journal::create(&journal_dir, &run_id, tool, scale, cells).map_err(|e| {
+            Journal::create(journal_dir, &run_id, tool, scale, cells).map_err(|e| {
                 format!(
                     "cannot create campaign log {}: {e}",
-                    super::journal::journal_path(&journal_dir, &run_id).display()
+                    super::journal::journal_path(journal_dir, &run_id).display()
                 )
             })?
         }
-        LogSource::Continue => Journal::resume(&journal_dir, &run_id, tool, scale)?,
+        LogSource::Continue => Journal::resume(journal_dir, &run_id, tool, scale)?,
         LogSource::RestoreFrom(dir, run) => {
-            Journal::create_restoring(&journal_dir, &run_id, tool, scale, cells, &dir, &run)?
+            Journal::create_restoring(journal_dir, &run_id, tool, scale, cells, &dir, &run)?
         }
     };
     // Whoever finds this log after a crash (the epilogue, `repro-serve`'s
     // status endpoint) can surface the resume command verbatim.
-    let resume_command = resume_command(tool, &run_id, scale, sample, &journal_dir);
+    let resume_command = resume_command(tool, &run_id, &knobs);
     journal.set_resume_command(resume_command.clone());
     let ctx = session.ctx();
     if let Some(hub) = ctx.hub() {
@@ -285,7 +253,7 @@ pub(crate) fn drive_plan(
 
     let outcome = run_campaign_with(
         tasks,
-        &runner,
+        runner,
         &mut journal,
         &ctx,
         Some(session.config().progress_tick),
@@ -320,32 +288,32 @@ pub(crate) fn drive_plan(
 }
 
 /// The full, copy-pasteable resume command for a failed campaign: the
-/// scale is pinned (a resume from a different shell must not silently
-/// run at another scale, which the journal would reject anyway) and a
-/// non-default log directory rides along, both shell-quoted. A sampled
-/// campaign's log holds shard cells, so its resume must be sampled too.
-/// Written into every campaign-started line and printed by the failure
-/// epilogue.
-pub(crate) fn resume_command(
-    tool: &str,
-    run_id: &str,
-    scale: Scale,
-    sample: SampleMode,
-    journal_dir: &Path,
-) -> String {
-    let mut cmd = format!("REPRO_SCALE={}", scale.name());
-    if sample == SampleMode::Simpoint {
-        cmd.push_str(" REPRO_SAMPLE=simpoint");
+/// knob table's resume column ([`Resume`]) rendered from the campaign's
+/// knobs, every value shell-quoted, then `REPRO_RESUME` and the tool.
+/// The scale is always pinned (the log refuses a resume at another
+/// scale); the log directory and the sampled-report knobs ride along
+/// when they differ from their defaults, so a resumed campaign finds its
+/// log and is judged the way the one it resumes was. Written into every
+/// campaign-started line and printed by the failure epilogue.
+pub(crate) fn resume_command(tool: &str, run_id: &str, knobs: &Knobs) -> String {
+    let resumed = Knobs {
+        resume: Some(run_id.to_string()),
+        ..knobs.clone()
+    };
+    let defaults = Knobs::default();
+    let mut cmd = String::new();
+    for knob in &KNOBS {
+        let (show, always) = match knob.resume {
+            Resume::No => continue,
+            Resume::Always(show) => (show, true),
+            Resume::UnlessDefault(show) => (show, false),
+        };
+        let value = show(&resumed);
+        if always || value != show(&defaults) {
+            cmd.push_str(&format!("{}={} ", knob.name, shell_quote(&value)));
+        }
     }
-    if journal_dir != Path::new(DEFAULT_JOURNAL_DIR) {
-        let dir = journal_dir.display().to_string();
-        cmd.push_str(&format!(" REPRO_JOURNAL_DIR={}", shell_quote(&dir)));
-    }
-    cmd.push_str(&format!(
-        " REPRO_RESUME={} repro {tool}",
-        shell_quote(run_id)
-    ));
-    cmd
+    cmd + "repro " + tool
 }
 
 /// `value` as one POSIX shell word: bare when every character is in
@@ -388,40 +356,57 @@ pub(crate) fn epilogue(outcome: &CampaignOutcome, resume_command: &str) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Scale;
+
+    fn quick() -> Knobs {
+        Knobs {
+            scale: Scale::Quick,
+            ..Knobs::default()
+        }
+    }
+
+    /// Runs `cmd` through `sh` with `repro` swapped for `printenv`,
+    /// printing the named variables as the shell parsed them.
+    fn shell_env(cmd: &str, tool: &str, vars: &[&str]) -> String {
+        let probe = cmd.replace(
+            &format!("repro {tool}"),
+            &format!("printenv {}", vars.join(" ")),
+        );
+        let out = std::process::Command::new("sh")
+            .args(["-c", &probe])
+            .output()
+            .expect("spawn sh");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    }
 
     #[test]
     fn resume_command_is_complete_and_copy_pasteable() {
         // Default journal dir: scale + resume id only.
-        let cmd = resume_command(
-            "table4",
-            "run-7",
-            Scale::Standard,
-            SampleMode::Off,
-            Path::new(DEFAULT_JOURNAL_DIR),
-        );
+        let cmd = resume_command("table4", "run-7", &Knobs::default());
         assert_eq!(cmd, "REPRO_SCALE=standard REPRO_RESUME=run-7 repro table4");
         // A sampled campaign's log holds shard cells: only a sampled
         // campaign can resume it.
-        let cmd = resume_command(
-            "table1",
-            "s1",
-            Scale::Quick,
-            SampleMode::Simpoint,
-            Path::new(DEFAULT_JOURNAL_DIR),
-        );
+        let sampled = Knobs {
+            sample: SampleMode::Simpoint,
+            ..quick()
+        };
+        let cmd = resume_command("table1", "s1", &sampled);
         assert_eq!(
             cmd,
             "REPRO_SCALE=quick REPRO_SAMPLE=simpoint REPRO_RESUME=s1 repro table1"
         );
         // A custom journal dir must ride along or the resume cannot find
-        // the journal.
-        let cmd = resume_command(
-            "all",
-            "r1",
-            Scale::Quick,
-            SampleMode::Off,
-            Path::new("/tmp/j"),
-        );
+        // the journal. Knobs outside the resume column never ride, and the
+        // run id printed is the campaign's, whatever resumed it.
+        let mut custom = Knobs {
+            journal_dir: PathBuf::from("/tmp/j"),
+            resume: Some("older".into()),
+            ..quick()
+        };
+        custom.runner.workers = 4;
+        custom.telemetry.mode = telemetry::TelemetryMode::Events;
+        let cmd = resume_command("all", "r1", &custom);
         assert_eq!(
             cmd,
             "REPRO_SCALE=quick REPRO_JOURNAL_DIR=/tmp/j REPRO_RESUME=r1 repro all"
@@ -429,23 +414,45 @@ mod tests {
         // A directory a shell would split or unquote is quoted, so the
         // printed command still names it exactly.
         let dir = "/tmp/q dir/it's";
-        let cmd = resume_command(
-            "table2",
-            "q1",
-            Scale::Quick,
-            SampleMode::Off,
-            Path::new(dir),
-        );
+        let quoted = Knobs {
+            journal_dir: PathBuf::from(dir),
+            ..quick()
+        };
+        let cmd = resume_command("table2", "q1", &quoted);
         assert_eq!(
             cmd,
             r"REPRO_SCALE=quick REPRO_JOURNAL_DIR='/tmp/q dir/it'\''s' REPRO_RESUME=q1 repro table2"
         );
-        let probe = cmd.replace("repro table2", "printenv REPRO_JOURNAL_DIR");
-        let out = std::process::Command::new("sh")
-            .args(["-c", &probe])
-            .output()
-            .expect("spawn sh");
-        assert!(out.status.success(), "{out:?}");
-        assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{dir}\n"));
+        assert_eq!(
+            shell_env(&cmd, "table2", &["REPRO_JOURNAL_DIR"]),
+            format!("{dir}\n")
+        );
+        // A sampled campaign is judged by its exact mode, tolerance and
+        // report directory: each rides along when it is not the default.
+        let judged = Knobs {
+            sample_exact: false,
+            sample_tolerance_pp: 2.5,
+            sample_dir: PathBuf::from("/tmp/s dir"),
+            ..sampled
+        };
+        let cmd = resume_command("table1", "s2", &judged);
+        assert_eq!(
+            cmd,
+            "REPRO_SCALE=quick REPRO_SAMPLE=simpoint REPRO_SAMPLE_EXACT=off \
+             REPRO_SAMPLE_TOLERANCE_PP=2.5 REPRO_SAMPLE_DIR='/tmp/s dir' REPRO_RESUME=s2 \
+             repro table1"
+        );
+        assert_eq!(
+            shell_env(
+                &cmd,
+                "table1",
+                &[
+                    "REPRO_SAMPLE_EXACT",
+                    "REPRO_SAMPLE_TOLERANCE_PP",
+                    "REPRO_SAMPLE_DIR"
+                ]
+            ),
+            "off\n2.5\n/tmp/s dir\n"
+        );
     }
 }

@@ -160,14 +160,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Reads the plan from `REPRO_FAULTS` (unset or empty → no faults).
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("REPRO_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::none()),
-        }
-    }
-
     /// Whether `pattern` targets `cell` (`table4/perl`, `table4/*`, `*`).
     fn matches(pattern: &str, cell: &str) -> bool {
         pattern == cell

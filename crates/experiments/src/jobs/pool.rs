@@ -67,7 +67,8 @@ impl CellTask {
     }
 }
 
-/// Pool configuration, normally read from the environment.
+/// Pool configuration; the binaries take it from the `REPRO_*` knobs
+/// ([`crate::knobs`]).
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
     /// Concurrent workers (`REPRO_JOBS`, default 1: deterministic order).
@@ -92,44 +93,6 @@ impl Default for RunnerConfig {
             faults: FaultPlan::none(),
         }
     }
-}
-
-impl RunnerConfig {
-    /// Reads the configuration from the environment. Every variable is
-    /// parsed strictly; a typo is an error, not a silent default.
-    pub fn from_env() -> Result<RunnerConfig, String> {
-        let mut config = RunnerConfig::default();
-        if let Some(v) = env_nonempty("REPRO_JOBS") {
-            config.workers = v
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("REPRO_JOBS must be a worker count >= 1, got {v:?}"))?;
-        }
-        if let Some(v) = env_nonempty("REPRO_RETRIES") {
-            config.attempts = v.parse().ok().filter(|&n| n >= 1).ok_or(format!(
-                "REPRO_RETRIES must be an attempt count >= 1, got {v:?}"
-            ))?;
-        }
-        if let Some(v) = env_nonempty("REPRO_DEADLINE_MS") {
-            let ms: u64 = v.parse().ok().filter(|&n| n >= 1).ok_or(format!(
-                "REPRO_DEADLINE_MS must be a duration in ms >= 1, got {v:?}"
-            ))?;
-            config.deadline = Duration::from_millis(ms);
-        }
-        if let Some(v) = env_nonempty("REPRO_BACKOFF_MS") {
-            let ms: u64 = v
-                .parse()
-                .map_err(|_| format!("REPRO_BACKOFF_MS must be a duration in ms, got {v:?}"))?;
-            config.backoff = Duration::from_millis(ms);
-        }
-        config.faults = FaultPlan::from_env()?;
-        Ok(config)
-    }
-}
-
-fn env_nonempty(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
 }
 
 /// A cooperative cancellation flag shared between a campaign and
@@ -1309,14 +1272,5 @@ mod tests {
             .collect();
         assert_eq!(from_log, from_outcome);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn runner_config_from_env_rejects_bad_values() {
-        // Exercised via parse helpers on a clean env: defaults hold.
-        let config = RunnerConfig::default();
-        assert_eq!(config.workers, 1);
-        assert_eq!(config.attempts, 3);
-        assert_eq!(config.deadline, Duration::from_millis(600_000));
     }
 }

@@ -60,6 +60,7 @@ pub mod fig_tagless_vs_tagged;
 pub mod fig_targets;
 pub mod headline;
 pub mod jobs;
+pub mod knobs;
 pub mod lint;
 pub mod perf;
 pub mod predictability;

@@ -9,7 +9,7 @@ use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{MachineConfig, SimReport, TimingSweep};
 use sim_isa::VecTrace;
-use sim_trace::{TraceKey, TraceStore};
+use sim_trace::TraceKey;
 use sim_workloads::Benchmark;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -65,32 +65,6 @@ impl Scale {
             Scale::Full => "full",
         }
     }
-
-    /// Reads the scale from the `REPRO_SCALE` environment variable,
-    /// defaulting to `Standard` when unset or set to the empty string
-    /// (the `REPRO_SCALE= cmd` shell idiom for "unset").
-    ///
-    /// Returns the parse error (listing the accepted values) if
-    /// `REPRO_SCALE` is set to an unrecognized value — a typo like
-    /// `REPRO_SCALE=ful` must not silently run a different experiment than
-    /// the one asked for.
-    pub fn from_env() -> Result<Scale, String> {
-        match std::env::var("REPRO_SCALE") {
-            Ok(v) if v.is_empty() => Ok(Scale::Standard),
-            Ok(v) => Scale::parse(&v),
-            Err(_) => Ok(Scale::Standard),
-        }
-    }
-
-    /// [`Scale::from_env`] for binaries: an unrecognized value prints the
-    /// diagnostic to stderr and exits with status 2 instead of returning —
-    /// an operator typo produces one clean line, not a panic backtrace.
-    pub fn from_env_or_exit() -> Scale {
-        Scale::from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
 }
 
 /// Whether `repro table1` simulates every instruction or only the
@@ -129,27 +103,6 @@ impl SampleMode {
             SampleMode::Simpoint => "simpoint",
         }
     }
-
-    /// Reads the mode from the `REPRO_SAMPLE` environment variable,
-    /// defaulting to `Off` when unset or set to the empty string. An
-    /// unrecognized value is an error, not a fallback — the same strict-knob
-    /// contract as [`Scale::from_env`].
-    pub fn from_env() -> Result<SampleMode, String> {
-        match std::env::var("REPRO_SAMPLE") {
-            Ok(v) if v.is_empty() => Ok(SampleMode::Off),
-            Ok(v) => SampleMode::parse(&v),
-            Err(_) => Ok(SampleMode::Off),
-        }
-    }
-
-    /// [`SampleMode::from_env`] for binaries: an unrecognized value prints
-    /// the diagnostic to stderr and exits with status 2.
-    pub fn from_env_or_exit() -> SampleMode {
-        SampleMode::from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
 }
 
 /// A short description of the front end's indirect predictor for run
@@ -163,22 +116,12 @@ fn config_desc(config: &FrontEndConfig) -> String {
     }
 }
 
-/// Builds the trace store from `REPRO_TRACE_STORE` /
-/// `REPRO_TRACE_STORE_DIR`, exiting with status 2 on a typo — the same
-/// strict-knob contract as [`Scale::from_env_or_exit`].
-pub fn trace_store_or_exit() -> TraceStore {
-    TraceStore::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// The path of the canonical store file for a benchmark's trace at a
 /// scale, whether or not it exists yet. Sampling keys its phase-map
 /// cache off this path (`<stem>.phases.json` rides next to the
 /// `.strc`).
 pub fn trace_store_path(bench: Benchmark, scale: Scale) -> PathBuf {
-    let store = trace_store_or_exit();
+    let store = crate::knobs::get().trace_store();
     store.path_for(&store_key(bench, scale))
 }
 
@@ -195,8 +138,9 @@ fn store_key(bench: Benchmark, scale: Scale) -> TraceKey {
 
 /// Produces the canonical trace of a benchmark at the given scale:
 /// replayed from the content-addressed trace store on a hit, generated
-/// (and recorded) on a miss. `REPRO_TRACE_STORE=off|rw|ro` controls the
-/// store; the default is `rw` under `results/traces/`.
+/// (and recorded) on a miss. The store is the one the process's knobs
+/// name (`REPRO_TRACE_STORE=off|rw|ro`, `REPRO_TRACE_STORE_DIR`); the
+/// default is `rw` under `results/traces/`.
 ///
 /// With telemetry active this also declares `bench` as the benchmark
 /// subsequent runs are attributed to (cells are sequential:
@@ -238,7 +182,7 @@ pub fn trace_with_fingerprints(
         let _g = hub.map(|h| h.spans().span("workload-gen"));
         return (bench.workload().generate_truncated(budget, fraction), None);
     }
-    let store = trace_store_or_exit();
+    let store = crate::knobs::get().trace_store();
     let key = store_key(bench, scale);
     let corrupt = crate::jobs::faults::take_store_truncation(bench.name());
     let generate = || {
@@ -447,7 +391,7 @@ mod tests {
 
     #[test]
     fn a_sweep_records_once_and_accounts_every_run() {
-        use crate::telemetry::{session_with_prof, ProfMode, TelemetryMode};
+        use crate::telemetry::{session_with_config, ProfMode, TelemetryConfig, TelemetryMode};
 
         let off = TelemetryCtx::off();
         let t = trace(&off, Benchmark::Perl, Scale::Quick);
@@ -459,12 +403,15 @@ mod tests {
         let single: Vec<SimReport> = frontends.iter().map(|&f| timing(&off, &t, f)).collect();
 
         let dir = std::env::temp_dir().join(format!("runner-sweep-{}", std::process::id()));
-        let session = session_with_prof(
+        let session = session_with_config(
             "sweep",
             Scale::Quick,
-            TelemetryMode::Summary,
-            ProfMode::Full,
-            &dir,
+            TelemetryConfig {
+                mode: TelemetryMode::Summary,
+                prof: ProfMode::Full,
+                dir: dir.clone(),
+                ..TelemetryConfig::off()
+            },
         );
         let ctx = session.ctx();
         hub::take_instructions();

@@ -36,8 +36,9 @@
 use crate::jobs::cli::{drive_campaign, epilogue, operator_error};
 use crate::jobs::pool::CellTask;
 use crate::jobs::{cell_id, registry::ExperimentDef, CellData, CellSet};
+use crate::knobs::Knobs;
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, trace_with_fingerprints, SampleMode, Scale};
+use crate::runner::{functional, trace_with_fingerprints, Scale};
 use crate::table1;
 use crate::telemetry::{self, TelemetryCtx};
 use branch_predictors::ClassCounters;
@@ -184,7 +185,7 @@ pub fn stored_phase_map(
     t: &VecTrace,
     bbv: Option<&sim_trace::BbvSection>,
 ) -> PhaseMap {
-    let mode = crate::runner::trace_store_or_exit().mode();
+    let mode = crate::knobs::get().trace_store;
     if mode == sim_trace::StoreMode::Off {
         return phase_map_with(ctx, t, bbv);
     }
@@ -617,49 +618,6 @@ impl ErrorReport {
     }
 }
 
-/// Reads `REPRO_SAMPLE_TOLERANCE_PP` (strictly: a typo exits 2, like
-/// every other knob).
-fn tolerance_from_env() -> f64 {
-    match std::env::var("REPRO_SAMPLE_TOLERANCE_PP") {
-        Ok(v) if v.is_empty() => DEFAULT_TOLERANCE_PP,
-        Ok(v) => v
-            .parse::<f64>()
-            .ok()
-            .filter(|t| *t >= 0.0)
-            .unwrap_or_else(|| {
-                operator_error(&format!(
-                "unrecognized REPRO_SAMPLE_TOLERANCE_PP value {v:?}; expected a non-negative number"
-            ))
-            }),
-        Err(_) => DEFAULT_TOLERANCE_PP,
-    }
-}
-
-/// Reads `REPRO_SAMPLE_EXACT` (`inline`, the default, computes the
-/// exact baseline after the shard campaign; `off` skips it — and with
-/// it the error report and its gate).
-fn exact_inline_from_env() -> bool {
-    match std::env::var("REPRO_SAMPLE_EXACT") {
-        Ok(v) if v.is_empty() => true,
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "inline" => true,
-            "off" => false,
-            _ => operator_error(&format!(
-                "unrecognized REPRO_SAMPLE_EXACT value {v:?}; accepted values: inline, off"
-            )),
-        },
-        Err(_) => true,
-    }
-}
-
-/// Where error reports are written (`REPRO_SAMPLE_DIR` override).
-fn sampling_dir_from_env() -> PathBuf {
-    match std::env::var("REPRO_SAMPLE_DIR") {
-        Ok(v) if !v.is_empty() => PathBuf::from(v),
-        _ => PathBuf::from(DEFAULT_SAMPLING_DIR),
-    }
-}
-
 /// One benchmark's sampled-campaign plan: the shared trace, its phase
 /// map, and the exact (non-simulated) characterization fields.
 struct BenchPlan {
@@ -672,7 +630,7 @@ struct BenchPlan {
 /// cells on the worker pool, weighted recombination, the sampled
 /// Table 1, and the exact-vs-sampled error report. Exits like
 /// [`epilogue`], plus status 1 when the report exceeds tolerance.
-pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) -> i32 {
+pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], knobs: &Knobs) -> i32 {
     for def in defs {
         if def.name != "table1" {
             operator_error(&format!(
@@ -683,9 +641,8 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
             ));
         }
     }
-    let tolerance_pp = tolerance_from_env();
-    let exact_inline = exact_inline_from_env();
-    let session = telemetry::session_or_exit(tool, scale);
+    let scale = knobs.scale;
+    let session = telemetry::session(tool, knobs);
     let ctx = session.ctx();
 
     // Phase maps must exist before shard tasks can be enumerated. Trace
@@ -731,7 +688,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
             .add(tasks.len() as u64);
     }
 
-    let driven = drive_campaign(tool, scale, SampleMode::Simpoint, &session, tasks);
+    let driven = drive_campaign(tool, knobs, &session, tasks);
 
     // Recombine each benchmark's shard cells into a sampled Table 1. A
     // benchmark with any failed shard renders as ERR: a partial
@@ -786,7 +743,7 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
         return status;
     }
 
-    if !exact_inline {
+    if !knobs.sample_exact {
         println!("sampling: exact baseline skipped (REPRO_SAMPLE_EXACT=off); no error report");
         return 0;
     }
@@ -813,11 +770,11 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], scale: Scale) ->
         tool: tool.to_string(),
         run_id: driven.run_id.clone(),
         scale: scale.name().to_string(),
-        tolerance_pp,
+        tolerance_pp: knobs.sample_tolerance_pp,
         rows,
     };
     println!("{}", report.render());
-    match report.write(&sampling_dir_from_env()) {
+    match report.write(&knobs.sample_dir) {
         Ok(path) => println!("error report: {}", path.display()),
         Err(e) => {
             eprintln!("error: cannot write the sampling error report: {e}");

@@ -32,13 +32,12 @@ use super::state::{unix_ms, Registry, ReqState, RequestEntry, RequestSpec, Shed}
 use crate::jobs::cli::{self, CampaignPlan, LogSource};
 use crate::jobs::journal::journal_path;
 use crate::jobs::pool::CellTask;
-use crate::jobs::{cell_id, faults, registry, RunControls, RunnerConfig, WorkerSlots};
-use crate::runner::{SampleMode, Scale};
+use crate::jobs::{cell_id, faults, registry, RunControls, WorkerSlots};
+use crate::knobs::Knobs;
+use crate::runner::Scale;
 use crate::telemetry;
 use sim_telemetry::json::{obj, Json};
-use sim_telemetry::{
-    read_events, MetricsRegistry, ProfMode, TelemetryConfig, TelemetryMode, TraceExportMode,
-};
+use sim_telemetry::{read_events, MetricsRegistry, ProfMode, TelemetryConfig, TelemetryMode};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -46,76 +45,44 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the daemon is wired up, from the `REPRO_SERVE_*` environment.
+/// How the daemon is wired up: the `REPRO_SERVE_*` knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Bind address (`REPRO_SERVE_ADDR`, default `127.0.0.1:7877`;
-    /// port `0` binds ephemerally and prints the chosen port).
+    /// Bind address (`REPRO_SERVE_ADDR`; port `0` binds ephemerally and
+    /// prints the chosen port).
     pub addr: String,
-    /// Bounded admission queue depth (`REPRO_SERVE_QUEUE`, default 16).
+    /// Bounded admission queue depth (`REPRO_SERVE_QUEUE`).
     pub queue: usize,
-    /// Maximum concurrent client connections (`REPRO_SERVE_CLIENTS`,
-    /// default 32); excess connections get an immediate 503.
+    /// Maximum concurrent client connections (`REPRO_SERVE_CLIENTS`);
+    /// excess connections get an immediate 503.
     pub max_conns: usize,
-    /// Per-request namespace root (`REPRO_SERVE_ROOT`, default
-    /// `results/serve`).
+    /// Per-request namespace root (`REPRO_SERVE_ROOT`).
     pub root: PathBuf,
     /// Socket read timeout — the slow-loris bound
-    /// (`REPRO_SERVE_READ_TIMEOUT_MS`, default 2000).
+    /// (`REPRO_SERVE_READ_TIMEOUT_MS`).
     pub read_timeout: Duration,
-    /// Campaign pool knobs, shared by every request
-    /// (`REPRO_JOBS`/`REPRO_RETRIES`/`REPRO_DEADLINE_MS`/
-    /// `REPRO_BACKOFF_MS`/`REPRO_FAULTS`).
-    pub runner: RunnerConfig,
-    /// Trace-export format every campaign writes into its request
-    /// namespace (`REPRO_TRACE_EXPORT`, default `off`).
-    pub trace_export: TraceExportMode,
+    /// Where the bound address is written once listening
+    /// (`REPRO_SERVE_ADDR_FILE`): soak harnesses bind port 0 and
+    /// discover the port there.
+    pub addr_file: Option<PathBuf>,
 }
 
-fn env_nonempty(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
-}
-
-fn env_usize(name: &str, default: usize) -> Result<usize, String> {
-    match env_nonempty(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("{name} expects a positive integer, got {v:?}")),
-    }
-}
-
-impl ServeConfig {
-    /// Reads the daemon configuration, rejecting malformed values
-    /// loudly rather than running with silently-defaulted knobs. The
-    /// trace-store mode (`REPRO_TRACE_STORE`) is checked here, before the
-    /// daemon binds, because request workers read it per trace.
-    pub fn from_env() -> Result<ServeConfig, String> {
-        sim_trace::StoreMode::from_env()?;
-        Ok(ServeConfig {
-            addr: env_nonempty("REPRO_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:7877".into()),
-            queue: env_usize("REPRO_SERVE_QUEUE", 16)?,
-            max_conns: env_usize("REPRO_SERVE_CLIENTS", 32)?,
-            root: PathBuf::from(
-                env_nonempty("REPRO_SERVE_ROOT").unwrap_or_else(|| "results/serve".into()),
-            ),
-            read_timeout: Duration::from_millis(
-                env_usize("REPRO_SERVE_READ_TIMEOUT_MS", 2000)? as u64
-            ),
-            runner: RunnerConfig::from_env()?,
-            trace_export: match env_nonempty("REPRO_TRACE_EXPORT") {
-                None => TraceExportMode::Off,
-                Some(v) => TraceExportMode::parse(&v)?,
-            },
-        })
+impl Default for ServeConfig {
+    fn default() -> ServeConfig {
+        ServeConfig {
+            addr: "127.0.0.1:7877".into(),
+            queue: 16,
+            max_conns: 32,
+            root: PathBuf::from("results/serve"),
+            read_timeout: Duration::from_millis(2000),
+            addr_file: None,
+        }
     }
 }
 
 /// Shared server state behind the connection and scheduler threads.
 struct Server {
-    config: ServeConfig,
+    knobs: Knobs,
     registry: Registry,
     metrics: MetricsRegistry,
     slots: WorkerSlots,
@@ -123,8 +90,11 @@ struct Server {
 }
 
 /// Runs the daemon until a shutdown signal drains it. Returns the
-/// process exit code (0 on a clean drain).
-pub fn serve(config: ServeConfig) -> Result<i32, String> {
+/// process exit code (0 on a clean drain). Besides [`Knobs::serve`], the
+/// daemon takes the pool knobs (shared by every request) and the
+/// trace-export format every campaign writes into its request namespace.
+pub fn serve(knobs: &Knobs) -> Result<i32, String> {
+    let config = &knobs.serve;
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let local = listener
@@ -137,28 +107,27 @@ pub fn serve(config: ServeConfig) -> Result<i32, String> {
     // Faults are process-global: install the plan once for the daemon's
     // lifetime so every request sees the same (deterministic) plan, and
     // per-request state can never leak through the fault layer.
-    let _faults = faults::install(config.runner.faults.clone());
+    let _faults = faults::install(knobs.runner.faults.clone());
     signal::install_shutdown_handler();
 
     println!(
         "repro-serve listening on {local} (queue {}, clients {}, workers {}, root {})",
         config.queue,
         config.max_conns,
-        config.runner.workers,
+        knobs.runner.workers,
         config.root.display()
     );
-    if let Some(path) = env_nonempty("REPRO_SERVE_ADDR_FILE") {
-        // Soak harnesses bind port 0 and discover the port here.
-        std::fs::write(&path, local.to_string())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = &config.addr_file {
+        std::fs::write(path, local.to_string())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
 
     let server = Arc::new(Server {
         registry: Registry::new(config.queue),
         metrics: MetricsRegistry::new(),
-        slots: WorkerSlots::new(config.runner.workers),
+        slots: WorkerSlots::new(knobs.runner.workers),
         started: Instant::now(),
-        config,
+        knobs: knobs.clone(),
     });
 
     let scheduler = {
@@ -174,7 +143,7 @@ pub fn serve(config: ServeConfig) -> Result<i32, String> {
         match listener.accept() {
             Ok((mut stream, _peer)) => {
                 server.metrics.counter("serve.connections").inc();
-                if open_conns.load(Ordering::SeqCst) >= server.config.max_conns {
+                if open_conns.load(Ordering::SeqCst) >= server.knobs.serve.max_conns {
                     server.metrics.counter("serve.shed_503").inc();
                     let _ = Response::error(503, "connection limit reached")
                         .with_header("Connection", "close")
@@ -184,7 +153,7 @@ pub fn serve(config: ServeConfig) -> Result<i32, String> {
                 // The accepted socket inherits nonblocking on some
                 // platforms; handlers want blocking reads with a timeout.
                 let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(server.config.read_timeout));
+                let _ = stream.set_read_timeout(Some(server.knobs.serve.read_timeout));
                 open_conns.fetch_add(1, Ordering::SeqCst);
                 let server = Arc::clone(&server);
                 let open = Arc::clone(&open_conns);
@@ -273,7 +242,7 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
             prof: ProfMode::Off,
             dir: ns.join("telemetry"),
             progress_tick: Duration::from_millis(500),
-            trace_export: server.config.trace_export,
+            trace_export: server.knobs.telemetry.trace_export,
             traceviz_dir: ns.join("traceviz"),
         },
     );
@@ -304,17 +273,20 @@ fn run_request(server: &Arc<Server>, entry: RequestEntry) {
         None => LogSource::Fresh,
     };
     let plan = CampaignPlan {
-        journal_dir: ns.join("journal"),
         run_id: entry.id.clone(),
         source,
-        runner: server.config.runner.clone(),
         controls: RunControls {
             cancel: Some(entry.cancel.clone()),
             slots: Some(server.slots.clone()),
         },
-        sample: SampleMode::Off,
+        knobs: Knobs {
+            scale,
+            journal_dir: ns.join("journal"),
+            runner: server.knobs.runner.clone(),
+            ..Knobs::default()
+        },
     };
-    let outcome = match cli::drive_plan(def.name, scale, &session, tasks, plan) {
+    let outcome = match cli::drive_plan(def.name, &session, tasks, plan) {
         Ok(driven) => driven.outcome,
         Err(e) => return fail(e),
     };
@@ -591,7 +563,7 @@ fn submit(server: &Arc<Server>, req: &Request) -> Response {
         Ok(spec) => spec,
         Err(why) => return Response::error(400, &why),
     };
-    match server.registry.submit(spec, &server.config.root) {
+    match server.registry.submit(spec, &server.knobs.serve.root) {
         Ok(id) => {
             server.metrics.counter("serve.admitted").inc();
             Response::json(

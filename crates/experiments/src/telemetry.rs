@@ -5,18 +5,16 @@
 //! and threading its [`TelemetryCtx`] into everything it runs:
 //!
 //! ```no_run
-//! let scale = experiments::Scale::from_env_or_exit();
-//! let telemetry = experiments::telemetry::session_or_exit("table1", scale);
+//! let knobs = experiments::knobs::get();
+//! let telemetry = experiments::telemetry::session("table1", knobs);
 //! let ctx = telemetry.ctx();
 //! // ... pass &ctx to the runner / registry cells, print the table ...
 //! ```
 //!
-//! The session parses the whole knob surface once through
-//! [`TelemetryConfig::from_env`] (`REPRO_TELEMETRY`, `REPRO_PROF`,
-//! `REPRO_TELEMETRY_DIR`, `REPRO_PROGRESS_TICK_MS`, `REPRO_TRACE_EXPORT`,
-//! `REPRO_TRACEVIZ_DIR`) — that is the *only* place
-//! environment variables are read; everything downstream works against
-//! the explicit context. Unless the mode is `off`, the session owns a
+//! The session takes an explicit [`TelemetryConfig`] — from the parsed
+//! knobs ([`crate::knobs`]) in the binaries, built directly in tests and
+//! embedders — and everything downstream works against the explicit
+//! context. Unless the mode is `off`, the session owns a
 //! [`Hub`] that the shared [`runner`](crate::runner) entry points feed
 //! through the ctx they are handed: every trace generation, harness
 //! replay, and timing simulation records spans, counters, and (in
@@ -30,8 +28,8 @@
 //! * `<dir>/<tool>.events.jsonl` (events mode) — one JSON object per
 //!   mispredicted branch.
 //!
-//! `<dir>` defaults to `results/telemetry` under the working directory and
-//! can be overridden with `REPRO_TELEMETRY_DIR`.
+//! `<dir>` defaults to `results/telemetry` under the working directory
+//! (`REPRO_TELEMETRY_DIR`).
 //!
 //! There is deliberately no process-global "active hub" anymore: two
 //! sessions can coexist in one process with different configurations
@@ -303,69 +301,15 @@ pub struct Session {
     started: Instant,
 }
 
-/// Starts a capture for `tool` with the whole knob surface parsed once
-/// from the environment via [`TelemetryConfig::from_env`]
-/// (`REPRO_TELEMETRY`, `REPRO_PROF`, `REPRO_TELEMETRY_DIR`,
-/// `REPRO_PROGRESS_TICK_MS`, `REPRO_TRACE_EXPORT`, `REPRO_TRACEVIZ_DIR`).
-/// With `REPRO_TELEMETRY` unset or `off` the session is inert and costs
-/// nothing.
-///
-/// Returns the parse error (listing the accepted values) if any
-/// variable is set to an unrecognized value.
-pub fn session(tool: &str, scale: Scale) -> Result<Session, String> {
-    Ok(session_with_config(
-        tool,
-        scale,
-        TelemetryConfig::from_env()?,
-    ))
+/// Starts a capture for `tool` as the parsed knobs describe it: their
+/// scale and telemetry configuration. With `REPRO_TELEMETRY` unset or
+/// `off` the session is inert and costs nothing.
+pub fn session(tool: &str, knobs: &crate::knobs::Knobs) -> Session {
+    session_with_config(tool, knobs.scale, knobs.telemetry.clone())
 }
 
-/// [`session`] for binaries: an unrecognized `REPRO_TELEMETRY` value
-/// prints the diagnostic to stderr and exits with status 2 instead of
-/// returning — an operator typo produces one clean line, not a panic
-/// backtrace.
-pub fn session_or_exit(tool: &str, scale: Scale) -> Session {
-    session(tool, scale).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// [`session_with_prof`] at the default profiling depth
-/// ([`ProfMode::Spans`]).
-pub fn session_with(
-    tool: &str,
-    scale: Scale,
-    mode: TelemetryMode,
-    out_dir: impl Into<PathBuf>,
-) -> Session {
-    session_with_prof(tool, scale, mode, ProfMode::default(), out_dir)
-}
-
-/// [`session_with_config`] from the mode/prof/dir triple — for callers
-/// that predate the full [`TelemetryConfig`].
-pub fn session_with_prof(
-    tool: &str,
-    scale: Scale,
-    mode: TelemetryMode,
-    prof: ProfMode,
-    out_dir: impl Into<PathBuf>,
-) -> Session {
-    session_with_config(
-        tool,
-        scale,
-        TelemetryConfig {
-            mode,
-            prof,
-            dir: out_dir.into(),
-            ..TelemetryConfig::off()
-        },
-    )
-}
-
-/// [`session`] with everything explicit — the constructor behind all the
-/// others, and the one tests use so they never depend on (or mutate)
-/// process environment variables.
+/// A capture with everything explicit — the constructor behind
+/// [`session`], and the one tests and embedders use.
 pub fn session_with_config(tool: &str, scale: Scale, config: TelemetryConfig) -> Session {
     let hub = config
         .mode
@@ -627,7 +571,15 @@ pub fn live_report(scale: Scale, top_n: usize, dir: impl Into<PathBuf>) -> Strin
     use target_cache::harness::FrontEndConfig;
     use target_cache::TargetCacheConfig;
 
-    let session = session_with("telemetry-report", scale, TelemetryMode::Events, dir);
+    let session = session_with_config(
+        "telemetry-report",
+        scale,
+        TelemetryConfig {
+            mode: TelemetryMode::Events,
+            dir: dir.into(),
+            ..TelemetryConfig::default()
+        },
+    );
     let ctx = session.ctx();
     let hub = ctx.hub().expect("events session owns a hub").clone();
     for bench in Benchmark::ALL {
@@ -845,12 +797,14 @@ mod tests {
     }
 
     #[test]
-    fn session_with_off_mode_is_inert() {
-        let s = session_with(
+    fn off_mode_session_is_inert() {
+        let s = session_with_config(
             "inert-test",
             Scale::Quick,
-            TelemetryMode::Off,
-            "/nonexistent",
+            TelemetryConfig {
+                dir: "/nonexistent".into(),
+                ..TelemetryConfig::default()
+            },
         );
         assert!(!s.ctx().enabled());
         assert!(s.ctx().hub().is_none());
@@ -862,8 +816,13 @@ mod tests {
         // Two live sessions in one process, different modes — the exact
         // situation the old process-global hub could not represent.
         let dir = std::env::temp_dir().join(format!("ctx-indep-{}", std::process::id()));
-        let a = session_with("ctx-a", Scale::Quick, TelemetryMode::Summary, &dir);
-        let b = session_with("ctx-b", Scale::Quick, TelemetryMode::Summary, &dir);
+        let summary = TelemetryConfig {
+            mode: TelemetryMode::Summary,
+            dir: dir.clone(),
+            ..TelemetryConfig::default()
+        };
+        let a = session_with_config("ctx-a", Scale::Quick, summary.clone());
+        let b = session_with_config("ctx-b", Scale::Quick, summary);
         assert!(a.ctx().enabled() && b.ctx().enabled());
         assert!(!Arc::ptr_eq(a.ctx().hub().unwrap(), b.ctx().hub().unwrap()));
         // Cloned contexts share their session's hub.

@@ -1,8 +1,7 @@
 //! Acceptance tests for the `repro-bench` binary: the BENCH snapshot it
 //! writes reparses with the strict JSON parser and covers the whole
 //! scenario matrix, an unchanged tree passes its own baseline, and a
-//! synthetic 10× slowdown (the `REPRO_BENCH_SLOWDOWN` test hook) trips
-//! the regression gate.
+//! baseline ten times faster than the run trips the regression gate.
 
 use experiments::perf::BenchReport;
 use std::path::PathBuf;
@@ -88,20 +87,27 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
         String::from_utf8_lossy(&pass.stderr)
     );
 
-    // A synthetic 10x slowdown trips the gate with exit status 1.
-    let slow = Command::new(env!("CARGO_BIN_EXE_repro-bench"))
-        .args(["--iters", "1", "--warmup", "0", "--scale", "quick", "--out"])
-        .arg(&out)
-        .args(["--baseline", bench0.to_str().unwrap(), "--tolerance", "300"])
-        .env("REPRO_TELEMETRY_DIR", &out)
-        .env("REPRO_BENCH_SLOWDOWN", "10")
-        .current_dir(&out)
-        .output()
-        .unwrap();
+    // Against a baseline ten times faster than the first run, a run of
+    // the same tree trips the gate with exit status 1.
+    let mut fast = report.clone();
+    for s in &mut fast.scenarios {
+        s.median_ns /= 10;
+    }
+    let fast_path = out.join("fast-baseline.json");
+    std::fs::write(&fast_path, fast.to_json().to_string()).unwrap();
+    let slow = repro_bench(
+        &out,
+        &[
+            "--baseline",
+            fast_path.to_str().unwrap(),
+            "--tolerance",
+            "300",
+        ],
+    );
     assert_eq!(
         slow.status.code(),
         Some(1),
-        "10x slowdown must trip the gate: {}",
+        "a 10x slower run must trip the gate: {}",
         String::from_utf8_lossy(&slow.stderr)
     );
     assert!(
@@ -110,13 +116,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
         String::from_utf8_lossy(&slow.stderr)
     );
 
-    // Operator errors exit 2: bad hook value, unreadable baseline.
-    let bad_env = Command::new(env!("CARGO_BIN_EXE_repro-bench"))
-        .env("REPRO_BENCH_SLOWDOWN", "bogus")
-        .current_dir(&out)
-        .output()
-        .unwrap();
-    assert_eq!(bad_env.status.code(), Some(2));
+    // An unreadable baseline is an operator error: exit 2.
     let bad_baseline = repro_bench(&out, &["--baseline", "/nonexistent/BENCH.json"]);
     assert_eq!(bad_baseline.status.code(), Some(2));
 

@@ -8,7 +8,7 @@
 use experiments::jobs::pool::CellTask;
 use experiments::jobs::{run_campaign, CellData, Journal, RunnerConfig};
 use experiments::runner::{self, Scale};
-use experiments::telemetry::{self, ProfMode, TelemetryMode};
+use experiments::telemetry::{self, ProfMode, TelemetryConfig, TelemetryMode};
 use sim_workloads::Benchmark;
 use std::path::PathBuf;
 use target_cache::harness::FrontEndConfig;
@@ -26,17 +26,21 @@ fn parallel_pool_records_nested_spans_and_instruction_counts() {
     let _ = std::fs::remove_dir_all(&out_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
     // Point the trace store at an empty scratch directory so every cell
-    // deterministically generates (cold store) — this test binary holds a
-    // single test, so mutating the process environment is safe.
+    // deterministically generates (cold store). The process reads its
+    // knobs once, at the first trace lookup; this binary holds a single
+    // test, which sets them before that.
     std::env::set_var("REPRO_TRACE_STORE", "rw");
     std::env::set_var("REPRO_TRACE_STORE_DIR", &store_dir);
 
-    let session = telemetry::session_with_prof(
+    let session = telemetry::session_with_config(
         "pool-prof-test",
         Scale::Quick,
-        TelemetryMode::Summary,
-        ProfMode::Spans,
-        &out_dir,
+        TelemetryConfig {
+            mode: TelemetryMode::Summary,
+            prof: ProfMode::Spans,
+            dir: out_dir.clone(),
+            ..TelemetryConfig::off()
+        },
     );
     let ctx = session.ctx();
     let hub = ctx.hub().cloned().expect("summary session installs a hub");

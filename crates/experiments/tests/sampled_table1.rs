@@ -156,13 +156,52 @@ fn exact_off_skips_the_error_report() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Runs the printed resume command through `sh`, with `repro` swapped
+/// for the built binary, in `cwd`, with `env` as the only `REPRO_*`
+/// variables: everything else must come from the command itself.
+fn run_printed(printed: &str, cwd: &Path, env: &[(&str, &Path)]) -> Output {
+    let command = printed
+        .strip_suffix(" repro table1")
+        .unwrap_or_else(|| panic!("resume command does not end in `repro table1`: {printed}"));
+    let mut sh = Command::new("sh");
+    sh.arg("-c")
+        .arg(format!(
+            "{command} '{}' table1",
+            env!("CARGO_BIN_EXE_repro")
+        ))
+        .current_dir(cwd);
+    for (var, _) in std::env::vars() {
+        if var.starts_with("REPRO_") {
+            sh.env_remove(var);
+        }
+    }
+    sh.env("REPRO_TELEMETRY", "off");
+    for (k, v) in env {
+        sh.env(k, v);
+    }
+    sh.output().expect("spawn sh")
+}
+
+/// The resume command a failed campaign printed on stderr.
+fn printed_resume(first: &Output) -> String {
+    let err = stderr(first);
+    assert_eq!(first.status.code(), Some(1), "stderr:\n{err}");
+    err.lines()
+        .find_map(|l| l.strip_prefix("re-run only the failed cells with: "))
+        .unwrap_or_else(|| panic!("no resume command in stderr:\n{err}"))
+        .to_string()
+}
+
 #[test]
 fn printed_resume_command_resumes_a_sampled_campaign() {
     // A sampled campaign's log holds shard cells; the resume command the
     // epilogue prints must carry REPRO_SAMPLE=simpoint, or the resumed
-    // run schedules exact cells and refuses the log. The resumed run's
-    // environment below has no REPRO_SAMPLE, REPRO_SCALE or
-    // REPRO_JOURNAL_DIR: only the printed command supplies them.
+    // run schedules exact cells and refuses the log, and it must carry
+    // REPRO_SAMPLE_EXACT=off, or the resumed run computes an exact
+    // baseline the campaign was never asked for and fails its gate. The
+    // resumed run's environment has no REPRO_SAMPLE, REPRO_SAMPLE_EXACT,
+    // REPRO_SCALE or REPRO_JOURNAL_DIR: only the printed command supplies
+    // them.
     let dir = scratch("resume");
     let first = run_tool(
         "table1",
@@ -176,31 +215,19 @@ fn printed_resume_command_resumes_a_sampled_campaign() {
             ("REPRO_RUN_ID", "s1"),
         ],
     );
-    let err = stderr(&first);
-    assert_eq!(first.status.code(), Some(1), "stderr:\n{err}");
-    let printed = err
-        .lines()
-        .find_map(|l| l.strip_prefix("re-run only the failed cells with: "))
-        .unwrap_or_else(|| panic!("no resume command in stderr:\n{err}"));
+    let printed = printed_resume(&first);
     assert!(printed.contains("REPRO_SAMPLE=simpoint"), "{printed}");
-    let command = printed
-        .strip_suffix(" repro table1")
-        .unwrap_or_else(|| panic!("resume command does not end in `repro table1`: {printed}"));
-    let mut sh = Command::new("sh");
-    sh.arg("-c").arg(format!(
-        "{command} '{}' table1",
-        env!("CARGO_BIN_EXE_repro")
-    ));
-    for (var, _) in std::env::vars() {
-        if var.starts_with("REPRO_") {
-            sh.env_remove(var);
-        }
-    }
-    sh.env("REPRO_TELEMETRY", "off")
-        .env("REPRO_TRACE_STORE_DIR", dir.join("traces"))
-        .env("REPRO_SAMPLE_DIR", dir.join("sampling"))
-        .env("REPRO_SAMPLE_EXACT", "off");
-    let resumed = sh.output().expect("spawn sh");
+    assert!(printed.contains("REPRO_SAMPLE_EXACT=off"), "{printed}");
+    let traces = dir.join("traces");
+    let sampling = dir.join("sampling");
+    let resumed = run_printed(
+        &printed,
+        &dir,
+        &[
+            ("REPRO_TRACE_STORE_DIR", &traces),
+            ("REPRO_SAMPLE_DIR", &sampling),
+        ],
+    );
     let text = stdout(&resumed);
     assert_eq!(
         resumed.status.code(),
@@ -209,5 +236,48 @@ fn printed_resume_command_resumes_a_sampled_campaign() {
         stderr(&resumed)
     );
     assert!(text.contains("restored from journal"), "{text}");
+    assert!(text.contains("exact baseline skipped"), "{text}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn printed_resume_command_keeps_the_tolerance_and_report_directory() {
+    // With the exact baseline on, a quick-scale sampled Table 1 deviates
+    // by up to about 12 pp, so the first run widens the gate to 20 pp and
+    // sends its report to a private directory. The resumed run, started in
+    // the scratch directory with neither variable set, must be judged and
+    // report the same way.
+    let dir = scratch("resume-judged");
+    let private = dir.join("private-reports");
+    let first = run_tool(
+        "table1",
+        &dir,
+        &[
+            ("REPRO_SAMPLE", "simpoint"),
+            ("REPRO_SAMPLE_TOLERANCE_PP", "20"),
+            ("REPRO_SAMPLE_DIR", private.to_str().unwrap()),
+            ("REPRO_FAULTS", "random:3:0.5"),
+            ("REPRO_RETRIES", "1"),
+            ("REPRO_BACKOFF_MS", "1"),
+            ("REPRO_RUN_ID", "s2"),
+        ],
+    );
+    let printed = printed_resume(&first);
+    let traces = dir.join("traces");
+    let resumed = run_printed(&printed, &dir, &[("REPRO_TRACE_STORE_DIR", &traces)]);
+    let text = stdout(&resumed);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "command: {printed}\nstdout:\n{text}\nstderr:\n{}",
+        stderr(&resumed)
+    );
+    assert!(text.contains("restored from journal"), "{text}");
+    let report = ErrorReport::parse(
+        &fs::read_to_string(private.join("s2-error-report.json"))
+            .expect("report in the private dir"),
+    )
+    .expect("error report parses");
+    assert_eq!(report.tolerance_pp, 20.0);
     let _ = fs::remove_dir_all(&dir);
 }

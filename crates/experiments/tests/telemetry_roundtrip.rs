@@ -3,7 +3,7 @@
 //! exactly with the simulator's own statistics.
 
 use experiments::runner::{functional, trace, Scale};
-use experiments::telemetry::{session_with, TelemetryCtx, TelemetryMode};
+use experiments::telemetry::{session_with_config, TelemetryConfig, TelemetryCtx, TelemetryMode};
 use sim_telemetry::json::{parse, Json};
 use sim_workloads::Benchmark;
 use target_cache::harness::{FrontEndConfig, PredictionHarness};
@@ -15,7 +15,8 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
     let _ = std::fs::remove_dir_all(&dir);
     // Cold scratch trace store so the instrumented run deterministically
     // generates (records a miss) and the reference run replays (a hit).
-    // This binary holds a single test, so setting env vars is safe.
+    // The process reads its knobs once, at the first trace lookup; this
+    // binary holds a single test, which sets them before that.
     std::env::set_var("REPRO_TRACE_STORE", "rw");
     std::env::set_var("REPRO_TRACE_STORE_DIR", dir.join("traces"));
 
@@ -24,7 +25,15 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
 
     let (manifest_path, events_path);
     {
-        let session = session_with("itest", Scale::Quick, TelemetryMode::Events, &dir);
+        let session = session_with_config(
+            "itest",
+            Scale::Quick,
+            TelemetryConfig {
+                mode: TelemetryMode::Events,
+                dir: dir.clone(),
+                ..TelemetryConfig::default()
+            },
+        );
         manifest_path = session.manifest_path();
         events_path = session.events_path();
         let ctx = session.ctx();

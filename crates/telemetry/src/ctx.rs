@@ -1,22 +1,12 @@
-//! The one place environment variables become telemetry configuration.
+//! A telemetry session's configuration, as one explicit value.
 //!
-//! Everything downstream of a binary's `main` works against an explicit
+//! Everything downstream of a binary's `main` works against a
 //! [`TelemetryConfig`] (and the session context the experiments crate
-//! builds from it) — never against `std::env` directly. That keeps the
-//! knob surface auditable in one struct, makes sessions independent
-//! (two campaigns in one process can run different configs, which the
-//! planned `repro-serve` daemon requires), and keeps the strict-parse
-//! policy uniform: a typo in any knob is a loud error listing the
-//! accepted values, not silently discarded telemetry.
-//!
-//! | variable | field | default |
-//! |----------|-------|---------|
-//! | `REPRO_TELEMETRY` | `mode` | `off` |
-//! | `REPRO_PROF` | `prof` | `spans` |
-//! | `REPRO_TELEMETRY_DIR` | `dir` | `results/telemetry` |
-//! | `REPRO_PROGRESS_TICK_MS` | `progress_tick` | `1000` |
-//! | `REPRO_TRACE_EXPORT` | `trace_export` | `off` |
-//! | `REPRO_TRACEVIZ_DIR` | `traceviz_dir` | `results/traceviz` |
+//! builds from it), never against `std::env`: sessions stay independent
+//! (two campaigns in one process can run different configs, which
+//! `repro-serve` relies on) and tests build the config they want. The
+//! experiments crate's knob table fills it from the environment; the
+//! README's knob reference lists the variables and their defaults.
 
 use crate::prof::ProfMode;
 use crate::TelemetryMode;
@@ -96,59 +86,13 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything disabled — for tests and library callers that want a
-    /// context with no environment coupling at all.
+    /// Everything disabled, profiling included: for tests and library
+    /// callers that want no telemetry at all.
     pub fn off() -> TelemetryConfig {
         TelemetryConfig {
             prof: ProfMode::Off,
             ..TelemetryConfig::default()
         }
-    }
-
-    /// Parses the full knob surface from the environment. This is the
-    /// single parse site: binaries call it once in `main` (via the
-    /// session constructors) and thread the result everywhere else.
-    ///
-    /// Any unrecognized value is an `Err` naming the variable and the
-    /// accepted values; binaries turn that into `eprintln` + exit 2.
-    pub fn from_env() -> Result<TelemetryConfig, String> {
-        let mut cfg = TelemetryConfig {
-            mode: TelemetryMode::from_env()?,
-            prof: ProfMode::from_env()?,
-            ..TelemetryConfig::default()
-        };
-        if let Ok(v) = std::env::var("REPRO_TELEMETRY_DIR") {
-            if !v.is_empty() {
-                cfg.dir = PathBuf::from(v);
-            }
-        }
-        if let Ok(v) = std::env::var("REPRO_PROGRESS_TICK_MS") {
-            if !v.is_empty() {
-                cfg.progress_tick = Duration::from_millis(parse_tick_ms(&v)?);
-            }
-        }
-        if let Ok(v) = std::env::var("REPRO_TRACE_EXPORT") {
-            if !v.is_empty() {
-                cfg.trace_export = TraceExportMode::parse(&v)?;
-            }
-        }
-        if let Ok(v) = std::env::var("REPRO_TRACEVIZ_DIR") {
-            if !v.is_empty() {
-                cfg.traceviz_dir = PathBuf::from(v);
-            }
-        }
-        Ok(cfg)
-    }
-}
-
-fn parse_tick_ms(value: &str) -> Result<u64, String> {
-    match value.parse::<u64>() {
-        Ok(0) => Err("REPRO_PROGRESS_TICK_MS must be a positive integer (milliseconds)".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "unrecognized REPRO_PROGRESS_TICK_MS value {value:?}; expected a positive integer \
-             (milliseconds)"
-        )),
     }
 }
 
@@ -186,13 +130,5 @@ mod tests {
         let cfg = TelemetryConfig::off();
         assert_eq!(cfg.prof, ProfMode::Off);
         assert!(!cfg.mode.enabled());
-    }
-
-    #[test]
-    fn tick_values_parse_strictly() {
-        assert_eq!(parse_tick_ms("250"), Ok(250));
-        assert!(parse_tick_ms("0").is_err());
-        assert!(parse_tick_ms("fast").is_err());
-        assert!(parse_tick_ms("-5").is_err());
     }
 }

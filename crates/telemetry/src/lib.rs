@@ -36,9 +36,10 @@
 //! All JSON is hand-rolled ([`json`]) — escaping, a value tree, and a
 //! strict parser — because the environment has no serde.
 //!
-//! Experiments opt in via the `REPRO_TELEMETRY` environment variable,
-//! parsed strictly by [`TelemetryMode::from_env`]; profiling depth is
-//! the separate `REPRO_PROF` knob, parsed by [`ProfMode::from_env`].
+//! The crate reads no environment variable. A session's configuration
+//! is an explicit [`TelemetryConfig`]; the experiments crate's knob table
+//! fills it from `REPRO_TELEMETRY`, `REPRO_PROF` and friends with the
+//! strict [`TelemetryMode::parse`] and [`ProfMode::parse`].
 
 pub mod ctx;
 pub mod event;
@@ -111,23 +112,6 @@ impl TelemetryMode {
                 "unrecognized REPRO_TELEMETRY value {other:?}; accepted values: {}",
                 TelemetryMode::ACCEPTED
             )),
-        }
-    }
-
-    /// Reads the mode from `REPRO_TELEMETRY`, defaulting to [`Off`] when
-    /// unset or set to the empty string (the `REPRO_TELEMETRY= cmd` shell
-    /// idiom for "unset").
-    ///
-    /// Returns the parse error (listing the accepted values) if the
-    /// variable is set to something unrecognized; binaries turn that into
-    /// an `eprintln` + `exit(2)` instead of a panic backtrace.
-    ///
-    /// [`Off`]: TelemetryMode::Off
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("REPRO_TELEMETRY") {
-            Ok(v) if v.is_empty() => Ok(TelemetryMode::Off),
-            Ok(v) => TelemetryMode::parse(&v),
-            Err(_) => Ok(TelemetryMode::Off),
         }
     }
 

@@ -62,18 +62,6 @@ impl ProfMode {
         }
     }
 
-    /// Reads the mode from `REPRO_PROF`, defaulting to [`Spans`] when
-    /// unset or empty. Binaries turn the error into `eprintln` + exit 2.
-    ///
-    /// [`Spans`]: ProfMode::Spans
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("REPRO_PROF") {
-            Ok(v) if v.is_empty() => Ok(ProfMode::Spans),
-            Ok(v) => ProfMode::parse(&v),
-            Err(_) => Ok(ProfMode::Spans),
-        }
-    }
-
     /// Whether coarse phase spans are recorded.
     pub fn spans(self) -> bool {
         self != ProfMode::Off

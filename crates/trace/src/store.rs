@@ -6,9 +6,10 @@
 //! so a trace is generated at most once per configuration and every
 //! later run replays it from disk.
 //!
-//! Writes are crash- and concurrency-safe: the encoded bytes go to a
-//! uniquely named staging file (same directory, process-unique suffix)
-//! which is fsynced and atomically renamed into place — the same
+//! Writes are crash- and concurrency-safe: the trace is encoded
+//! straight into a uniquely named staging file (same directory,
+//! process-unique suffix, no in-memory copy of the encoding) which is
+//! fsynced and atomically renamed into place — the same
 //! discipline as `sim_telemetry::atomic_write`, but with per-process
 //! staging names so two recorders racing on one key cannot tear each
 //! other's half-written bytes; the losing rename simply overwrites with
@@ -29,21 +30,15 @@
 use crate::bbv::BbvSection;
 use crate::format::{TraceError, TraceHeader, TraceMeta, CHUNK_RECORDS};
 use crate::reader::TraceReader;
-use crate::writer::encode_to_vec;
+use crate::writer::write_trace;
 use sim_isa::VecTrace;
 use std::collections::HashSet;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Environment variable selecting the store mode.
-pub const MODE_ENV: &str = "REPRO_TRACE_STORE";
-
-/// Environment variable overriding the store directory.
-pub const DIR_ENV: &str = "REPRO_TRACE_STORE_DIR";
 
 /// Default store directory, relative to the working directory.
 pub const DEFAULT_DIR: &str = "results/traces";
@@ -72,20 +67,9 @@ impl StoreMode {
             "rw" => Ok(StoreMode::ReadWrite),
             "ro" => Ok(StoreMode::ReadOnly),
             _ => Err(format!(
-                "unrecognized {MODE_ENV} value {value:?}; accepted values: {}",
+                "unrecognized REPRO_TRACE_STORE value {value:?}; accepted values: {}",
                 StoreMode::ACCEPTED
             )),
-        }
-    }
-
-    /// Reads the mode from [`MODE_ENV`], defaulting to read-write when
-    /// unset or empty. A typo is an error, not a silent default — the
-    /// same contract as every other `REPRO_*` knob.
-    pub fn from_env() -> Result<StoreMode, String> {
-        match std::env::var(MODE_ENV) {
-            Ok(v) if v.is_empty() => Ok(StoreMode::ReadWrite),
-            Ok(v) => StoreMode::parse(&v),
-            Err(_) => Ok(StoreMode::ReadWrite),
         }
     }
 
@@ -287,20 +271,6 @@ impl TraceStore {
         }
     }
 
-    /// Builds the store from [`MODE_ENV`] and [`DIR_ENV`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error for an unrecognized mode value.
-    pub fn from_env() -> Result<TraceStore, String> {
-        let mode = StoreMode::from_env()?;
-        let dir = match std::env::var(DIR_ENV) {
-            Ok(v) if !v.is_empty() => PathBuf::from(v),
-            _ => PathBuf::from(DEFAULT_DIR),
-        };
-        Ok(TraceStore::new(dir, mode))
-    }
-
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -334,8 +304,8 @@ impl TraceStore {
     }
 
     /// [`TraceStore::load_or_record`] with an optional fault hook:
-    /// `corrupt_fraction` truncates the encoded bytes to that fraction
-    /// before the recording write, modeling a torn write for chaos
+    /// `corrupt_fraction` truncates the staged file to that fraction of
+    /// its bytes before it is published, modeling a torn write for chaos
     /// tests (the read-back verification is expected to catch it).
     pub fn load_or_record_with(
         &self,
@@ -391,16 +361,7 @@ impl TraceStore {
             });
         }
         let trace = generate();
-        let mut encoded = encode_to_vec(key.meta(), &trace).map_err(|source| StoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        if let Some(fraction) = corrupt_fraction {
-            let keep = ((encoded.len() as f64 * fraction) as usize).min(encoded.len());
-            encoded.truncate(keep);
-        }
-        let bytes = encoded.len() as u64;
-        self.write_atomic(&path, &encoded)?;
+        let bytes = self.record(key, &path, &trace, corrupt_fraction)?;
         // Read back what the filesystem now holds: verifies the write
         // end to end through the same reader a hit uses.
         let started = Instant::now();
@@ -505,7 +466,17 @@ impl TraceStore {
         }
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    /// Encodes `trace` straight into a staged file, fsyncs it and
+    /// renames it into place at `path`; returns the bytes written. The
+    /// encoding is streamed, so no second copy of the trace is ever
+    /// buffered. `corrupt_fraction` cuts the staged file short first.
+    fn record(
+        &self,
+        key: &TraceKey,
+        path: &Path,
+        trace: &VecTrace,
+        corrupt_fraction: Option<f64>,
+    ) -> Result<u64, StoreError> {
         let io_err = |source: io::Error| StoreError::Io {
             path: path.to_path_buf(),
             source,
@@ -518,22 +489,26 @@ impl TraceStore {
             STAGE_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         let result = (|| {
-            let mut f = fs::File::create(&stage)?;
-            f.write_all(bytes)?;
+            let f = File::create(&stage)?;
+            let bytes = write_trace(BufWriter::new(&f), key.meta(), trace)?.bytes;
+            if let Some(fraction) = corrupt_fraction {
+                f.set_len(((bytes as f64 * fraction) as u64).min(bytes))?;
+            }
             f.sync_all()?;
             drop(f);
-            fs::rename(&stage, path)
+            fs::rename(&stage, path)?;
+            Ok(bytes)
         })();
-        if let Err(source) = result {
+        let bytes = result.map_err(|source| {
             let _ = fs::remove_file(&stage);
-            return Err(io_err(source));
-        }
+            io_err(source)
+        })?;
         // Directory sync is best-effort, as in sim-telemetry's fsio: it
         // narrows the window where the rename itself is lost to a crash.
-        if let Ok(d) = fs::File::open(&self.dir) {
+        if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        Ok(())
+        Ok(bytes)
     }
 }
 
@@ -577,7 +552,13 @@ mod tests {
         let first = store.load_or_record(&key(), || make_trace(64)).unwrap();
         assert!(!first.hit);
         assert!(first.recorded);
-        assert!(first.bytes > 0);
+        // The streamed recording is exactly the in-memory encoding.
+        let recorded = fs::read(store.path_for(&key())).unwrap();
+        assert_eq!(
+            recorded,
+            crate::encode_to_vec(key().meta(), &make_trace(64)).unwrap()
+        );
+        assert_eq!(first.bytes, recorded.len() as u64);
         let generated = AtomicBool::new(false);
         let second = store
             .load_or_record(&key(), || {
@@ -766,6 +747,6 @@ mod tests {
         assert_eq!(StoreMode::parse("RO").unwrap(), StoreMode::ReadOnly);
         assert_eq!(StoreMode::parse("off").unwrap(), StoreMode::Off);
         let err = StoreMode::parse("banana").unwrap_err();
-        assert!(err.contains(MODE_ENV), "{err}");
+        assert!(err.contains("REPRO_TRACE_STORE"), "{err}");
     }
 }
