@@ -9,7 +9,7 @@
 //! structure ahead of execution and proves the dynamic traces conform to
 //! it:
 //!
-//! * [`cfg`] — block-level CFGs and the static call graph,
+//! * [`cfg`](mod@cfg) — block-level CFGs and the static call graph,
 //! * [`dom`] — reachability, dominators, and natural-loop back edges,
 //! * [`image`] — the exact per-address static instruction image,
 //! * [`metrics`] — static instruction/branch class counts, switch arity,

@@ -1,7 +1,7 @@
 //! The paper's Section 4.2 hardware-cost model.
 //!
 //! "The cost of the predictor is estimated using the following equations:
-//! BTB = [entries] × [bits/entry]; target cache(n) = [bits/entry] × n;
+//! BTB = \[entries\] × \[bits/entry\]; target cache(n) = \[bits/entry\] × n;
 //! predictor budget = BTB + target cache(n). ... Since the BTB has 256 sets
 //! and is 4-way set-associative, the target cache increases the predictor
 //! hardware budget by ~10 percent." (The scan garbles the exact per-entry

@@ -10,8 +10,9 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale, Sweep};
+use crate::runner::{timing_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
+use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
 
@@ -34,16 +35,17 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let tc = sweep.timing(
-        ctx,
+    let machines = [
+        FrontEndConfig::isca97_baseline(),
         FrontEndConfig::isca97_with(best_tagless_for(benchmark)),
-    );
-    let oracle = sweep.timing(ctx, FrontEndConfig::isca97_oracle());
+        FrontEndConfig::isca97_oracle(),
+    ]
+    .map(MachineConfig::isca97);
+    let reports = timing_sweep(ctx, &t, &machines);
+    let (base, tc, oracle) = (&reports[0], &reports[1], &reports[2]);
     let mut d = CellData::new();
-    d.set("target_cache", tc.exec_time_reduction_vs(&base));
-    d.set("oracle", oracle.exec_time_reduction_vs(&base));
+    d.set("target_cache", tc.exec_time_reduction_vs(base));
+    d.set("oracle", oracle.exec_time_reduction_vs(base));
     d
 }
 

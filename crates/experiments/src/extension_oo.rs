@@ -13,8 +13,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, Scale, Sweep};
+use crate::runner::{functional, timing_sweep, Scale};
 use crate::telemetry::TelemetryCtx;
+use hps_uarch::MachineConfig;
 use sim_isa::VecTrace;
 use sim_workloads::OoBenchmark;
 use target_cache::harness::FrontEndConfig;
@@ -68,24 +69,32 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = oo_benchmark(label);
     let t = oo_trace(benchmark, scale);
     let stats = t.stats();
-    let mut sweep = Sweep::new(&t);
-    let base_report = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
     let mut d = CellData::new();
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
     d.set("indirect_fraction", stats.indirect_jump_fraction());
-    for (name, tc) in configs() {
-        let fe = match tc {
+    let configs = configs();
+    let frontends: Vec<FrontEndConfig> = configs
+        .iter()
+        .map(|(_, tc)| match tc {
             None => FrontEndConfig::isca97_baseline(),
-            Some(tc) => FrontEndConfig::isca97_with(tc),
-        };
+            Some(tc) => FrontEndConfig::isca97_with(*tc),
+        })
+        .collect();
+    for ((name, _), &fe) in configs.iter().zip(&frontends) {
         d.set(
             format!("mispred.{name}"),
             functional(ctx, &t, fe).indirect_jump_misprediction_rate(),
         );
-        d.set(
-            format!("exec.{name}"),
-            sweep.timing(ctx, fe).exec_time_reduction_vs(&base_report),
-        );
+    }
+    // The baseline and every configuration replay as one batch.
+    let machines: Vec<MachineConfig> = std::iter::once(FrontEndConfig::isca97_baseline())
+        .chain(frontends)
+        .map(MachineConfig::isca97)
+        .collect();
+    let reports = timing_sweep(ctx, &t, &machines);
+    let (base, rest) = reports.split_first().expect("the baseline runs first");
+    for ((name, _), report) in configs.iter().zip(rest) {
+        d.set(format!("exec.{name}"), report.exec_time_reduction_vs(base));
     }
     d
 }

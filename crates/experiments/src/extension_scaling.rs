@@ -16,7 +16,7 @@
 use crate::headline::best_tagless_for;
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale, Sweep};
+use crate::runner::{timing_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use hps_uarch::MachineConfig;
 use sim_workloads::Benchmark;
@@ -60,19 +60,25 @@ pub fn cell_labels() -> Vec<&'static str> {
 
 /// Computes one benchmark's cell: `red.<machine>` and `ipc.<machine>` per
 /// design point. The machines differ only in schedule parameters, so all
-/// six runs share one sweep.
+/// six runs share one recording and replay as one batch.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
     let tc = best_tagless_for(benchmark);
-    let mut sweep = Sweep::new(&t);
+    let machines = machines();
+    let runs: Vec<MachineConfig> = machines
+        .iter()
+        .flat_map(|(_, machine)| {
+            let mut with_tc = machine.clone();
+            with_tc.frontend = FrontEndConfig::isca97_with(tc);
+            [machine.clone(), with_tc]
+        })
+        .collect();
+    let reports = timing_sweep(ctx, &t, &runs);
     let mut d = CellData::new();
-    for (name, machine) in machines() {
-        let base = sweep.timing_on(ctx, &machine);
-        let mut with_tc = machine.clone();
-        with_tc.frontend = FrontEndConfig::isca97_with(tc);
-        let faster = sweep.timing_on(ctx, &with_tc);
-        d.set(format!("red.{name}"), faster.exec_time_reduction_vs(&base));
+    for ((name, _), pair) in machines.iter().zip(reports.chunks(2)) {
+        let (base, faster) = (&pair[0], &pair[1]);
+        d.set(format!("red.{name}"), faster.exec_time_reduction_vs(base));
         d.set(format!("ipc.{name}"), base.ipc());
     }
     d

@@ -13,10 +13,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale, Sweep};
+use crate::runner::{exec_reductions, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
 /// Associativities swept for the tagged series (the figures use 1..=256).
@@ -37,20 +36,16 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
-    d.set(
-        "tagless",
-        sweep.exec_reduction(ctx, &base, TargetCacheConfig::isca97_tagless_gshare()),
+    let mut configs = vec![(
+        "tagless".to_string(),
+        TargetCacheConfig::isca97_tagless_gshare(),
+    )];
+    configs.extend(
+        ASSOCS
+            .iter()
+            .map(|&assoc| (tagged_key(assoc), TargetCacheConfig::isca97_tagged(assoc))),
     );
-    for &assoc in &ASSOCS {
-        d.set(
-            tagged_key(assoc),
-            sweep.exec_reduction(ctx, &base, TargetCacheConfig::isca97_tagged(assoc)),
-        );
-    }
-    d
+    exec_reductions(ctx, &t, &configs)
 }
 
 /// Renders a (possibly partial) cell set as the figures' series.

@@ -10,7 +10,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{baseline_and_tc, functional, trace, Scale};
+use crate::runner::{exec_reductions, functional, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use branch_predictors::PathFilter;
 use sim_workloads::Benchmark;
@@ -41,8 +41,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let with_tc = functional(ctx, &t, FrontEndConfig::isca97_with(tc));
     let btb_mispred = base.indirect_jump_misprediction_rate();
     let tc_mispred = with_tc.indirect_jump_misprediction_rate();
-    let (base_rep, tc_rep) = baseline_and_tc(ctx, &t, tc);
-    let mut d = CellData::new();
+    let mut d = exec_reductions(ctx, &t, &[("exec_reduction".into(), tc)]);
     d.set("btb_mispred", btb_mispred);
     d.set("tc_mispred", tc_mispred);
     d.set(
@@ -53,7 +52,6 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
             0.0
         },
     );
-    d.set("exec_reduction", tc_rep.exec_time_reduction_vs(&base_rep));
     d
 }
 

@@ -72,9 +72,9 @@ impl Scenario {
 ///   heaviest indirect-jump workloads (perl, gcc): one configuration,
 ///   so it pays the per-trace recording too.
 /// * `timing-sweep/<bench>` — Table 5's 26 configurations (the BTB
-///   baseline plus 25 target caches) on one trace through one
-///   [`runner::Sweep`], as the timing tables run them; its time per
-///   instruction is the cost per configuration.
+///   baseline plus 25 target caches) on one trace as one batch
+///   ([`runner::exec_reductions`]), as the timing tables run them; its
+///   time per instruction is the cost per configuration.
 /// * `analysis-static` — the full static-analysis stack (verification
 ///   plus the predictability profile) over all 8 benchmark models.
 /// * `analysis-conformance` — trace-conformance replay of the shared
@@ -194,12 +194,8 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
         let claim = claim.clone();
         scenarios.push(Scenario::new(format!("timing-sweep/{bench}"), move || {
             claim(bench);
-            let mut sweep = runner::Sweep::new(&trace);
-            let base = sweep.timing(&ctx, FrontEndConfig::isca97_baseline());
             let configs = crate::table5::configs();
-            for (_, config) in &configs {
-                std::hint::black_box(sweep.exec_reduction(&ctx, &base, *config));
-            }
+            std::hint::black_box(runner::exec_reductions(&ctx, &trace, &configs));
             (1 + configs.len() as u64) * trace.len() as u64
         }));
     }

@@ -5,6 +5,7 @@
 //! events without changing its results. A [`TelemetryCtx::off`] context
 //! runs everything uninstrumented.
 
+use crate::jobs::CellData;
 use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{MachineConfig, SimReport, TimingSweep};
@@ -235,13 +236,15 @@ pub fn functional(
     hub::add_instructions(trace.len() as u64);
     let mut h = PredictionHarness::new(frontend);
     if let Some(hub) = ctx.hub() {
-        h.attach_telemetry(hub.harness_telemetry());
+        let hooks = hub.harness_telemetry();
+        h.attach_telemetry(hooks.clone());
         let started = Instant::now();
         {
             let _g = hub.spans().span("harness-replay");
             h.run(trace);
         }
         hub.finish_run(
+            &hooks,
             &config_desc(h.config()),
             trace.len() as u64,
             h.stats(),
@@ -255,115 +258,98 @@ pub fn functional(
     h.stats().clone()
 }
 
-/// Runs the timing model over a trace: a [`Sweep`] of one configuration.
+/// Runs the timing model over a trace: a [`timing_sweep`] of one
+/// configuration.
 pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) -> SimReport {
-    Sweep::new(trace).timing(ctx, frontend)
+    timing_sweep(ctx, trace, &[MachineConfig::isca97(frontend)])
+        .pop()
+        .expect("a sweep of one reports once")
 }
 
-/// Timing runs over one trace that share the configuration-independent
-/// half of the timing model.
+/// Runs every machine in `machines` over one trace and returns their
+/// reports in the same order.
 ///
-/// The first run on a given baseline front end and data cache records a
-/// [`TimingSweep`] (inside that run's `uarch-sim` span, so the recording is
-/// charged to the timing layer); every later run on the same key replays
-/// only its indirect stage and schedule. Each run still gets its own
-/// `uarch-sim` span, manifest run record and `trace.len()` instructions
-/// of credit, exactly as [`timing`] does.
-pub struct Sweep<'a> {
-    trace: &'a VecTrace,
-    sweeps: Vec<TimingSweep<'a>>,
-}
-
-impl<'a> Sweep<'a> {
-    /// A sweep over `trace`; nothing is simulated until the first run.
-    pub fn new(trace: &'a VecTrace) -> Self {
-        Sweep {
-            trace,
-            sweeps: Vec::new(),
-        }
-    }
-
-    /// Runs the paper's HPS machine with `frontend`.
-    pub fn timing(&mut self, ctx: &TelemetryCtx, frontend: FrontEndConfig) -> SimReport {
-        self.timing_on(ctx, &MachineConfig::isca97(frontend))
-    }
-
-    /// Runs an arbitrary machine (the per-machine override: widths,
-    /// window, function units and depth may differ from run to run).
-    pub fn timing_on(&mut self, ctx: &TelemetryCtx, machine: &MachineConfig) -> SimReport {
-        let report = if let Some(hub) = ctx.hub() {
-            let started = Instant::now();
-            let report = {
-                let _g = hub.spans().span("uarch-sim");
-                let telemetry = hub.harness_telemetry();
-                self.sweep_for(machine, Some(&telemetry))
-                    .run_on(machine, Some(telemetry))
-            };
-            hub.finish_run(
-                &config_desc(&machine.frontend),
-                report.instructions,
-                &report.branch_stats,
-                None,
-                None,
-                started.elapsed().as_nanos() as u64,
-            );
-            report
-        } else {
-            self.sweep_for(machine, None).run_on(machine, None)
-        };
-        hub::add_instructions(self.trace.len() as u64);
-        report
-    }
-
-    /// Execution-time reduction of a target-cache configuration against a
-    /// baseline report from this sweep.
-    pub fn exec_reduction(
-        &mut self,
-        ctx: &TelemetryCtx,
-        base: &SimReport,
-        tc: TargetCacheConfig,
-    ) -> f64 {
-        self.timing(ctx, FrontEndConfig::isca97_with(tc))
-            .exec_time_reduction_vs(base)
-    }
-
-    /// The recorded sweep serving `machine`, recording it on first use.
-    fn sweep_for(
-        &mut self,
-        machine: &MachineConfig,
-        telemetry: Option<&HarnessTelemetry>,
-    ) -> &TimingSweep<'a> {
-        let i = match self.sweeps.iter().position(|s| s.serves(machine)) {
-            Some(i) => i,
-            None => {
-                self.sweeps.push(TimingSweep::new_instrumented(
-                    self.trace, machine, telemetry,
-                ));
-                self.sweeps.len() - 1
-            }
-        };
-        &self.sweeps[i]
-    }
-}
-
-/// The paper's headline derived metric: execution-time reduction of a
-/// target-cache configuration over the BTB-only baseline, on one trace.
-pub fn exec_time_reduction(ctx: &TelemetryCtx, trace: &VecTrace, tc: TargetCacheConfig) -> f64 {
-    let (base, with_tc) = baseline_and_tc(ctx, trace, tc);
-    with_tc.exec_time_reduction_vs(&base)
-}
-
-/// Both runs at once, when the caller wants the reports too.
-pub fn baseline_and_tc(
+/// Machines with the same baseline front end and data cache
+/// ([`TimingSweep::serves`]) form one batch: the batch records that
+/// configuration-independent half once and replays all its machines in
+/// one lockstep pass ([`TimingSweep::run_all`]), inside one `uarch-sim`
+/// span (so the recording is charged to the timing layer too). Each
+/// machine still gets its own manifest run record, event stream and
+/// `trace.len()` instructions of credit, exactly as a lone [`timing`] run
+/// does; a run record's wall time is its even share of its batch's.
+pub fn timing_sweep(
     ctx: &TelemetryCtx,
     trace: &VecTrace,
-    tc: TargetCacheConfig,
-) -> (SimReport, SimReport) {
-    let mut sweep = Sweep::new(trace);
-    (
-        sweep.timing(ctx, FrontEndConfig::isca97_baseline()),
-        sweep.timing(ctx, FrontEndConfig::isca97_with(tc)),
-    )
+    machines: &[MachineConfig],
+) -> Vec<SimReport> {
+    // One set of hooks (so one event sink) per machine, drained in batch
+    // order once its batch is done.
+    let hooks: Vec<Option<HarnessTelemetry>> = machines
+        .iter()
+        .map(|_| ctx.hub().map(|hub| hub.harness_telemetry()))
+        .collect();
+    let mut reports: Vec<Option<SimReport>> = vec![None; machines.len()];
+    let mut pending: Vec<usize> = (0..machines.len()).collect();
+    while let Some(&first) = pending.first() {
+        let started = Instant::now();
+        let span = ctx.hub().map(|hub| hub.spans().span("uarch-sim"));
+        let sweep = TimingSweep::new_instrumented(trace, &machines[first], hooks[first].as_ref());
+        let (batch, rest): (Vec<usize>, Vec<usize>) =
+            pending.iter().partition(|&&i| sweep.serves(&machines[i]));
+        let lanes: Vec<MachineConfig> = batch.iter().map(|&i| machines[i].clone()).collect();
+        let lane_hooks: Option<Vec<HarnessTelemetry>> =
+            batch.iter().map(|&i| hooks[i].clone()).collect();
+        let out = sweep.run_all(&lanes, lane_hooks.as_deref());
+        drop(span);
+        let wall_ns = started.elapsed().as_nanos() as u64 / batch.len() as u64;
+        for (&i, report) in batch.iter().zip(out) {
+            if let (Some(hub), Some(hooks)) = (ctx.hub(), &hooks[i]) {
+                hub.finish_run(
+                    hooks,
+                    &config_desc(&machines[i].frontend),
+                    report.instructions,
+                    &report.branch_stats,
+                    None,
+                    None,
+                    wall_ns,
+                );
+            }
+            reports[i] = Some(report);
+        }
+        pending = rest;
+    }
+    hub::add_instructions(machines.len() as u64 * trace.len() as u64);
+    reports
+        .into_iter()
+        .map(|r| r.expect("every machine runs in some batch"))
+        .collect()
+}
+
+/// The paper's headline derived metric for each keyed target-cache
+/// configuration — its execution-time reduction over the BTB-only
+/// baseline on one trace — as cell data under the configuration's key.
+/// The baseline and every configuration run as one [`timing_sweep`],
+/// baseline first.
+pub fn exec_reductions(
+    ctx: &TelemetryCtx,
+    trace: &VecTrace,
+    configs: &[(String, TargetCacheConfig)],
+) -> CellData {
+    let machines: Vec<MachineConfig> = std::iter::once(FrontEndConfig::isca97_baseline())
+        .chain(
+            configs
+                .iter()
+                .map(|&(_, tc)| FrontEndConfig::isca97_with(tc)),
+        )
+        .map(MachineConfig::isca97)
+        .collect();
+    let reports = timing_sweep(ctx, trace, &machines);
+    let (base, with_tc) = reports.split_first().expect("the baseline runs first");
+    let mut d = CellData::new();
+    for ((key, _), report) in configs.iter().zip(with_tc) {
+        d.set(key.clone(), report.exec_time_reduction_vs(base));
+    }
+    d
 }
 
 #[cfg(test)]
@@ -395,12 +381,16 @@ mod tests {
 
         let off = TelemetryCtx::off();
         let t = trace(&off, Benchmark::Perl, Scale::Quick);
-        let frontends = [
+        let machines = [
             FrontEndConfig::isca97_baseline(),
             FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
             FrontEndConfig::isca97_oracle(),
-        ];
-        let single: Vec<SimReport> = frontends.iter().map(|&f| timing(&off, &t, f)).collect();
+        ]
+        .map(MachineConfig::isca97);
+        let single: Vec<SimReport> = machines
+            .iter()
+            .map(|m| timing(&off, &t, m.frontend))
+            .collect();
 
         let dir = std::env::temp_dir().join(format!("runner-sweep-{}", std::process::id()));
         let session = session_with_config(
@@ -415,21 +405,19 @@ mod tests {
         );
         let ctx = session.ctx();
         hub::take_instructions();
-        let mut sweep = Sweep::new(&t);
-        for (frontend, want) in frontends.iter().zip(&single) {
-            assert_eq!(&sweep.timing(&ctx, *frontend), want);
-        }
+        assert_eq!(timing_sweep(&ctx, &t, &machines), single);
 
-        // Every configuration keeps its own credit, span and counters ...
+        // Every configuration keeps its own credit and counters ...
         let (len, branches) = (t.len() as u64, t.stats().branches());
         assert_eq!(hub::take_instructions(), 3 * len);
         let h = ctx.hub().expect("telemetry on");
-        let spans = h.spans().snapshot();
-        let uarch = spans.iter().find(|s| s.name() == "uarch-sim").unwrap();
-        assert_eq!(uarch.count, 3);
         let counters = h.registry().snapshot();
         assert_eq!(counters.counter("harness.branches"), 3 * branches);
-        // ... while the baseline front end is sampled once, at recording.
+        // ... and its own pipeline-stage samples, while the batch is one
+        // span and the baseline front end is sampled once, at recording.
+        let spans = h.spans().snapshot();
+        let uarch = spans.iter().find(|s| s.name() == "uarch-sim").unwrap();
+        assert_eq!(uarch.count, 1);
         let hot = h.hot().snapshot();
         let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
         for stage in ["uarch-fetch", "uarch-execute", "uarch-retire"] {
@@ -449,10 +437,111 @@ mod tests {
     }
 
     #[test]
+    fn a_batched_cell_records_what_batches_of_one_record() {
+        use crate::telemetry::{session_with_config, ProfMode, TelemetryConfig, TelemetryMode};
+        use sim_telemetry::Json;
+
+        // One Table 5 cell under an events session with full profiling:
+        // everything a timing run records must be the same whether the 26
+        // configurations replay as one batch (as the cell runs them) or
+        // as 26 batches of one.
+        let configs = crate::table5::configs();
+        let len = trace(&TelemetryCtx::off(), Benchmark::Perl, Scale::Quick).len() as u64;
+        let observe = |batched: bool| {
+            let dir = std::env::temp_dir()
+                .join(format!("runner-parity-{}-{batched}", std::process::id()));
+            let session = session_with_config(
+                "parity",
+                Scale::Quick,
+                TelemetryConfig {
+                    mode: TelemetryMode::Events,
+                    prof: ProfMode::Full,
+                    dir: dir.clone(),
+                    ..TelemetryConfig::off()
+                },
+            );
+            let ctx = session.ctx();
+            let cell = if batched {
+                crate::table5::cell(&ctx, "perl", Scale::Quick)
+            } else {
+                let t = trace(&ctx, Benchmark::Perl, Scale::Quick);
+                let machines = std::iter::once(FrontEndConfig::isca97_baseline())
+                    .chain(
+                        configs
+                            .iter()
+                            .map(|&(_, tc)| FrontEndConfig::isca97_with(tc)),
+                    )
+                    .map(MachineConfig::isca97);
+                let reports: Vec<SimReport> = machines
+                    .flat_map(|m| timing_sweep(&ctx, &t, std::slice::from_ref(&m)))
+                    .collect();
+                let mut d = CellData::new();
+                for ((key, _), report) in configs.iter().zip(&reports[1..]) {
+                    d.set(key.clone(), report.exec_time_reduction_vs(&reports[0]));
+                }
+                d
+            };
+            let h = ctx.hub().expect("telemetry on").clone();
+            // Wall-clock counters aside, every counter must agree.
+            let counters: Vec<(String, u64)> = h
+                .registry()
+                .snapshot()
+                .counters()
+                .filter(|(name, _)| !name.ends_with("_ns"))
+                .map(|(name, v)| (name.to_string(), v))
+                .collect();
+            let hot = h.hot().snapshot();
+            let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+            let stages = ["uarch-fetch", "uarch-execute", "uarch-retire"].map(samples);
+            let (manifest_path, events_path) = (session.manifest_path(), session.events_path());
+            drop(session);
+            let manifest =
+                sim_telemetry::json::parse(&std::fs::read_to_string(&manifest_path).unwrap())
+                    .expect("manifest parses");
+            let runs: Vec<Json> = manifest
+                .get("runs")
+                .and_then(Json::as_arr)
+                .expect("manifest lists its runs")
+                .iter()
+                .map(|run| {
+                    let mut run = run.clone();
+                    if let Json::Obj(fields) = &mut run {
+                        fields.remove("wall_ns");
+                    }
+                    run
+                })
+                .collect();
+            let events = std::fs::read_to_string(&events_path).expect("events written");
+            let _ = std::fs::remove_dir_all(&dir);
+            (cell, counters, stages, runs, events)
+        };
+        let (batched, one_by_one) = (observe(true), observe(false));
+        assert_eq!(batched.0, one_by_one.0, "cell values");
+        assert_eq!(batched.1, one_by_one.1, "counters");
+        assert_eq!(batched.2, [26 * len; 3], "uarch stage samples");
+        assert_eq!(batched.2, one_by_one.2);
+        assert_eq!(batched.3.len(), 26);
+        assert_eq!(batched.3, one_by_one.3, "manifest run records");
+        // Event streams run to megabytes: name the first difference.
+        let (events, alone): (Vec<&str>, Vec<&str>) =
+            (batched.4.lines().collect(), one_by_one.4.lines().collect());
+        assert!(!events.is_empty(), "perl mispredicts some jumps");
+        assert_eq!(events.len(), alone.len(), "event count");
+        if let Some(i) = events.iter().zip(&alone).position(|(a, b)| a != b) {
+            panic!("event {i} differs: {} vs {}", events[i], alone[i]);
+        }
+    }
+
+    #[test]
     fn target_cache_reduces_execution_time_on_perl() {
         let ctx = TelemetryCtx::off();
         let t = trace(&ctx, Benchmark::Perl, Scale::Quick);
-        let red = exec_time_reduction(&ctx, &t, TargetCacheConfig::isca97_tagless_gshare());
+        let red = exec_reductions(
+            &ctx,
+            &t,
+            &[("tc".into(), TargetCacheConfig::isca97_tagless_gshare())],
+        )
+        .req("tc");
         assert!(red > 0.0, "target cache must speed up perl, got {red}");
     }
 }

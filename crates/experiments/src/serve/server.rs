@@ -12,7 +12,8 @@
 //!   one flooding client cannot starve the others.
 //! * **Cooperative cancellation.** `DELETE /run/<id>`, a dropped
 //!   `GET /progress` stream (with `?cancel=1`), a per-request deadline, and
-//!   daemon drain all trip the same [`CancelToken`]; the pool stops at
+//!   daemon drain all trip the same
+//!   [`CancelToken`](crate::jobs::pool::CancelToken); the pool stops at
 //!   the next cell boundary, logging every finished cell so a resume
 //!   skips them.
 //! * **Isolation.** Every request gets its own namespace
@@ -20,7 +21,7 @@
 //!   session; the only shared mutable state is the trace store, which
 //!   is single-writer record-on-miss.
 //! * **One mechanism.** A request runs through the same driver core as
-//!   the batch binaries ([`cli::drive_plan`]); its campaign log is the
+//!   the batch binaries (`jobs::cli::drive_plan`); its campaign log is the
 //!   source of `GET /status`'s live view and of `GET /progress`.
 //! * **Graceful drain.** SIGTERM/SIGINT stop admission, cancel queued
 //!   work, let in-flight cells finish and log, flush manifests, and

@@ -12,10 +12,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, PathScheme, Scale, Sweep};
+use crate::runner::{exec_reductions, trace, PathScheme, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{Organization, TargetCacheConfig};
 
 /// Target-address bit offsets studied (0 = the lowest bits above the
@@ -57,13 +56,7 @@ pub fn configs() -> Vec<(String, TargetCacheConfig)> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
-    for (key, config) in configs() {
-        d.set(key, sweep.exec_reduction(ctx, &base, config));
-    }
-    d
+    exec_reductions(ctx, &t, &configs())
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 5.

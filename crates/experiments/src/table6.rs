@@ -10,10 +10,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, PathScheme, Scale, Sweep};
+use crate::runner::{exec_reductions, trace, PathScheme, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{Organization, TargetCacheConfig};
 
 /// Bits-per-target values studied (the paper uses 1, 2, 3).
@@ -34,22 +33,22 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
+    let mut configs = Vec::new();
     for &bits in &BITS_PER_TARGET {
         for scheme in PathScheme::all() {
-            let config = TargetCacheConfig::new(
-                Organization::Tagless {
-                    entries: 512,
-                    scheme: target_cache::IndexScheme::Gshare,
-                },
-                scheme.source(9, bits, 0),
-            );
-            d.set(key(bits, &scheme), sweep.exec_reduction(ctx, &base, config));
+            configs.push((
+                key(bits, &scheme),
+                TargetCacheConfig::new(
+                    Organization::Tagless {
+                        entries: 512,
+                        scheme: target_cache::IndexScheme::Gshare,
+                    },
+                    scheme.source(9, bits, 0),
+                ),
+            ));
         }
     }
-    d
+    exec_reductions(ctx, &t, &configs)
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 6.

@@ -11,10 +11,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, PathScheme, Scale, Sweep};
+use crate::runner::{exec_reductions, trace, PathScheme, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{Organization, TaggedIndexScheme, TargetCacheConfig};
 
 /// Associativities studied.
@@ -35,26 +34,23 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
+    let mut configs = Vec::new();
     for &assoc in &ASSOCS {
         for scheme in PathScheme::all() {
-            let config = TargetCacheConfig::new(
-                Organization::Tagged {
-                    entries: 256,
-                    assoc,
-                    scheme: TaggedIndexScheme::HistoryXor,
-                },
-                scheme.source(9, 1, 0),
-            );
-            d.set(
+            configs.push((
                 key(assoc, &scheme),
-                sweep.exec_reduction(ctx, &base, config),
-            );
+                TargetCacheConfig::new(
+                    Organization::Tagged {
+                        entries: 256,
+                        assoc,
+                        scheme: TaggedIndexScheme::HistoryXor,
+                    },
+                    scheme.source(9, 1, 0),
+                ),
+            ));
         }
     }
-    d
+    exec_reductions(ctx, &t, &configs)
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 8.

@@ -10,10 +10,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale, Sweep};
+use crate::runner::{exec_reductions, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::FrontEndConfig;
 use target_cache::{HistorySource, Organization, TaggedIndexScheme, TargetCacheConfig};
 
 /// Associativities studied.
@@ -37,23 +36,23 @@ pub fn cell_labels() -> Vec<&'static str> {
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let mut sweep = Sweep::new(&t);
-    let base = sweep.timing(ctx, FrontEndConfig::isca97_baseline());
-    let mut d = CellData::new();
+    let mut configs = Vec::new();
     for &assoc in &ASSOCS {
         for &bits in &HISTORY_BITS {
-            let config = TargetCacheConfig::new(
-                Organization::Tagged {
-                    entries: 256,
-                    assoc,
-                    scheme: TaggedIndexScheme::HistoryXor,
-                },
-                HistorySource::Pattern { bits },
-            );
-            d.set(key(assoc, bits), sweep.exec_reduction(ctx, &base, config));
+            configs.push((
+                key(assoc, bits),
+                TargetCacheConfig::new(
+                    Organization::Tagged {
+                        entries: 256,
+                        assoc,
+                        scheme: TaggedIndexScheme::HistoryXor,
+                    },
+                    HistorySource::Pattern { bits },
+                ),
+            ));
         }
     }
-    d
+    exec_reductions(ctx, &t, &configs)
 }
 
 /// Renders a (possibly partial) cell set as the paper's Table 9.

@@ -74,16 +74,16 @@ pub fn take_instructions() -> u64 {
 }
 
 /// Mutable hub state: what each thread is running, and everything
-/// collected so far. Benchmark attribution and event sinks are keyed by
-/// thread id because the [`jobs`](crate::jobs) runner executes cells on
+/// collected so far. Benchmark attribution is keyed by thread id
+/// because the [`jobs`](crate::jobs) runner executes cells on
 /// parallel workers — a shared label would cross-attribute their runs.
 #[derive(Default)]
 struct State {
     /// Per-thread label runs and events are attributed to (set by
     /// `runner::trace` on the thread that generates the workload).
     benchmark: HashMap<ThreadId, String>,
-    /// Per-thread event sinks (events mode only).
-    sinks: HashMap<ThreadId, EventSink>,
+    /// Events the finished runs' sinks dropped for lack of room.
+    events_dropped: u64,
     /// Completed run records, in execution order.
     runs: Vec<RunRecord>,
     /// Drained events, labelled with the benchmark they belong to.
@@ -153,20 +153,13 @@ impl Hub {
         &self.registry
     }
 
-    /// Fresh harness hooks wired to this hub's registry and the calling
-    /// thread's event sink. In `REPRO_PROF=full` the hooks carry the
-    /// hub's hot-path profiler, so harness and engine phase timings all
-    /// land in one place.
+    /// Fresh hooks for one harness (or timing) run, wired to this hub's
+    /// registry and, in events mode, to an event sink of their own that
+    /// [`finish_run`](Self::finish_run) drains. In `REPRO_PROF=full` the
+    /// hooks carry the hub's hot-path profiler, so harness and engine
+    /// phase timings all land in one place.
     pub fn harness_telemetry(&self) -> HarnessTelemetry {
-        let sink = self.mode.events().then(|| {
-            self.state
-                .lock()
-                .expect("hub state poisoned")
-                .sinks
-                .entry(std::thread::current().id())
-                .or_default()
-                .clone()
-        });
+        let sink = self.mode.events().then(EventSink::new);
         let t = HarnessTelemetry::new(&self.registry, sink);
         if self.prof.hot() {
             t.with_hot_profiler(self.hot.clone())
@@ -213,9 +206,12 @@ impl Hub {
 
     /// Records one completed harness (or timing) run: copies the
     /// simulator's statistics into a manifest [`RunRecord`] and drains the
-    /// event sink, attributing events to the current benchmark.
+    /// event sink of the run's `hooks`, attributing events to the current
+    /// benchmark.
+    #[allow(clippy::too_many_arguments)]
     pub fn finish_run(
         &self,
+        hooks: &HarnessTelemetry,
         config: &str,
         instructions: u64,
         stats: &BranchClassStats,
@@ -251,12 +247,11 @@ impl Hub {
             run.count("cascade.total", total);
         }
         state.runs.push(run);
-        if self.mode.events() {
-            if let Some(sink) = state.sinks.get(&std::thread::current().id()).cloned() {
-                state
-                    .events
-                    .extend(sink.drain().into_iter().map(|e| (label.clone(), e)));
-            }
+        if let Some(sink) = hooks.events() {
+            state.events_dropped += sink.dropped();
+            state
+                .events
+                .extend(sink.drain().into_iter().map(|e| (label.clone(), e)));
         }
     }
 }
@@ -370,7 +365,7 @@ impl Session {
         manifest.runs = state.runs.clone();
         manifest.cells = state.cells.clone();
         manifest.events_recorded = state.events.len() as u64;
-        manifest.events_dropped = state.sinks.values().map(EventSink::dropped).sum();
+        manifest.events_dropped = state.events_dropped;
         manifest.wall_ns = self.started.elapsed().as_nanos() as u64;
         manifest.hot_phases = hub.hot.snapshot();
         manifest.timeseries = state.timeseries.clone();

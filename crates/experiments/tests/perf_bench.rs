@@ -11,9 +11,17 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("repro-bench-test-{}-{name}", std::process::id()))
 }
 
-fn repro_bench(out: &PathBuf, extra: &[&str]) -> std::process::Output {
+/// One sample and no warm-up: enough to check the snapshot and the gate.
+const ONE_SAMPLE: [&str; 4] = ["--iters", "1", "--warmup", "0"];
+
+/// A warmed-up median of three, so one contention spike on a shared host
+/// cannot fail a comparison that should pass.
+const MEDIAN_OF_THREE: [&str; 4] = ["--iters", "3", "--warmup", "1"];
+
+fn repro_bench(out: &PathBuf, samples: [&str; 4], extra: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro-bench"))
-        .args(["--iters", "1", "--warmup", "0", "--scale", "quick", "--out"])
+        .args(samples)
+        .args(["--scale", "quick", "--out"])
         .arg(out)
         .args(extra)
         // Keep the session's bonus artifacts out of the repo checkout.
@@ -30,7 +38,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     std::fs::create_dir_all(&out).unwrap();
 
     // First run writes BENCH_0.json.
-    let first = repro_bench(&out, &[]);
+    let first = repro_bench(&out, ONE_SAMPLE, &[]);
     assert!(
         first.status.success(),
         "stdout: {}\nstderr: {}",
@@ -79,6 +87,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     // An unchanged tree passes its own baseline even with a tight gate.
     let pass = repro_bench(
         &out,
+        MEDIAN_OF_THREE,
         &["--baseline", bench0.to_str().unwrap(), "--tolerance", "300"],
     );
     assert!(
@@ -97,6 +106,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     std::fs::write(&fast_path, fast.to_json().to_string()).unwrap();
     let slow = repro_bench(
         &out,
+        ONE_SAMPLE,
         &[
             "--baseline",
             fast_path.to_str().unwrap(),
@@ -117,7 +127,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     );
 
     // An unreadable baseline is an operator error: exit 2.
-    let bad_baseline = repro_bench(&out, &["--baseline", "/nonexistent/BENCH.json"]);
+    let bad_baseline = repro_bench(&out, ONE_SAMPLE, &["--baseline", "/nonexistent/BENCH.json"]);
     assert_eq!(bad_baseline.status.code(), Some(2));
 
     let _ = std::fs::remove_dir_all(&out);

@@ -1,4 +1,4 @@
-//! McFarling's combining ("tournament") predictor — reference [6] of the
+//! McFarling's combining ("tournament") predictor — reference \[6\] of the
 //! paper (*Combining Branch Predictors*, DEC WRL TN-36).
 //!
 //! Two component predictors — a per-address bimodal table and a gshare

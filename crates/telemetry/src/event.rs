@@ -98,7 +98,8 @@ pub struct EventRing {
 }
 
 impl EventRing {
-    /// Creates a ring holding at most `capacity` events.
+    /// Creates a ring holding at most `capacity` events. It allocates on
+    /// its first event, so a run that mispredicts nothing costs nothing.
     ///
     /// # Panics
     ///
@@ -106,7 +107,7 @@ impl EventRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "event ring capacity must be nonzero");
         EventRing {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: VecDeque::new(),
             capacity,
             dropped: 0,
         }

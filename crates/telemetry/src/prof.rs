@@ -1,9 +1,8 @@
 //! sim-prof: hot-path phase timers and the `REPRO_PROF` knob.
 //!
-//! [`SpanRegistry`](crate::SpanRegistry) answers "where did the run's
-//! wall-clock go" at the granularity of a few guard allocations per
-//! phase — fine for `workload-gen` / `harness-replay` / `uarch-sim`,
-//! far too heavy for per-branch work inside the prediction harness. The
+//! [`SpanRegistry`] answers "where did the run's wall-clock go" at the
+//! granularity of a few guard allocations per phase — fine for
+//! `workload-gen` / `harness-replay` / `uarch-sim`, far too heavy for per-branch work inside the prediction harness. The
 //! [`PhaseTimer`] here is the hot-path complement: two relaxed atomic
 //! adds per sample, no allocation, no lock, cloneable handles. A
 //! [`HotProfiler`] is a named registry of such timers; its totals fold

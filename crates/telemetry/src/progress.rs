@@ -19,8 +19,9 @@
 //! Every other campaign artifact is a fold of this log: the resume map
 //! ([`CampaignLog::last_outcomes`]), the live status (`repro-top`,
 //! `repro-serve`'s `/status`), the Chrome trace export
-//! ([`crate::traceviz::from_log`]), and the manifest `cells` array
-//! ([`CampaignLog::segment_outcomes`]). They agree by construction.
+//! ([`ChromeTrace::from_log`](crate::traceviz::ChromeTrace::from_log)),
+//! and the manifest `cells` array ([`CampaignLog::segment_outcomes`]).
+//! They agree by construction.
 //!
 //! One parser ([`parse_events`]) serves all of them and is strict: the
 //! first line must be a `campaign-started` event of the current

@@ -36,7 +36,6 @@
 use crate::format::{fnv64, CHUNK_RECORDS};
 use crate::varint;
 use sim_isa::{DynInstr, VecTrace};
-use std::collections::BTreeMap;
 use std::io::{self, Read};
 
 /// Magic opening the BBV side-section. Deliberately 8 bytes — the same
@@ -225,11 +224,18 @@ fn short_read(e: io::Error, what: &str) -> io::Result<Result<BbvSection, String>
 /// The writer drives one of these alongside the record codec so
 /// fingerprints are computed at record time; [`fingerprint_trace`]
 /// drives one over an in-memory trace and produces identical output.
+/// Per record it only counts the open basic block's run; a run is
+/// recorded once, when its block closes, and a chunk's runs are sorted
+/// and merged by leader when the chunk ends.
 #[derive(Default)]
 pub struct FingerprintBuilder {
     chunks: Vec<ChunkFingerprint>,
-    current: BTreeMap<u64, u64>,
-    leader: Option<u64>,
+    /// This chunk's finished runs, `(leader, instructions)`, in the order
+    /// their blocks closed; a leader recurs once per visit.
+    runs: Vec<(u64, u64)>,
+    /// The open basic block: its leader and the instructions it has had
+    /// in this chunk.
+    open: Option<(u64, u64)>,
 }
 
 impl FingerprintBuilder {
@@ -241,11 +247,12 @@ impl FingerprintBuilder {
     /// Observes one record. The instruction is attributed to the
     /// current basic block (opened at this PC if none is open); a
     /// control instruction closes the block.
+    #[inline]
     pub fn observe(&mut self, i: &DynInstr) {
-        let leader = *self.leader.get_or_insert_with(|| i.pc().word_index());
-        *self.current.entry(leader).or_insert(0) += 1;
+        let (_, count) = self.open.get_or_insert((i.pc().word_index(), 0));
+        *count += 1;
         if i.branch_exec().is_some() {
-            self.leader = None;
+            self.runs.extend(self.open.take());
         }
     }
 
@@ -254,8 +261,26 @@ impl FingerprintBuilder {
     /// stays open — its remaining instructions land in the next chunk
     /// under the same leader.
     pub fn end_chunk(&mut self) {
-        let blocks: Vec<(u64, u64)> = std::mem::take(&mut self.current).into_iter().collect();
-        self.chunks.push(ChunkFingerprint { blocks });
+        if let Some((leader, count)) = &mut self.open {
+            if *count > 0 {
+                self.runs.push((*leader, std::mem::take(count)));
+            }
+        }
+        self.runs.sort_unstable_by_key(|&(leader, _)| leader);
+        // Merge each leader's runs into its first, keeping that one.
+        self.runs.dedup_by(|(leader, count), (kept, total)| {
+            let same = leader == kept;
+            if same {
+                *total += *count;
+            }
+            same
+        });
+        // A fingerprint lives as long as the trace: copy it out at its
+        // exact size and keep the run buffer for the next chunk.
+        self.chunks.push(ChunkFingerprint {
+            blocks: self.runs.to_vec(),
+        });
+        self.runs.clear();
     }
 
     /// Finishes the builder. Any records observed since the last chunk
@@ -265,7 +290,7 @@ impl FingerprintBuilder {
     /// [`end_chunk`]: FingerprintBuilder::end_chunk
     pub fn finish(self) -> BbvSection {
         debug_assert!(
-            self.current.is_empty(),
+            self.runs.is_empty() && self.open.is_none_or(|(_, count)| count == 0),
             "records observed after the last chunk boundary"
         );
         BbvSection {

@@ -3,16 +3,23 @@
 //! half.
 //!
 //! [`TimingSweep::new`] drives the data cache and the baseline front end
-//! over a trace once and keeps their decisions on a compact tape (see
-//! [`crate::tape`]); [`TimingSweep::run`] replays that tape through one
-//! configuration's indirect stage and the schedule. [`simulate`] is a
-//! sweep of one.
+//! over a trace once and keeps their decisions on a compact tape;
+//! [`TimingSweep::run_all`] replays that tape through a batch of
+//! configurations in one pass over the trace. Each instruction's operands,
+//! latency class, load-miss bit and tape entry are read once; then every
+//! configuration's *lane* — its own schedule state and indirect stage —
+//! advances by that instruction. The lanes share no state, so they give
+//! the host core independent dependency chains to overlap. [`simulate`]
+//! and [`TimingSweep::run_on`] are batches of one.
 
 use crate::config::MachineConfig;
 use crate::report::SimReport;
 use crate::tape::{timed, Tape, TapeBranch};
 use branch_predictors::BranchClassStats;
-use sim_isa::{Addr, BranchExec, DynInstr, InstrClass};
+use sim_isa::reg::REG_COUNT;
+use sim_isa::{Addr, BranchExec, DynInstr, InstrClass, Reg};
+use sim_telemetry::PhaseTimer;
+use std::time::Instant;
 use target_cache::harness::{BaseSource, FrontEndConfig, IndirectStage};
 use target_cache::telemetry::{HarnessProf, HarnessTelemetry};
 
@@ -62,17 +69,19 @@ where
 ///
 /// Construction simulates what every configuration shares: the data cache
 /// (kept as a load-miss bitmap) and the baseline BTB, direction predictor
-/// and return stack (kept as a per-branch tape). Each [`run`](Self::run)
-/// then replays only its own indirect stage — history register plus
-/// target cache, cascade or oracle — and the out-of-order schedule. The
-/// split is exact: neither the data cache nor any baseline structure ever
-/// sees a value that depends on the indirect predictor or on timing, so a
-/// run returns the same [`SimReport`] as simulating the whole machine.
+/// and return stack (kept as a per-branch tape). [`run_all`](Self::run_all)
+/// then replays, for a whole batch of configurations in one pass over the
+/// trace, only what each one owns — its indirect stage (history register
+/// plus target cache, cascade or oracle) and its out-of-order schedule.
+/// The split is exact: neither the data cache nor any baseline structure
+/// ever sees a value that depends on the indirect predictor or on timing,
+/// so every lane returns the same [`SimReport`] as simulating its whole
+/// machine alone.
 ///
 /// One sweep serves every machine with the same baseline front end (BTB,
 /// direction predictor, return-stack depth) and data cache; widths,
 /// window, function units, latencies, front-end depth and the indirect
-/// predictor may differ from run to run.
+/// predictor may differ from lane to lane.
 ///
 /// # Example
 ///
@@ -83,15 +92,16 @@ where
 /// use sim_workloads::Benchmark;
 ///
 /// let trace = Benchmark::Perl.workload().generate(20_000);
-/// let machine = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
-/// let sweep = TimingSweep::new(&trace, &machine);
-/// let base = sweep.run(&FrontEndConfig::isca97_baseline(), None);
-/// let tc = sweep.run(
-///     &FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
-///     None,
-/// );
-/// assert!(tc.cycles <= base.cycles);
-/// assert_eq!(base.cycles, simulate(&trace, &machine).cycles);
+/// let base = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
+/// let tc = MachineConfig::isca97(FrontEndConfig::isca97_with(
+///     TargetCacheConfig::isca97_tagless_gshare(),
+/// ));
+/// let sweep = TimingSweep::new(&trace, &base);
+/// // Both configurations advance together in one pass over the trace.
+/// let reports = sweep.run_all(&[base.clone(), tc], None);
+/// assert!(reports[1].cycles <= reports[0].cycles);
+/// // Each lane is exactly its machine simulated alone.
+/// assert_eq!(reports[0], simulate(&trace, &base));
 /// ```
 pub struct TimingSweep<'a> {
     trace: &'a [DynInstr],
@@ -142,7 +152,7 @@ impl<'a> TimingSweep<'a> {
     }
 
     /// Whether `machine` has this sweep's baseline front end and data
-    /// cache, so [`run_on`](Self::run_on) can replay it.
+    /// cache, so [`run_all`](Self::run_all) can replay it.
     pub fn serves(&self, machine: &MachineConfig) -> bool {
         let (a, b) = (&self.machine.frontend, &machine.frontend);
         a.btb == b.btb
@@ -157,7 +167,8 @@ impl<'a> TimingSweep<'a> {
         self.tape.heap_bytes()
     }
 
-    /// Simulates the sweep's machine with `frontend`'s indirect predictor.
+    /// Simulates the sweep's machine with `frontend`'s indirect predictor:
+    /// a batch of one.
     ///
     /// # Panics
     ///
@@ -170,14 +181,8 @@ impl<'a> TimingSweep<'a> {
         self.run_on(&machine, telemetry)
     }
 
-    /// Simulates `machine` — its schedule parameters and indirect
-    /// predictor — over the sweep's trace. With `telemetry`, every branch
-    /// feeds its counters and mispredict events exactly as a
-    /// [`PredictionHarness`](target_cache::harness::PredictionHarness)
-    /// with those hooks attached would, and a hot-path profiler times the
-    /// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages and the
-    /// indirect stage's `tc-index`/`tc-lookup`/`tc-update`/`history-update`
-    /// phases.
+    /// Simulates `machine` over the sweep's trace: a batch of one (see
+    /// [`run_all`](Self::run_all)).
     ///
     /// # Panics
     ///
@@ -188,197 +193,361 @@ impl<'a> TimingSweep<'a> {
         machine: &MachineConfig,
         telemetry: Option<HarnessTelemetry>,
     ) -> SimReport {
-        if let Err(e) = machine.check() {
-            panic!("machine configuration must be valid: {e}");
-        }
-        assert!(
-            self.serves(machine),
-            "the sweep was recorded for a different baseline front end or data cache"
-        );
-        // When the hooks carry a hot-path profiler (`REPRO_PROF=full`), the
-        // engine times its own pipeline stages into it alongside the
-        // indirect stage's phases. Timers are resolved once, out here.
-        let stage_timers = telemetry.as_ref().and_then(|t| t.hot_profiler()).map(|h| {
-            (
-                h.timer("uarch-fetch"),
-                h.timer("uarch-execute"),
-                h.timer("uarch-retire"),
-            )
-        });
-        let prof = telemetry.as_ref().and_then(|t| t.prof());
-        let clock = |on: bool| on.then(std::time::Instant::now);
-        let timed_stages = stage_timers.is_some();
+        self.run_all(
+            std::slice::from_ref(machine),
+            telemetry.as_ref().map(std::slice::from_ref),
+        )
+        .pop()
+        .expect("a batch of one reports once")
+    }
 
-        let mut indirect = IndirectStage::new(machine.frontend.indirect);
-        let mut stats = BranchClassStats::default();
+    /// Simulates every machine in `machines` — its schedule parameters and
+    /// indirect predictor — over the sweep's trace in one lockstep pass,
+    /// and returns their reports in batch order. Each report is the one
+    /// the machine gets replayed alone, whatever else is in the batch.
+    ///
+    /// With `telemetry` (one set of hooks per machine, in batch order),
+    /// every branch of a lane feeds that lane's counters and mispredict
+    /// events exactly as a
+    /// [`PredictionHarness`](target_cache::harness::PredictionHarness)
+    /// with those hooks attached would; give each lane its own event sink
+    /// to keep its events apart from the others'. A hot-path profiler on a
+    /// lane's hooks times that lane's `uarch-fetch`/`uarch-execute`/
+    /// `uarch-retire` stages and its indirect stage's
+    /// `tc-index`/`tc-lookup`/`tc-update`/`history-update` phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a machine is invalid or is not [served](Self::serves) by
+    /// this sweep, or if `telemetry` does not hold one entry per machine.
+    pub fn run_all(
+        &self,
+        machines: &[MachineConfig],
+        telemetry: Option<&[HarnessTelemetry]>,
+    ) -> Vec<SimReport> {
+        if let Some(hooks) = telemetry {
+            assert_eq!(
+                hooks.len(),
+                machines.len(),
+                "one set of telemetry hooks per machine"
+            );
+        }
+        let mut lanes: Vec<Lane> = machines
+            .iter()
+            .enumerate()
+            .map(|(i, machine)| {
+                if let Err(e) = machine.check() {
+                    panic!("machine configuration must be valid: {e}");
+                }
+                assert!(
+                    self.serves(machine),
+                    "the sweep was recorded for a different baseline front end or data cache"
+                );
+                Lane::new(machine, telemetry.map(|hooks| &hooks[i]))
+            })
+            .collect();
+        // Stage timing is decided once per batch, so an untimed replay
+        // carries no clock checks in its hot loop.
+        if lanes.iter().any(|lane| lane.stage_timers.is_some()) {
+            self.replay::<true>(&mut lanes);
+        } else {
+            self.replay::<false>(&mut lanes);
+        }
+
+        let dcache_stats = self.tape.dcache_stats();
+        lanes
+            .into_iter()
+            .map(|lane| SimReport {
+                cycles: lane.last_retire_cycle,
+                instructions: self.trace.len() as u64,
+                mispredict_stall_cycles: lane.mispredict_stall_cycles,
+                branch_stats: lane.stats,
+                dcache_stats,
+            })
+            .collect()
+    }
+
+    /// Advances every lane through the whole trace, one instruction at a
+    /// time; with `TIMED`, lanes that carry stage timers time their
+    /// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages.
+    fn replay<const TIMED: bool>(&self, lanes: &mut [Lane]) {
         let mut tape = self.tape.cursor();
-        let front_depth = machine.front_depth as u64;
-        let miss_penalty = machine.dcache.miss_penalty as u64;
-
-        // Fetch stream state.
-        let mut stream_cycle: u64 = 0;
-        let mut fetched_this_cycle: usize = 0;
-
-        // Rename state: cycle each architectural register's latest value is
-        // available.
-        let mut reg_ready = [0u64; sim_isa::reg::REG_COUNT as usize];
-
-        // Function units: their next-free cycles as a sorted ring starting
-        // at `fu_head`; an instruction issues on the earliest-free one.
-        let mut fu_free = vec![0u64; machine.fu_count];
-        let mut fu_head = 0usize;
-
-        // Retirement state.
-        let mut last_retire_cycle: u64 = 0;
-        let mut retired_in_cycle: usize = 0;
-        // The youngest `window_size` instructions' retire cycles plus one
-        // (when each frees its window slot), as a ring: `window[slot]`
-        // belongs to the instruction `window_size` older than the next.
-        let mut window = vec![0u64; machine.window_size];
-        let mut slot = 0usize;
-
-        let mut final_cycle: u64 = 0;
-        let mut mispredict_stall_cycles: u64 = 0;
-
+        let miss_penalty = self.machine.dcache.miss_penalty as u64;
         for instr in self.trace {
-            let t0 = clock(timed_stages);
-            // --- Fetch ----------------------------------------------------
-            // Window constraint: the instruction `window_size` older must
-            // have retired before this one can occupy a slot.
-            if window[slot] > stream_cycle {
-                stream_cycle = window[slot];
-                fetched_this_cycle = 0;
-            }
-            if fetched_this_cycle == machine.fetch_width {
-                stream_cycle += 1;
-                fetched_this_cycle = 0;
-            }
-            let fetch_cycle = stream_cycle;
-            fetched_this_cycle += 1;
-            if let (Some((fetch, _, _)), Some(t0)) = (&stage_timers, t0) {
-                fetch.stop(t0);
-            }
-
-            let t0 = clock(timed_stages);
-            // --- Execute ---------------------------------------------------
-            let decode_done = fetch_cycle + front_depth;
-            let operands_ready = instr
-                .srcs()
-                .iter()
-                .flatten()
-                .map(|r| reg_ready[r.index() as usize])
-                .max()
-                .unwrap_or(0);
-            let start = decode_done.max(operands_ready).max(fu_free[fu_head]);
-            // FUs are fully pipelined: the unit issuing occupies its slot
-            // for one cycle. Its entry becomes the ring's tail; it bubbles
-            // back past any unit that frees up later (usually none).
-            let free = start + 1;
-            let mut at = fu_head;
-            for _ in 1..fu_free.len() {
-                let prev = at.checked_sub(1).unwrap_or(fu_free.len() - 1);
-                if fu_free[prev] <= free {
-                    break;
+            // What every lane reads of this instruction, decoded once.
+            let class = instr.class();
+            let op = Op {
+                class: class.index(),
+                srcs: instr.srcs().map(|r| r.map_or(NO_SRC, reg_slot)),
+                dst: instr.dst().map_or(NO_DST, reg_slot),
+                miss_penalty: if class == InstrClass::Load && tape.load_missed() {
+                    miss_penalty
+                } else {
+                    0
+                },
+            };
+            let Some(b) = instr.branch_exec() else {
+                for lane in lanes.iter_mut() {
+                    let (_, complete) = lane.issue::<TIMED>(&op);
+                    lane.retire::<TIMED>(complete);
                 }
-                fu_free[at] = fu_free[prev];
-                at = prev;
-            }
-            fu_free[at] = free;
-            fu_head = ring_next(fu_head, fu_free.len());
-
-            let mut latency = machine.latency(instr.class()) as u64;
-            if instr.class() == InstrClass::Load && tape.load_missed() {
-                latency += miss_penalty;
-            }
-            let complete = start + latency;
-            if let Some(dst) = instr.dst() {
-                reg_ready[dst.index() as usize] = complete;
-            }
-            if let (Some((_, execute, _)), Some(t0)) = (&stage_timers, t0) {
-                execute.stop(t0);
-            }
-
-            // --- Branch prediction and fetch redirection --------------------
-            // The baseline's decision comes off the tape; the indirect
-            // stage decides indirect-kind BTB hits and trains on eligible
-            // branches. (It times its own phases into the profiler.)
-            if let Some(b) = instr.branch_exec() {
-                let pc = instr.pc();
-                let actual = b.next_pc(pc);
-                let base = tape.branch(b.class);
-                // Only target-cache-eligible branches and indirect-kind BTB
-                // hits involve the indirect stage's predictor.
-                let (predicted, source, history) =
-                    if b.class.uses_target_cache() || base.source == BaseSource::Indirect {
-                        replay_indirect(&mut indirect, prof, pc, b, base)
-                    } else {
-                        (
-                            base.mispredicted.unwrap_or(actual),
-                            base.source.label(),
-                            None,
-                        )
-                    };
-                let correct = predicted == actual;
-                if let Some(t) = &telemetry {
-                    // Events carry the fetch-time history value, read before
-                    // this branch trains the register.
-                    let history = match history {
-                        Some(h) => h,
-                        None if correct => 0,
-                        None => indirect.history_value(pc).unwrap_or(0),
-                    };
-                    t.observe(pc, b.class, predicted, actual, history, source);
-                }
-                timed(prof.map(|p| &p.history_update), || {
-                    indirect.train_history(pc, b, actual)
-                });
-                stats.record(b.class, correct);
-
-                if !correct {
-                    // Checkpoint repair: correct-path fetch resumes the cycle
-                    // after the branch executes.
-                    let resume = complete + 1;
-                    if resume > stream_cycle {
-                        // The gap (minus the one cycle fetch would have taken
-                        // anyway) is pure misprediction stall.
-                        mispredict_stall_cycles += resume - stream_cycle - 1;
-                        stream_cycle = resume;
-                        fetched_this_cycle = 0;
-                    }
-                } else if b.taken {
-                    // Correctly-predicted taken branch: the fetch group ends;
-                    // the target is fetched next cycle.
-                    stream_cycle = fetch_cycle + 1;
-                    fetched_this_cycle = 0;
-                }
-            }
-
-            // --- Retire ------------------------------------------------------
-            let t0 = clock(timed_stages);
-            let earliest = complete + 1;
-            let mut retire_cycle = earliest.max(last_retire_cycle);
-            if retire_cycle == last_retire_cycle && retired_in_cycle == machine.retire_width {
-                retire_cycle += 1;
-            }
-            if retire_cycle > last_retire_cycle {
-                last_retire_cycle = retire_cycle;
-                retired_in_cycle = 0;
-            }
-            retired_in_cycle += 1;
-            window[slot] = retire_cycle + 1;
-            slot = ring_next(slot, window.len());
-            final_cycle = retire_cycle;
-            if let (Some((_, _, retire)), Some(t0)) = (&stage_timers, t0) {
-                retire.stop(t0);
+                continue;
+            };
+            // The baseline's decision comes off the tape once; a branch the
+            // indirect stage takes no part in is predicted alike in every
+            // lane. Only target-cache-eligible branches and indirect-kind
+            // BTB hits involve each lane's own indirect predictor.
+            let pc = instr.pc();
+            let actual = b.next_pc(pc);
+            let base = tape.branch(b.class);
+            let shared = (!b.class.uses_target_cache() && base.source != BaseSource::Indirect)
+                .then(|| (base.mispredicted.unwrap_or(actual), base.source.label()));
+            for lane in lanes.iter_mut() {
+                let (fetch_cycle, complete) = lane.issue::<TIMED>(&op);
+                let (predicted, source, history) = match shared {
+                    Some((predicted, source)) => (predicted, source, None),
+                    None => replay_indirect(&mut lane.indirect, lane.prof, pc, b, base),
+                };
+                lane.resolve(pc, b, actual, predicted, source, history);
+                lane.redirect(predicted == actual, b.taken, fetch_cycle, complete);
+                lane.retire::<TIMED>(complete);
             }
         }
+    }
+}
 
-        SimReport {
-            cycles: final_cycle,
-            instructions: self.trace.len() as u64,
-            mispredict_stall_cycles,
-            branch_stats: stats,
-            dcache_stats: self.tape.dcache_stats(),
+/// A lane's rename-table slot for register `r`: slots `1..=REG_COUNT` are
+/// the architectural registers.
+#[inline]
+fn reg_slot(r: Reg) -> usize {
+    r.index() as usize + 1
+}
+
+/// The rename-table slot an absent source operand reads: never written,
+/// so always ready at cycle 0. A sentinel rather than an `Option` keeps
+/// the operand read branch-free in every lane.
+const NO_SRC: usize = 0;
+
+/// The rename-table slot an instruction without a destination writes;
+/// never read.
+const NO_DST: usize = REG_COUNT as usize + 1;
+
+/// What every lane's schedule reads of one instruction.
+struct Op {
+    /// [`InstrClass::index`], selecting the lane's latency.
+    class: usize,
+    /// Rename-table slots of the two source operands.
+    srcs: [usize; 2],
+    /// Rename-table slot of the destination.
+    dst: usize,
+    /// Extra cycles for a load that missed the data cache, else 0.
+    miss_penalty: u64,
+}
+
+/// One configuration's state in a lockstep replay: its schedule parameters
+/// and state, its indirect stage, its branch statistics and its telemetry.
+struct Lane<'h> {
+    fetch_width: usize,
+    retire_width: usize,
+    front_depth: u64,
+    latencies: [u64; 8],
+
+    // Fetch stream state.
+    stream_cycle: u64,
+    fetched_this_cycle: usize,
+
+    /// Rename state: the cycle each register's latest value is available,
+    /// indexed by rename-table slot ([`NO_SRC`], the registers, [`NO_DST`]).
+    reg_ready: [u64; REG_COUNT as usize + 2],
+
+    /// Function units: their next-free cycles as a sorted ring starting
+    /// at `fu_head`; an instruction issues on the earliest-free one.
+    fu_free: Vec<u64>,
+    fu_head: usize,
+
+    // Retirement state. The last retire cycle is also the cycle count so
+    // far.
+    last_retire_cycle: u64,
+    retired_in_cycle: usize,
+    /// The youngest `window_size` instructions' retire cycles plus one
+    /// (when each frees its window slot), as a ring: `window[slot]`
+    /// belongs to the instruction `window_size` older than the next.
+    window: Vec<u64>,
+    slot: usize,
+
+    mispredict_stall_cycles: u64,
+    indirect: IndirectStage,
+    stats: BranchClassStats,
+    telemetry: Option<&'h HarnessTelemetry>,
+    prof: Option<&'h HarnessProf>,
+    /// `uarch-fetch`, `uarch-execute` and `uarch-retire` timers, resolved
+    /// once when the hooks carry a hot-path profiler (`REPRO_PROF=full`).
+    stage_timers: Option<[PhaseTimer; 3]>,
+}
+
+impl<'h> Lane<'h> {
+    fn new(machine: &MachineConfig, telemetry: Option<&'h HarnessTelemetry>) -> Self {
+        Lane {
+            fetch_width: machine.fetch_width,
+            retire_width: machine.retire_width,
+            front_depth: machine.front_depth as u64,
+            latencies: machine.latencies.map(u64::from),
+            stream_cycle: 0,
+            fetched_this_cycle: 0,
+            reg_ready: [0; REG_COUNT as usize + 2],
+            fu_free: vec![0; machine.fu_count],
+            fu_head: 0,
+            last_retire_cycle: 0,
+            retired_in_cycle: 0,
+            window: vec![0; machine.window_size],
+            slot: 0,
+            mispredict_stall_cycles: 0,
+            indirect: IndirectStage::new(machine.frontend.indirect),
+            stats: BranchClassStats::default(),
+            telemetry,
+            prof: telemetry.and_then(|t| t.prof()),
+            stage_timers: telemetry.and_then(|t| t.hot_profiler()).map(|h| {
+                ["uarch-fetch", "uarch-execute", "uarch-retire"].map(|stage| h.timer(stage))
+            }),
+        }
+    }
+
+    /// Starts a stage's clock when stage timing is on.
+    #[inline(always)]
+    fn clock<const TIMED: bool>(&self) -> Option<Instant> {
+        (TIMED && self.stage_timers.is_some()).then(Instant::now)
+    }
+
+    /// Stops stage `i`'s clock, started by [`clock`](Self::clock).
+    #[inline(always)]
+    fn stop(&self, i: usize, t0: Option<Instant>) {
+        if let (Some(timers), Some(t0)) = (&self.stage_timers, t0) {
+            timers[i].stop(t0);
+        }
+    }
+
+    /// Fetches and executes `op`; returns its fetch cycle and the cycle
+    /// its result is ready. The fetch and retire bookkeeping is written as
+    /// selects rather than branches: lanes interleave, so branches on
+    /// their diverging schedules would mispredict on the host.
+    #[inline(always)]
+    fn issue<const TIMED: bool>(&mut self, op: &Op) -> (u64, u64) {
+        let t0 = self.clock::<TIMED>();
+        // Window constraint: the instruction `window_size` older must have
+        // retired before this one can occupy a slot. Then a full fetch
+        // group moves fetch to the next cycle.
+        let freed = self.window[self.slot];
+        let waited = freed > self.stream_cycle;
+        let mut fetch_cycle = self.stream_cycle.max(freed);
+        let mut fetched = if waited { 0 } else { self.fetched_this_cycle };
+        let full = fetched == self.fetch_width;
+        fetch_cycle += full as u64;
+        fetched = if full { 0 } else { fetched };
+        self.stream_cycle = fetch_cycle;
+        self.fetched_this_cycle = fetched + 1;
+        if TIMED {
+            self.stop(0, t0);
+        }
+
+        let t0 = self.clock::<TIMED>();
+        let decode_done = fetch_cycle + self.front_depth;
+        let operands_ready = self.reg_ready[op.srcs[0]].max(self.reg_ready[op.srcs[1]]);
+        let fu_free = &mut self.fu_free;
+        let start = decode_done.max(operands_ready).max(fu_free[self.fu_head]);
+        // FUs are fully pipelined: the unit issuing occupies its slot for
+        // one cycle. Its entry becomes the ring's tail; it bubbles back
+        // past any unit that frees up later (usually none).
+        let free = start + 1;
+        let mut at = self.fu_head;
+        for _ in 1..fu_free.len() {
+            let prev = at.checked_sub(1).unwrap_or(fu_free.len() - 1);
+            if fu_free[prev] <= free {
+                break;
+            }
+            fu_free[at] = fu_free[prev];
+            at = prev;
+        }
+        fu_free[at] = free;
+        self.fu_head = ring_next(self.fu_head, fu_free.len());
+
+        let complete = start + self.latencies[op.class] + op.miss_penalty;
+        self.reg_ready[op.dst] = complete;
+        if TIMED {
+            self.stop(1, t0);
+        }
+        (fetch_cycle, complete)
+    }
+
+    /// Books one branch's prediction — statistics, telemetry and the
+    /// history register's training — whichever structure made it.
+    #[inline]
+    fn resolve(
+        &mut self,
+        pc: Addr,
+        b: BranchExec,
+        actual: Addr,
+        predicted: Addr,
+        source: &'static str,
+        history: Option<u64>,
+    ) {
+        let correct = predicted == actual;
+        if let Some(t) = self.telemetry {
+            // Events carry the fetch-time history value, read before this
+            // branch trains the register.
+            let history = match history {
+                Some(h) => h,
+                None if correct => 0,
+                None => self.indirect.history_value(pc).unwrap_or(0),
+            };
+            t.observe(pc, b.class, predicted, actual, history, source);
+        }
+        timed(self.prof.map(|p| &p.history_update), || {
+            self.indirect.train_history(pc, b, actual)
+        });
+        self.stats.record(b.class, correct);
+    }
+
+    /// Redirects the fetch stream after a branch fetched at `fetch_cycle`
+    /// whose result is ready at `complete`.
+    #[inline]
+    fn redirect(&mut self, correct: bool, taken: bool, fetch_cycle: u64, complete: u64) {
+        if !correct {
+            // Checkpoint repair: correct-path fetch resumes the cycle after
+            // the branch executes.
+            let resume = complete + 1;
+            if resume > self.stream_cycle {
+                // The gap (minus the one cycle fetch would have taken
+                // anyway) is pure misprediction stall.
+                self.mispredict_stall_cycles += resume - self.stream_cycle - 1;
+                self.stream_cycle = resume;
+                self.fetched_this_cycle = 0;
+            }
+        } else if taken {
+            // Correctly-predicted taken branch: the fetch group ends; the
+            // target is fetched next cycle.
+            self.stream_cycle = fetch_cycle + 1;
+            self.fetched_this_cycle = 0;
+        }
+    }
+
+    /// Retires the instruction whose result is ready at `complete`, in
+    /// order and at most `retire_width` per cycle.
+    #[inline(always)]
+    fn retire<const TIMED: bool>(&mut self, complete: u64) {
+        let t0 = self.clock::<TIMED>();
+        let last = self.last_retire_cycle;
+        let mut retire_cycle = (complete + 1).max(last);
+        retire_cycle += (retire_cycle == last && self.retired_in_cycle == self.retire_width) as u64;
+        self.retired_in_cycle = if retire_cycle > last {
+            1
+        } else {
+            self.retired_in_cycle + 1
+        };
+        self.last_retire_cycle = retire_cycle;
+        self.window[self.slot] = retire_cycle + 1;
+        self.slot = ring_next(self.slot, self.window.len());
+        if TIMED {
+            self.stop(2, t0);
         }
     }
 }

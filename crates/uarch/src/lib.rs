@@ -32,26 +32,32 @@
 //! between a mispredicted branch and its resolution, which is the dominant
 //! first-order effect the paper's execution-time numbers capture.
 //!
-//! # One recording per trace, one replay per configuration
+//! # One recording per trace, one lockstep pass per batch
 //!
 //! The paper's Tables 5–9 vary only the target cache and its history
 //! register; the rest of the machine is the fixed HPS baseline. A
 //! [`TimingSweep`] exploits that. [`TimingSweep::new`] simulates once per
 //! trace what no front-end configuration can change — the data cache,
 //! kept as a load-miss bitmap, and the baseline BTB, direction predictor
-//! and return stack, kept as a tape — and [`TimingSweep::run`] replays
-//! only one configuration's indirect stage (history register plus target
-//! cache, cascade or oracle) and the out-of-order schedule.
+//! and return stack, kept as a tape — and [`TimingSweep::run_all`]
+//! replays a whole batch of configurations in one pass over the trace:
+//! each instruction's operands, latency class, load-miss bit and tape
+//! entry are read once, then every configuration's *lane* — its own
+//! indirect stage (history register plus target cache, cascade or
+//! oracle) and its own out-of-order schedule — advances by that
+//! instruction. A replay is almost all schedule, a serial dependency
+//! chain per configuration; lanes share no state, so they give the host
+//! core independent chains to overlap.
 //!
 //! The split is exact, not an approximation. Along the correct path the
 //! data cache sees addresses in program order, the BTB trains on computed
 //! targets, the direction predictor on resolved outcomes and the return
 //! stack on call/return classes: none of them ever sees a predicted target
-//! or a cycle count. A replay therefore returns the bit-identical
-//! [`SimReport`] of simulating the whole machine, which the
-//! reference-model property tests in `tests/prop_engine.rs` check against
-//! the per-instruction engine this crate used to run for every
-//! configuration.
+//! or a cycle count. Each lane therefore returns the bit-identical
+//! [`SimReport`] of simulating its whole machine alone, whatever else is
+//! in the batch, which the reference-model property tests in
+//! `tests/prop_engine.rs` check against the per-instruction engine this
+//! crate used to run for every configuration.
 //!
 //! The tape holds one byte per branch (which structure predicted it and
 //! whether it was right), the BTB hit's target for each branch the
@@ -64,7 +70,8 @@
 //! One tape serves every machine with the same baseline front end and data
 //! cache ([`TimingSweep::serves`]): every configuration of one timing table
 //! on one trace, and also machines that differ only in widths, window,
-//! function units, latencies or depth. [`simulate`] is a sweep of one.
+//! function units, latencies or depth. [`simulate`] and
+//! [`TimingSweep::run_on`] are batches of one.
 //!
 //! # Example
 //!

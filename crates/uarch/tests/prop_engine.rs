@@ -5,7 +5,7 @@
 mod reference;
 
 use branch_predictors::{BtbConfig, DirectionConfig, PathFilter, PathHistoryConfig, UpdatePolicy};
-use hps_uarch::{simulate, simulate_instrumented, DCacheConfig, MachineConfig, TimingSweep};
+use hps_uarch::{simulate, DCacheConfig, MachineConfig, TimingSweep};
 use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
 use sim_telemetry::{EventSink, MetricsRegistry};
@@ -305,52 +305,72 @@ proptest! {
     }
 
     #[test]
-    fn one_sweep_serves_many_front_ends_and_schedules(
+    fn a_batch_replays_every_lane_as_the_reference_engine_does(
         trace in arb_trace(),
         machine in arb_machine(),
-        runs in proptest::collection::vec((arb_indirect(), 1usize..17, 1usize..65, 1usize..13, 0u32..7), 1..8),
+        lanes in proptest::collection::vec((arb_indirect(), 1usize..17, 1usize..65, 1usize..13, 0u32..7), 1..9),
+        keys in proptest::collection::vec(any::<u64>(), 8),
     ) {
+        // Lanes share the recorded machine's baseline front end and data
+        // cache; each has its own indirect predictor and schedule.
+        let machines: Vec<MachineConfig> = lanes
+            .into_iter()
+            .map(|(indirect, width, window, fus, depth)| {
+                let mut m = with_indirect(&machine, indirect);
+                (m.fetch_width, m.window_size, m.fu_count, m.front_depth) = (width, window, fus, depth);
+                m
+            })
+            .collect();
         let sweep = TimingSweep::new(&trace, &machine);
-        for (indirect, width, window, fus, depth) in runs {
-            let mut m = with_indirect(&machine, indirect);
-            prop_assert_eq!(sweep.run(&m.frontend, None), simulate(&trace, &m));
-            (m.fetch_width, m.window_size, m.fu_count, m.front_depth) = (width, window, fus, depth);
-            prop_assert!(sweep.serves(&m));
-            prop_assert_eq!(
-                sweep.run_on(&m, None),
-                reference::simulate(trace.as_slice(), &m, None)
-            );
+        let reports = sweep.run_all(&machines, None);
+        prop_assert_eq!(reports.len(), machines.len());
+        for (m, report) in machines.iter().zip(&reports) {
+            prop_assert!(sweep.serves(m));
+            prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, None));
+            prop_assert_eq!(report, &sweep.run_on(m, None));
+        }
+        // No lane's report depends on its place in the batch.
+        let mut order: Vec<usize> = (0..machines.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let permuted: Vec<MachineConfig> = order.iter().map(|&i| machines[i].clone()).collect();
+        for (&i, report) in order.iter().zip(sweep.run_all(&permuted, None)) {
+            prop_assert_eq!(&report, &reports[i]);
         }
     }
 
     #[test]
-    fn instrumented_sweep_reports_what_the_reference_harness_reports(
+    fn an_instrumented_batch_reports_per_lane_what_the_reference_harness_reports(
         trace in arb_trace(),
         machine in arb_machine(),
-        indirect in arb_indirect(),
+        lanes in proptest::collection::vec(arb_indirect(), 1..9),
     ) {
-        let m = with_indirect(&machine, indirect);
+        let machines: Vec<MachineConfig> =
+            lanes.into_iter().map(|indirect| with_indirect(&machine, indirect)).collect();
         let hooks = || {
             let registry = MetricsRegistry::new();
             let sink = EventSink::new();
             let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
             (registry, sink, telemetry)
         };
-        let (ref_registry, ref_sink, ref_hooks) = hooks();
-        let expected = reference::simulate(trace.as_slice(), &m, Some(ref_hooks));
-        let (registry, sink, telemetry) = hooks();
-        prop_assert_eq!(simulate_instrumented(&trace, &m, Some(telemetry)), expected);
-
-        let (want, got) = (ref_registry.snapshot(), registry.snapshot());
-        for name in ["harness.branches".to_string(), "harness.mispredicts".to_string()]
-            .into_iter()
-            .chain(PREDICTOR_SOURCES.iter().map(|s| format!("harness.mispredicts.{s}")))
-        {
-            prop_assert_eq!(got.counter(&name), want.counter(&name), "{}", name);
+        // Each lane feeds its own registry and event sink.
+        let lane_hooks: Vec<_> = machines.iter().map(|_| hooks()).collect();
+        let telemetry: Vec<HarnessTelemetry> = lane_hooks.iter().map(|(_, _, t)| t.clone()).collect();
+        let reports = TimingSweep::new_instrumented(&trace, &machine, Some(&telemetry[0]))
+            .run_all(&machines, Some(&telemetry));
+        for ((m, report), (registry, sink, _)) in machines.iter().zip(&reports).zip(&lane_hooks) {
+            let (ref_registry, ref_sink, ref_hooks) = hooks();
+            prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, Some(ref_hooks)));
+            let (want, got) = (ref_registry.snapshot(), registry.snapshot());
+            for name in ["harness.branches".to_string(), "harness.mispredicts".to_string()]
+                .into_iter()
+                .chain(PREDICTOR_SOURCES.iter().map(|s| format!("harness.mispredicts.{s}")))
+            {
+                prop_assert_eq!(got.counter(&name), want.counter(&name), "{}", name);
+            }
+            // The same mispredict events, in order: pc, class, predicted,
+            // actual, history and source.
+            prop_assert_eq!(sink.drain(), ref_sink.drain());
         }
-        // The same mispredict events, in order: pc, class, predicted,
-        // actual, history and source.
-        prop_assert_eq!(sink.drain(), ref_sink.drain());
     }
 }
 
