@@ -29,26 +29,48 @@
 //!    policy, the direction predictor, the history registers, and the
 //!    target cache at the fetch-time index A.
 //!
-//! The code is split along the line the timing model exploits: a
-//! [`BaseFrontEnd`] (BTB, direction predictor, return stack), whose state
-//! no indirect-predictor choice can change, and an [`IndirectStage`]
-//! (history register plus target cache, cascade or oracle), which only
-//! decides branches whose BTB entry is an indirect jump or call and trains
-//! on target-cache-eligible ones. [`PredictionHarness`] drives both per
-//! branch; `hps-uarch`'s timing sweep calls the same two halves, the
-//! first once per trace and the second once per configuration.
+//! The code is split along the line no indirect-predictor choice can
+//! cross: a [`BaseFrontEnd`] (BTB, direction predictor, return stack),
+//! whose state depends only on the resolved branch stream, and an
+//! [`IndirectStage`] (history register plus target cache, cascade or
+//! oracle), which only decides branches whose BTB entry is an indirect
+//! jump or call and trains on target-cache-eligible ones.
+//!
+//! ## The batch
+//!
+//! [`PredictionHarness`] exploits that split: it drives one
+//! [`BaseFrontEnd`] and one [`Lane`] per configuration — that
+//! configuration's indirect stage, statistics and telemetry — over a trace
+//! in one pass, one instruction at a time. Every configuration of a batch
+//! must [share the baseline](FrontEndConfig::shares_base); only the
+//! indirect predictors differ.
+//!
+//! * The baseline is probed, decides and trains once per branch for the
+//!   whole batch.
+//! * A branch that is neither target-cache-eligible nor an indirect-kind
+//!   BTB hit is *shared*: the baseline's decision is every lane's
+//!   prediction. The rest go through each lane's own indirect stage.
+//! * Every lane books every branch in its own statistics and telemetry and
+//!   trains its own history register, so a lane ends exactly where its
+//!   configuration ends replayed alone.
+//!
+//! [`PredictionHarness::new`] is a batch of one, so there is exactly one
+//! per-branch protocol, whichever way a harness is used.
+//! `hps-uarch`'s timing sweep drives the same two halves, the baseline
+//! once per trace and the indirect stage once per configuration.
 
 use crate::cache::{Access, TargetCache};
 use crate::cascade::{CascadeConfig, CascadedPredictor, Stage};
 use crate::config::TargetCacheConfig;
 use crate::history::HistoryTracker;
 use crate::stats::TargetCacheStats;
-use crate::telemetry::HarnessTelemetry;
+use crate::telemetry::{HarnessProf, HarnessTelemetry};
 use branch_predictors::{
     BranchClassStats, Btb, BtbConfig, BtbHit, DirectionConfig, DirectionPredictor,
     ReturnAddressStack,
 };
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr};
+use sim_telemetry::PhaseTimer;
 
 /// How indirect-jump targets are predicted.
 #[derive(Clone, Copy, Debug, Default)]
@@ -125,6 +147,15 @@ impl FrontEndConfig {
             IndirectPredictor::Cascade(c) => Some(c.cache),
             _ => None,
         }
+    }
+
+    /// Whether `other` has the same baseline front end — BTB, direction
+    /// predictor and return-stack depth — so the two can share one
+    /// [`BaseFrontEnd`]: as lanes of one [`PredictionHarness`] batch, or
+    /// of one `hps-uarch` timing sweep. Only their indirect predictors may
+    /// differ.
+    pub fn shares_base(&self, other: &FrontEndConfig) -> bool {
+        self.btb == other.btb && self.cond == other.cond && self.ras_depth == other.ras_depth
     }
 
     /// Replaces the BTB configuration (builder style).
@@ -487,8 +518,142 @@ impl IndirectStage {
     }
 }
 
-/// The paper's front end in trace-driven form: a [`BaseFrontEnd`] and an
-/// [`IndirectStage`] driven together, one branch at a time.
+/// One configuration's share of a [`PredictionHarness`] batch: its
+/// [`IndirectStage`], its branch statistics and its optional telemetry
+/// hooks.
+#[derive(Debug)]
+pub struct Lane {
+    config: FrontEndConfig,
+    indirect: IndirectStage,
+    stats: BranchClassStats,
+    /// Optional observability hooks; `None` costs nothing on the hot path.
+    telemetry: Option<HarnessTelemetry>,
+}
+
+impl Lane {
+    fn new(config: FrontEndConfig) -> Self {
+        Lane {
+            config,
+            indirect: IndirectStage::new(config.indirect),
+            stats: BranchClassStats::default(),
+            telemetry: None,
+        }
+    }
+
+    /// The lane's configuration.
+    pub fn config(&self) -> &FrontEndConfig {
+        &self.config
+    }
+
+    /// The lane's indirect stage: its target-cache statistics, cascade
+    /// counts and served accuracy.
+    pub fn indirect(&self) -> &IndirectStage {
+        &self.indirect
+    }
+
+    /// Per-branch-class prediction statistics so far.
+    pub fn stats(&self) -> &BranchClassStats {
+        &self.stats
+    }
+
+    /// The attached telemetry hooks, if any.
+    pub fn telemetry(&self) -> Option<&HarnessTelemetry> {
+        self.telemetry.as_ref()
+    }
+
+    /// The indirect stage's part of a branch that is
+    /// target-cache-eligible (looked up and trained) or hits an
+    /// indirect-kind BTB entry (predicted). Returns the prediction, its
+    /// source label and the fetch-time history value the stage read.
+    #[inline]
+    fn predict_indirect<const TIMED: bool>(
+        &mut self,
+        pc: Addr,
+        b: BranchExec,
+        actual: Addr,
+        hit: Option<BtbHit>,
+        decision: BaseDecision,
+    ) -> (Addr, &'static str, Option<u64>) {
+        let prof = self.telemetry.as_ref().and_then(HarnessTelemetry::prof);
+        let indirect = &mut self.indirect;
+        let history = timed::<TIMED, _>(prof.map(|p| &p.tc_index), || {
+            b.class
+                .uses_target_cache()
+                .then(|| indirect.history_value(pc))
+                .flatten()
+        });
+        // The target cache (or cascade) is probed in parallel with the
+        // BTB; the probe is kept for the retire-time update ("index A").
+        let probe = timed::<TIMED, _>(prof.map(|p| &p.tc_lookup), || {
+            indirect.probe(pc, b.class, history, hit.map(|h| h.target))
+        });
+        let (predicted, source) = match decision.source {
+            BaseSource::Indirect => indirect.predict(&probe, decision.predicted, actual),
+            s => (decision.predicted, s.label()),
+        };
+        timed::<TIMED, _>(prof.map(|p| &p.tc_update), || {
+            indirect.train(pc, probe, b.target)
+        });
+        (predicted, source, history)
+    }
+
+    /// Books one branch's prediction — statistics, telemetry and the
+    /// history register's training — whichever structure made it.
+    #[inline]
+    fn resolve<const TIMED: bool>(
+        &mut self,
+        pc: Addr,
+        b: BranchExec,
+        actual: Addr,
+        predicted: Addr,
+        source: &'static str,
+        history: Option<u64>,
+    ) {
+        let correct = predicted == actual;
+        if let Some(t) = &self.telemetry {
+            // Events carry the fetch-time history value, read before this
+            // branch trains the register.
+            let history = match history {
+                Some(h) => h,
+                None if correct => 0,
+                None => self.indirect.history_value(pc).unwrap_or(0),
+            };
+            t.observe(pc, b.class, predicted, actual, history, source);
+        }
+        let prof = self.telemetry.as_ref().and_then(HarnessTelemetry::prof);
+        let indirect = &mut self.indirect;
+        timed::<TIMED, _>(prof.map(|p| &p.history_update), || {
+            indirect.train_history(pc, b, actual)
+        });
+        self.stats.record(b.class, correct);
+    }
+}
+
+/// Runs `f`, timing it into `timer` when `TIMED` and a timer is given;
+/// an untimed replay compiles to `f` alone.
+#[inline(always)]
+fn timed<const TIMED: bool, R>(timer: Option<&PhaseTimer>, f: impl FnOnce() -> R) -> R {
+    match timer {
+        Some(t) if TIMED => t.time(f),
+        _ => f(),
+    }
+}
+
+/// The paper's front end in trace-driven form, for a batch of
+/// configurations that share a baseline: one [`BaseFrontEnd`] and one
+/// [`Lane`] per configuration, advanced together one instruction at a
+/// time.
+///
+/// Each branch probes and trains the BTB, direction predictor and return
+/// stack once for the whole batch. A branch that is neither
+/// target-cache-eligible nor an indirect-kind BTB hit is decided once
+/// for every lane; the others go through each lane's own indirect stage.
+/// Every lane then books the prediction in its own statistics and
+/// telemetry and trains its own history register, so each lane ends
+/// exactly where its configuration would have ended alone.
+/// [`new`](Self::new) builds a batch of one, and the accessors without a
+/// lane index ([`stats`](Self::stats), [`process`](Self::process)'s
+/// outcome, …) read the first lane.
 ///
 /// # Example
 ///
@@ -506,190 +671,211 @@ impl IndirectStage {
 /// );
 /// h.process(&jump);
 /// assert_eq!(h.stats().indirect_jump_counters().executed, 1);
+///
+/// // Two configurations over one baseline, in one pass.
+/// let mut batch = PredictionHarness::batch(&[
+///     FrontEndConfig::isca97_baseline(),
+///     FrontEndConfig::isca97_oracle(),
+/// ]);
+/// batch.run(&[jump, jump]);
+/// let [btb, oracle] = batch.lanes() else { unreachable!() };
+/// assert_eq!(btb.stats().indirect_jump_counters().correct, 1);
+/// assert_eq!(oracle.stats().indirect_jump_counters().correct, 1);
 /// ```
 #[derive(Debug)]
 pub struct PredictionHarness {
-    config: FrontEndConfig,
     base: BaseFrontEnd,
-    indirect: IndirectStage,
-    stats: BranchClassStats,
-    /// Optional observability hooks; `None` costs nothing on the hot path.
-    telemetry: Option<HarnessTelemetry>,
+    lanes: Vec<Lane>,
+    /// The phase timers the baseline's phases are sampled into, once per
+    /// branch for the whole batch: the first lane's that carries them.
+    base_prof: Option<HarnessProf>,
 }
 
 impl PredictionHarness {
-    /// Creates a cold harness.
+    /// Creates a cold harness: a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if any sub-configuration is invalid.
     pub fn new(config: FrontEndConfig) -> Self {
+        PredictionHarness::batch(&[config])
+    }
+
+    /// Creates a cold harness with one lane per configuration, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty, if the configurations do not all
+    /// [share a baseline](FrontEndConfig::shares_base), or if any
+    /// sub-configuration is invalid.
+    pub fn batch(configs: &[FrontEndConfig]) -> Self {
+        let first = configs
+            .first()
+            .expect("a batch holds at least one configuration");
+        assert!(
+            configs.iter().all(|c| first.shares_base(c)),
+            "every configuration of a batch must share its baseline front end"
+        );
         PredictionHarness {
-            config,
-            base: BaseFrontEnd::new(&config),
-            indirect: IndirectStage::new(config.indirect),
-            stats: BranchClassStats::default(),
-            telemetry: None,
+            base: BaseFrontEnd::new(first),
+            lanes: configs.iter().map(|&c| Lane::new(c)).collect(),
+            base_prof: None,
         }
     }
 
-    /// The harness's configuration.
-    pub fn config(&self) -> &FrontEndConfig {
-        &self.config
+    /// The lanes, in batch order.
+    pub fn lanes(&self) -> &[Lane] {
+        &self.lanes
     }
 
-    /// Attaches observability hooks: from now on every processed branch
-    /// feeds the telemetry counters, and (if the hooks carry an event
-    /// sink) every misprediction records a structured event.
+    /// The lanes, in batch order, with everything they measured.
+    pub fn into_lanes(self) -> Vec<Lane> {
+        self.lanes
+    }
+
+    /// Attaches observability hooks to the first lane (see
+    /// [`attach_lane_telemetry`](Self::attach_lane_telemetry)).
     pub fn attach_telemetry(&mut self, telemetry: HarnessTelemetry) {
-        self.telemetry = Some(telemetry);
+        self.attach_lane_telemetry(0, telemetry);
     }
 
-    /// The attached telemetry hooks, if any.
-    pub fn telemetry(&self) -> Option<&HarnessTelemetry> {
-        self.telemetry.as_ref()
+    /// Attaches observability hooks to lane `lane`: from now on every
+    /// branch feeds that lane's prediction into the hooks' counters, and
+    /// (if the hooks carry an event sink) every misprediction records a
+    /// structured event. Give each lane its own sink to keep its events
+    /// apart. A hot-path profiler times the lane's indirect-stage phases
+    /// (`tc-index`, `tc-lookup` and `tc-update` on the branches its
+    /// indirect stage handles, `history-update` on every branch); the
+    /// baseline's phases (`btb-lookup`, `ras`, `dir-update`, `btb-update`)
+    /// are sampled once per branch for the whole batch, into the first
+    /// profiled lane's timers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn attach_lane_telemetry(&mut self, lane: usize, telemetry: HarnessTelemetry) {
+        self.lanes[lane].telemetry = Some(telemetry);
+        self.base_prof = self
+            .lanes
+            .iter()
+            .find_map(|l| l.telemetry.as_ref()?.prof().cloned());
     }
 
-    /// Per-branch-class prediction statistics so far.
+    /// The first lane's per-branch-class prediction statistics so far.
     pub fn stats(&self) -> &BranchClassStats {
-        &self.stats
+        &self.lanes[0].stats
     }
 
-    /// Target-cache structural statistics, if one is configured (for a
-    /// cascade: the second stage's statistics).
+    /// The first lane's target-cache structural statistics, if one is
+    /// configured (for a cascade: the second stage's statistics).
     pub fn target_cache_stats(&self) -> Option<&TargetCacheStats> {
-        self.indirect.target_cache_stats()
+        self.lanes[0].indirect.target_cache_stats()
     }
 
-    /// The cascade's stage-one filter rate, if a cascade is configured.
+    /// The first lane's cascade stage-one filter rate, if a cascade is
+    /// configured.
     pub fn cascade_filter_rate(&self) -> Option<f64> {
-        self.indirect.cascade_filter_rate()
+        self.lanes[0].indirect.cascade_filter_rate()
     }
 
-    /// The cascade's raw `(filtered, total)` jump counts, if a cascade is
-    /// configured (what telemetry manifests record).
+    /// The first lane's raw cascade `(filtered, total)` jump counts, if a
+    /// cascade is configured (what telemetry manifests record).
     pub fn cascade_counts(&self) -> Option<(u64, u64)> {
-        self.indirect.cascade_counts()
+        self.lanes[0].indirect.cascade_counts()
     }
 
-    /// Of the indirect jumps where the target cache supplied the used
-    /// prediction, the fraction it got right.
+    /// Of the first lane's indirect jumps where the target cache supplied
+    /// the used prediction, the fraction it got right.
     pub fn target_cache_served_accuracy(&self) -> Option<f64> {
-        self.indirect.target_cache_served_accuracy()
+        self.lanes[0].indirect.target_cache_served_accuracy()
     }
 
-    /// Processes one dynamic instruction; returns the prediction outcome if
-    /// it was a branch.
+    /// Advances every lane by one dynamic instruction; returns the first
+    /// lane's prediction outcome if it was a branch.
+    #[inline]
     pub fn process(&mut self, instr: &DynInstr) -> Option<PredictionOutcome> {
-        let b = instr.branch_exec()?;
-        let pc = instr.pc();
-        let actual = b.next_pc(pc);
+        let mut first = None;
+        self.run_observed(std::iter::once(instr), |lane, _, outcome| {
+            if lane == 0 {
+                first = Some(*outcome);
+            }
+        });
+        first
+    }
 
-        // Whether `REPRO_PROF=full` phase timing is live. When it is not
-        // (the default), every timing site below is one branch on this
-        // bool — no `Instant::now()` calls, no atomics.
-        let timed = self.telemetry.as_ref().is_some_and(|t| t.prof().is_some());
-        let clock = |on: bool| on.then(std::time::Instant::now);
-        let lap = |t0: Option<std::time::Instant>| t0.map(|t| t.elapsed().as_nanos() as u64);
+    /// Replays a trace through every lane.
+    pub fn run<'a, I: IntoIterator<Item = &'a DynInstr>>(&mut self, trace: I) {
+        self.run_observed(trace, |_, _, _| {});
+    }
 
-        // --- Fetch-time prediction -----------------------------------
-        let t0 = clock(timed);
-        let history_value = self.indirect.history_value(pc);
-        let ns_tc_index = lap(t0);
-        let t0 = clock(timed);
-        let btb_hit = self.base.lookup(pc);
-        let ns_btb_lookup = lap(t0);
-
-        // The target cache (or cascade) is probed in parallel with the BTB;
-        // the probe is kept for the retire-time update ("index A").
-        let t0 = clock(timed);
-        let probe = self
-            .indirect
-            .probe(pc, b.class, history_value, btb_hit.map(|h| h.target));
-        let ns_tc_lookup = lap(t0);
-
-        // Alongside the prediction, name the structure that supplied it
-        // (the telemetry layer's `source` attribution; see
-        // `telemetry::PREDICTOR_SOURCES`).
-        let decision = self.base.decide(pc, btb_hit);
-        let (predicted, source) = match decision.source {
-            BaseSource::Indirect => self.indirect.predict(&probe, decision.predicted, actual),
-            s => (decision.predicted, s.label()),
-        };
-
-        // --- Resolution-time training --------------------------------
-        let t0 = clock(timed);
-        self.base.resolve_ras(pc, b.class);
-        let ns_ras = lap(t0);
-        let t0 = clock(timed);
-        self.base.resolve_direction(pc, b);
-        let ns_dir_update = lap(t0);
-        let t0 = clock(timed);
-        self.base.resolve_btb(pc, b);
-        let ns_btb_update = lap(t0);
-        let t0 = clock(timed);
-        self.indirect.train(pc, probe, b.target);
-        let ns_tc_update = lap(t0);
-        let t0 = clock(timed);
-        self.indirect.train_history(pc, b, actual);
-        let ns_history_update = lap(t0);
-
-        if let Some(p) = self.telemetry.as_ref().and_then(|t| t.prof()) {
-            // All eight are `Some` exactly when `timed` was true.
-            for (timer, ns) in [
-                (&p.tc_index, ns_tc_index),
-                (&p.btb_lookup, ns_btb_lookup),
-                (&p.tc_lookup, ns_tc_lookup),
-                (&p.ras, ns_ras),
-                (&p.dir_update, ns_dir_update),
-                (&p.btb_update, ns_btb_update),
-                (&p.tc_update, ns_tc_update),
-                (&p.history_update, ns_history_update),
-            ] {
-                if let Some(ns) = ns {
-                    timer.record_ns(ns);
-                }
+    /// Replays a trace through every lane, handing each branch's outcome
+    /// in each lane to `observe` as `(lane, pc, outcome)`, lanes in batch
+    /// order.
+    pub fn run_observed<'a, I, F>(&mut self, trace: I, mut observe: F)
+    where
+        I: IntoIterator<Item = &'a DynInstr>,
+        F: FnMut(usize, Addr, &PredictionOutcome),
+    {
+        // Phase timing is decided once per replay, so an untimed replay
+        // carries no clock checks in its loop.
+        if self.base_prof.is_some() {
+            for instr in trace {
+                self.step::<true>(instr, &mut observe);
+            }
+        } else {
+            for instr in trace {
+                self.step::<false>(instr, &mut observe);
             }
         }
+    }
 
-        let outcome = PredictionOutcome {
-            class: b.class,
-            predicted,
-            actual,
+    /// The per-branch protocol: advances every lane by one instruction.
+    /// Inlined into the replay loop, so a non-branch costs one class test.
+    #[inline]
+    fn step<const TIMED: bool>(
+        &mut self,
+        instr: &DynInstr,
+        observe: &mut impl FnMut(usize, Addr, &PredictionOutcome),
+    ) {
+        let Some(b) = instr.branch_exec() else {
+            return;
         };
-        self.stats.record(b.class, outcome.correct());
-        if let Some(t) = &self.telemetry {
-            t.observe(
+        let pc = instr.pc();
+        let actual = b.next_pc(pc);
+        let prof = if TIMED { self.base_prof.as_ref() } else { None };
+
+        // --- Fetch-time prediction -----------------------------------
+        let base = &mut self.base;
+        let hit = timed::<TIMED, _>(prof.map(|p| &p.btb_lookup), || base.lookup(pc));
+        let decision = base.decide(pc, hit);
+        // A branch the indirect stage takes no part in is predicted alike
+        // in every lane; only target-cache-eligible branches and
+        // indirect-kind BTB hits involve each lane's own predictor.
+        let shared = !b.class.uses_target_cache() && decision.source != BaseSource::Indirect;
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let (predicted, source, history) = if shared {
+                (decision.predicted, decision.source.label(), None)
+            } else {
+                lane.predict_indirect::<TIMED>(pc, b, actual, hit, decision)
+            };
+            lane.resolve::<TIMED>(pc, b, actual, predicted, source, history);
+            observe(
+                i,
                 pc,
-                b.class,
-                predicted,
-                actual,
-                history_value.unwrap_or(0),
-                source,
+                &PredictionOutcome {
+                    class: b.class,
+                    predicted,
+                    actual,
+                },
             );
         }
-        Some(outcome)
-    }
 
-    /// Replays an entire trace from borrowed instructions (the
-    /// [`VecTrace`](sim_isa::VecTrace) convenience path).
-    pub fn run<'a, I: IntoIterator<Item = &'a DynInstr>>(&mut self, trace: I) {
-        self.run_stream(trace.into_iter().copied());
-    }
-
-    /// Replays a stream of owned instructions — the one hot loop both
-    /// in-memory and on-disk replay go through. A streaming decoder
-    /// (e.g. `sim-trace`'s reader) plugs in here without materializing
-    /// the trace.
-    pub fn run_stream<I: IntoIterator<Item = DynInstr>>(&mut self, trace: I) {
-        for instr in trace {
-            self.process(&instr);
-        }
-    }
-
-    /// Replays anything implementing [`sim_isa::Trace`].
-    pub fn run_trace<T: sim_isa::Trace>(&mut self, trace: &T) {
-        self.run_stream(trace.replay());
+        // --- Resolution-time training of the baseline ----------------
+        timed::<TIMED, _>(prof.map(|p| &p.ras), || base.resolve_ras(pc, b.class));
+        timed::<TIMED, _>(prof.map(|p| &p.dir_update), || {
+            base.resolve_direction(pc, b)
+        });
+        timed::<TIMED, _>(prof.map(|p| &p.btb_update), || base.resolve_btb(pc, b));
     }
 }
 
@@ -996,13 +1182,19 @@ mod tests {
             plain.stats().total_mispredicted(),
             profiled.stats().total_mispredicted()
         );
-        // Every phase sampled once per processed branch (RAS and history
-        // timers run for every branch; tc phases too — they time the
-        // class check even when the cache is not consulted).
+        // The baseline phases and the history update are sampled once per
+        // branch, the target-cache phases only on the branches the
+        // indirect stage handles: here, the indirect jumps.
         let snap = hot.snapshot();
         let branches = profiled.stats().total_executed();
+        let jumps = profiled.stats().indirect_jump_counters().executed;
         for s in &snap {
-            assert_eq!(s.count, branches, "phase {} sample count", s.name);
+            let want = if s.name.starts_with("tc-") {
+                jumps
+            } else {
+                branches
+            };
+            assert_eq!(s.count, want, "phase {} sample count", s.name);
         }
         let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
         for expected in [
@@ -1028,23 +1220,45 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_matches_borrowed_replay() {
-        let trace: Vec<DynInstr> = (0..64)
-            .map(|i| ijmp(0x100 + (i % 7) * 4, 0x900 + (i % 3) * 0x10))
+    fn a_batch_matches_its_configurations_run_alone() {
+        let configs = [
+            FrontEndConfig::isca97_baseline(),
+            FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
+            FrontEndConfig::isca97_oracle(),
+            FrontEndConfig::isca97_cascade(TargetCacheConfig::isca97_tagged(4)),
+        ];
+        let trace: Vec<DynInstr> = (0..200u64)
+            .flat_map(|i| {
+                [
+                    cond(0x100, i % 3 == 0, 0x200),
+                    ijmp(0x300, 0x900 + (i % 3) * 0x100),
+                    call(0x400, 0x800),
+                    ret(0x800, 0x404),
+                ]
+            })
             .collect();
-        let mut borrowed = PredictionHarness::new(FrontEndConfig::isca97_with(
-            TargetCacheConfig::isca97_tagless_gshare(),
-        ));
-        borrowed.run(&trace);
-        let mut streamed = PredictionHarness::new(FrontEndConfig::isca97_with(
-            TargetCacheConfig::isca97_tagless_gshare(),
-        ));
-        streamed.run_stream(trace.iter().copied());
-        let mut via_trait = PredictionHarness::new(FrontEndConfig::isca97_with(
-            TargetCacheConfig::isca97_tagless_gshare(),
-        ));
-        via_trait.run_trace(&trace.iter().copied().collect::<sim_isa::VecTrace>());
-        assert_eq!(borrowed.stats(), streamed.stats());
-        assert_eq!(borrowed.stats(), via_trait.stats());
+        let mut batch = PredictionHarness::batch(&configs);
+        let mut outcomes = vec![Vec::new(); configs.len()];
+        batch.run_observed(&trace, |lane, _, o| outcomes[lane].push(*o));
+        for ((config, lane), outcomes) in configs.iter().zip(batch.lanes()).zip(&outcomes) {
+            let mut alone = PredictionHarness::new(*config);
+            let want: Vec<PredictionOutcome> =
+                trace.iter().filter_map(|i| alone.process(i)).collect();
+            assert_eq!(outcomes, &want, "{:?}", config.indirect);
+            assert_eq!(lane.stats(), alone.stats());
+            assert_eq!(
+                lane.indirect().target_cache_stats(),
+                alone.target_cache_stats()
+            );
+            assert_eq!(lane.indirect().cascade_counts(), alone.cascade_counts());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share its baseline")]
+    fn a_batch_refuses_mixed_baselines() {
+        let mut shallow = FrontEndConfig::isca97_oracle();
+        shallow.ras_depth = 4;
+        PredictionHarness::batch(&[FrontEndConfig::isca97_baseline(), shallow]);
     }
 }

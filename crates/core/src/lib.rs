@@ -35,7 +35,12 @@
 //! A trace-driven [`harness::PredictionHarness`] combines the target cache
 //! with the baseline front-end structures (BTB, two-level direction
 //! predictor, return address stack) to measure misprediction rates exactly
-//! as the paper's accuracy tables do.
+//! as the paper's accuracy tables do. It is a batch: one pass over a trace
+//! drives the baseline structures once and one indirect predictor per
+//! configuration beside them, deciding once for every configuration each
+//! branch no indirect predictor takes part in.
+//! [`PredictionHarness::new`](harness::PredictionHarness::new) is a batch
+//! of one.
 //!
 //! # Quick start
 //!

@@ -13,10 +13,10 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{functional, trace, Scale};
+use crate::runner::{functional_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
-use target_cache::harness::{FrontEndConfig, PredictionHarness};
+use target_cache::harness::FrontEndConfig;
 use target_cache::{HistorySource, IndexScheme, Organization, TargetCacheConfig};
 
 fn tagless(entries: usize) -> TargetCacheConfig {
@@ -34,28 +34,35 @@ pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
 }
 
-/// Computes one benchmark's cell.
+/// The study's front ends, keyed by cell-data name.
+pub fn configs() -> Vec<(&'static str, FrontEndConfig)> {
+    vec![
+        ("baseline", FrontEndConfig::isca97_baseline()),
+        ("plain_512", FrontEndConfig::isca97_with(tagless(512))),
+        ("cascade_512", FrontEndConfig::isca97_cascade(tagless(512))),
+        ("cascade_256", FrontEndConfig::isca97_cascade(tagless(256))),
+    ]
+}
+
+/// Computes one benchmark's cell: every configuration as one
+/// [`functional_sweep`], plus the 512-entry cascade's filter rate.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let rate = |fe: FrontEndConfig| functional(ctx, &t, fe).indirect_jump_misprediction_rate();
-    let mut cascade = PredictionHarness::new(FrontEndConfig::isca97_cascade(tagless(512)));
-    cascade.run(&t);
+    let configs = configs();
+    let frontends: Vec<FrontEndConfig> = configs.iter().map(|&(_, fe)| fe).collect();
     let mut d = CellData::new();
-    d.set("baseline", rate(FrontEndConfig::isca97_baseline()));
-    d.set("plain_512", rate(FrontEndConfig::isca97_with(tagless(512))));
-    d.set(
-        "cascade_512",
-        cascade.stats().indirect_jump_misprediction_rate(),
-    );
-    d.set(
-        "cascade_256",
-        rate(FrontEndConfig::isca97_cascade(tagless(256))),
-    );
-    d.set(
-        "filter_rate",
-        cascade.cascade_filter_rate().expect("cascade configured"),
-    );
+    for ((key, _), lane) in configs.iter().zip(functional_sweep(ctx, &t, &frontends)) {
+        d.set(*key, lane.stats().indirect_jump_misprediction_rate());
+        if *key == "cascade_512" {
+            d.set(
+                "filter_rate",
+                lane.indirect()
+                    .cascade_filter_rate()
+                    .expect("cascade configured"),
+            );
+        }
+    }
     d
 }
 

@@ -17,7 +17,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{functional, trace, Scale};
+use crate::runner::{functional_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use branch_predictors::UpdatePolicy;
 use sim_workloads::Benchmark;
@@ -29,26 +29,28 @@ pub fn cell_labels() -> Vec<&'static str> {
     Benchmark::ALL.iter().map(|b| b.name()).collect()
 }
 
-/// Computes one benchmark's cell.
+/// Computes one benchmark's cell: both organisations under both update
+/// policies, as one [`functional_sweep`].
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
-    let rate = |config: TargetCacheConfig| {
-        functional(ctx, &t, FrontEndConfig::isca97_with(config)).indirect_jump_misprediction_rate()
-    };
     let tagless = TargetCacheConfig::isca97_tagless_gshare();
     let tagged = TargetCacheConfig::isca97_tagged(4);
+    let two_bit = |tc: TargetCacheConfig| tc.with_update_policy(UpdatePolicy::TwoBit);
+    let configs = [
+        ("tagless.always", tagless),
+        ("tagless.two_bit", two_bit(tagless)),
+        ("tagged.always", tagged),
+        ("tagged.two_bit", two_bit(tagged)),
+    ];
+    let frontends: Vec<FrontEndConfig> = configs
+        .iter()
+        .map(|&(_, tc)| FrontEndConfig::isca97_with(tc))
+        .collect();
     let mut d = CellData::new();
-    d.set("tagless.always", rate(tagless));
-    d.set(
-        "tagless.two_bit",
-        rate(tagless.with_update_policy(UpdatePolicy::TwoBit)),
-    );
-    d.set("tagged.always", rate(tagged));
-    d.set(
-        "tagged.two_bit",
-        rate(tagged.with_update_policy(UpdatePolicy::TwoBit)),
-    );
+    for ((key, _), lane) in configs.iter().zip(functional_sweep(ctx, &t, &frontends)) {
+        d.set(*key, lane.stats().indirect_jump_misprediction_rate());
+    }
     d
 }
 

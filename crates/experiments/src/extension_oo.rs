@@ -13,7 +13,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, timing_sweep, Scale};
+use crate::runner::{functional_sweep, timing_sweep, Scale};
 use crate::telemetry::TelemetryCtx;
 use hps_uarch::MachineConfig;
 use sim_isa::VecTrace;
@@ -21,7 +21,7 @@ use sim_workloads::OoBenchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
 
-/// The predictor configurations compared.
+/// The predictor configurations compared, the BTB-only baseline first.
 pub fn configs() -> Vec<(&'static str, Option<TargetCacheConfig>)> {
     vec![
         ("BTB only", None),
@@ -64,9 +64,17 @@ pub fn cell_labels() -> Vec<&'static str> {
 }
 
 /// Computes one benchmark's cell: trace characterization plus
-/// `mispred.<config>` / `exec.<config>` per configuration.
+/// `mispred.<config>` / `exec.<config>` per configuration. The
+/// configurations run as one functional and one timing sweep; the first,
+/// `BTB only`, is the baseline the execution-time reductions are measured
+/// against.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = oo_benchmark(label);
+    // The OO traces are generated here, not by `runner::trace`, so the
+    // cell declares its benchmark for run attribution itself.
+    if let Some(hub) = ctx.hub() {
+        hub.set_benchmark(benchmark.name());
+    }
     let t = oo_trace(benchmark, scale);
     let stats = t.stats();
     let mut d = CellData::new();
@@ -80,20 +88,16 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
             Some(tc) => FrontEndConfig::isca97_with(*tc),
         })
         .collect();
-    for ((name, _), &fe) in configs.iter().zip(&frontends) {
+    for ((name, _), lane) in configs.iter().zip(functional_sweep(ctx, &t, &frontends)) {
         d.set(
             format!("mispred.{name}"),
-            functional(ctx, &t, fe).indirect_jump_misprediction_rate(),
+            lane.stats().indirect_jump_misprediction_rate(),
         );
     }
-    // The baseline and every configuration replay as one batch.
-    let machines: Vec<MachineConfig> = std::iter::once(FrontEndConfig::isca97_baseline())
-        .chain(frontends)
-        .map(MachineConfig::isca97)
-        .collect();
+    let machines: Vec<MachineConfig> = frontends.into_iter().map(MachineConfig::isca97).collect();
     let reports = timing_sweep(ctx, &t, &machines);
-    let (base, rest) = reports.split_first().expect("the baseline runs first");
-    for ((name, _), report) in configs.iter().zip(rest) {
+    let base = &reports[0];
+    for ((name, _), report) in configs.iter().zip(&reports) {
         d.set(format!("exec.{name}"), report.exec_time_reduction_vs(base));
     }
     d
@@ -172,6 +176,65 @@ mod tests {
                 .into_iter()
                 .fold(f64::MIN, f64::max);
             assert!(best_exec > 0.02, "{b}: best exec reduction {best_exec}");
+        }
+    }
+
+    #[test]
+    fn a_cell_replays_each_configuration_once_per_model_under_its_label() {
+        use crate::telemetry::{session_with_config, ProfMode, TelemetryConfig, TelemetryMode};
+        use sim_telemetry::Json;
+
+        for b in OoBenchmark::ALL {
+            let dir = std::env::temp_dir().join(format!(
+                "extension-oo-{}-{}",
+                b.name(),
+                std::process::id()
+            ));
+            let session = session_with_config(
+                "extension_oo",
+                Scale::Quick,
+                TelemetryConfig {
+                    mode: TelemetryMode::Summary,
+                    prof: ProfMode::Spans,
+                    dir: dir.clone(),
+                    ..TelemetryConfig::off()
+                },
+            );
+            cell(&session.ctx(), b.name(), Scale::Quick);
+            let spans = session
+                .ctx()
+                .hub()
+                .expect("telemetry on")
+                .spans()
+                .snapshot();
+            let count = |name: &str| {
+                spans
+                    .iter()
+                    .find(|s| s.name() == name)
+                    .map_or(0, |s| s.count)
+            };
+            // One functional batch and one timing batch ...
+            assert_eq!((count("harness-replay"), count("uarch-sim")), (1, 1), "{b}");
+            let manifest_path = session.manifest_path();
+            drop(session);
+            let manifest =
+                sim_telemetry::json::parse(&std::fs::read_to_string(&manifest_path).unwrap())
+                    .expect("manifest parses");
+            let _ = std::fs::remove_dir_all(&dir);
+            // ... of four configurations each: every configuration runs
+            // once functionally and once in the timing model, and every run
+            // is attributed to the model.
+            let runs = manifest.get("runs").and_then(Json::as_arr).unwrap();
+            assert_eq!(runs.len(), 8, "{b}");
+            let field =
+                |run: &Json, key: &str| run.get(key).and_then(Json::as_str).unwrap().to_string();
+            for run in runs {
+                assert_eq!(field(run, "label"), b.name());
+            }
+            let (functional, timing) = runs.split_at(4);
+            let configs =
+                |runs: &[Json]| runs.iter().map(|r| field(r, "config")).collect::<Vec<_>>();
+            assert_eq!(configs(functional), configs(timing), "{b}");
         }
     }
 

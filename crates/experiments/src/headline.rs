@@ -10,7 +10,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{exec_reductions, functional, trace, Scale};
+use crate::runner::{exec_reductions, functional_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use branch_predictors::PathFilter;
 use sim_workloads::Benchmark;
@@ -37,10 +37,16 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
     let tc = best_tagless_for(benchmark);
-    let base = functional(ctx, &t, FrontEndConfig::isca97_baseline());
-    let with_tc = functional(ctx, &t, FrontEndConfig::isca97_with(tc));
-    let btb_mispred = base.indirect_jump_misprediction_rate();
-    let tc_mispred = with_tc.indirect_jump_misprediction_rate();
+    let lanes = functional_sweep(
+        ctx,
+        &t,
+        &[
+            FrontEndConfig::isca97_baseline(),
+            FrontEndConfig::isca97_with(tc),
+        ],
+    );
+    let [btb_mispred, tc_mispred] =
+        [&lanes[0], &lanes[1]].map(|lane| lane.stats().indirect_jump_misprediction_rate());
     let mut d = exec_reductions(ctx, &t, &[("exec_reduction".into(), tc)]);
     d.set("btb_mispred", btb_mispred);
     d.set("tc_mispred", tc_mispred);

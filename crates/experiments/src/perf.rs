@@ -75,6 +75,10 @@ impl Scenario {
 ///   baseline plus 25 target caches) on one trace as one batch
 ///   ([`runner::exec_reductions`]), as the timing tables run them; its
 ///   time per instruction is the cost per configuration.
+/// * `functional-sweep/<bench>` — the cascade study's four front ends on
+///   one trace as one batch ([`runner::functional_sweep`]), as the
+///   functional tables run them; its time per instruction is the cost per
+///   configuration.
 /// * `analysis-static` — the full static-analysis stack (verification
 ///   plus the predictability profile) over all 8 benchmark models.
 /// * `analysis-conformance` — trace-conformance replay of the shared
@@ -198,6 +202,23 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
             std::hint::black_box(runner::exec_reductions(&ctx, &trace, &configs));
             (1 + configs.len() as u64) * trace.len() as u64
         }));
+    }
+    for bench in [Benchmark::Perl, Benchmark::Gcc] {
+        let trace = Rc::clone(&traces[bench.name()]);
+        let ctx = ctx.clone();
+        let claim = claim.clone();
+        scenarios.push(Scenario::new(
+            format!("functional-sweep/{bench}"),
+            move || {
+                claim(bench);
+                let configs: Vec<FrontEndConfig> = crate::extension_cascade::configs()
+                    .into_iter()
+                    .map(|(_, fe)| fe)
+                    .collect();
+                std::hint::black_box(runner::functional_sweep(&ctx, &trace, &configs));
+                configs.len() as u64 * trace.len() as u64
+            },
+        ));
     }
     scenarios.push(Scenario::new("analysis-static", move || {
         // The whole static-analysis stack over every benchmark model:
@@ -802,12 +823,13 @@ mod tests {
         }
         assert!(names.contains(&"timing/perl".to_string()));
         assert!(names.contains(&"timing-sweep/gcc".to_string()));
+        assert!(names.contains(&"functional-sweep/perl".to_string()));
         assert!(names.contains(&"analysis-static".to_string()));
         assert!(names.contains(&"analysis-conformance".to_string()));
         assert!(names.contains(&"simpoint-fingerprint".to_string()));
         assert!(names.contains(&"simpoint-sampled-table1".to_string()));
         assert!(names.contains(&"e2e/table1".to_string()));
-        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 2 + 1);
+        assert_eq!(names.len(), 8 * 5 + 2 + 2 + 2 + 2 + 2 + 1);
     }
 
     #[test]

@@ -19,18 +19,18 @@
 
 use crate::jobs::{faults, CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{trace, Scale};
-use crate::telemetry::{self as hub, TelemetryCtx};
+use crate::runner::{functional_sweep_observed, trace, Scale};
+use crate::telemetry::TelemetryCtx;
 use sim_analysis::predictability::DEFAULT_PATH_DEPTH;
 use sim_analysis::rules::FINDINGS_PER_RULE_CAP;
 use sim_analysis::{
     analyze_program, check_predictability, Analysis, BenchReport, Findings, MeasuredConfig,
     SiteOutcome, StaticPredictability,
 };
-use sim_isa::VecTrace;
+use sim_isa::{Addr, VecTrace};
 use sim_workloads::Benchmark;
 use std::collections::BTreeMap;
-use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
+use target_cache::harness::{FrontEndConfig, IndirectPredictor};
 use target_cache::TargetCacheConfig;
 
 /// The three configurations whose books are reconciled, in report order.
@@ -48,33 +48,33 @@ fn configs() -> Vec<(&'static str, FrontEndConfig)> {
     ]
 }
 
-/// Replays `t` through one front end and keeps per-site prediction books
-/// for every branch the target cache covers.
+/// Replays `t` through every configuration as one
+/// [`functional_sweep_observed`] and keeps, per configuration, per-site
+/// prediction books for every branch the target cache covers.
 ///
 /// `fault_period` injects the `wrong-target` fault: every `period`-th
-/// scored indirect prediction is perturbed, at this measurement boundary,
-/// to an address that is neither the actual target nor the site's
-/// fall-through — exactly the signature a broken oracle (or a
-/// mis-attributed prediction) would leave, so the `SL013` reconciliation
-/// clause must catch it.
+/// scored indirect prediction of each configuration is perturbed, at this
+/// measurement boundary, to an address that is neither the actual target
+/// nor the site's fall-through — exactly the signature a broken oracle
+/// (or a mis-attributed prediction) would leave, so the `SL013`
+/// reconciliation clause must catch it.
 fn measure(
+    ctx: &TelemetryCtx,
     t: &VecTrace,
-    name: &str,
-    frontend: FrontEndConfig,
+    configs: &[(&str, FrontEndConfig)],
     fault_period: Option<u64>,
-) -> MeasuredConfig {
-    hub::add_instructions(t.len() as u64);
-    let oracle = matches!(frontend.indirect, IndirectPredictor::Oracle);
-    let mut h = PredictionHarness::new(frontend);
-    let mut sites: BTreeMap<sim_isa::Addr, SiteOutcome> = BTreeMap::new();
-    let mut scored: u64 = 0;
-    for i in t.iter() {
-        let Some(out) = h.process(i) else { continue };
+) -> Vec<MeasuredConfig> {
+    // Per configuration: indirect predictions scored so far, and the books.
+    let mut books: Vec<(u64, BTreeMap<Addr, SiteOutcome>)> =
+        configs.iter().map(|_| (0, BTreeMap::new())).collect();
+    let frontends: Vec<FrontEndConfig> = configs.iter().map(|&(_, fe)| fe).collect();
+    functional_sweep_observed(ctx, t, &frontends, |lane, pc, out| {
         if !out.class.uses_target_cache() {
-            continue;
+            return;
         }
-        scored += 1;
-        let fallthrough = i.pc().next();
+        let (scored, sites) = &mut books[lane];
+        *scored += 1;
+        let fallthrough = pc.next();
         let mut predicted = out.predicted;
         if let Some(period) = fault_period {
             if scored.is_multiple_of(period) {
@@ -86,7 +86,7 @@ fn measure(
                 };
             }
         }
-        let o = sites.entry(i.pc()).or_default();
+        let o = sites.entry(pc).or_default();
         o.executed += 1;
         if predicted == out.actual {
             o.correct += 1;
@@ -96,21 +96,15 @@ fn measure(
                 o.non_fallthrough_mispredicts += 1;
             }
         }
-    }
-    MeasuredConfig {
-        name: name.to_string(),
-        oracle,
-        sites,
-    }
-}
-
-/// Scores all three configurations over one trace, honoring an installed
-/// `wrong-target` fault for the benchmark.
-fn measure_all(bench: Benchmark, t: &VecTrace) -> Vec<MeasuredConfig> {
-    let fault = faults::active_wrong_target(bench.name());
-    configs()
-        .into_iter()
-        .map(|(name, frontend)| measure(t, name, frontend, fault))
+    });
+    configs
+        .iter()
+        .zip(books)
+        .map(|(&(name, frontend), (_, sites))| MeasuredConfig {
+            name: name.to_string(),
+            oracle: matches!(frontend.indirect, IndirectPredictor::Oracle),
+            sites,
+        })
         .collect()
 }
 
@@ -133,7 +127,12 @@ fn run_pass(
     );
     let t = trace(ctx, bench, scale);
     let stats = t.stats();
-    let measured = measure_all(bench, &t);
+    let measured = measure(
+        ctx,
+        &t,
+        &configs(),
+        faults::active_wrong_target(bench.name()),
+    );
     report.predictability = Some(check_predictability(
         &stat,
         stats.indirect_jump_census(),
@@ -309,19 +308,15 @@ mod tests {
         let stats = t.stats();
 
         // Clean oracle books reconcile without findings…
-        let clean = vec![measure(&t, "oracle", FrontEndConfig::isca97_oracle(), None)];
+        let oracle = [("oracle", FrontEndConfig::isca97_oracle())];
+        let clean = measure(&ctx, &t, &oracle, None);
         let mut f = Findings::new();
         check_predictability(&stat, stats.indirect_jump_census(), &clean, &mut f);
         assert!(f.is_clean(), "{:?}", f.iter().collect::<Vec<_>>());
 
         // …and the same books with an injected wrong-target fault trip
         // SL013's oracle clause, loudly.
-        let faulty = vec![measure(
-            &t,
-            "oracle",
-            FrontEndConfig::isca97_oracle(),
-            Some(97),
-        )];
+        let faulty = measure(&ctx, &t, &oracle, Some(97));
         let mut f = Findings::new();
         check_predictability(&stat, stats.indirect_jump_census(), &faulty, &mut f);
         assert!(f.count(Rule::EnvelopeViolation) > 0);

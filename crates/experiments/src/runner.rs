@@ -9,12 +9,14 @@ use crate::jobs::CellData;
 use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{MachineConfig, SimReport, TimingSweep};
-use sim_isa::VecTrace;
+use sim_isa::{Addr, VecTrace};
 use sim_trace::TraceKey;
 use sim_workloads::Benchmark;
 use std::path::PathBuf;
 use std::time::Instant;
-use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
+use target_cache::harness::{
+    FrontEndConfig, IndirectPredictor, Lane, PredictionHarness, PredictionOutcome,
+};
 use target_cache::{HarnessTelemetry, TargetCacheConfig};
 
 /// How much of each workload's canonical run to simulate.
@@ -225,37 +227,90 @@ pub fn trace_with_fingerprints(
     }
 }
 
-/// Runs the functional (accuracy-only) front end over a trace.
+/// Runs the functional (accuracy-only) front end over a trace: a
+/// [`functional_sweep`] of one configuration.
 pub fn functional(
     ctx: &TelemetryCtx,
     trace: &VecTrace,
     frontend: FrontEndConfig,
 ) -> BranchClassStats {
-    // Credit the replay to this thread's simulated-instruction account
-    // (the jobs runner snapshots it per cell; telemetry or not).
-    hub::add_instructions(trace.len() as u64);
-    let mut h = PredictionHarness::new(frontend);
-    if let Some(hub) = ctx.hub() {
-        let hooks = hub.harness_telemetry();
-        h.attach_telemetry(hooks.clone());
+    functional_sweep(ctx, trace, &[frontend])
+        .pop()
+        .expect("a sweep of one reports once")
+        .stats()
+        .clone()
+}
+
+/// Runs every configuration in `configs` over one trace through the
+/// functional front end and returns their harness lanes — statistics,
+/// target-cache statistics, cascade counts — in the same order.
+///
+/// Configurations that [share a baseline](FrontEndConfig::shares_base)
+/// form one batch: one [`PredictionHarness`] drives the batch's BTB,
+/// direction predictor and return stack once and every configuration's
+/// indirect stage beside them, in one pass inside one `harness-replay`
+/// span. Each configuration still gets its own manifest run record, event
+/// stream and `trace.len()` instructions of credit, exactly as a lone
+/// [`functional`] run does; a run record's wall time is its even share of
+/// its batch's.
+pub fn functional_sweep(
+    ctx: &TelemetryCtx,
+    trace: &VecTrace,
+    configs: &[FrontEndConfig],
+) -> Vec<Lane> {
+    functional_sweep_observed(ctx, trace, configs, |_, _, _| {})
+}
+
+/// [`functional_sweep`], handing each branch's outcome under each
+/// configuration to `observe` as `(index into configs, pc, outcome)`.
+pub fn functional_sweep_observed(
+    ctx: &TelemetryCtx,
+    trace: &VecTrace,
+    configs: &[FrontEndConfig],
+    mut observe: impl FnMut(usize, Addr, &PredictionOutcome),
+) -> Vec<Lane> {
+    let mut lanes: Vec<Option<Lane>> = configs.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..configs.len()).collect();
+    while let Some(&first) = pending.first() {
+        let (batch, rest): (Vec<usize>, Vec<usize>) = pending
+            .iter()
+            .partition(|&&i| configs[first].shares_base(&configs[i]));
         let started = Instant::now();
-        {
-            let _g = hub.spans().span("harness-replay");
-            h.run(trace);
+        let span = ctx.hub().map(|hub| hub.spans().span("harness-replay"));
+        let batch_configs: Vec<FrontEndConfig> = batch.iter().map(|&i| configs[i]).collect();
+        let mut h = PredictionHarness::batch(&batch_configs);
+        if let Some(hub) = ctx.hub() {
+            // One set of hooks (so one event sink) per configuration.
+            for lane in 0..batch.len() {
+                h.attach_lane_telemetry(lane, hub.harness_telemetry());
+            }
         }
-        hub.finish_run(
-            &hooks,
-            &config_desc(h.config()),
-            trace.len() as u64,
-            h.stats(),
-            h.target_cache_stats(),
-            h.cascade_counts(),
-            started.elapsed().as_nanos() as u64,
-        );
-    } else {
-        h.run(trace);
+        h.run_observed(trace, |lane, pc, outcome| observe(batch[lane], pc, outcome));
+        drop(span);
+        let wall_ns = started.elapsed().as_nanos() as u64 / batch.len() as u64;
+        for (&i, lane) in batch.iter().zip(h.into_lanes()) {
+            if let (Some(hub), Some(hooks)) = (ctx.hub(), lane.telemetry()) {
+                hub.finish_run(
+                    hooks,
+                    &config_desc(lane.config()),
+                    trace.len() as u64,
+                    lane.stats(),
+                    lane.indirect().target_cache_stats(),
+                    lane.indirect().cascade_counts(),
+                    wall_ns,
+                );
+            }
+            lanes[i] = Some(lane);
+        }
+        pending = rest;
     }
-    h.stats().clone()
+    // Credit every replay to this thread's simulated-instruction account
+    // (the jobs runner snapshots it per cell; telemetry or not).
+    hub::add_instructions(configs.len() as u64 * trace.len() as u64);
+    lanes
+        .into_iter()
+        .map(|lane| lane.expect("every configuration runs in some batch"))
+        .collect()
 }
 
 /// Runs the timing model over a trace: a [`timing_sweep`] of one
@@ -274,7 +329,8 @@ pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) ->
 /// configuration-independent half once and replays all its machines in
 /// one lockstep pass ([`TimingSweep::run_all`]), inside one `uarch-sim`
 /// span (so the recording is charged to the timing layer too). Each
-/// machine still gets its own manifest run record, event stream and
+/// machine still gets its own manifest run record (with its target-cache
+/// and cascade counts), event stream and
 /// `trace.len()` instructions of credit, exactly as a lone [`timing`] run
 /// does; a run record's wall time is its even share of its batch's.
 pub fn timing_sweep(
@@ -309,8 +365,8 @@ pub fn timing_sweep(
                     &config_desc(&machines[i].frontend),
                     report.instructions,
                     &report.branch_stats,
-                    None,
-                    None,
+                    report.target_cache_stats.as_ref(),
+                    report.cascade_counts,
                     wall_ns,
                 );
             }
@@ -530,6 +586,184 @@ mod tests {
         if let Some(i) = events.iter().zip(&alone).position(|(a, b)| a != b) {
             panic!("event {i} differs: {} vs {}", events[i], alone[i]);
         }
+    }
+
+    /// A quick-scale telemetry session writing under a fresh scratch
+    /// directory.
+    fn scratch_session(
+        name: &str,
+        mode: crate::telemetry::TelemetryMode,
+        prof: crate::telemetry::ProfMode,
+    ) -> (crate::telemetry::Session, PathBuf) {
+        use crate::telemetry::{session_with_config, TelemetryConfig};
+        let dir = std::env::temp_dir().join(format!("runner-{name}-{}", std::process::id()));
+        let session = session_with_config(
+            name,
+            Scale::Quick,
+            TelemetryConfig {
+                mode,
+                prof,
+                dir: dir.clone(),
+                ..TelemetryConfig::off()
+            },
+        );
+        (session, dir)
+    }
+
+    /// The manifest's run records, each without its wall time.
+    fn run_records(manifest_path: &std::path::Path) -> Vec<sim_telemetry::Json> {
+        use sim_telemetry::Json;
+        let manifest = sim_telemetry::json::parse(&std::fs::read_to_string(manifest_path).unwrap())
+            .expect("manifest parses");
+        manifest
+            .get("runs")
+            .and_then(Json::as_arr)
+            .expect("manifest lists its runs")
+            .iter()
+            .map(|run| {
+                let mut run = run.clone();
+                if let Json::Obj(fields) = &mut run {
+                    fields.remove("wall_ns");
+                }
+                run
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batched_functional_cell_records_what_batches_of_one_record() {
+        use crate::telemetry::{ProfMode, TelemetryMode};
+
+        // One cascade-study cell under an events session with full
+        // profiling: everything a functional run records must be the same
+        // whether its four configurations replay as one batch (as the cell
+        // runs them) or as four batches of one.
+        let t = trace(&TelemetryCtx::off(), Benchmark::Perl, Scale::Quick);
+        let stats = t.stats();
+        let (len, branches, jumps) = (t.len() as u64, stats.branches(), stats.indirect_jumps());
+        let observe = |batched: bool| {
+            let (session, dir) = scratch_session(
+                &format!("fparity-{batched}"),
+                TelemetryMode::Events,
+                ProfMode::Full,
+            );
+            let ctx = session.ctx();
+            hub::take_instructions();
+            let cell = if batched {
+                crate::extension_cascade::cell(&ctx, "perl", Scale::Quick)
+            } else {
+                let t = trace(&ctx, Benchmark::Perl, Scale::Quick);
+                let mut d = CellData::new();
+                for (key, fe) in crate::extension_cascade::configs() {
+                    let lane = functional_sweep(&ctx, &t, &[fe]).pop().unwrap();
+                    d.set(key, lane.stats().indirect_jump_misprediction_rate());
+                    if key == "cascade_512" {
+                        d.set(
+                            "filter_rate",
+                            lane.indirect().cascade_filter_rate().unwrap(),
+                        );
+                    }
+                }
+                d
+            };
+            let credit = hub::take_instructions();
+            let h = ctx.hub().expect("telemetry on").clone();
+            // Wall-clock counters aside, every counter must agree.
+            let counters: Vec<(String, u64)> = h
+                .registry()
+                .snapshot()
+                .counters()
+                .filter(|(name, _)| !name.ends_with("_ns"))
+                .map(|(name, v)| (name.to_string(), v))
+                .collect();
+            let hot = h.hot().snapshot();
+            let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
+            let lane_phases = ["tc-index", "tc-lookup", "tc-update", "history-update"].map(samples);
+            let base_phases = ["btb-lookup", "ras", "dir-update", "btb-update"].map(samples);
+            let spans = h.spans().snapshot();
+            let replays: u64 = spans
+                .iter()
+                .filter(|s| s.name() == "harness-replay")
+                .map(|s| s.count)
+                .sum();
+            let (manifest_path, events_path) = (session.manifest_path(), session.events_path());
+            drop(session);
+            let runs = run_records(&manifest_path);
+            let events = std::fs::read_to_string(&events_path).expect("events written");
+            let _ = std::fs::remove_dir_all(&dir);
+            (
+                cell,
+                counters,
+                lane_phases,
+                runs,
+                events,
+                credit,
+                base_phases,
+                replays,
+            )
+        };
+        let (batched, one_by_one) = (observe(true), observe(false));
+        assert_eq!(batched.0, one_by_one.0, "cell values");
+        assert_eq!(batched.1, one_by_one.1, "counters");
+        // Each lane samples its indirect-stage phases: the history update
+        // on every branch, the target-cache phases only on the branches
+        // its indirect stage handles (perl's sites each have one class, so
+        // those are its indirect jumps and calls).
+        assert_eq!(batched.2, one_by_one.2, "indirect-stage phase samples");
+        assert_eq!(batched.2, [4 * jumps, 4 * jumps, 4 * jumps, 4 * branches]);
+        assert_eq!(batched.3.len(), 4);
+        assert_eq!(batched.3, one_by_one.3, "manifest run records");
+        assert_eq!(batched.5, 4 * len, "instruction credit");
+        assert_eq!(batched.5, one_by_one.5);
+        // The baseline is sampled once per batch, in one span.
+        assert_eq!(batched.6, [branches; 4], "baseline phase samples");
+        assert_eq!(one_by_one.6, [4 * branches; 4]);
+        assert_eq!((batched.7, one_by_one.7), (1, 4), "harness-replay spans");
+        // Event streams run to megabytes: name the first difference.
+        let (events, alone): (Vec<&str>, Vec<&str>) =
+            (batched.4.lines().collect(), one_by_one.4.lines().collect());
+        assert!(!events.is_empty(), "perl mispredicts some jumps");
+        assert_eq!(events.len(), alone.len(), "event count");
+        if let Some(i) = events.iter().zip(&alone).position(|(a, b)| a != b) {
+            panic!("event {i} differs: {} vs {}", events[i], alone[i]);
+        }
+    }
+
+    #[test]
+    fn timing_run_records_carry_the_target_cache_counters_of_the_functional_run() {
+        use crate::telemetry::{ProfMode, TelemetryMode};
+        use sim_telemetry::Json;
+
+        // The headline cell runs its target cache functionally and in the
+        // timing model: both drive one indirect stage over the same
+        // resolved branch stream, so their target-cache counters agree.
+        let (session, dir) = scratch_session("tc-counters", TelemetryMode::Summary, ProfMode::Off);
+        crate::headline::cell(&session.ctx(), "perl", Scale::Quick);
+        let manifest_path = session.manifest_path();
+        drop(session);
+        let runs = run_records(&manifest_path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let tc_runs: Vec<&Json> = runs
+            .iter()
+            .filter(|run| {
+                run.get("config")
+                    .and_then(Json::as_str)
+                    .is_some_and(|c| c.starts_with("target-cache"))
+            })
+            .collect();
+        assert_eq!(tc_runs.len(), 2, "one functional and one timing run");
+        let tc = |run: &Json| {
+            ["tc.lookups", "tc.hits", "tc.misses", "tc.updates"].map(|name| {
+                run.get("counters")
+                    .and_then(|c| c.get(name))
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("{name} missing"))
+            })
+        };
+        let (functional, timing) = (tc(tc_runs[0]), tc(tc_runs[1]));
+        assert!(functional[0] > 0, "perl looks its jumps up");
+        assert_eq!(timing[1] + timing[2], timing[0], "hits + misses == lookups");
+        assert_eq!(timing, functional);
     }
 
     #[test]

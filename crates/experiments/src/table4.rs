@@ -11,7 +11,7 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{pct, TextTable};
-use crate::runner::{functional, trace, Scale};
+use crate::runner::{functional_sweep, trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use sim_workloads::Benchmark;
 use target_cache::harness::FrontEndConfig;
@@ -33,23 +33,31 @@ pub fn cell_labels() -> Vec<&'static str> {
 }
 
 /// Computes one benchmark's cell: every scheme's misprediction rate on
-/// that benchmark's trace, keyed by scheme label.
+/// that benchmark's trace, keyed by scheme label. The schemes run as one
+/// [`functional_sweep`].
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);
+    let configs: Vec<FrontEndConfig> = schemes()
+        .into_iter()
+        .map(|scheme| {
+            FrontEndConfig::isca97_with(TargetCacheConfig::new(
+                Organization::Tagless {
+                    entries: 512,
+                    scheme,
+                },
+                HistorySource::Pattern { bits: 9 },
+            ))
+        })
+        .collect();
     let mut d = CellData::new();
-    for scheme in schemes() {
-        let config = TargetCacheConfig::new(
-            Organization::Tagless {
-                entries: 512,
-                scheme,
-            },
-            HistorySource::Pattern { bits: 9 },
-        );
+    for (scheme, lane) in schemes()
+        .into_iter()
+        .zip(functional_sweep(ctx, &t, &configs))
+    {
         d.set(
             scheme.label(9),
-            functional(ctx, &t, FrontEndConfig::isca97_with(config))
-                .indirect_jump_misprediction_rate(),
+            lane.stats().indirect_jump_misprediction_rate(),
         );
     }
     d

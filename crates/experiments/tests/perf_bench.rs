@@ -53,7 +53,7 @@ fn bench_snapshot_round_trips_and_gates_regressions() {
     let report = BenchReport::parse(&text).expect("strict parse");
     assert_eq!(report.scale, "quick");
     assert_eq!(report.iters, 1);
-    assert_eq!(report.scenarios.len(), 8 * 5 + 2 + 2 + 2 + 2 + 1);
+    assert_eq!(report.scenarios.len(), 8 * 5 + 2 + 2 + 2 + 2 + 2 + 1);
     for bench in [
         "compress", "gcc", "go", "ijpeg", "m88ksim", "perl", "vortex", "xlisp",
     ] {

@@ -154,10 +154,7 @@ impl<'a> TimingSweep<'a> {
     /// Whether `machine` has this sweep's baseline front end and data
     /// cache, so [`run_all`](Self::run_all) can replay it.
     pub fn serves(&self, machine: &MachineConfig) -> bool {
-        let (a, b) = (&self.machine.frontend, &machine.frontend);
-        a.btb == b.btb
-            && a.cond == b.cond
-            && a.ras_depth == b.ras_depth
+        self.machine.frontend.shares_base(&machine.frontend)
             && self.machine.dcache == machine.dcache
     }
 
@@ -263,6 +260,8 @@ impl<'a> TimingSweep<'a> {
                 mispredict_stall_cycles: lane.mispredict_stall_cycles,
                 branch_stats: lane.stats,
                 dcache_stats,
+                target_cache_stats: lane.indirect.target_cache_stats().copied(),
+                cascade_counts: lane.indirect.cascade_counts(),
             })
             .collect()
     }

@@ -3,6 +3,7 @@
 use crate::dcache::DCacheStats;
 use branch_predictors::BranchClassStats;
 use std::fmt;
+use target_cache::TargetCacheStats;
 
 /// The result of one timing simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,6 +20,12 @@ pub struct SimReport {
     pub branch_stats: BranchClassStats,
     /// Data-cache statistics.
     pub dcache_stats: DCacheStats,
+    /// Target-cache structural statistics, if one is configured (for a
+    /// cascade: the second stage's statistics).
+    pub target_cache_stats: Option<TargetCacheStats>,
+    /// The cascade's raw `(filtered, total)` jump counts, if a cascade is
+    /// configured.
+    pub cascade_counts: Option<(u64, u64)>,
 }
 
 impl SimReport {
@@ -99,6 +106,8 @@ mod tests {
             mispredict_stall_cycles: 0,
             branch_stats: BranchClassStats::default(),
             dcache_stats: DCacheStats::default(),
+            target_cache_stats: None,
+            cascade_counts: None,
         }
     }
 

@@ -113,5 +113,7 @@ pub fn simulate(
         mispredict_stall_cycles,
         branch_stats: harness.stats().clone(),
         dcache_stats: dcache.stats(),
+        target_cache_stats: harness.target_cache_stats().copied(),
+        cascade_counts: harness.cascade_counts(),
     }
 }
