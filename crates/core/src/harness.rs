@@ -55,9 +55,9 @@
 //!   configuration ends replayed alone.
 //!
 //! [`PredictionHarness::new`] is a batch of one, so there is exactly one
-//! per-branch protocol, whichever way a harness is used.
-//! `hps-uarch`'s timing sweep drives the same two halves, the baseline
-//! once per trace and the indirect stage once per configuration.
+//! per-branch protocol, whichever way a harness is used. `hps-uarch`'s
+//! timing model predicts through it too: it drives a batch of its
+//! machines' front ends beside their schedules, one instruction at a time.
 
 use crate::cache::{Access, TargetCache};
 use crate::cascade::{CascadeConfig, CascadedPredictor, Stage};
@@ -151,8 +151,8 @@ impl FrontEndConfig {
 
     /// Whether `other` has the same baseline front end — BTB, direction
     /// predictor and return-stack depth — so the two can share one
-    /// [`BaseFrontEnd`]: as lanes of one [`PredictionHarness`] batch, or
-    /// of one `hps-uarch` timing sweep. Only their indirect predictors may
+    /// [`BaseFrontEnd`] as lanes of one [`PredictionHarness`] batch, in the
+    /// functional or the timing model. Only their indirect predictors may
     /// differ.
     pub fn shares_base(&self, other: &FrontEndConfig) -> bool {
         self.btb == other.btb && self.cond == other.cond && self.ras_depth == other.ras_depth
@@ -194,7 +194,6 @@ impl PredictionOutcome {
 /// Which baseline structure a branch's prediction comes from: the fetch
 /// engine's dispatch on the BTB hit's stored branch kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum BaseSource {
     /// BTB miss: the front end does not know this is a branch.
     Fallthrough,
@@ -210,15 +209,6 @@ pub enum BaseSource {
 }
 
 impl BaseSource {
-    /// The sources in discriminant order.
-    pub const ALL: [BaseSource; 5] = [
-        BaseSource::Fallthrough,
-        BaseSource::Direction,
-        BaseSource::Btb,
-        BaseSource::ReturnStack,
-        BaseSource::Indirect,
-    ];
-
     /// The telemetry `source` label (see
     /// [`PREDICTOR_SOURCES`](crate::telemetry::PREDICTOR_SOURCES)); an
     /// indirect entry the indirect stage leaves to the BTB reads
@@ -251,10 +241,8 @@ pub struct BaseDecision {
 /// Their state depends only on the resolved branch stream (the BTB trains
 /// on computed targets, the direction predictor on outcomes, the return
 /// stack on call/return classes), never on which target the indirect
-/// stage predicted. [`PredictionHarness`] drives one alongside an
-/// [`IndirectStage`]; the `hps-uarch` timing sweep drives one once per
-/// trace and replays its decisions for every indirect-stage
-/// configuration.
+/// stage predicted, so [`PredictionHarness`] drives one for a whole batch
+/// of [`IndirectStage`]s.
 #[derive(Clone, Debug)]
 pub struct BaseFrontEnd {
     btb: Btb,
@@ -523,7 +511,6 @@ impl IndirectStage {
 /// hooks.
 #[derive(Debug)]
 pub struct Lane {
-    config: FrontEndConfig,
     indirect: IndirectStage,
     stats: BranchClassStats,
     /// Optional observability hooks; `None` costs nothing on the hot path.
@@ -533,16 +520,10 @@ pub struct Lane {
 impl Lane {
     fn new(config: FrontEndConfig) -> Self {
         Lane {
-            config,
             indirect: IndirectStage::new(config.indirect),
             stats: BranchClassStats::default(),
             telemetry: None,
         }
-    }
-
-    /// The lane's configuration.
-    pub fn config(&self) -> &FrontEndConfig {
-        &self.config
     }
 
     /// The lane's indirect stage: its target-cache statistics, cascade
@@ -554,11 +535,6 @@ impl Lane {
     /// Per-branch-class prediction statistics so far.
     pub fn stats(&self) -> &BranchClassStats {
         &self.stats
-    }
-
-    /// The attached telemetry hooks, if any.
-    pub fn telemetry(&self) -> Option<&HarnessTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// The indirect stage's part of a branch that is

@@ -40,14 +40,12 @@ pub fn configs() -> Vec<(&'static str, Option<TargetCacheConfig>)> {
     ]
 }
 
-fn oo_trace(bench: OoBenchmark, scale: Scale) -> VecTrace {
+/// Generates an OO benchmark's trace at a scale, inside a `workload-gen`
+/// span.
+fn oo_trace(ctx: &TelemetryCtx, bench: OoBenchmark, scale: Scale) -> VecTrace {
+    let _g = ctx.hub().map(|hub| hub.spans().span("workload-gen"));
     let w = bench.workload();
-    let budget = match scale {
-        Scale::Quick => 100_000,
-        Scale::Standard => 400_000,
-        Scale::Full => w.default_budget(),
-    };
-    w.generate(budget)
+    w.generate(scale.budget_for(w.default_budget()))
 }
 
 /// Resolves an OO benchmark from its cell label.
@@ -75,7 +73,7 @@ pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     if let Some(hub) = ctx.hub() {
         hub.set_benchmark(benchmark.name());
     }
-    let t = oo_trace(benchmark, scale);
+    let t = oo_trace(ctx, benchmark, scale);
     let stats = t.stats();
     let mut d = CellData::new();
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
@@ -213,8 +211,17 @@ mod tests {
                     .find(|s| s.name() == name)
                     .map_or(0, |s| s.count)
             };
-            // One functional batch and one timing batch ...
-            assert_eq!((count("harness-replay"), count("uarch-sim")), (1, 1), "{b}");
+            // One trace generation, one functional batch and one timing
+            // batch ...
+            assert_eq!(
+                (
+                    count("workload-gen"),
+                    count("harness-replay"),
+                    count("uarch-sim")
+                ),
+                (1, 1, 1),
+                "{b}"
+            );
             let manifest_path = session.manifest_path();
             drop(session);
             let manifest =

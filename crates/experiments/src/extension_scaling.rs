@@ -59,8 +59,8 @@ pub fn cell_labels() -> Vec<&'static str> {
 }
 
 /// Computes one benchmark's cell: `red.<machine>` and `ipc.<machine>` per
-/// design point. The machines differ only in schedule parameters, so all
-/// six runs share one recording and replay as one batch.
+/// design point. The machines differ only in schedule parameters and
+/// indirect predictor, so all six runs simulate as one batch.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let benchmark = crate::jobs::benchmark(label);
     let t = trace(ctx, benchmark, scale);

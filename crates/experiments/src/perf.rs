@@ -69,8 +69,8 @@ impl Scenario {
 /// * `functional-tc/<bench>` — functional prediction with the paper's
 ///   tagless gshare target cache, all 8 benchmarks.
 /// * `timing/<bench>` — the cycle-level timing model on the two
-///   heaviest indirect-jump workloads (perl, gcc): one configuration,
-///   so it pays the per-trace recording too.
+///   heaviest indirect-jump workloads (perl, gcc): one configuration, a
+///   batch of one.
 /// * `timing-sweep/<bench>` — Table 5's 26 configurations (the BTB
 ///   baseline plus 25 target caches) on one trace as one batch
 ///   ([`runner::exec_reductions`]), as the timing tables run them; its

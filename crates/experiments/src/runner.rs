@@ -8,7 +8,7 @@
 use crate::jobs::CellData;
 use crate::telemetry::{self as hub, TelemetryCtx};
 use branch_predictors::BranchClassStats;
-use hps_uarch::{MachineConfig, SimReport, TimingSweep};
+use hps_uarch::{MachineConfig, SimReport};
 use sim_isa::{Addr, VecTrace};
 use sim_trace::TraceKey;
 use sim_workloads::Benchmark;
@@ -17,7 +17,7 @@ use std::time::Instant;
 use target_cache::harness::{
     FrontEndConfig, IndirectPredictor, Lane, PredictionHarness, PredictionOutcome,
 };
-use target_cache::{HarnessTelemetry, TargetCacheConfig};
+use target_cache::{HarnessTelemetry, TargetCacheConfig, TargetCacheStats};
 
 /// How much of each workload's canonical run to simulate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -34,7 +34,12 @@ pub enum Scale {
 impl Scale {
     /// The instruction budget this scale implies for a benchmark.
     pub fn budget(self, bench: Benchmark) -> usize {
-        let full = bench.workload().default_budget();
+        self.budget_for(bench.workload().default_budget())
+    }
+
+    /// The instruction budget this scale implies for a workload whose
+    /// canonical run is `full` instructions long.
+    pub(crate) fn budget_for(self, full: usize) -> usize {
         match self {
             Scale::Quick => full.min(100_000),
             Scale::Standard => full.min(400_000),
@@ -269,48 +274,30 @@ pub fn functional_sweep_observed(
     configs: &[FrontEndConfig],
     mut observe: impl FnMut(usize, Addr, &PredictionOutcome),
 ) -> Vec<Lane> {
-    let mut lanes: Vec<Option<Lane>> = configs.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..configs.len()).collect();
-    while let Some(&first) = pending.first() {
-        let (batch, rest): (Vec<usize>, Vec<usize>) = pending
-            .iter()
-            .partition(|&&i| configs[first].shares_base(&configs[i]));
-        let started = Instant::now();
-        let span = ctx.hub().map(|hub| hub.spans().span("harness-replay"));
-        let batch_configs: Vec<FrontEndConfig> = batch.iter().map(|&i| configs[i]).collect();
-        let mut h = PredictionHarness::batch(&batch_configs);
-        if let Some(hub) = ctx.hub() {
-            // One set of hooks (so one event sink) per configuration.
-            for lane in 0..batch.len() {
-                h.attach_lane_telemetry(lane, hub.harness_telemetry());
+    run_batches(
+        ctx,
+        trace,
+        "harness-replay",
+        configs,
+        |a, b| configs[a].shares_base(&configs[b]),
+        |batch, hooks| {
+            let batch_configs: Vec<FrontEndConfig> = batch.iter().map(|&i| configs[i]).collect();
+            let mut h = PredictionHarness::batch(&batch_configs);
+            for (lane, hooks) in hooks.into_iter().flatten().enumerate() {
+                h.attach_lane_telemetry(lane, hooks.clone());
             }
-        }
-        h.run_observed(trace, |lane, pc, outcome| observe(batch[lane], pc, outcome));
-        drop(span);
-        let wall_ns = started.elapsed().as_nanos() as u64 / batch.len() as u64;
-        for (&i, lane) in batch.iter().zip(h.into_lanes()) {
-            if let (Some(hub), Some(hooks)) = (ctx.hub(), lane.telemetry()) {
-                hub.finish_run(
-                    hooks,
-                    &config_desc(lane.config()),
-                    trace.len() as u64,
-                    lane.stats(),
-                    lane.indirect().target_cache_stats(),
-                    lane.indirect().cascade_counts(),
-                    wall_ns,
-                );
-            }
-            lanes[i] = Some(lane);
-        }
-        pending = rest;
-    }
-    // Credit every replay to this thread's simulated-instruction account
-    // (the jobs runner snapshots it per cell; telemetry or not).
-    hub::add_instructions(configs.len() as u64 * trace.len() as u64);
-    lanes
-        .into_iter()
-        .map(|lane| lane.expect("every configuration runs in some batch"))
-        .collect()
+            h.run_observed(trace, |lane, pc, outcome| observe(batch[lane], pc, outcome));
+            h.into_lanes()
+        },
+        |lane| {
+            let indirect = lane.indirect();
+            (
+                lane.stats(),
+                indirect.target_cache_stats(),
+                indirect.cascade_counts(),
+            )
+        },
+    )
 }
 
 /// Runs the timing model over a trace: a [`timing_sweep`] of one
@@ -324,60 +311,102 @@ pub fn timing(ctx: &TelemetryCtx, trace: &VecTrace, frontend: FrontEndConfig) ->
 /// Runs every machine in `machines` over one trace and returns their
 /// reports in the same order.
 ///
-/// Machines with the same baseline front end and data cache
-/// ([`TimingSweep::serves`]) form one batch: the batch records that
-/// configuration-independent half once and replays all its machines in
-/// one lockstep pass ([`TimingSweep::run_all`]), inside one `uarch-sim`
-/// span (so the recording is charged to the timing layer too). Each
+/// Machines that [share a baseline](MachineConfig::shares_base) — front
+/// end and data cache — form one batch, simulated in one lockstep pass
+/// ([`hps_uarch::simulate_batch`]) inside one `uarch-sim` span. Each
 /// machine still gets its own manifest run record (with its target-cache
-/// and cascade counts), event stream and
-/// `trace.len()` instructions of credit, exactly as a lone [`timing`] run
-/// does; a run record's wall time is its even share of its batch's.
+/// and cascade counts), event stream and `trace.len()` instructions of
+/// credit, exactly as a lone [`timing`] run does; a run record's wall time
+/// is its even share of its batch's.
 pub fn timing_sweep(
     ctx: &TelemetryCtx,
     trace: &VecTrace,
     machines: &[MachineConfig],
 ) -> Vec<SimReport> {
-    // One set of hooks (so one event sink) per machine, drained in batch
-    // order once its batch is done.
-    let hooks: Vec<Option<HarnessTelemetry>> = machines
-        .iter()
-        .map(|_| ctx.hub().map(|hub| hub.harness_telemetry()))
-        .collect();
-    let mut reports: Vec<Option<SimReport>> = vec![None; machines.len()];
-    let mut pending: Vec<usize> = (0..machines.len()).collect();
+    let frontends: Vec<FrontEndConfig> = machines.iter().map(|m| m.frontend).collect();
+    run_batches(
+        ctx,
+        trace,
+        "uarch-sim",
+        &frontends,
+        |a, b| machines[a].shares_base(&machines[b]),
+        |batch, hooks| {
+            let lanes: Vec<MachineConfig> = batch.iter().map(|&i| machines[i].clone()).collect();
+            hps_uarch::simulate_batch(trace, &lanes, hooks)
+        },
+        |report| {
+            (
+                &report.branch_stats,
+                report.target_cache_stats.as_ref(),
+                report.cascade_counts,
+            )
+        },
+    )
+}
+
+/// What a configuration's run record books: its branch statistics,
+/// target-cache statistics and cascade counts.
+type Books<'a> = (
+    &'a BranchClassStats,
+    Option<&'a TargetCacheStats>,
+    Option<(u64, u64)>,
+);
+
+/// Runs one configuration per entry of `frontends` over `trace`, in
+/// batches, and returns their results in the same order.
+///
+/// A batch is the first configuration not yet run plus every later one
+/// `shares` pairs with it. `run` replays a batch, given its configuration
+/// indices and, when telemetry is on, one set of hooks (so one event sink)
+/// per member, inside one `span` span. Every configuration then gets its
+/// own manifest run record (from its [`Books`]), event stream and
+/// `trace.len()` instructions of credit; a run record's wall time is its
+/// even share of its batch's.
+fn run_batches<R>(
+    ctx: &TelemetryCtx,
+    trace: &VecTrace,
+    span: &'static str,
+    frontends: &[FrontEndConfig],
+    shares: impl Fn(usize, usize) -> bool,
+    mut run: impl FnMut(&[usize], Option<&[HarnessTelemetry]>) -> Vec<R>,
+    books: impl Fn(&R) -> Books<'_>,
+) -> Vec<R> {
+    let mut results: Vec<Option<R>> = frontends.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..frontends.len()).collect();
     while let Some(&first) = pending.first() {
-        let started = Instant::now();
-        let span = ctx.hub().map(|hub| hub.spans().span("uarch-sim"));
-        let sweep = TimingSweep::new_instrumented(trace, &machines[first], hooks[first].as_ref());
         let (batch, rest): (Vec<usize>, Vec<usize>) =
-            pending.iter().partition(|&&i| sweep.serves(&machines[i]));
-        let lanes: Vec<MachineConfig> = batch.iter().map(|&i| machines[i].clone()).collect();
-        let lane_hooks: Option<Vec<HarnessTelemetry>> =
-            batch.iter().map(|&i| hooks[i].clone()).collect();
-        let out = sweep.run_all(&lanes, lane_hooks.as_deref());
-        drop(span);
+            pending.iter().partition(|&&i| shares(first, i));
+        let hooks: Option<Vec<HarnessTelemetry>> = ctx
+            .hub()
+            .map(|hub| batch.iter().map(|_| hub.harness_telemetry()).collect());
+        let started = Instant::now();
+        let guard = ctx.hub().map(|hub| hub.spans().span(span));
+        let out = run(&batch, hooks.as_deref());
+        drop(guard);
         let wall_ns = started.elapsed().as_nanos() as u64 / batch.len() as u64;
-        for (&i, report) in batch.iter().zip(out) {
-            if let (Some(hub), Some(hooks)) = (ctx.hub(), &hooks[i]) {
+        for (k, (&i, result)) in batch.iter().zip(out).enumerate() {
+            if let (Some(hub), Some(hooks)) = (ctx.hub(), &hooks) {
+                let (stats, tc, cascade) = books(&result);
                 hub.finish_run(
-                    hooks,
-                    &config_desc(&machines[i].frontend),
-                    report.instructions,
-                    &report.branch_stats,
-                    report.target_cache_stats.as_ref(),
-                    report.cascade_counts,
+                    &hooks[k],
+                    &config_desc(&frontends[i]),
+                    trace.len() as u64,
+                    stats,
+                    tc,
+                    cascade,
                     wall_ns,
                 );
             }
-            reports[i] = Some(report);
+            results[i] = Some(result);
         }
         pending = rest;
     }
-    hub::add_instructions(machines.len() as u64 * trace.len() as u64);
-    reports
+    // Credit every run to this thread's simulated-instruction account
+    // (the jobs runner snapshots it per cell; telemetry or not).
+    hub::add_instructions(frontends.len() as u64 * trace.len() as u64);
+    results
         .into_iter()
-        .map(|r| r.expect("every machine runs in some batch"))
+        .map(|r| r.expect("every configuration runs in some batch"))
         .collect()
 }
 
@@ -470,7 +499,7 @@ mod tests {
         let counters = h.registry().snapshot();
         assert_eq!(counters.counter("harness.branches"), 3 * branches);
         // ... and its own pipeline-stage samples, while the batch is one
-        // span and the baseline front end is sampled once, at recording.
+        // span and the baseline front end is sampled once per branch.
         let spans = h.spans().snapshot();
         let uarch = spans.iter().find(|s| s.name() == "uarch-sim").unwrap();
         assert_eq!(uarch.count, 1);

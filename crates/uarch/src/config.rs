@@ -170,6 +170,14 @@ impl MachineConfig {
         self.latencies[class.index()]
     }
 
+    /// Whether `other` has the same baseline front end
+    /// ([`FrontEndConfig::shares_base`]) and data cache, so the two can be
+    /// lanes of one [`simulate_batch`](crate::simulate_batch): only their
+    /// schedule parameters and indirect predictors may differ.
+    pub fn shares_base(&self, other: &MachineConfig) -> bool {
+        self.frontend.shares_base(&other.frontend) && self.dcache == other.dcache
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors

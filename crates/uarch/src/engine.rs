@@ -1,30 +1,27 @@
 //! The timing engine: a deterministic trace-driven schedule of fetch,
-//! execute, and retire, split into a per-trace and a per-configuration
-//! half.
+//! execute and retire, for a batch of machines in one pass.
 //!
-//! [`TimingSweep::new`] drives the data cache and the baseline front end
-//! over a trace once and keeps their decisions on a compact tape;
-//! [`TimingSweep::run_all`] replays that tape through a batch of
-//! configurations in one pass over the trace. Each instruction's operands,
-//! latency class, load-miss bit and tape entry are read once; then every
-//! configuration's *lane* — its own schedule state and indirect stage —
-//! advances by that instruction. The lanes share no state, so they give
-//! the host core independent dependency chains to overlap. [`simulate`]
-//! and [`TimingSweep::run_on`] are batches of one.
+//! [`simulate_batch`] drives one [`PredictionHarness`] batch of the
+//! machines' front ends, one data cache and one schedule *lane* per
+//! machine over a trace, one instruction at a time. Each instruction's
+//! operands, latency class and data-cache outcome are read once; then
+//! every lane's schedule advances by it, a branch following the prediction
+//! of the harness lane with the same index. The lanes share no state, so
+//! they give the host core independent dependency chains to overlap.
+//! [`simulate`] is a batch of one.
 
 use crate::config::MachineConfig;
+use crate::dcache::DataCache;
 use crate::report::SimReport;
-use crate::tape::{timed, Tape, TapeBranch};
-use branch_predictors::BranchClassStats;
 use sim_isa::reg::REG_COUNT;
-use sim_isa::{Addr, BranchExec, DynInstr, InstrClass, Reg};
+use sim_isa::{DynInstr, InstrClass, Reg};
 use sim_telemetry::PhaseTimer;
 use std::time::Instant;
-use target_cache::harness::{BaseSource, FrontEndConfig, IndirectStage};
-use target_cache::telemetry::{HarnessProf, HarnessTelemetry};
+use target_cache::harness::{FrontEndConfig, PredictionHarness};
+use target_cache::telemetry::HarnessTelemetry;
 
 /// Simulates a trace on the configured machine and reports cycles and
-/// statistics — a [`TimingSweep`] of one configuration.
+/// statistics — a [`simulate_batch`] of one machine.
 ///
 /// The schedule honours, per instruction:
 ///
@@ -45,48 +42,41 @@ pub fn simulate<T>(trace: &T, config: &MachineConfig) -> SimReport
 where
     T: AsRef<[DynInstr]> + ?Sized,
 {
-    simulate_instrumented(trace, config, None)
+    simulate_batch(trace, std::slice::from_ref(config), None)
+        .pop()
+        .expect("a batch of one reports once")
 }
 
-/// [`simulate`] with observability hooks attached: branch and mispredict
-/// counters feed the hooks' metrics registry, and (when the hooks carry an
-/// event sink) each misprediction records a structured event. Pass `None`
-/// for a plain, uninstrumented run — the timing schedule is identical
-/// either way.
-pub fn simulate_instrumented<T>(
-    trace: &T,
-    config: &MachineConfig,
-    telemetry: Option<HarnessTelemetry>,
-) -> SimReport
-where
-    T: AsRef<[DynInstr]> + ?Sized,
-{
-    TimingSweep::new_instrumented(trace, config, telemetry.as_ref()).run_on(config, telemetry)
-}
-
-/// The timing model of one trace, split at the line no front-end
-/// configuration can cross.
+/// Simulates every machine in `machines` over `trace` in one lockstep pass
+/// and returns their reports in batch order. Each report is the one the
+/// machine gets simulated alone, whatever else is in the batch.
 ///
-/// Construction simulates what every configuration shares: the data cache
-/// (kept as a load-miss bitmap) and the baseline BTB, direction predictor
-/// and return stack (kept as a per-branch tape). [`run_all`](Self::run_all)
-/// then replays, for a whole batch of configurations in one pass over the
-/// trace, only what each one owns — its indirect stage (history register
-/// plus target cache, cascade or oracle) and its out-of-order schedule.
-/// The split is exact: neither the data cache nor any baseline structure
-/// ever sees a value that depends on the indirect predictor or on timing,
-/// so every lane returns the same [`SimReport`] as simulating its whole
-/// machine alone.
+/// The machines must [share a baseline](MachineConfig::shares_base): one
+/// BTB, direction predictor, return stack and data cache serve the whole
+/// batch. Along the correct path none of them ever sees a predicted target
+/// or a cycle count — the data cache is accessed in program order by
+/// address, the baseline predictors train on resolved outcomes — so
+/// sharing them is exact. Widths, window, function units, latencies,
+/// front-end depth and the indirect predictor may differ from machine to
+/// machine.
 ///
-/// One sweep serves every machine with the same baseline front end (BTB,
-/// direction predictor, return-stack depth) and data cache; widths,
-/// window, function units, latencies, front-end depth and the indirect
-/// predictor may differ from lane to lane.
+/// With `telemetry` (one set of hooks per machine, in batch order), every
+/// branch of a machine feeds its hooks' counters and mispredict events
+/// exactly as a [`PredictionHarness`] lane with those hooks attached does;
+/// give each machine its own event sink to keep its events apart. A
+/// hot-path profiler on a machine's hooks also times its `uarch-fetch`/
+/// `uarch-execute`/`uarch-retire` stages.
+///
+/// # Panics
+///
+/// Panics if `machines` is empty, if a machine is invalid
+/// ([`MachineConfig::check`]) or does not share the first one's baseline,
+/// or if `telemetry` does not hold one entry per machine.
 ///
 /// # Example
 ///
 /// ```
-/// use hps_uarch::{simulate, MachineConfig, TimingSweep};
+/// use hps_uarch::{simulate, simulate_batch, MachineConfig};
 /// use target_cache::harness::FrontEndConfig;
 /// use target_cache::TargetCacheConfig;
 /// use sim_workloads::Benchmark;
@@ -96,222 +86,116 @@ where
 /// let tc = MachineConfig::isca97(FrontEndConfig::isca97_with(
 ///     TargetCacheConfig::isca97_tagless_gshare(),
 /// ));
-/// let sweep = TimingSweep::new(&trace, &base);
-/// // Both configurations advance together in one pass over the trace.
-/// let reports = sweep.run_all(&[base.clone(), tc], None);
+/// // Both machines advance together in one pass over the trace.
+/// let reports = simulate_batch(&trace, &[base.clone(), tc], None);
 /// assert!(reports[1].cycles <= reports[0].cycles);
 /// // Each lane is exactly its machine simulated alone.
 /// assert_eq!(reports[0], simulate(&trace, &base));
 /// ```
-pub struct TimingSweep<'a> {
-    trace: &'a [DynInstr],
-    machine: MachineConfig,
-    tape: Tape,
-}
-
-impl<'a> TimingSweep<'a> {
-    /// Records the configuration-independent half of `machine` over
-    /// `trace`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine configuration is invalid
-    /// ([`MachineConfig::check`]).
-    pub fn new<T>(trace: &'a T, machine: &MachineConfig) -> Self
-    where
-        T: AsRef<[DynInstr]> + ?Sized,
-    {
-        TimingSweep::new_instrumented(trace, machine, None)
-    }
-
-    /// [`new`](Self::new), timing the baseline prediction phases
-    /// (`btb-lookup`, `ras`, `dir-update`, `btb-update`) into the hooks'
-    /// hot-path profiler when one is attached (`REPRO_PROF=full`): they
-    /// run once per trace, so that is where they are sampled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine configuration is invalid.
-    pub fn new_instrumented<T>(
-        trace: &'a T,
-        machine: &MachineConfig,
-        telemetry: Option<&HarnessTelemetry>,
-    ) -> Self
-    where
-        T: AsRef<[DynInstr]> + ?Sized,
-    {
+pub fn simulate_batch<T>(
+    trace: &T,
+    machines: &[MachineConfig],
+    telemetry: Option<&[HarnessTelemetry]>,
+) -> Vec<SimReport>
+where
+    T: AsRef<[DynInstr]> + ?Sized,
+{
+    let first = machines
+        .first()
+        .expect("a batch holds at least one machine");
+    for machine in machines {
         if let Err(e) = machine.check() {
             panic!("machine configuration must be valid: {e}");
         }
-        let trace = trace.as_ref();
-        TimingSweep {
-            trace,
-            machine: machine.clone(),
-            tape: Tape::record(trace, machine, telemetry.and_then(|t| t.prof())),
-        }
+        assert!(
+            first.shares_base(machine),
+            "every machine of a batch must share its baseline front end and data cache"
+        );
+    }
+    if let Some(hooks) = telemetry {
+        assert_eq!(
+            hooks.len(),
+            machines.len(),
+            "one set of telemetry hooks per machine"
+        );
+    }
+    let frontends: Vec<FrontEndConfig> = machines.iter().map(|m| m.frontend).collect();
+    let mut front = PredictionHarness::batch(&frontends);
+    for (i, hooks) in telemetry.into_iter().flatten().enumerate() {
+        front.attach_lane_telemetry(i, hooks.clone());
+    }
+    let mut lanes: Vec<Lane> = machines
+        .iter()
+        .enumerate()
+        .map(|(i, machine)| Lane::new(machine, telemetry.map(|hooks| &hooks[i])))
+        .collect();
+    let mut dcache = DataCache::new(first.dcache);
+    let miss_penalty = first.dcache.miss_penalty as u64;
+    let trace = trace.as_ref();
+    // Stage timing is decided once per batch, so an untimed pass carries
+    // no clock checks in its hot loop.
+    if lanes.iter().any(|lane| lane.stage_timers.is_some()) {
+        run::<true>(trace, miss_penalty, &mut front, &mut dcache, &mut lanes);
+    } else {
+        run::<false>(trace, miss_penalty, &mut front, &mut dcache, &mut lanes);
     }
 
-    /// Whether `machine` has this sweep's baseline front end and data
-    /// cache, so [`run_all`](Self::run_all) can replay it.
-    pub fn serves(&self, machine: &MachineConfig) -> bool {
-        self.machine.frontend.shares_base(&machine.frontend)
-            && self.machine.dcache == machine.dcache
-    }
+    let dcache_stats = dcache.stats();
+    front
+        .into_lanes()
+        .into_iter()
+        .zip(lanes)
+        .map(|(front, lane)| SimReport {
+            cycles: lane.last_retire_cycle,
+            instructions: trace.len() as u64,
+            mispredict_stall_cycles: lane.mispredict_stall_cycles,
+            branch_stats: front.stats().clone(),
+            dcache_stats,
+            target_cache_stats: front.indirect().target_cache_stats().copied(),
+            cascade_counts: front.indirect().cascade_counts(),
+        })
+        .collect()
+}
 
-    /// Heap bytes of the recorded side data (tape and load-miss bitmap),
-    /// beside the borrowed trace.
-    pub fn side_data_bytes(&self) -> usize {
-        self.tape.heap_bytes()
-    }
-
-    /// Simulates the sweep's machine with `frontend`'s indirect predictor:
-    /// a batch of one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frontend`'s baseline structures differ from the sweep's.
-    pub fn run(&self, frontend: &FrontEndConfig, telemetry: Option<HarnessTelemetry>) -> SimReport {
-        let machine = MachineConfig {
-            frontend: *frontend,
-            ..self.machine.clone()
+/// Advances the batch through the whole trace, one instruction at a time;
+/// with `TIMED`, lanes that carry stage timers time their
+/// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages.
+fn run<const TIMED: bool>(
+    trace: &[DynInstr],
+    miss_penalty: u64,
+    front: &mut PredictionHarness,
+    dcache: &mut DataCache,
+    lanes: &mut [Lane],
+) {
+    for instr in trace {
+        // What every lane reads of this instruction, decoded once.
+        let class = instr.class();
+        let missed = instr.mem().is_some_and(|mem| !dcache.access(mem.addr));
+        let op = Op {
+            class: class.index(),
+            srcs: instr.srcs().map(|r| r.map_or(NO_SRC, reg_slot)),
+            dst: instr.dst().map_or(NO_DST, reg_slot),
+            miss_penalty: if class == InstrClass::Load && missed {
+                miss_penalty
+            } else {
+                0
+            },
         };
-        self.run_on(&machine, telemetry)
-    }
-
-    /// Simulates `machine` over the sweep's trace: a batch of one (see
-    /// [`run_all`](Self::run_all)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine` is invalid or is not [served](Self::serves) by
-    /// this sweep.
-    pub fn run_on(
-        &self,
-        machine: &MachineConfig,
-        telemetry: Option<HarnessTelemetry>,
-    ) -> SimReport {
-        self.run_all(
-            std::slice::from_ref(machine),
-            telemetry.as_ref().map(std::slice::from_ref),
-        )
-        .pop()
-        .expect("a batch of one reports once")
-    }
-
-    /// Simulates every machine in `machines` — its schedule parameters and
-    /// indirect predictor — over the sweep's trace in one lockstep pass,
-    /// and returns their reports in batch order. Each report is the one
-    /// the machine gets replayed alone, whatever else is in the batch.
-    ///
-    /// With `telemetry` (one set of hooks per machine, in batch order),
-    /// every branch of a lane feeds that lane's counters and mispredict
-    /// events exactly as a
-    /// [`PredictionHarness`](target_cache::harness::PredictionHarness)
-    /// with those hooks attached would; give each lane its own event sink
-    /// to keep its events apart from the others'. A hot-path profiler on a
-    /// lane's hooks times that lane's `uarch-fetch`/`uarch-execute`/
-    /// `uarch-retire` stages and its indirect stage's
-    /// `tc-index`/`tc-lookup`/`tc-update`/`history-update` phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a machine is invalid or is not [served](Self::serves) by
-    /// this sweep, or if `telemetry` does not hold one entry per machine.
-    pub fn run_all(
-        &self,
-        machines: &[MachineConfig],
-        telemetry: Option<&[HarnessTelemetry]>,
-    ) -> Vec<SimReport> {
-        if let Some(hooks) = telemetry {
-            assert_eq!(
-                hooks.len(),
-                machines.len(),
-                "one set of telemetry hooks per machine"
-            );
-        }
-        let mut lanes: Vec<Lane> = machines
-            .iter()
-            .enumerate()
-            .map(|(i, machine)| {
-                if let Err(e) = machine.check() {
-                    panic!("machine configuration must be valid: {e}");
-                }
-                assert!(
-                    self.serves(machine),
-                    "the sweep was recorded for a different baseline front end or data cache"
-                );
-                Lane::new(machine, telemetry.map(|hooks| &hooks[i]))
-            })
-            .collect();
-        // Stage timing is decided once per batch, so an untimed replay
-        // carries no clock checks in its hot loop.
-        if lanes.iter().any(|lane| lane.stage_timers.is_some()) {
-            self.replay::<true>(&mut lanes);
-        } else {
-            self.replay::<false>(&mut lanes);
-        }
-
-        let dcache_stats = self.tape.dcache_stats();
-        lanes
-            .into_iter()
-            .map(|lane| SimReport {
-                cycles: lane.last_retire_cycle,
-                instructions: self.trace.len() as u64,
-                mispredict_stall_cycles: lane.mispredict_stall_cycles,
-                branch_stats: lane.stats,
-                dcache_stats,
-                target_cache_stats: lane.indirect.target_cache_stats().copied(),
-                cascade_counts: lane.indirect.cascade_counts(),
-            })
-            .collect()
-    }
-
-    /// Advances every lane through the whole trace, one instruction at a
-    /// time; with `TIMED`, lanes that carry stage timers time their
-    /// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages.
-    fn replay<const TIMED: bool>(&self, lanes: &mut [Lane]) {
-        let mut tape = self.tape.cursor();
-        let miss_penalty = self.machine.dcache.miss_penalty as u64;
-        for instr in self.trace {
-            // What every lane reads of this instruction, decoded once.
-            let class = instr.class();
-            let op = Op {
-                class: class.index(),
-                srcs: instr.srcs().map(|r| r.map_or(NO_SRC, reg_slot)),
-                dst: instr.dst().map_or(NO_DST, reg_slot),
-                miss_penalty: if class == InstrClass::Load && tape.load_missed() {
-                    miss_penalty
-                } else {
-                    0
-                },
-            };
-            let Some(b) = instr.branch_exec() else {
-                for lane in lanes.iter_mut() {
-                    let (_, complete) = lane.issue::<TIMED>(&op);
-                    lane.retire::<TIMED>(complete);
-                }
-                continue;
-            };
-            // The baseline's decision comes off the tape once; a branch the
-            // indirect stage takes no part in is predicted alike in every
-            // lane. Only target-cache-eligible branches and indirect-kind
-            // BTB hits involve each lane's own indirect predictor.
-            let pc = instr.pc();
-            let actual = b.next_pc(pc);
-            let base = tape.branch(b.class);
-            let shared = (!b.class.uses_target_cache() && base.source != BaseSource::Indirect)
-                .then(|| (base.mispredicted.unwrap_or(actual), base.source.label()));
+        let Some(b) = instr.branch_exec() else {
             for lane in lanes.iter_mut() {
-                let (fetch_cycle, complete) = lane.issue::<TIMED>(&op);
-                let (predicted, source, history) = match shared {
-                    Some((predicted, source)) => (predicted, source, None),
-                    None => replay_indirect(&mut lane.indirect, lane.prof, pc, b, base),
-                };
-                lane.resolve(pc, b, actual, predicted, source, history);
-                lane.redirect(predicted == actual, b.taken, fetch_cycle, complete);
+                let (_, complete) = lane.issue::<TIMED>(&op);
                 lane.retire::<TIMED>(complete);
             }
-        }
+            continue;
+        };
+        // The harness predicts the branch in every lane, in lane order;
+        // each schedule lane follows the harness lane with its index.
+        front.run_observed(std::iter::once(instr), |i, _, outcome| {
+            let lane = &mut lanes[i];
+            let (fetch_cycle, complete) = lane.issue::<TIMED>(&op);
+            lane.redirect(outcome.correct(), b.taken, fetch_cycle, complete);
+            lane.retire::<TIMED>(complete);
+        });
     }
 }
 
@@ -343,9 +227,9 @@ struct Op {
     miss_penalty: u64,
 }
 
-/// One configuration's state in a lockstep replay: its schedule parameters
-/// and state, its indirect stage, its branch statistics and its telemetry.
-struct Lane<'h> {
+/// One machine's schedule in a lockstep pass: its parameters, its state and
+/// its stage timers.
+struct Lane {
     fetch_width: usize,
     retire_width: usize,
     front_depth: u64,
@@ -375,17 +259,13 @@ struct Lane<'h> {
     slot: usize,
 
     mispredict_stall_cycles: u64,
-    indirect: IndirectStage,
-    stats: BranchClassStats,
-    telemetry: Option<&'h HarnessTelemetry>,
-    prof: Option<&'h HarnessProf>,
     /// `uarch-fetch`, `uarch-execute` and `uarch-retire` timers, resolved
     /// once when the hooks carry a hot-path profiler (`REPRO_PROF=full`).
     stage_timers: Option<[PhaseTimer; 3]>,
 }
 
-impl<'h> Lane<'h> {
-    fn new(machine: &MachineConfig, telemetry: Option<&'h HarnessTelemetry>) -> Self {
+impl Lane {
+    fn new(machine: &MachineConfig, telemetry: Option<&HarnessTelemetry>) -> Self {
         Lane {
             fetch_width: machine.fetch_width,
             retire_width: machine.retire_width,
@@ -401,10 +281,6 @@ impl<'h> Lane<'h> {
             window: vec![0; machine.window_size],
             slot: 0,
             mispredict_stall_cycles: 0,
-            indirect: IndirectStage::new(machine.frontend.indirect),
-            stats: BranchClassStats::default(),
-            telemetry,
-            prof: telemetry.and_then(|t| t.prof()),
             stage_timers: telemetry.and_then(|t| t.hot_profiler()).map(|h| {
                 ["uarch-fetch", "uarch-execute", "uarch-retire"].map(|stage| h.timer(stage))
             }),
@@ -477,35 +353,6 @@ impl<'h> Lane<'h> {
         (fetch_cycle, complete)
     }
 
-    /// Books one branch's prediction — statistics, telemetry and the
-    /// history register's training — whichever structure made it.
-    #[inline]
-    fn resolve(
-        &mut self,
-        pc: Addr,
-        b: BranchExec,
-        actual: Addr,
-        predicted: Addr,
-        source: &'static str,
-        history: Option<u64>,
-    ) {
-        let correct = predicted == actual;
-        if let Some(t) = self.telemetry {
-            // Events carry the fetch-time history value, read before this
-            // branch trains the register.
-            let history = match history {
-                Some(h) => h,
-                None if correct => 0,
-                None => self.indirect.history_value(pc).unwrap_or(0),
-            };
-            t.observe(pc, b.class, predicted, actual, history, source);
-        }
-        timed(self.prof.map(|p| &p.history_update), || {
-            self.indirect.train_history(pc, b, actual)
-        });
-        self.stats.record(b.class, correct);
-    }
-
     /// Redirects the fetch stream after a branch fetched at `fetch_cycle`
     /// whose result is ready at `complete`.
     #[inline]
@@ -559,42 +406,6 @@ fn ring_next(i: usize, len: usize) -> usize {
     } else {
         i + 1
     }
-}
-
-/// The indirect stage's part of one branch the tape hands over: a
-/// target-cache-eligible branch (looked up and trained) or an
-/// indirect-kind BTB hit (predicted). Returns the prediction, its source
-/// label and the fetch-time history value the stage read.
-#[inline]
-fn replay_indirect(
-    indirect: &mut IndirectStage,
-    prof: Option<&HarnessProf>,
-    pc: Addr,
-    b: BranchExec,
-    base: TapeBranch,
-) -> (Addr, &'static str, Option<u64>) {
-    let actual = b.next_pc(pc);
-    let history = timed(prof.map(|p| &p.tc_index), || {
-        b.class
-            .uses_target_cache()
-            .then(|| indirect.history_value(pc))
-            .flatten()
-    });
-    let probe = timed(prof.map(|p| &p.tc_lookup), || {
-        indirect.probe(pc, b.class, history, base.hit_target)
-    });
-    let (predicted, source) = match base.source {
-        BaseSource::Indirect => indirect.predict(
-            &probe,
-            base.hit_target.expect("indirect-kind hits carry a target"),
-            actual,
-        ),
-        s => (base.mispredicted.unwrap_or(actual), s.label()),
-    };
-    timed(prof.map(|p| &p.tc_update), || {
-        indirect.train(pc, probe, b.target)
-    });
-    (predicted, source, history)
 }
 
 #[cfg(test)]
@@ -849,7 +660,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let sink = EventSink::new();
         let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
-        let r = simulate_instrumented(&trace, &machine(), Some(telemetry));
+        let r = simulate_batch(&trace, &[machine()], Some(&[telemetry])).remove(0);
 
         let snap = registry.snapshot();
         assert_eq!(
@@ -876,7 +687,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let hot = HotProfiler::new();
         let telemetry = HarnessTelemetry::new(&registry, None).with_hot_profiler(hot.clone());
-        let r = simulate_instrumented(&trace, &machine(), Some(telemetry));
+        let r = simulate_batch(&trace, &[machine()], Some(&[telemetry])).remove(0);
 
         let snap = hot.snapshot();
         let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();

@@ -13,12 +13,11 @@
 //! timing model:
 //!
 //! * **Front end** — the `target-cache` crate's front end (BTB + two-level
-//!   predictor + return stack + optional target cache, split into a
-//!   [`BaseFrontEnd`](target_cache::harness::BaseFrontEnd) and an
-//!   [`IndirectStage`](target_cache::harness::IndirectStage)) decides, for
-//!   every branch, whether the fetch stream was redirected correctly.
-//!   Fetch supplies up to `fetch_width` instructions per cycle and cannot
-//!   fetch past a taken branch within a cycle.
+//!   predictor + return stack + optional target cache), driven through its
+//!   [`PredictionHarness`](target_cache::harness::PredictionHarness),
+//!   decides, for every branch, whether the fetch stream was redirected
+//!   correctly. Fetch supplies up to `fetch_width` instructions per cycle
+//!   and cannot fetch past a taken branch within a cycle.
 //! * **Execution core** — register renaming (modelled as per-register
 //!   ready times), a bounded in-flight window with in-order retirement,
 //!   `fu_count` universal function units with the class latencies of the
@@ -32,46 +31,32 @@
 //! between a mispredicted branch and its resolution, which is the dominant
 //! first-order effect the paper's execution-time numbers capture.
 //!
-//! # One recording per trace, one lockstep pass per batch
+//! # One lockstep pass per batch
 //!
 //! The paper's Tables 5–9 vary only the target cache and its history
-//! register; the rest of the machine is the fixed HPS baseline. A
-//! [`TimingSweep`] exploits that. [`TimingSweep::new`] simulates once per
-//! trace what no front-end configuration can change — the data cache,
-//! kept as a load-miss bitmap, and the baseline BTB, direction predictor
-//! and return stack, kept as a tape — and [`TimingSweep::run_all`]
-//! replays a whole batch of configurations in one pass over the trace:
-//! each instruction's operands, latency class, load-miss bit and tape
-//! entry are read once, then every configuration's *lane* — its own
-//! indirect stage (history register plus target cache, cascade or
-//! oracle) and its own out-of-order schedule — advances by that
-//! instruction. A replay is almost all schedule, a serial dependency
-//! chain per configuration; lanes share no state, so they give the host
-//! core independent chains to overlap.
+//! register; the rest of the machine is the fixed HPS baseline.
+//! [`simulate_batch`] exploits that: it simulates a whole batch of
+//! machines that [share a baseline](MachineConfig::shares_base) in one
+//! pass over the trace. Per instruction, the data cache is accessed once
+//! and a [`PredictionHarness`](target_cache::harness::PredictionHarness)
+//! batch of the machines' front ends — the functional model's own
+//! harness — probes and trains the BTB, direction predictor and return
+//! stack once and each machine's indirect stage (history register plus
+//! target cache, cascade or oracle) beside them. Then every machine's
+//! *lane*, its own out-of-order schedule, advances by that instruction,
+//! following its own front end's prediction. A pass is mostly schedule, a
+//! serial dependency chain per machine; lanes share no state, so they give
+//! the host core independent chains to overlap.
 //!
-//! The split is exact, not an approximation. Along the correct path the
-//! data cache sees addresses in program order, the BTB trains on computed
+//! Sharing is exact, not an approximation. Along the correct path the data
+//! cache sees addresses in program order, the BTB trains on computed
 //! targets, the direction predictor on resolved outcomes and the return
 //! stack on call/return classes: none of them ever sees a predicted target
 //! or a cycle count. Each lane therefore returns the bit-identical
-//! [`SimReport`] of simulating its whole machine alone, whatever else is
-//! in the batch, which the reference-model property tests in
-//! `tests/prop_engine.rs` check against the per-instruction engine this
-//! crate used to run for every configuration.
-//!
-//! The tape holds one byte per branch (which structure predicted it and
-//! whether it was right), the BTB hit's target for each branch the
-//! indirect stage needs it for (target-cache-eligible branches and hits on
-//! indirect-jump entries), the predicted address of each baseline
-//! mispredict, and one bit per load. That is O(branches) bytes plus
-//! O(indirect jumps) words beside the borrowed trace: 0.2–0.3 MB for the
-//! standard-scale perl and gcc traces, about 1 % of the 22 MB trace.
-//!
-//! One tape serves every machine with the same baseline front end and data
-//! cache ([`TimingSweep::serves`]): every configuration of one timing table
-//! on one trace, and also machines that differ only in widths, window,
-//! function units, latencies or depth. [`simulate`] and
-//! [`TimingSweep::run_on`] are batches of one.
+//! [`SimReport`] of simulating its whole machine alone, whatever else is in
+//! the batch, which the reference-model property tests in
+//! `tests/prop_engine.rs` check against a per-instruction engine that
+//! simulates one machine at a time. [`simulate`] is a batch of one.
 //!
 //! # Example
 //!
@@ -93,9 +78,8 @@ pub mod config;
 pub mod dcache;
 pub mod engine;
 pub mod report;
-mod tape;
 
 pub use config::{ConfigError, DCacheConfig, MachineConfig};
 pub use dcache::DataCache;
-pub use engine::{simulate, simulate_instrumented, TimingSweep};
+pub use engine::{simulate, simulate_batch};
 pub use report::SimReport;

@@ -5,7 +5,7 @@
 mod reference;
 
 use branch_predictors::{BtbConfig, DirectionConfig, PathFilter, PathHistoryConfig, UpdatePolicy};
-use hps_uarch::{simulate, DCacheConfig, MachineConfig, TimingSweep};
+use hps_uarch::{simulate, simulate_batch, DCacheConfig, MachineConfig};
 use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
 use sim_telemetry::{EventSink, MetricsRegistry};
@@ -311,8 +311,8 @@ proptest! {
         lanes in proptest::collection::vec((arb_indirect(), 1usize..17, 1usize..65, 1usize..13, 0u32..7), 1..9),
         keys in proptest::collection::vec(any::<u64>(), 8),
     ) {
-        // Lanes share the recorded machine's baseline front end and data
-        // cache; each has its own indirect predictor and schedule.
+        // Lanes share the machine's baseline front end and data cache;
+        // each has its own indirect predictor and schedule.
         let machines: Vec<MachineConfig> = lanes
             .into_iter()
             .map(|(indirect, width, window, fus, depth)| {
@@ -321,19 +321,17 @@ proptest! {
                 m
             })
             .collect();
-        let sweep = TimingSweep::new(&trace, &machine);
-        let reports = sweep.run_all(&machines, None);
+        let reports = simulate_batch(&trace, &machines, None);
         prop_assert_eq!(reports.len(), machines.len());
         for (m, report) in machines.iter().zip(&reports) {
-            prop_assert!(sweep.serves(m));
             prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, None));
-            prop_assert_eq!(report, &sweep.run_on(m, None));
+            prop_assert_eq!(report, &simulate(&trace, m));
         }
         // No lane's report depends on its place in the batch.
         let mut order: Vec<usize> = (0..machines.len()).collect();
         order.sort_by_key(|&i| keys[i]);
         let permuted: Vec<MachineConfig> = order.iter().map(|&i| machines[i].clone()).collect();
-        for (&i, report) in order.iter().zip(sweep.run_all(&permuted, None)) {
+        for (&i, report) in order.iter().zip(simulate_batch(&trace, &permuted, None)) {
             prop_assert_eq!(&report, &reports[i]);
         }
     }
@@ -355,8 +353,7 @@ proptest! {
         // Each lane feeds its own registry and event sink.
         let lane_hooks: Vec<_> = machines.iter().map(|_| hooks()).collect();
         let telemetry: Vec<HarnessTelemetry> = lane_hooks.iter().map(|(_, _, t)| t.clone()).collect();
-        let reports = TimingSweep::new_instrumented(&trace, &machine, Some(&telemetry[0]))
-            .run_all(&machines, Some(&telemetry));
+        let reports = simulate_batch(&trace, &machines, Some(&telemetry));
         for ((m, report), (registry, sink, _)) in machines.iter().zip(&reports).zip(&lane_hooks) {
             let (ref_registry, ref_sink, ref_hooks) = hooks();
             prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, Some(ref_hooks)));
@@ -378,7 +375,7 @@ proptest! {
 fn sweep_matches_the_reference_on_the_paper_workloads() {
     use sim_workloads::Benchmark;
 
-    let frontends = [
+    let machines = [
         FrontEndConfig::isca97_baseline(),
         FrontEndConfig::isca97_oracle(),
         FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_gshare()),
@@ -388,36 +385,33 @@ fn sweep_matches_the_reference_on_the_paper_workloads() {
         FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagless_per_address_path()),
         FrontEndConfig::isca97_with(TargetCacheConfig::isca97_tagged(8)),
         FrontEndConfig::isca97_cascade(TargetCacheConfig::isca97_tagged(4)),
-    ];
+    ]
+    .map(MachineConfig::isca97);
     for bench in [Benchmark::Perl, Benchmark::Gcc] {
         let trace = bench.workload().generate(30_000);
-        let machine = MachineConfig::isca97(FrontEndConfig::isca97_baseline());
-        let sweep = TimingSweep::new(&trace, &machine);
-        for frontend in frontends {
-            let m = MachineConfig::isca97(frontend);
+        for (m, report) in machines.iter().zip(simulate_batch(&trace, &machines, None)) {
             assert_eq!(
-                sweep.run(&frontend, None),
-                reference::simulate(trace.as_slice(), &m, None),
+                report,
+                reference::simulate(trace.as_slice(), m, None),
                 "{bench} {:?}",
-                frontend.indirect
+                m.frontend.indirect
             );
         }
     }
 }
 
 #[test]
-fn side_data_stays_within_budget_at_standard_scale() {
-    use sim_workloads::Benchmark;
+#[should_panic(expected = "share its baseline front end and data cache")]
+fn a_batch_refuses_mixed_baselines() {
+    let mut shallow = MachineConfig::isca97(FrontEndConfig::isca97_oracle());
+    shallow.frontend.ras_depth = 4;
+    simulate_batch(&VecTrace::new(), &[machine(), shallow], None);
+}
 
-    // Standard scale replays 400k instructions: about 22 MB of trace. The
-    // tape beside it must stay under 0.4 MB.
-    for bench in [Benchmark::Perl, Benchmark::Gcc] {
-        let trace = bench.workload().generate(400_000);
-        let sweep = TimingSweep::new(
-            &trace,
-            &MachineConfig::isca97(FrontEndConfig::isca97_baseline()),
-        );
-        let bytes = sweep.side_data_bytes();
-        assert!(bytes <= 400_000, "{bench}: {bytes} bytes of side data");
-    }
+#[test]
+#[should_panic(expected = "share its baseline front end and data cache")]
+fn a_batch_refuses_mixed_data_caches() {
+    let mut slow = machine();
+    slow.dcache.miss_penalty = 20;
+    simulate_batch(&VecTrace::new(), &[machine(), slow], None);
 }

@@ -1,8 +1,8 @@
 //! The reference timing model: the whole machine simulated per
 //! configuration, one instruction at a time — an embedded
 //! `PredictionHarness` front end, a live data cache, a `BinaryHeap` of
-//! function-unit free times and a `VecDeque` window. `TimingSweep` must
-//! reproduce its `SimReport` bit for bit.
+//! function-unit free times and a `VecDeque` window. Every lane of
+//! `simulate_batch` must reproduce its `SimReport` bit for bit.
 
 use hps_uarch::{DataCache, MachineConfig, SimReport};
 use sim_isa::{DynInstr, InstrClass};
