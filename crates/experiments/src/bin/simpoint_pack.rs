@@ -1,7 +1,7 @@
 //! simpoint-pack: operator tooling for phase sampling.
 //!
-//! * `fingerprint <trace.strc>` — per-chunk BBV summary (from the
-//!   trace's side-section when present, recomputed otherwise).
+//! * `fingerprint <trace.strc>` — per-chunk BBV summary, computed from
+//!   the decoded trace.
 //! * `cluster <trace.strc> [--seed N] [--max-k N] [--out map.json]` —
 //!   cluster the chunk BBVs and print (or write) the phase map.
 //! * `inspect <map.json>` — summarize a written phase map.
@@ -12,6 +12,7 @@
 use experiments::sample;
 use experiments::telemetry::TelemetryCtx;
 use sim_isa::VecTrace;
+use sim_trace::TraceFingerprint;
 use simpoint::{cluster, ClusterConfig, PhaseMap};
 use std::path::Path;
 use std::process::exit;
@@ -38,10 +39,11 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
-fn load_trace(path: &str) -> (VecTrace, sim_trace::BbvSection) {
-    let (_, trace, bbv) = sim_trace::read_trace_file_with_bbv(Path::new(path))
+/// Decodes a trace and fingerprints its chunks.
+fn load_trace(path: &str) -> (VecTrace, TraceFingerprint) {
+    let (_, trace) = sim_trace::read_trace_file(Path::new(path))
         .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    let bbv = bbv.unwrap_or_else(|| sim_trace::fingerprint_trace(&trace));
+    let bbv = sim_trace::fingerprint_trace(&trace);
     (trace, bbv)
 }
 

@@ -13,10 +13,9 @@
 
 use crate::jobs::{CellData, CellSet};
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional_sweep, timing_sweep, Scale};
+use crate::runner::{functional_sweep, timing_sweep, workload_trace, Scale};
 use crate::telemetry::TelemetryCtx;
 use hps_uarch::MachineConfig;
-use sim_isa::VecTrace;
 use sim_workloads::OoBenchmark;
 use target_cache::harness::FrontEndConfig;
 use target_cache::TargetCacheConfig;
@@ -40,14 +39,6 @@ pub fn configs() -> Vec<(&'static str, Option<TargetCacheConfig>)> {
     ]
 }
 
-/// Generates an OO benchmark's trace at a scale, inside a `workload-gen`
-/// span.
-fn oo_trace(ctx: &TelemetryCtx, bench: OoBenchmark, scale: Scale) -> VecTrace {
-    let _g = ctx.hub().map(|hub| hub.spans().span("workload-gen"));
-    let w = bench.workload();
-    w.generate(scale.budget_for(w.default_budget()))
-}
-
 /// Resolves an OO benchmark from its cell label.
 fn oo_benchmark(label: &str) -> OoBenchmark {
     OoBenchmark::ALL
@@ -67,13 +58,7 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// `BTB only`, is the baseline the execution-time reductions are measured
 /// against.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
-    let benchmark = oo_benchmark(label);
-    // The OO traces are generated here, not by `runner::trace`, so the
-    // cell declares its benchmark for run attribution itself.
-    if let Some(hub) = ctx.hub() {
-        hub.set_benchmark(benchmark.name());
-    }
-    let t = oo_trace(ctx, benchmark, scale);
+    let t = workload_trace(ctx, &oo_benchmark(label).workload(), scale);
     let stats = t.stats();
     let mut d = CellData::new();
     d.set("indirect_jumps", stats.indirect_jumps() as f64);
@@ -211,11 +196,11 @@ mod tests {
                     .find(|s| s.name() == name)
                     .map_or(0, |s| s.count)
             };
-            // One trace generation, one functional batch and one timing
+            // One trace-store lookup, one functional batch and one timing
             // batch ...
             assert_eq!(
                 (
-                    count("workload-gen"),
+                    count("trace-store"),
                     count("harness-replay"),
                     count("uarch-sim")
                 ),

@@ -266,7 +266,8 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
     {
         // Phase-sampling layer, on the two heaviest indirect-jump
         // workloads. `simpoint-fingerprint` isolates BBV fingerprinting
-        // plus clustering — the cost paid once at trace-record time.
+        // plus clustering — the cost of building a phase map, paid only
+        // when the trace has no cached `.phases.json` map.
         // `simpoint-sampled-table1` is the sampled measurement path a
         // campaign actually pays per run: the cached phase map beside
         // the store file plus warmed representative simulation. Its
@@ -292,10 +293,10 @@ pub fn scenario_matrix(ctx: &TelemetryCtx, scale: Scale) -> Vec<Scenario> {
             let _ = hub::take_instructions();
             for (bench, trace) in [(Benchmark::Perl, &perl), (Benchmark::Gcc, &gcc)] {
                 // The real campaign prologue: cached phase map beside
-                // the store file (clustered from record-time
-                // fingerprints on the first-ever run), then warmed
-                // representative simulation.
-                let map = crate::sample::stored_phase_map(&ctx, bench, scale, trace, None);
+                // the store file (fingerprinted and clustered on the
+                // first-ever run), then warmed representative
+                // simulation.
+                let map = crate::sample::stored_phase_map(&ctx, bench, scale, trace);
                 let rate = crate::sample::sampled_indirect_mispred(
                     &ctx,
                     trace,

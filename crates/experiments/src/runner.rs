@@ -11,7 +11,7 @@ use branch_predictors::BranchClassStats;
 use hps_uarch::{MachineConfig, SimReport};
 use sim_isa::{Addr, VecTrace};
 use sim_trace::TraceKey;
-use sim_workloads::Benchmark;
+use sim_workloads::{Benchmark, Workload};
 use std::path::PathBuf;
 use std::time::Instant;
 use target_cache::harness::{
@@ -130,34 +130,40 @@ fn config_desc(config: &FrontEndConfig) -> String {
 /// `.strc`).
 pub fn trace_store_path(bench: Benchmark, scale: Scale) -> PathBuf {
     let store = crate::knobs::get().trace_store();
-    store.path_for(&store_key(bench, scale))
+    store.path_for(&store_key(&bench.workload(), scale))
 }
 
-/// The store key for a benchmark's canonical trace at a scale.
-fn store_key(bench: Benchmark, scale: Scale) -> TraceKey {
+/// The store key for a workload's canonical trace at a scale.
+fn store_key(workload: &Workload, scale: Scale) -> TraceKey {
     TraceKey {
-        benchmark: bench.name().to_string(),
+        benchmark: workload.name().to_string(),
         scale: scale.name().to_string(),
-        budget: scale.budget(bench) as u64,
-        seed: bench.workload().seed(),
+        budget: scale.budget_for(workload.default_budget()) as u64,
+        seed: workload.seed(),
         generator_version: sim_workloads::GENERATOR_VERSION,
     }
 }
 
-/// Produces the canonical trace of a benchmark at the given scale:
-/// replayed from the content-addressed trace store on a hit, generated
-/// (and recorded) on a miss. The store is the one the process's knobs
-/// name (`REPRO_TRACE_STORE=off|rw|ro`, `REPRO_TRACE_STORE_DIR`); the
-/// default is `rw` under `results/traces/`.
+/// Produces the canonical trace of a benchmark at the given scale: a
+/// [`workload_trace`] of its workload.
+pub fn trace(ctx: &TelemetryCtx, bench: Benchmark, scale: Scale) -> VecTrace {
+    workload_trace(ctx, &bench.workload(), scale)
+}
+
+/// Produces the canonical trace of a workload (a SPECint95 model or an
+/// OO one) at the given scale: replayed from the content-addressed trace
+/// store on a hit, generated (and recorded) on a miss. The store is the
+/// one the process's knobs name (`REPRO_TRACE_STORE=off|rw|ro`,
+/// `REPRO_TRACE_STORE_DIR`); the default is `rw` under `results/traces/`.
 ///
-/// With telemetry active this also declares `bench` as the benchmark
-/// subsequent runs are attributed to (cells are sequential:
+/// With telemetry active this also declares the workload as the
+/// benchmark subsequent runs are attributed to (cells are sequential:
 /// they generate one trace and run every configuration on it before
 /// moving to the next benchmark), and accounts store hits, misses, and
 /// decode throughput under `trace_store.*` counters.
 ///
 /// When an installed fault plan (see [`crate::jobs::faults`]) truncates
-/// this benchmark, the generated trace is proportionally shorter — the
+/// this workload, the generated trace is proportionally shorter — the
 /// downstream statistics all normalize by actual executed counts, so a
 /// truncated trace degrades resolution, not correctness. Truncated
 /// generation bypasses the store entirely: a degraded trace must never
@@ -166,36 +172,23 @@ fn store_key(bench: Benchmark, scale: Scale) -> TraceKey {
 /// with the store's diagnosis — under the campaign runner that is a
 /// retryable cell failure, and the store has already deleted the bad
 /// file so the retry regenerates it.
-pub fn trace(ctx: &TelemetryCtx, bench: Benchmark, scale: Scale) -> VecTrace {
-    trace_with_fingerprints(ctx, bench, scale).0
-}
-
-/// [`trace`], also returning the trace's BBV side-section when the
-/// store replay carried one. Fingerprints are computed at record time
-/// and validated against the header on replay, so phase sampling
-/// clusters them directly instead of re-walking the trace — `None`
-/// (store off, read-only miss, fault-truncated generation) means the
-/// caller must fingerprint in memory.
-pub fn trace_with_fingerprints(
-    ctx: &TelemetryCtx,
-    bench: Benchmark,
-    scale: Scale,
-) -> (VecTrace, Option<sim_trace::BbvSection>) {
-    let budget = scale.budget(bench);
+pub fn workload_trace(ctx: &TelemetryCtx, workload: &Workload, scale: Scale) -> VecTrace {
+    let name = workload.name();
+    let budget = scale.budget_for(workload.default_budget());
     let hub = ctx.hub();
     if let Some(hub) = hub {
-        hub.set_benchmark(bench.name());
+        hub.set_benchmark(name);
     }
-    if let Some(fraction) = crate::jobs::faults::active_truncation(bench.name()) {
+    if let Some(fraction) = crate::jobs::faults::active_truncation(name) {
         let _g = hub.map(|h| h.spans().span("workload-gen"));
-        return (bench.workload().generate_truncated(budget, fraction), None);
+        return workload.generate_truncated(budget, fraction);
     }
     let store = crate::knobs::get().trace_store();
-    let key = store_key(bench, scale);
-    let corrupt = crate::jobs::faults::take_store_truncation(bench.name());
+    let key = store_key(workload, scale);
+    let corrupt = crate::jobs::faults::take_store_truncation(name);
     let generate = || {
         let _g = hub.map(|h| h.spans().span("workload-gen"));
-        bench.workload().generate(budget)
+        workload.generate(budget)
     };
     let outcome = {
         let _g = hub.map(|h| h.spans().span("trace-store"));
@@ -226,7 +219,7 @@ pub fn trace_with_fingerprints(
                         .add(out.trace.len() as u64);
                 }
             }
-            (out.trace, out.bbv)
+            out.trace
         }
         Err(e) => panic!("trace store: {e}"),
     }

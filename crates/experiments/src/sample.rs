@@ -38,7 +38,7 @@ use crate::jobs::pool::CellTask;
 use crate::jobs::{cell_id, registry::ExperimentDef, CellData, CellSet};
 use crate::knobs::Knobs;
 use crate::report::{count, pct, TextTable};
-use crate::runner::{functional, trace_with_fingerprints, Scale};
+use crate::runner::{functional, trace, Scale};
 use crate::table1;
 use crate::telemetry::{self, TelemetryCtx};
 use branch_predictors::ClassCounters;
@@ -114,36 +114,16 @@ pub fn parse_shard(cell: &str) -> Option<(&str, u32, u64, f64)> {
     ))
 }
 
-/// Fingerprints a trace and clusters its chunk BBVs into a phase map
-/// with the default deterministic configuration. Records the
-/// `sampling.chunks` / `sampling.phases` / `sampling.total_instructions`
-/// manifest counters when telemetry is on.
+/// Fingerprints a trace ([`sim_trace::fingerprint_trace`]) and clusters
+/// its chunk BBVs into a phase map with the default deterministic
+/// configuration. Records the `sampling.chunks` / `sampling.phases` /
+/// `sampling.total_instructions` manifest counters when telemetry is
+/// on.
 pub fn phase_map(ctx: &TelemetryCtx, t: &VecTrace) -> PhaseMap {
-    phase_map_with(ctx, t, None)
-}
-
-/// [`phase_map`] over record-time fingerprints when the trace came out
-/// of the store with its BBV side-section (see
-/// [`crate::runner::trace_with_fingerprints`]). Clustering stored
-/// fingerprints skips the in-memory trace walk — the expensive half of
-/// map construction — which is what keeps a sampled campaign's prologue
-/// a small fraction of one exact simulation pass. The fallback
-/// (`stored = None`) fingerprints `t` and produces an identical map:
-/// the writer and [`sim_trace::fingerprint_trace`] share one builder.
-pub fn phase_map_with(
-    ctx: &TelemetryCtx,
-    t: &VecTrace,
-    stored: Option<&sim_trace::BbvSection>,
-) -> PhaseMap {
     let map = {
         let _g = ctx.hub().map(|h| h.spans().span("phase-cluster"));
-        match stored {
-            Some(bbv) => cluster(&bbv.chunks, &ClusterConfig::default()),
-            None => {
-                let bbv = sim_trace::fingerprint_trace(t);
-                cluster(&bbv.chunks, &ClusterConfig::default())
-            }
-        }
+        let fingerprint = sim_trace::fingerprint_trace(t);
+        cluster(&fingerprint.chunks, &ClusterConfig::default())
     };
     if let Some(hub) = ctx.hub() {
         let metrics = hub.registry();
@@ -154,9 +134,6 @@ pub fn phase_map_with(
         metrics
             .counter("sampling.total_instructions")
             .add(t.len() as u64);
-        if stored.is_some() {
-            metrics.counter("sampling.stored_fingerprints").add(1);
-        }
     }
     map
 }
@@ -174,20 +151,19 @@ fn trace_chunks(t: &VecTrace) -> u64 {
 /// so a campaign's per-run sampling prologue is a small JSON parse
 /// rather than a cluster pass. A cache entry is honored only when its
 /// seed, dimensionality, and chunk count match the trace and the
-/// default [`ClusterConfig`] — anything stale or corrupt re-clusters
-/// (from `bbv` when the store replay carried it) and, in read-write
-/// mode, rewrites the cache atomically. `REPRO_TRACE_STORE=off`
-/// disables the cache along with the store.
+/// default [`ClusterConfig`] — anything stale or corrupt fingerprints
+/// the trace, re-clusters and, in read-write mode, rewrites the cache
+/// atomically. `REPRO_TRACE_STORE=off` disables the cache along with
+/// the store.
 pub fn stored_phase_map(
     ctx: &TelemetryCtx,
     bench: sim_workloads::Benchmark,
     scale: crate::Scale,
     t: &VecTrace,
-    bbv: Option<&sim_trace::BbvSection>,
 ) -> PhaseMap {
     let mode = crate::knobs::get().trace_store;
     if mode == sim_trace::StoreMode::Off {
-        return phase_map_with(ctx, t, bbv);
+        return phase_map(ctx, t);
     }
     let path = crate::runner::trace_store_path(bench, scale).with_extension("phases.json");
     if let Ok(text) = std::fs::read_to_string(&path) {
@@ -203,7 +179,7 @@ pub fn stored_phase_map(
         }
         // Stale or unparseable cache: fall through and re-cluster.
     }
-    let map = phase_map_with(ctx, t, bbv);
+    let map = phase_map(ctx, t);
     if mode == sim_trace::StoreMode::ReadWrite {
         if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
             let tmp = path.with_file_name(format!("{name}.{}.tmp", std::process::id()));
@@ -646,16 +622,16 @@ pub(crate) fn drive_sampled(tool: &str, defs: &[ExperimentDef], knobs: &Knobs) -
     let ctx = session.ctx();
 
     // Phase maps must exist before shard tasks can be enumerated. Trace
-    // generation is store-cached, phase maps are cached next to the
-    // store files, and a cold map clusters the store-borne record-time
-    // fingerprints — this sequential prologue costs a small fraction of
-    // one exact simulation pass.
+    // generation is store-cached and phase maps are cached next to the
+    // store files; only a cold map fingerprints and clusters its trace
+    // in memory — this sequential prologue costs a small fraction of one
+    // exact simulation pass.
     let plans: Vec<BenchPlan> = table1::cell_labels()
         .into_iter()
         .map(|label| {
             let bench = crate::jobs::benchmark(label);
-            let (t, bbv) = trace_with_fingerprints(&ctx, bench, scale);
-            let map = stored_phase_map(&ctx, bench, scale, &t, bbv.as_ref());
+            let t = trace(&ctx, bench, scale);
+            let map = stored_phase_map(&ctx, bench, scale, &t);
             BenchPlan {
                 label,
                 trace: Arc::new(t),
@@ -802,8 +778,8 @@ pub fn cell_labels() -> Vec<&'static str> {
 /// Computes one benchmark's sampled-vs-exact cell.
 pub fn cell(ctx: &TelemetryCtx, label: &str, scale: Scale) -> CellData {
     let bench = crate::jobs::benchmark(label);
-    let (t, bbv) = trace_with_fingerprints(ctx, bench, scale);
-    let map = stored_phase_map(ctx, bench, scale, &t, bbv.as_ref());
+    let t = trace(ctx, bench, scale);
+    let map = stored_phase_map(ctx, bench, scale, &t);
     let frontend = FrontEndConfig::isca97_baseline();
     let slices = sampled_slices(ctx, &t, &map, WARMUP_RECORDS, frontend);
     let sampled = rate_from_slices(&slices);
@@ -860,7 +836,6 @@ pub fn render_cells(cells: &CellSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::trace;
     use sim_workloads::Benchmark;
 
     #[test]
@@ -924,38 +899,17 @@ mod tests {
     }
 
     #[test]
-    fn stored_fingerprints_reproduce_the_recomputed_phase_map() {
-        // The campaign prologue clusters the store-borne side-section;
-        // the fallback fingerprints in memory. Same builder, same map —
-        // otherwise a store hit would silently change the sampling plan.
-        let ctx = TelemetryCtx::off();
-        let (t, bbv) = trace_with_fingerprints(&ctx, Benchmark::Xlisp, Scale::Quick);
-        if let Some(stored) = &bbv {
-            assert_eq!(
-                stored.chunks,
-                sim_trace::fingerprint_trace(&t).chunks,
-                "record-time and in-memory fingerprints agree"
-            );
-        }
-        let from_store = phase_map_with(&ctx, &t, bbv.as_ref());
-        let recomputed = phase_map(&ctx, &t);
-        assert_eq!(from_store.assignments, recomputed.assignments);
-        assert_eq!(from_store.k, recomputed.k);
-        assert_eq!(from_store.phases, recomputed.phases);
-    }
-
-    #[test]
     fn phase_map_cache_round_trips_and_heals_corruption() {
         // First call populates `<stem>.phases.json` beside the store
         // file; the second parses it back bit-identical (Rust's float
         // Display is shortest-round-trip). A corrupted cache must be
         // recomputed and rewritten, never trusted.
         let ctx = TelemetryCtx::off();
-        let (t, bbv) = trace_with_fingerprints(&ctx, Benchmark::Vortex, Scale::Quick);
-        let fresh = phase_map_with(&ctx, &t, bbv.as_ref());
-        let first = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t, bbv.as_ref());
+        let t = trace(&ctx, Benchmark::Vortex, Scale::Quick);
+        let fresh = phase_map(&ctx, &t);
+        let first = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t);
         assert_eq!(first, fresh);
-        let second = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t, bbv.as_ref());
+        let second = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t);
         assert_eq!(
             second, fresh,
             "cached map must reproduce the computed one exactly"
@@ -965,7 +919,7 @@ mod tests {
             .with_extension("phases.json");
         if path.exists() {
             std::fs::write(&path, "not a phase map").unwrap();
-            let healed = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t, bbv.as_ref());
+            let healed = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t);
             assert_eq!(healed, fresh, "corrupt cache falls back to recompute");
             let reparsed = PhaseMap::parse(&std::fs::read_to_string(&path).unwrap())
                 .expect("healed cache is valid JSON again");

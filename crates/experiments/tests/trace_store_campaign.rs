@@ -1,6 +1,7 @@
 //! End-to-end contract of the trace store under the fault-tolerant
-//! campaign driver, exercised through a real campaign (`repro table4`:
-//! two focus-benchmark cells, fast at quick scale).
+//! campaign driver, exercised through real campaigns (`repro table4`:
+//! two focus-benchmark cells, fast at quick scale; `repro extension_oo`
+//! for the OO workloads).
 //!
 //! The operator-visible behavior: a torn store write (injected via
 //! `truncate-store:`) is caught by the chunk checksums in the *same*
@@ -24,8 +25,13 @@ fn scratch(tag: &str) -> PathBuf {
 /// Runs `repro table4` with a hermetic REPRO_* environment and the
 /// trace store rooted inside `dir` (at `<dir>/traces`).
 fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
+    run_repro("table4", dir, envs)
+}
+
+/// Runs `repro <experiment>` as [`run_table4`] runs `table4`.
+fn run_repro(experiment: &str, dir: &Path, envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.arg("table4");
+    cmd.arg(experiment);
     for var in [
         "REPRO_SCALE",
         "REPRO_TELEMETRY",
@@ -51,7 +57,7 @@ fn run_table4(dir: &Path, envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("spawn repro table4")
+    cmd.output().expect("spawn repro")
 }
 
 fn stdout(out: &Output) -> String {
@@ -60,6 +66,16 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A campaign's stdout without the `run:` header line, which carries
+/// the auto-generated run id.
+fn tables(out: &Output) -> String {
+    stdout(out)
+        .lines()
+        .filter(|l| !l.starts_with("run:"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// The store files under `<dir>/traces`, sorted by name.
@@ -199,17 +215,10 @@ fn warm_store_replays_with_zero_misses_and_identical_output() {
 
     // Replay-from-store is invisible in the results: the rendered table
     // is byte-identical to the generated run's (modulo the `run:`
-    // header line, which carries the auto-generated run id).
-    let table = |out: &Output| -> String {
-        stdout(out)
-            .lines()
-            .filter(|l| !l.starts_with("run:"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    // header line).
     assert_eq!(
-        table(&cold),
-        table(&warm),
+        tables(&cold),
+        tables(&warm),
         "store replay changed the table output"
     );
 
@@ -246,4 +255,38 @@ fn warm_store_replays_with_zero_misses_and_identical_output() {
 
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&ro_dir);
+}
+
+#[test]
+fn oo_traces_record_once_then_replay_from_the_store() {
+    let dir = scratch("oo");
+    let telemetry_dir = dir.join("telemetry");
+    let envs = [
+        ("REPRO_TELEMETRY", "summary"),
+        ("REPRO_TELEMETRY_DIR", telemetry_dir.to_str().unwrap()),
+    ];
+    let manifest =
+        || fs::read_to_string(telemetry_dir.join("extension_oo.manifest.json")).expect("manifest");
+
+    let cold = run_repro("extension_oo", &dir, &envs);
+    assert_eq!(cold.status.code(), Some(0), "stderr:\n{}", stderr(&cold));
+    let files = store_files(&dir);
+    for bench in ["ixx", "deltablue"] {
+        assert!(
+            files
+                .iter()
+                .any(|f| f.starts_with(&format!("{bench}-quick-"))),
+            "{bench} was recorded: {files:?}"
+        );
+    }
+    let cold_manifest = manifest();
+    assert!(cold_manifest.contains("\"records\":2"), "{cold_manifest}");
+
+    let warm = run_repro("extension_oo", &dir, &envs);
+    assert_eq!(warm.status.code(), Some(0), "stderr:\n{}", stderr(&warm));
+    let warm_manifest = manifest();
+    assert!(warm_manifest.contains("\"misses\":0"), "{warm_manifest}");
+    assert!(warm_manifest.contains("\"records\":0"), "{warm_manifest}");
+    assert_eq!(tables(&cold), tables(&warm));
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@
 //! * [`BranchClass`] — the conditional/unconditional × direct/indirect
 //!   branch taxonomy of the paper's introduction,
 //! * [`DynInstr`] — one dynamic instruction of an execution trace,
-//! * [`trace`] — trace abstractions and whole-trace statistics.
+//! * [`trace`] — traces and whole-trace statistics.
 //!
 //! A [`DynInstr`] is a dense 24-byte record: the PC, one `u64` holding a
 //! load/store's data address or a branch's target, and one `u32` packing
@@ -48,4 +48,4 @@ pub use branch::{BranchClass, BranchExec};
 pub use class::InstrClass;
 pub use instr::{DynInstr, MemAccess};
 pub use reg::Reg;
-pub use trace::{Trace, TraceStats, VecTrace};
+pub use trace::{TraceStats, VecTrace};

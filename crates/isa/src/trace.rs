@@ -1,9 +1,8 @@
-//! Trace abstractions and whole-trace statistics.
+//! Traces and whole-trace statistics.
 //!
-//! A *trace* is any iterator of [`DynInstr`]. Workload generators produce
-//! traces lazily; [`VecTrace`] materializes one for repeated replay, and
-//! [`TraceStats`] computes the per-benchmark characterization the paper
-//! reports in Table 1 and Figures 1–8.
+//! A *trace* is a sequence of [`DynInstr`]: [`VecTrace`] holds one for
+//! repeated replay, and [`TraceStats`] computes the per-benchmark
+//! characterization the paper reports in Table 1 and Figures 1–8.
 
 use crate::{Addr, BranchClass, DynInstr, InstrClass};
 use std::collections::HashMap;
@@ -109,46 +108,6 @@ impl IntoIterator for VecTrace {
 
     fn into_iter(self) -> Self::IntoIter {
         self.instrs.into_iter()
-    }
-}
-
-/// A replayable source of instructions: anything that can produce a
-/// fresh pass over the same dynamic instruction sequence any number of
-/// times.
-///
-/// [`VecTrace`] is the in-memory implementation; the `sim-trace` crate
-/// adds on-disk ones. Simulators that accept `&impl Trace` work with
-/// either without materializing anything themselves.
-pub trait Trace {
-    /// The iterator a replay yields.
-    type Replay<'a>: Iterator<Item = DynInstr>
-    where
-        Self: 'a;
-
-    /// Starts a fresh pass over the instructions.
-    fn replay(&self) -> Self::Replay<'_>;
-
-    /// The number of instructions a replay will yield, when known up
-    /// front (lets consumers pre-size buffers and accounting).
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-
-    /// Computes whole-trace statistics with one replay pass.
-    fn compute_stats(&self) -> TraceStats {
-        TraceStats::from_trace(self.replay())
-    }
-}
-
-impl Trace for VecTrace {
-    type Replay<'a> = std::iter::Copied<std::slice::Iter<'a, DynInstr>>;
-
-    fn replay(&self) -> Self::Replay<'_> {
-        self.iter().copied()
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.len() as u64)
     }
 }
 
@@ -445,15 +404,6 @@ mod tests {
             m.indirect_jump_census()[&Addr::new(0x0)].distinct_targets(),
             2
         );
-    }
-
-    #[test]
-    fn trace_trait_replays_vec_traces() {
-        let t = VecTrace::from_iter([ijmp(0x100, 0x200), cond(0x104, true, 0x40)]);
-        let replayed: VecTrace = t.replay().collect();
-        assert_eq!(replayed, t);
-        assert_eq!(t.len_hint(), Some(2));
-        assert_eq!(t.compute_stats(), t.stats());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
 
-//! SimPoint-style phase analysis over `.strc` chunk fingerprints.
+//! SimPoint-style phase analysis over a trace's chunk fingerprints.
 //!
-//! A trace's BBV side-section (see `sim_trace::bbv`) gives one
-//! basic-block vector per 4096-record chunk. Programs execute in
+//! `sim_trace::fingerprint_trace` gives one basic-block vector per
+//! 4096-record chunk of an in-memory trace. Programs execute in
 //! *phases* — stretches of chunks running the same code mix — so the
 //! chunk BBVs cluster tightly, and simulating one weighted
 //! representative chunk per cluster approximates the full run at a

@@ -12,11 +12,7 @@
 //! `2` on a usage error.
 
 use sim_isa::{BranchClass, TraceStats};
-use sim_trace::bbv::BbvSection;
-use sim_trace::{
-    encode_to_vec, FingerprintBuilder, StatsSummary, TraceError, TraceReader, BBV_MAGIC,
-    CHUNK_RECORDS,
-};
+use sim_trace::{encode_to_vec, StatsSummary, TraceError, TraceReader, CHUNK_RECORDS};
 use sim_workloads::{Benchmark, OoBenchmark};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};
@@ -36,13 +32,12 @@ commands:
         print each file's header, size, bytes/instruction, per-class
         branch counts and the targets-per-site histogram of its
         indirect jumps; --chunks adds a per-chunk table (record count,
-        payload bytes, checksum, BBV fingerprint presence)
+        payload bytes, checksum)
   verify <file|dir>...
         fully decode each .strc file (directories are scanned for
-        *.strc), checking chunk checksums, record validity, the
-        header's statistics summary, and — when a BBV side-section is
-        present — that its fingerprints match the decoded records;
-        exit 1 if any file fails
+        *.strc), checking chunk checksums, record validity, that
+        nothing follows the last declared record, and the header's
+        statistics summary; exit 1 if any file fails
   cat <file> [--limit N]
         print decoded records (default limit 20; 0 = all)
   bench <file> [--iters N]
@@ -284,9 +279,8 @@ struct ChunkRow {
     ok: bool,
 }
 
-/// Prints the per-chunk view: record counts, payload sizes, stored
-/// checksums (re-verified against the payload), and whether the file's
-/// BBV side-section carries a fingerprint for the chunk.
+/// Prints the per-chunk view: record counts, payload sizes and stored
+/// checksums (re-verified against the payload).
 fn print_chunk_table(path: &Path) {
     let mut bytes = Vec::new();
     if let Err(e) = File::open(path).and_then(|mut f| f.read_to_end(&mut bytes)) {
@@ -304,14 +298,7 @@ fn print_chunk_table(path: &Path) {
     // recovers exactly how many bytes it occupied.
     let mut pos = 8 + header.encode().expect("re-encoding a decoded header").len();
     let mut rows: Vec<ChunkRow> = Vec::new();
-    let mut section: Option<Result<BbvSection, String>> = None;
     while pos < bytes.len() {
-        if bytes.len() - pos >= 8 && &bytes[pos..pos + 8] == BBV_MAGIC {
-            let mut src = &bytes[pos + 8..];
-            section = Some(BbvSection::read_body(&mut src).unwrap_or_else(|e| Err(e.to_string())));
-            pos = bytes.len() - src.len();
-            continue;
-        }
         if bytes.len() - pos < 8 {
             println!(
                 "  … {} trailing bytes (not a chunk frame)",
@@ -337,32 +324,15 @@ fn print_chunk_table(path: &Path) {
             ok: sim_trace::format::fnv64(body) == checksum,
         });
     }
-    println!("  chunk  records  payload   checksum          fingerprint");
+    println!("  chunk  records  payload   checksum");
     for (i, row) in rows.iter().enumerate() {
-        let fingerprint = match &section {
-            Some(Ok(s)) => match s.chunks.get(i) {
-                Some(fp) => format!("{} blocks", fp.block_count()),
-                None => "missing".to_string(),
-            },
-            Some(Err(_)) => "section corrupt".to_string(),
-            None => "-".to_string(),
-        };
         println!(
-            "  {i:>5}  {:>7}  {:>7}   {:016x}{}  {fingerprint}",
+            "  {i:>5}  {:>7}  {:>7}   {:016x}{}",
             row.records,
             row.payload,
             row.checksum,
-            if row.ok { " " } else { "!" },
+            if row.ok { "" } else { " !" },
         );
-    }
-    match &section {
-        Some(Ok(s)) => println!(
-            "  bbv side-section: v{}, {} chunk fingerprints",
-            s.version,
-            s.chunks.len()
-        ),
-        Some(Err(e)) => println!("  bbv side-section: CORRUPT ({e})"),
-        None => println!("  bbv side-section: absent"),
     }
 }
 
@@ -392,47 +362,23 @@ fn expand(paths: &[String]) -> Vec<PathBuf> {
 }
 
 /// Streams the whole file, recomputing statistics and checking them
-/// against the header summary. Fingerprints are recomputed alongside;
-/// when the file carries a BBV side-section it must match them exactly.
-/// Returns `(instructions, bytes, bbv chunk count if present)`.
-fn verify_file(path: &Path) -> Result<(u64, u64, Option<usize>), TraceError> {
+/// against the header summary. Returns `(instructions, bytes)`.
+fn verify_file(path: &Path) -> Result<(u64, u64), TraceError> {
     let mut reader = open_reader(path)?;
     let summary = reader.header().summary;
     let declared = reader.header().instructions;
     let mut stats = TraceStats::default();
-    let mut fingerprints = FingerprintBuilder::new();
     let mut chunk = Vec::with_capacity(CHUNK_RECORDS as usize);
     while reader.next_chunk(&mut chunk)? {
         for record in &chunk {
             stats.record(record);
-            fingerprints.observe(record);
         }
-        fingerprints.end_chunk();
         chunk.clear();
     }
     summary.check(&stats).map_err(TraceError::SummaryMismatch)?;
-    let bbv_chunks = match reader.take_bbv() {
-        Some(section) => {
-            let recomputed = fingerprints.finish();
-            if section != recomputed {
-                let chunk = section
-                    .chunks
-                    .iter()
-                    .zip(&recomputed.chunks)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0) as u64;
-                return Err(TraceError::CorruptChunk {
-                    chunk,
-                    reason: "bbv fingerprint does not match the decoded records".to_string(),
-                });
-            }
-            Some(section.chunks.len())
-        }
-        None => None,
-    };
     let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     debug_assert_eq!(stats.instructions(), declared);
-    Ok((declared, size, bbv_chunks))
+    Ok((declared, size))
 }
 
 fn verify(args: &[String]) {
@@ -443,16 +389,10 @@ fn verify(args: &[String]) {
     let mut failures = 0u32;
     for path in &files {
         match verify_file(path) {
-            Ok((instructions, bytes, bbv)) => {
-                let bbv = match bbv {
-                    Some(chunks) => format!("bbv {chunks} chunks ok"),
-                    None => "no bbv section".to_string(),
-                };
-                println!(
-                    "{}: ok ({instructions} instructions, {bytes} bytes, {bbv})",
-                    path.display()
-                )
-            }
+            Ok((instructions, bytes)) => println!(
+                "{}: ok ({instructions} instructions, {bytes} bytes)",
+                path.display()
+            ),
             Err(e) => {
                 println!("{}: FAIL ({e})", path.display());
                 failures += 1;

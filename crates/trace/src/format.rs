@@ -13,6 +13,9 @@
 //!   checksum u64      FNV-1a-64 over the payload
 //! ```
 //!
+//! Nothing follows the chunk that completes the header's instruction
+//! count.
+//!
 //! A record is a tag byte (class kind in bits 0–2, operand presence in
 //! bits 3–5, taken in bit 6), an optional branch-class nibble byte, and
 //! then varint deltas: the PC as a zigzag delta of its *word index* from

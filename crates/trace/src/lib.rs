@@ -22,11 +22,17 @@
 //! `Result<DynInstr, TraceError>` records out of a reused chunk buffer.
 //!
 //! Corruption is loud by construction: every chunk carries its length
-//! and an FNV-1a-64 checksum, the header checksums itself, and a clean
+//! and an FNV-1a-64 checksum, the header checksums itself, a clean
 //! end-of-file with fewer records than the header declares is a typed
 //! [`TraceError::Truncated`] — which is how injected
 //! `REPRO_FAULTS=truncate-store:…` faults surface as retryable errors
-//! instead of silently degraded results.
+//! instead of silently degraded results — and any byte after the last
+//! declared record is a [`TraceError::CorruptChunk`].
+//!
+//! A file holds records and nothing derived from them. The per-chunk
+//! basic-block vectors that phase sampling clusters are computed from
+//! an in-memory trace by [`fingerprint_trace`], only when a phase map
+//! has to be built.
 //!
 //! # Example
 //!
@@ -59,10 +65,10 @@ pub mod store;
 pub mod varint;
 pub mod writer;
 
-pub use bbv::{fingerprint_trace, BbvSection, ChunkFingerprint, FingerprintBuilder, BBV_MAGIC};
+pub use bbv::{fingerprint_trace, ChunkFingerprint, TraceFingerprint};
 pub use format::{
     StatsSummary, TraceError, TraceHeader, TraceMeta, CHUNK_RECORDS, FORMAT_VERSION, MAGIC,
 };
-pub use reader::{read_trace_file, read_trace_file_with_bbv, TraceReader};
+pub use reader::{read_trace_file, TraceReader};
 pub use store::{StoreError, StoreMode, StoreOutcome, TraceKey, TraceStore};
 pub use writer::{encode_to_vec, write_trace, TraceWriter, WriteSummary};

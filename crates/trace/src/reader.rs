@@ -1,6 +1,5 @@
 //! Streaming `.strc` reader.
 
-use crate::bbv::{BbvSection, BBV_MAGIC};
 use crate::format::{
     fnv64, CodecState, TraceError, TraceHeader, CHUNK_RECORDS, MAGIC, MAX_CHUNK_PAYLOAD,
 };
@@ -19,7 +18,7 @@ use std::path::Path;
 /// * [`next_chunk`](TraceReader::next_chunk) hands the caller one
 ///   decoded chunk at a time (the trace store's read-back verify
 ///   compares each against the generated trace, `trace-pack verify`
-///   fingerprints each);
+///   adds each to the statistics it checks against the header);
 /// * the `Iterator` impl yields records one at a time out of a reused
 ///   chunk buffer, so a record is yielded only once its whole chunk
 ///   has decoded.
@@ -29,7 +28,8 @@ use std::path::Path;
 /// further `next_chunk` calls `Ok(false)`). A clean end-of-stream with
 /// fewer records than the header declares is itself an error
 /// ([`TraceError::Truncated`]), so a file cut at a chunk boundary cannot
-/// pass for complete.
+/// pass for complete, and so is any byte after the last declared record
+/// ([`TraceError::CorruptChunk`]).
 pub struct TraceReader<R: Read> {
     src: R,
     header: TraceHeader,
@@ -39,7 +39,6 @@ pub struct TraceReader<R: Read> {
     decoded: u64,
     /// Input bytes not yet consumed, when the source's length is known.
     unread: Option<u64>,
-    bbv: Option<BbvSection>,
     /// The iterator's current chunk and the index of its next record.
     chunk: Vec<DynInstr>,
     next: usize,
@@ -100,7 +99,6 @@ impl<R: Read> TraceReader<R> {
             chunk_index: 0,
             decoded: 0,
             unread: len.map(|len| len.saturating_sub((MAGIC.len() + head.len()) as u64)),
-            bbv: None,
             chunk: Vec::new(),
             next: 0,
             state: State::Reading,
@@ -117,22 +115,10 @@ impl<R: Read> TraceReader<R> {
         self.decoded
     }
 
-    /// The BBV side-section, if the stream carried one. Populated only
-    /// once the stream has been consumed to its clean end (the section
-    /// sits after the last chunk).
-    pub fn bbv(&self) -> Option<&BbvSection> {
-        self.bbv.as_ref()
-    }
-
-    /// Takes ownership of the decoded BBV side-section, if any.
-    pub fn take_bbv(&mut self) -> Option<BbvSection> {
-        self.bbv.take()
-    }
-
     /// Decodes the next chunk, appending its records to `out`.
     /// `Ok(false)` means the stream has ended: cleanly, with every
-    /// declared record decoded (and the BBV side-section, if any,
-    /// read), or after an earlier error. On error `out` is unchanged.
+    /// declared record decoded and nothing after them, or after an
+    /// earlier error. On error `out` is unchanged.
     ///
     /// Records the `Iterator` has buffered but not yet yielded are not
     /// part of what this returns; use one consumer per reader.
@@ -140,7 +126,8 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// A malformed or cut-short frame, a checksum mismatch, a bad
-    /// record, or a clean end before the header's instruction count.
+    /// record, a clean end before the header's instruction count, or
+    /// bytes after it.
     pub fn next_chunk(&mut self, out: &mut Vec<DynInstr>) -> Result<bool, TraceError> {
         if self.state != State::Reading {
             return Ok(false);
@@ -172,31 +159,13 @@ impl<R: Read> TraceReader<R> {
                 }
                 return Ok(false);
             }
+            _ if self.decoded == self.header.instructions => {
+                return Err(corrupt("bytes after the last declared record".to_string()))
+            }
             ReadOutcome::Partial => {
                 return Err(corrupt("file ends inside a chunk frame".to_string()))
             }
             ReadOutcome::Full => {}
-        }
-        // After the final record chunk the stream may carry the optional
-        // BBV side-section; its magic is frame-width by design so the
-        // "next chunk or end of stream?" read also recognizes it. A
-        // pre-section trace hits clean EOF above instead.
-        if &frame == BBV_MAGIC && self.decoded == self.header.instructions {
-            let bbv = |reason: String| TraceError::CorruptChunk {
-                chunk,
-                reason: format!("bbv section: {reason}"),
-            };
-            let section = BbvSection::read_body(&mut self.src)
-                .map_err(TraceError::Io)?
-                .map_err(&bbv)?;
-            section.validate(self.header.instructions).map_err(&bbv)?;
-            let mut trailing = [0u8; 1];
-            match read_exact_or_eof(&mut self.src, &mut trailing)? {
-                ReadOutcome::Eof => {}
-                _ => return Err(bbv("trailing bytes after the section".to_string())),
-            }
-            self.bbv = Some(section);
-            return Ok(false);
         }
         let records = u32::from_le_bytes(frame[..4].try_into().expect("4-byte field"));
         let length = u32::from_le_bytes(frame[4..].try_into().expect("4-byte field"));
@@ -246,16 +215,6 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes the remainder of the stream into a [`VecTrace`].
     ///
-    /// # Errors
-    ///
-    /// Any [`TraceError`] the chunk cursor would return.
-    pub fn read_to_end(self) -> Result<VecTrace, TraceError> {
-        self.read_to_end_with_bbv().map(|(trace, _)| trace)
-    }
-
-    /// [`read_to_end`], also returning the BBV side-section when the
-    /// stream carries one (`None` for pre-section traces).
-    ///
     /// The output is reserved up front only as far as the input can
     /// back it: every record takes at least two bytes, so a header that
     /// declares more records than the remaining bytes could hold never
@@ -265,16 +224,14 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// Any [`TraceError`] the chunk cursor would return.
-    ///
-    /// [`read_to_end`]: TraceReader::read_to_end
-    pub fn read_to_end_with_bbv(mut self) -> Result<(VecTrace, Option<BbvSection>), TraceError> {
+    pub fn read_to_end(mut self) -> Result<VecTrace, TraceError> {
         let buffered = &self.chunk[self.next..];
         let declared = self.header.instructions - self.decoded;
         let backed = self.unread.map_or(0, |bytes| declared.min(bytes / 2));
         let mut records = Vec::with_capacity(buffered.len() + backed as usize);
         records.extend_from_slice(buffered);
         while self.next_chunk(&mut records)? {}
-        Ok((VecTrace::from_iter(records), self.bbv))
+        Ok(VecTrace::from_iter(records))
     }
 }
 
@@ -365,21 +322,6 @@ pub fn read_trace_file(path: &Path) -> Result<(TraceHeader, VecTrace), TraceErro
     let header = reader.header().clone();
     let trace = reader.read_to_end()?;
     Ok((header, trace))
-}
-
-/// [`read_trace_file`], also returning the BBV side-section when the
-/// file carries one.
-///
-/// # Errors
-///
-/// Any [`TraceError`]; plain I/O failures surface as [`TraceError::Io`].
-pub fn read_trace_file_with_bbv(
-    path: &Path,
-) -> Result<(TraceHeader, VecTrace, Option<BbvSection>), TraceError> {
-    let reader = TraceReader::open(path)?;
-    let header = reader.header().clone();
-    let (trace, bbv) = reader.read_to_end_with_bbv()?;
-    Ok((header, trace, bbv))
 }
 
 #[cfg(test)]

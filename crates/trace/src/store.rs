@@ -27,7 +27,6 @@
 //! resident daemon share one read-mostly store across many concurrent
 //! request campaigns.
 
-use crate::bbv::BbvSection;
 use crate::format::{TraceError, TraceHeader, TraceMeta, CHUNK_RECORDS};
 use crate::reader::TraceReader;
 use crate::writer::write_trace;
@@ -155,12 +154,6 @@ pub struct StoreOutcome {
     /// Wall time of the decode (the hit replay, or the record path's
     /// read-back verification), in nanoseconds. 0 when nothing decoded.
     pub decode_ns: u64,
-    /// The trace's BBV side-section, when the store file carries one
-    /// (every store-recorded trace does; `None` when the store is off
-    /// or a read-only miss generated without recording). Already
-    /// validated against the header by the reader, so phase sampling
-    /// can cluster these fingerprints without recomputing them.
-    pub bbv: Option<BbvSection>,
 }
 
 /// A failed store interaction.
@@ -320,19 +313,17 @@ impl TraceStore {
                 recorded: false,
                 bytes: 0,
                 decode_ns: 0,
-                bbv: None,
             });
         }
         let path = self.path_for(key);
         if path.exists() {
-            let (trace, bbv, bytes, decode_ns) = self.replay(key, &path)?;
+            let (trace, bytes, decode_ns) = self.replay(key, &path)?;
             return Ok(StoreOutcome {
                 trace,
                 hit: true,
                 recorded: false,
                 bytes,
                 decode_ns,
-                bbv,
             });
         }
         if self.mode == StoreMode::ReadOnly {
@@ -342,7 +333,6 @@ impl TraceStore {
                 recorded: false,
                 bytes: 0,
                 decode_ns: 0,
-                bbv: None,
             });
         }
         // Read-write miss: claim the single-writer slot for this key so
@@ -350,14 +340,13 @@ impl TraceStore {
         // wait and then replay what it published.
         let _claim = InflightClaim::acquire(&path);
         if path.exists() {
-            let (trace, bbv, bytes, decode_ns) = self.replay(key, &path)?;
+            let (trace, bytes, decode_ns) = self.replay(key, &path)?;
             return Ok(StoreOutcome {
                 trace,
                 hit: true,
                 recorded: false,
                 bytes,
                 decode_ns,
-                bbv,
             });
         }
         let trace = generate();
@@ -365,7 +354,7 @@ impl TraceStore {
         // Read back what the filesystem now holds: verifies the write
         // end to end through the same reader a hit uses.
         let started = Instant::now();
-        let bbv = self.verify(key, &path, &trace)?;
+        self.verify(key, &path, &trace)?;
         let decode_ns = started.elapsed().as_nanos() as u64;
         Ok(StoreOutcome {
             trace,
@@ -373,7 +362,6 @@ impl TraceStore {
             recorded: true,
             bytes,
             decode_ns,
-            bbv,
         })
     }
 
@@ -392,33 +380,23 @@ impl TraceStore {
     }
 
     /// Replays a hit: the whole body, decoded chunk by chunk into one
-    /// trace.
-    #[allow(clippy::type_complexity)]
-    fn replay(
-        &self,
-        key: &TraceKey,
-        path: &Path,
-    ) -> Result<(VecTrace, Option<BbvSection>, u64, u64), StoreError> {
+    /// trace. Returns the trace, the file's bytes and the decode time.
+    fn replay(&self, key: &TraceKey, path: &Path) -> Result<(VecTrace, u64, u64), StoreError> {
         let started = Instant::now();
-        let (trace, bbv) = self
+        let trace = self
             .open(key, path)?
-            .read_to_end_with_bbv()
+            .read_to_end()
             .map_err(|e| self.decode_error(path, e))?;
         let decode_ns = started.elapsed().as_nanos() as u64;
         let bytes = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        Ok((trace, bbv, bytes, decode_ns))
+        Ok((trace, bytes, decode_ns))
     }
 
     /// Read-back verification of a freshly written file: decodes it one
     /// chunk at a time and compares each chunk with the matching slice
     /// of the generated trace, so no second copy of the trace is ever
-    /// held. Returns the file's BBV side-section.
-    fn verify(
-        &self,
-        key: &TraceKey,
-        path: &Path,
-        trace: &VecTrace,
-    ) -> Result<Option<BbvSection>, StoreError> {
+    /// held.
+    fn verify(&self, key: &TraceKey, path: &Path, trace: &VecTrace) -> Result<(), StoreError> {
         let mut reader = self.open(key, path)?;
         let expected = trace.as_slice();
         let differs = || self.reject(path, "read-back decoded a different trace".to_string());
@@ -438,7 +416,7 @@ impl TraceStore {
         if at != expected.len() {
             return Err(differs());
         }
-        Ok(reader.take_bbv())
+        Ok(())
     }
 
     /// Maps a reader error: plain I/O trouble stays an I/O error,
@@ -573,29 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn record_and_hit_both_carry_the_bbv_side_section() {
-        // Phase sampling clusters the store-borne fingerprints instead
-        // of re-walking the trace, so both the record path and the hit
-        // path must hand back exactly what record-time fingerprinting
-        // produced.
-        let dir = scratch("bbv");
-        let store = TraceStore::new(&dir, StoreMode::ReadWrite);
-        let expected = crate::fingerprint_trace(&make_trace(64));
-        let first = store.load_or_record(&key(), || make_trace(64)).unwrap();
-        assert_eq!(first.bbv.as_ref(), Some(&expected));
-        let second = store.load_or_record(&key(), || make_trace(64)).unwrap();
-        assert!(second.hit);
-        assert_eq!(second.bbv.as_ref(), Some(&expected));
-        let off = TraceStore::new(dir.join("off"), StoreMode::Off);
-        assert!(off
-            .load_or_record(&key(), || make_trace(64))
-            .unwrap()
-            .bbv
-            .is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn off_mode_never_touches_disk() {
         let dir = scratch("off");
         let store = TraceStore::new(dir.join("sub"), StoreMode::Off);
@@ -622,45 +577,61 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_rejected_removed_and_healed_on_retry() {
-        let dir = scratch("corrupt");
-        let store = TraceStore::new(&dir, StoreMode::ReadWrite);
-        let good = store.load_or_record(&key(), || make_trace(64)).unwrap();
-        let path = store.path_for(&key());
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        let err = store.load_or_record(&key(), || make_trace(64)).unwrap_err();
-        match err {
-            StoreError::Corrupt { removed, .. } => assert!(removed),
-            other => panic!("expected Corrupt, got {other}"),
+        // A flipped checksum byte, and bytes after the last chunk (the
+        // shape of a file that carries a section this format does not
+        // have).
+        let damages: [fn(&mut Vec<u8>); 2] = [
+            |bytes| *bytes.last_mut().unwrap() ^= 0xff,
+            |bytes| bytes.extend([0xa5; 16]),
+        ];
+        for damage in damages {
+            let dir = scratch("corrupt");
+            let store = TraceStore::new(&dir, StoreMode::ReadWrite);
+            let good = store.load_or_record(&key(), || make_trace(64)).unwrap();
+            let path = store.path_for(&key());
+            let clean = fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            damage(&mut bytes);
+            fs::write(&path, &bytes).unwrap();
+            let err = store.load_or_record(&key(), || make_trace(64)).unwrap_err();
+            match err {
+                StoreError::Corrupt { removed, .. } => assert!(removed),
+                other => panic!("expected Corrupt, got {other}"),
+            }
+            assert!(!path.exists(), "corrupt file must be deleted");
+            let healed = store.load_or_record(&key(), || make_trace(64)).unwrap();
+            assert!(healed.recorded);
+            assert_eq!(healed.trace, good.trace);
+            assert_eq!(fs::read(&path).unwrap(), clean);
+            let _ = fs::remove_dir_all(&dir);
         }
-        assert!(!path.exists(), "corrupt file must be deleted");
-        let healed = store.load_or_record(&key(), || make_trace(64)).unwrap();
-        assert!(healed.recorded);
-        assert_eq!(healed.trace, good.trace);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn read_only_mode_reports_corruption_without_deleting() {
-        let dir = scratch("ro-corrupt");
-        TraceStore::new(&dir, StoreMode::ReadWrite)
-            .load_or_record(&key(), || make_trace(64))
-            .unwrap();
-        let path = TraceStore::new(&dir, StoreMode::ReadOnly).path_for(&key());
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() / 2);
-        fs::write(&path, &bytes).unwrap();
-        let err = TraceStore::new(&dir, StoreMode::ReadOnly)
-            .load_or_record(&key(), || make_trace(64))
-            .unwrap_err();
-        match err {
-            StoreError::Corrupt { removed, .. } => assert!(!removed),
-            other => panic!("expected Corrupt, got {other}"),
+        let damages: [fn(&mut Vec<u8>); 2] = [
+            |bytes| bytes.truncate(bytes.len() / 2),
+            |bytes| bytes.extend([0xa5; 16]),
+        ];
+        for damage in damages {
+            let dir = scratch("ro-corrupt");
+            TraceStore::new(&dir, StoreMode::ReadWrite)
+                .load_or_record(&key(), || make_trace(64))
+                .unwrap();
+            let path = TraceStore::new(&dir, StoreMode::ReadOnly).path_for(&key());
+            let mut bytes = fs::read(&path).unwrap();
+            damage(&mut bytes);
+            fs::write(&path, &bytes).unwrap();
+            let err = TraceStore::new(&dir, StoreMode::ReadOnly)
+                .load_or_record(&key(), || make_trace(64))
+                .unwrap_err();
+            match err {
+                StoreError::Corrupt { removed, .. } => assert!(!removed),
+                other => panic!("expected Corrupt, got {other}"),
+            }
+            assert!(path.exists(), "read-only mode must not delete");
+            let _ = fs::remove_dir_all(&dir);
         }
-        assert!(path.exists(), "read-only mode must not delete");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

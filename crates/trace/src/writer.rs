@@ -1,6 +1,5 @@
 //! Streaming `.strc` writer.
 
-use crate::bbv::FingerprintBuilder;
 use crate::format::fnv64;
 use crate::format::{CodecState, TraceHeader, TraceMeta, CHUNK_RECORDS, MAGIC};
 use sim_isa::{DynInstr, TraceStats, VecTrace};
@@ -30,7 +29,6 @@ pub struct WriteSummary {
 pub struct TraceWriter<W: Write> {
     sink: W,
     codec: CodecState,
-    bbv: FingerprintBuilder,
     buf: Vec<u8>,
     records_in_chunk: u32,
     expected: u64,
@@ -54,7 +52,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             sink,
             codec: CodecState::default(),
-            bbv: FingerprintBuilder::new(),
             buf: Vec::with_capacity(CHUNK_RECORDS as usize * 8),
             records_in_chunk: 0,
             expected: stats.instructions(),
@@ -78,7 +75,6 @@ impl<W: Write> TraceWriter<W> {
             ));
         }
         self.codec.encode(&mut self.buf, i);
-        self.bbv.observe(i);
         self.written += 1;
         self.records_in_chunk += 1;
         if self.records_in_chunk == CHUNK_RECORDS {
@@ -98,14 +94,12 @@ impl<W: Write> TraceWriter<W> {
         self.sink.write_all(&fnv64(&self.buf).to_le_bytes())?;
         self.bytes += 16 + self.buf.len() as u64;
         self.chunks += 1;
-        self.bbv.end_chunk();
         self.buf.clear();
         self.records_in_chunk = 0;
         Ok(())
     }
 
-    /// Flushes the final chunk, appends the BBV side-section (see
-    /// [`crate::bbv`]), and flushes the sink.
+    /// Flushes the final chunk and the sink.
     ///
     /// # Errors
     ///
@@ -122,9 +116,6 @@ impl<W: Write> TraceWriter<W> {
                 ),
             ));
         }
-        let section = self.bbv.finish().encode();
-        self.sink.write_all(&section)?;
-        self.bytes += section.len() as u64;
         self.sink.flush()?;
         Ok(WriteSummary {
             instructions: self.written,

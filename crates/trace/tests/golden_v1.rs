@@ -6,7 +6,7 @@
 //! new version loudly) and re-pin these bytes.
 
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
-use sim_trace::{encode_to_vec, TraceMeta, TraceReader};
+use sim_trace::{encode_to_vec, TraceError, TraceMeta, TraceReader};
 
 /// A fixed trace covering every record shape: plain ops with each
 /// operand combination, loads/stores with positive and negative
@@ -60,14 +60,13 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The pinned v1 encoding of [`golden_trace`] under [`golden_meta`],
-/// including the BBV side-section appended after the last chunk.
+/// A file of the golden trace as an earlier writer produced it: the v1
+/// encoding followed by a basic-block-vector section that the format no
+/// longer has. The reader refuses it as corrupt.
 const GOLDEN_HEX: &str = "53545243303030310100010006676f6c64656e05717569636befcdab89674523010c00000000000000010000000000000001000000000000000100000000000000010000000000000001000000000000000100000000000000010000000000000005000000000000000200000000000000000000000000000001000000000000000000000000000000010000000000000001000000000000000100000000000000010000000000000089100c7fd1c7b2d40c0000003900000038801001020321021e02021302070e020024020980808080100d02090f0700028d084700028f0847028f08801847058018801047048010fd27c58abe0070d1a59153544256303030311600000001000100000005800401800808880801801001801801c292f5be1aba4527";
 
-/// The same trace as encoded before the BBV side-section existed:
-/// identical up to the last chunk, then clean EOF. Pinned so the
-/// reader's backward compatibility with pre-section files can never
-/// silently break.
+/// The pinned v1 encoding of [`golden_trace`] under [`golden_meta`]:
+/// magic, header and record chunks, then clean EOF.
 const GOLDEN_HEX_PRE_BBV: &str = "53545243303030310100010006676f6c64656e05717569636befcdab89674523010c00000000000000010000000000000001000000000000000100000000000000010000000000000001000000000000000100000000000000010000000000000005000000000000000200000000000000000000000000000001000000000000000000000000000000010000000000000001000000000000000100000000000000010000000000000089100c7fd1c7b2d40c0000003900000038801001020321021e02021302070e020024020980808080100d02090f0700028d084700028f0847028f08801847058018801047048010fd27c58abe0070d1a591";
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -81,13 +80,9 @@ fn v1_byte_layout_is_pinned() {
     let bytes = encode_to_vec(golden_meta(), &golden_trace()).unwrap();
     assert_eq!(
         hex(&bytes),
-        GOLDEN_HEX,
+        GOLDEN_HEX_PRE_BBV,
         "the .strc v1 byte layout changed; see the module docs"
     );
-    // The record stream itself (everything before the side-section) is
-    // byte-identical to the pre-section encoding: the section is a pure
-    // suffix extension.
-    assert!(GOLDEN_HEX.starts_with(GOLDEN_HEX_PRE_BBV));
 }
 
 #[test]
@@ -95,26 +90,26 @@ fn pinned_bytes_decode_to_the_golden_trace() {
     // The inverse direction: the pinned hex itself (not a fresh
     // encode) must decode to the fixed trace, so a lockstep change to
     // encoder and decoder cannot slip through.
-    let bytes = unhex(GOLDEN_HEX);
+    let bytes = unhex(GOLDEN_HEX_PRE_BBV);
     let reader = TraceReader::new(bytes.as_slice()).unwrap();
     let header = reader.header().clone();
     assert_eq!(header.meta, golden_meta());
     assert_eq!(header.instructions, golden_trace().len() as u64);
-    let (decoded, bbv) = reader.read_to_end_with_bbv().unwrap();
-    assert_eq!(decoded, golden_trace());
-    let section = bbv.expect("pinned bytes carry a bbv section");
-    assert_eq!(section.chunks.len(), 1);
-    assert_eq!(
-        section.chunks[0].instructions(),
-        golden_trace().len() as u64
-    );
+    assert_eq!(reader.read_to_end().unwrap(), golden_trace());
 }
 
 #[test]
-fn pre_bbv_files_still_decode() {
-    let bytes = unhex(GOLDEN_HEX_PRE_BBV);
-    let reader = TraceReader::new(bytes.as_slice()).unwrap();
-    let (decoded, bbv) = reader.read_to_end_with_bbv().unwrap();
-    assert_eq!(decoded, golden_trace());
-    assert!(bbv.is_none(), "a pre-section file has no fingerprints");
+fn files_with_bytes_after_the_last_chunk_are_corrupt() {
+    // Identical up to the last chunk; what follows is not part of the
+    // format.
+    assert!(GOLDEN_HEX.starts_with(GOLDEN_HEX_PRE_BBV));
+    let bytes = unhex(GOLDEN_HEX);
+    let err = TraceReader::new(bytes.as_slice())
+        .unwrap()
+        .read_to_end()
+        .unwrap_err();
+    assert!(
+        matches!(err, TraceError::CorruptChunk { chunk: 1, .. }),
+        "{err}"
+    );
 }

@@ -218,8 +218,7 @@ proptest! {
         bytes[at] ^= mask;
         prop_assert!(decode(&bytes).is_err(), "flip at byte {at} decoded cleanly");
         // Streaming consumers see only whole chunks of the original
-        // before the error (all of them when the flip hit the BBV
-        // side-section).
+        // before the error.
         if let Ok(reader) = TraceReader::new(bytes.as_slice()) {
             let good: Vec<DynInstr> = reader.map_while(Result::ok).collect();
             prop_assert!(good.len().is_multiple_of(CHUNK_RECORDS as usize) || good.len() == trace.len());

@@ -5,7 +5,7 @@
 
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg};
 use sim_trace::format::{fnv64, NON_BRANCH_CLASSES};
-use sim_trace::{varint, TraceError, TraceReader, BBV_MAGIC, MAGIC};
+use sim_trace::{varint, TraceError, TraceReader, MAGIC};
 
 // The tag byte, as `sim_trace::format` documents it.
 const TAG_KIND_MASK: u8 = 0x07;
@@ -118,8 +118,8 @@ impl RefCodec {
 }
 
 /// Where each chunk of a well-framed `.strc` image sits: `(records,
-/// payload range, checksum offset)`, in file order. Stops at the end of
-/// the image or at the BBV side-section.
+/// payload range, checksum offset)`, in file order, to the end of the
+/// image.
 pub fn chunk_frames(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>, usize)> {
     let header = TraceReader::new(bytes)
         .expect("a valid header")
@@ -127,7 +127,7 @@ pub fn chunk_frames(bytes: &[u8]) -> Vec<(u32, std::ops::Range<usize>, usize)> {
         .clone();
     let mut pos = MAGIC.len() + header.encode().expect("a decoded header re-encodes").len();
     let mut frames = Vec::new();
-    while pos < bytes.len() && &bytes[pos..pos + 8] != BBV_MAGIC {
+    while pos < bytes.len() {
         let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let (records, length) = (field(pos), field(pos + 4) as usize);
         let payload = pos + 8..pos + 8 + length;
