@@ -70,11 +70,9 @@ pub mod harness;
 pub mod history;
 pub mod index;
 pub mod stats;
-pub mod telemetry;
 
 pub use cache::{Access, TargetCache};
 pub use cascade::{CascadeConfig, CascadedPredictor};
 pub use config::{HistorySource, IndexScheme, Organization, TaggedIndexScheme, TargetCacheConfig};
 pub use history::HistoryTracker;
 pub use stats::TargetCacheStats;
-pub use telemetry::{HarnessTelemetry, PREDICTOR_SOURCES};

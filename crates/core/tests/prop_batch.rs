@@ -11,11 +11,10 @@ use branch_predictors::{
 };
 use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, VecTrace};
-use sim_telemetry::{EventSink, MetricsRegistry};
-use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness};
+use sim_telemetry::EventSink;
+use target_cache::harness::{FrontEndConfig, IndirectPredictor, PredictionHarness, Source};
 use target_cache::{
-    CascadeConfig, HarnessTelemetry, HistorySource, IndexScheme, Organization, TaggedIndexScheme,
-    TargetCacheConfig, PREDICTOR_SOURCES,
+    CascadeConfig, HistorySource, IndexScheme, Organization, TaggedIndexScheme, TargetCacheConfig,
 };
 
 /// An instruction at one of the first `pcs` instruction words: a plain
@@ -200,13 +199,6 @@ fn alone(trace: &VecTrace, config: FrontEndConfig) -> Measured {
     )
 }
 
-fn hooks() -> (MetricsRegistry, EventSink, HarnessTelemetry) {
-    let registry = MetricsRegistry::new();
-    let sink = EventSink::new();
-    let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
-    (registry, sink, telemetry)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -239,26 +231,30 @@ proptest! {
         indirects in proptest::collection::vec(arb_indirect(), 1..7),
     ) {
         let configs = lanes_over(base, indirects);
-        // Each lane feeds its own registry and event sink.
-        let lane_hooks: Vec<_> = configs.iter().map(|_| hooks()).collect();
+        // Each lane records into its own event sink.
+        let sinks: Vec<EventSink> = configs.iter().map(|_| EventSink::new()).collect();
         let mut h = PredictionHarness::batch(&configs);
-        for (i, (_, _, telemetry)) in lane_hooks.iter().enumerate() {
-            h.attach_lane_telemetry(i, telemetry.clone());
+        for (i, sink) in sinks.iter().enumerate() {
+            h.attach_events(i, sink.clone());
         }
         h.run(&trace);
-        for ((config, lane), (registry, sink, _)) in configs.iter().zip(h.lanes()).zip(&lane_hooks) {
-            let (ref_registry, ref_sink, ref_hooks) = hooks();
+        for ((config, lane), sink) in configs.iter().zip(h.lanes()).zip(&sinks) {
+            let ref_sink = EventSink::new();
             let mut reference = reference::PredictionHarness::new(*config);
-            reference.attach_telemetry(ref_hooks);
+            reference.attach_events(ref_sink.clone());
             reference.run(&trace);
             prop_assert_eq!(lane.stats(), reference.stats());
-            let (want, got) = (ref_registry.snapshot(), registry.snapshot());
-            for name in ["harness.branches".to_string(), "harness.mispredicts".to_string()]
-                .into_iter()
-                .chain(PREDICTOR_SOURCES.iter().map(|s| format!("harness.mispredicts.{s}")))
-            {
-                prop_assert_eq!(got.counter(&name), want.counter(&name), "{}", name);
+            // The same mispredicts under the same sources, and no source
+            // outside the vocabulary.
+            let by_source = lane.mispredicts_by_source();
+            let want = reference.mispredicts_by_label();
+            for source in Source::ALL {
+                let label = source.label();
+                let want = want.get(label).copied().unwrap_or(0);
+                prop_assert_eq!(by_source[source as usize], want, "{}", label);
             }
+            prop_assert_eq!(want.values().sum::<u64>(), reference.stats().total_mispredicted());
+            prop_assert_eq!(by_source.iter().sum::<u64>(), lane.stats().total_mispredicted());
             // The same mispredict events, in order: pc, class, predicted,
             // actual, history and source.
             prop_assert_eq!(sink.drain(), ref_sink.drain());

@@ -52,7 +52,7 @@ fn print_map(map: &PhaseMap) {
         "phase map: {} chunks, k={}, seed {:#018x}, coverage {:.1}%",
         map.chunks,
         map.k,
-        map.seed,
+        map.config.seed,
         map.coverage() * 100.0
     );
     for p in &map.phases {

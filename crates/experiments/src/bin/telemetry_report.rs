@@ -11,7 +11,7 @@
 //!   event capture forced on, at the `REPRO_SCALE` scale;
 //! * `telemetry-report --perf <run.manifest.json>...` — throughput
 //!   accounting: aggregate and per-run instructions/sec and
-//!   predictions/sec, hot-path phase totals, and span self/total times;
+//!   predictions/sec, and span self/total times;
 //! * `telemetry-report --cells <run.manifest.json>...` — the job-runner
 //!   cell view: outcome, attempts, wall time, simulated instructions,
 //!   and per-cell throughput;

@@ -31,7 +31,7 @@ use super::faults::FaultPlan;
 use super::journal::Journal;
 use super::CellData;
 use crate::telemetry::TelemetryCtx;
-use sim_telemetry::{CampaignEvent, CellOutcome, CellStatus, SampleRow};
+use sim_telemetry::{CampaignEvent, CellOutcome, CellStatus};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -440,19 +440,6 @@ pub fn run_campaign_with(
                         active: running as u64,
                     },
                 )?;
-                if let Some(hub) = ctx.hub() {
-                    hub.push_sample(SampleRow {
-                        t_ms: started.elapsed().as_millis() as u64,
-                        done: completed as u64,
-                        active: running as u64,
-                        counters: hub
-                            .registry()
-                            .snapshot()
-                            .counters()
-                            .map(|(k, v)| (k.to_string(), v))
-                            .collect(),
-                    });
-                }
                 next_beat = Some(now + tick);
             }
         }

@@ -433,6 +433,7 @@ mod tests {
             ("REPRO_TRACE_STORE", "sometimes"),
             ("REPRO_TELEMETRY", "event"),
             ("REPRO_PROF", "deep"),
+            ("REPRO_PROF", "full"),
             ("REPRO_PROGRESS_TICK_MS", "0"),
             ("REPRO_PROGRESS_TICK_MS", "fast"),
             ("REPRO_TRACE_EXPORT", "perfetto"),

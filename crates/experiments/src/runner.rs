@@ -6,10 +6,11 @@
 //! runs everything uninstrumented.
 
 use crate::jobs::CellData;
-use crate::telemetry::{self as hub, TelemetryCtx};
+use crate::telemetry::{self as hub, Books, TelemetryCtx};
 use branch_predictors::BranchClassStats;
 use hps_uarch::{MachineConfig, SimReport};
 use sim_isa::{Addr, VecTrace};
+use sim_telemetry::EventSink;
 use sim_trace::TraceKey;
 use sim_workloads::{Benchmark, Workload};
 use std::path::PathBuf;
@@ -17,7 +18,7 @@ use std::time::Instant;
 use target_cache::harness::{
     FrontEndConfig, IndirectPredictor, Lane, PredictionHarness, PredictionOutcome,
 };
-use target_cache::{HarnessTelemetry, TargetCacheConfig, TargetCacheStats};
+use target_cache::TargetCacheConfig;
 
 /// How much of each workload's canonical run to simulate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -273,22 +274,20 @@ pub fn functional_sweep_observed(
         "harness-replay",
         configs,
         |a, b| configs[a].shares_base(&configs[b]),
-        |batch, hooks| {
+        |batch, events| {
             let batch_configs: Vec<FrontEndConfig> = batch.iter().map(|&i| configs[i]).collect();
             let mut h = PredictionHarness::batch(&batch_configs);
-            for (lane, hooks) in hooks.into_iter().flatten().enumerate() {
-                h.attach_lane_telemetry(lane, hooks.clone());
+            for (lane, sink) in events.into_iter().flatten().enumerate() {
+                h.attach_events(lane, sink.clone());
             }
             h.run_observed(trace, |lane, pc, outcome| observe(batch[lane], pc, outcome));
             h.into_lanes()
         },
-        |lane| {
-            let indirect = lane.indirect();
-            (
-                lane.stats(),
-                indirect.target_cache_stats(),
-                indirect.cascade_counts(),
-            )
+        |lane| Books {
+            stats: lane.stats(),
+            by_source: lane.mispredicts_by_source(),
+            tc: lane.indirect().target_cache_stats(),
+            cascade: lane.indirect().cascade_counts(),
         },
     )
 }
@@ -323,36 +322,27 @@ pub fn timing_sweep(
         "uarch-sim",
         &frontends,
         |a, b| machines[a].shares_base(&machines[b]),
-        |batch, hooks| {
+        |batch, events| {
             let lanes: Vec<MachineConfig> = batch.iter().map(|&i| machines[i].clone()).collect();
-            hps_uarch::simulate_batch(trace, &lanes, hooks)
+            hps_uarch::simulate_batch(trace, &lanes, events)
         },
-        |report| {
-            (
-                &report.branch_stats,
-                report.target_cache_stats.as_ref(),
-                report.cascade_counts,
-            )
+        |report| Books {
+            stats: &report.branch_stats,
+            by_source: &report.mispredicts_by_source,
+            tc: report.target_cache_stats.as_ref(),
+            cascade: report.cascade_counts,
         },
     )
 }
-
-/// What a configuration's run record books: its branch statistics,
-/// target-cache statistics and cascade counts.
-type Books<'a> = (
-    &'a BranchClassStats,
-    Option<&'a TargetCacheStats>,
-    Option<(u64, u64)>,
-);
 
 /// Runs one configuration per entry of `frontends` over `trace`, in
 /// batches, and returns their results in the same order.
 ///
 /// A batch is the first configuration not yet run plus every later one
 /// `shares` pairs with it. `run` replays a batch, given its configuration
-/// indices and, when telemetry is on, one set of hooks (so one event sink)
-/// per member, inside one `span` span. Every configuration then gets its
-/// own manifest run record (from its [`Books`]), event stream and
+/// indices and, in `events` mode, one event sink per member, inside one
+/// `span` span. Every configuration then gets its own manifest run record
+/// and `harness.*` counts (from its [`Books`]), event stream and
 /// `trace.len()` instructions of credit; a run record's wall time is its
 /// even share of its batch's.
 fn run_batches<R>(
@@ -361,7 +351,7 @@ fn run_batches<R>(
     span: &'static str,
     frontends: &[FrontEndConfig],
     shares: impl Fn(usize, usize) -> bool,
-    mut run: impl FnMut(&[usize], Option<&[HarnessTelemetry]>) -> Vec<R>,
+    mut run: impl FnMut(&[usize], Option<&[EventSink]>) -> Vec<R>,
     books: impl Fn(&R) -> Books<'_>,
 ) -> Vec<R> {
     let mut results: Vec<Option<R>> = frontends.iter().map(|_| None).collect();
@@ -369,24 +359,22 @@ fn run_batches<R>(
     while let Some(&first) = pending.first() {
         let (batch, rest): (Vec<usize>, Vec<usize>) =
             pending.iter().partition(|&&i| shares(first, i));
-        let hooks: Option<Vec<HarnessTelemetry>> = ctx
+        let events: Option<Vec<EventSink>> = ctx
             .hub()
-            .map(|hub| batch.iter().map(|_| hub.harness_telemetry()).collect());
+            .filter(|hub| hub.mode().events())
+            .map(|_| batch.iter().map(|_| EventSink::new()).collect());
         let started = Instant::now();
         let guard = ctx.hub().map(|hub| hub.spans().span(span));
-        let out = run(&batch, hooks.as_deref());
+        let out = run(&batch, events.as_deref());
         drop(guard);
         let wall_ns = started.elapsed().as_nanos() as u64 / batch.len() as u64;
         for (k, (&i, result)) in batch.iter().zip(out).enumerate() {
-            if let (Some(hub), Some(hooks)) = (ctx.hub(), &hooks) {
-                let (stats, tc, cascade) = books(&result);
+            if let Some(hub) = ctx.hub() {
                 hub.finish_run(
-                    &hooks[k],
+                    events.as_ref().map(|sinks| &sinks[k]),
                     &config_desc(&frontends[i]),
                     trace.len() as u64,
-                    stats,
-                    tc,
-                    cascade,
+                    books(&result),
                     wall_ns,
                 );
             }
@@ -476,7 +464,7 @@ mod tests {
             Scale::Quick,
             TelemetryConfig {
                 mode: TelemetryMode::Summary,
-                prof: ProfMode::Full,
+                prof: ProfMode::Spans,
                 dir: dir.clone(),
                 ..TelemetryConfig::off()
             },
@@ -485,25 +473,19 @@ mod tests {
         hub::take_instructions();
         assert_eq!(timing_sweep(&ctx, &t, &machines), single);
 
-        // Every configuration keeps its own credit and counters ...
+        // Every configuration keeps its own credit and counters, while the
+        // batch is one span.
         let (len, branches) = (t.len() as u64, t.stats().branches());
         assert_eq!(hub::take_instructions(), 3 * len);
         let h = ctx.hub().expect("telemetry on");
         let counters = h.registry().snapshot();
         assert_eq!(counters.counter("harness.branches"), 3 * branches);
-        // ... and its own pipeline-stage samples, while the batch is one
-        // span and the baseline front end is sampled once per branch.
         let spans = h.spans().snapshot();
         let uarch = spans.iter().find(|s| s.name() == "uarch-sim").unwrap();
         assert_eq!(uarch.count, 1);
-        let hot = h.hot().snapshot();
-        let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
-        for stage in ["uarch-fetch", "uarch-execute", "uarch-retire"] {
-            assert_eq!(samples(stage), 3 * len, "{stage}");
-        }
-        assert_eq!(samples("btb-lookup"), branches);
 
-        // One manifest run record per configuration.
+        // One manifest run record per configuration, and no events: a
+        // summary session hands its runs no event sink.
         let manifest_path = session.manifest_path();
         drop(session);
         let manifest =
@@ -511,6 +493,8 @@ mod tests {
                 .expect("manifest parses");
         let runs = manifest.get("runs").and_then(|r| r.as_arr()).unwrap();
         assert_eq!(runs.len(), 3);
+        let recorded = manifest.get("events_recorded").and_then(|v| v.as_u64());
+        assert_eq!(recorded, Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -519,12 +503,11 @@ mod tests {
         use crate::telemetry::{session_with_config, ProfMode, TelemetryConfig, TelemetryMode};
         use sim_telemetry::Json;
 
-        // One Table 5 cell under an events session with full profiling:
-        // everything a timing run records must be the same whether the 26
-        // configurations replay as one batch (as the cell runs them) or
-        // as 26 batches of one.
+        // One Table 5 cell under an events session: everything a timing
+        // run records must be the same whether the 26 configurations
+        // replay as one batch (as the cell runs them) or as 26 batches of
+        // one.
         let configs = crate::table5::configs();
-        let len = trace(&TelemetryCtx::off(), Benchmark::Perl, Scale::Quick).len() as u64;
         let observe = |batched: bool| {
             let dir = std::env::temp_dir()
                 .join(format!("runner-parity-{}-{batched}", std::process::id()));
@@ -533,7 +516,7 @@ mod tests {
                 Scale::Quick,
                 TelemetryConfig {
                     mode: TelemetryMode::Events,
-                    prof: ProfMode::Full,
+                    prof: ProfMode::Spans,
                     dir: dir.clone(),
                     ..TelemetryConfig::off()
                 },
@@ -568,9 +551,6 @@ mod tests {
                 .filter(|(name, _)| !name.ends_with("_ns"))
                 .map(|(name, v)| (name.to_string(), v))
                 .collect();
-            let hot = h.hot().snapshot();
-            let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
-            let stages = ["uarch-fetch", "uarch-execute", "uarch-retire"].map(samples);
             let (manifest_path, events_path) = (session.manifest_path(), session.events_path());
             drop(session);
             let manifest =
@@ -591,18 +571,16 @@ mod tests {
                 .collect();
             let events = std::fs::read_to_string(&events_path).expect("events written");
             let _ = std::fs::remove_dir_all(&dir);
-            (cell, counters, stages, runs, events)
+            (cell, counters, runs, events)
         };
         let (batched, one_by_one) = (observe(true), observe(false));
         assert_eq!(batched.0, one_by_one.0, "cell values");
         assert_eq!(batched.1, one_by_one.1, "counters");
-        assert_eq!(batched.2, [26 * len; 3], "uarch stage samples");
-        assert_eq!(batched.2, one_by_one.2);
-        assert_eq!(batched.3.len(), 26);
-        assert_eq!(batched.3, one_by_one.3, "manifest run records");
+        assert_eq!(batched.2.len(), 26);
+        assert_eq!(batched.2, one_by_one.2, "manifest run records");
         // Event streams run to megabytes: name the first difference.
         let (events, alone): (Vec<&str>, Vec<&str>) =
-            (batched.4.lines().collect(), one_by_one.4.lines().collect());
+            (batched.3.lines().collect(), one_by_one.3.lines().collect());
         assert!(!events.is_empty(), "perl mispredicts some jumps");
         assert_eq!(events.len(), alone.len(), "event count");
         if let Some(i) = events.iter().zip(&alone).position(|(a, b)| a != b) {
@@ -656,18 +634,16 @@ mod tests {
     fn a_batched_functional_cell_records_what_batches_of_one_record() {
         use crate::telemetry::{ProfMode, TelemetryMode};
 
-        // One cascade-study cell under an events session with full
-        // profiling: everything a functional run records must be the same
-        // whether its four configurations replay as one batch (as the cell
-        // runs them) or as four batches of one.
-        let t = trace(&TelemetryCtx::off(), Benchmark::Perl, Scale::Quick);
-        let stats = t.stats();
-        let (len, branches, jumps) = (t.len() as u64, stats.branches(), stats.indirect_jumps());
+        // One cascade-study cell under an events session: everything a
+        // functional run records must be the same whether its four
+        // configurations replay as one batch (as the cell runs them) or as
+        // four batches of one.
+        let len = trace(&TelemetryCtx::off(), Benchmark::Perl, Scale::Quick).len() as u64;
         let observe = |batched: bool| {
             let (session, dir) = scratch_session(
                 &format!("fparity-{batched}"),
                 TelemetryMode::Events,
-                ProfMode::Full,
+                ProfMode::Spans,
             );
             let ctx = session.ctx();
             hub::take_instructions();
@@ -698,10 +674,6 @@ mod tests {
                 .filter(|(name, _)| !name.ends_with("_ns"))
                 .map(|(name, v)| (name.to_string(), v))
                 .collect();
-            let hot = h.hot().snapshot();
-            let samples = |name: &str| hot.iter().find(|s| s.name == name).map_or(0, |s| s.count);
-            let lane_phases = ["tc-index", "tc-lookup", "tc-update", "history-update"].map(samples);
-            let base_phases = ["btb-lookup", "ras", "dir-update", "btb-update"].map(samples);
             let spans = h.spans().snapshot();
             let replays: u64 = spans
                 .iter()
@@ -713,37 +685,20 @@ mod tests {
             let runs = run_records(&manifest_path);
             let events = std::fs::read_to_string(&events_path).expect("events written");
             let _ = std::fs::remove_dir_all(&dir);
-            (
-                cell,
-                counters,
-                lane_phases,
-                runs,
-                events,
-                credit,
-                base_phases,
-                replays,
-            )
+            (cell, counters, runs, events, credit, replays)
         };
         let (batched, one_by_one) = (observe(true), observe(false));
         assert_eq!(batched.0, one_by_one.0, "cell values");
         assert_eq!(batched.1, one_by_one.1, "counters");
-        // Each lane samples its indirect-stage phases: the history update
-        // on every branch, the target-cache phases only on the branches
-        // its indirect stage handles (perl's sites each have one class, so
-        // those are its indirect jumps and calls).
-        assert_eq!(batched.2, one_by_one.2, "indirect-stage phase samples");
-        assert_eq!(batched.2, [4 * jumps, 4 * jumps, 4 * jumps, 4 * branches]);
-        assert_eq!(batched.3.len(), 4);
-        assert_eq!(batched.3, one_by_one.3, "manifest run records");
-        assert_eq!(batched.5, 4 * len, "instruction credit");
-        assert_eq!(batched.5, one_by_one.5);
-        // The baseline is sampled once per batch, in one span.
-        assert_eq!(batched.6, [branches; 4], "baseline phase samples");
-        assert_eq!(one_by_one.6, [4 * branches; 4]);
-        assert_eq!((batched.7, one_by_one.7), (1, 4), "harness-replay spans");
+        assert_eq!(batched.2.len(), 4);
+        assert_eq!(batched.2, one_by_one.2, "manifest run records");
+        assert_eq!(batched.4, 4 * len, "instruction credit");
+        assert_eq!(batched.4, one_by_one.4);
+        // The batch replays in one span.
+        assert_eq!((batched.5, one_by_one.5), (1, 4), "harness-replay spans");
         // Event streams run to megabytes: name the first difference.
         let (events, alone): (Vec<&str>, Vec<&str>) =
-            (batched.4.lines().collect(), one_by_one.4.lines().collect());
+            (batched.3.lines().collect(), one_by_one.3.lines().collect());
         assert!(!events.is_empty(), "perl mispredicts some jumps");
         assert_eq!(events.len(), alone.len(), "event count");
         if let Some(i) = events.iter().zip(&alone).position(|(a, b)| a != b) {

@@ -150,11 +150,10 @@ fn trace_chunks(t: &VecTrace) -> u64 {
 /// suit: the map is cached as `<stem>.phases.json` beside the `.strc`,
 /// so a campaign's per-run sampling prologue is a small JSON parse
 /// rather than a cluster pass. A cache entry is honored only when its
-/// seed, dimensionality, and chunk count match the trace and the
-/// default [`ClusterConfig`] — anything stale or corrupt fingerprints
-/// the trace, re-clusters and, in read-write mode, rewrites the cache
-/// atomically. `REPRO_TRACE_STORE=off` disables the cache along with
-/// the store.
+/// chunk count matches the trace and it was built with the whole default
+/// [`ClusterConfig`] — anything stale or corrupt fingerprints the trace,
+/// re-clusters and, in read-write mode, rewrites the cache atomically.
+/// `REPRO_TRACE_STORE=off` disables the cache along with the store.
 pub fn stored_phase_map(
     ctx: &TelemetryCtx,
     bench: sim_workloads::Benchmark,
@@ -168,9 +167,7 @@ pub fn stored_phase_map(
     let path = crate::runner::trace_store_path(bench, scale).with_extension("phases.json");
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(map) = PhaseMap::parse(&text) {
-            let cfg = ClusterConfig::default();
-            if map.chunks == trace_chunks(t) && map.seed == cfg.seed && map.dims == cfg.dims as u32
-            {
+            if map.chunks == trace_chunks(t) && map.config == ClusterConfig::default() {
                 if let Some(hub) = ctx.hub() {
                     hub.registry().counter("sampling.map_cache_hits").add(1);
                 }
@@ -924,6 +921,21 @@ mod tests {
             let reparsed = PhaseMap::parse(&std::fs::read_to_string(&path).unwrap())
                 .expect("healed cache is valid JSON again");
             assert_eq!(reparsed, fresh);
+
+            // A map clustered under another configuration is stale too,
+            // even with the default seed and dimensionality: serving it
+            // would hand back its `max_k`.
+            let narrow = ClusterConfig {
+                max_k: 1,
+                ..ClusterConfig::default()
+            };
+            let stale = cluster(&sim_trace::fingerprint_trace(&t).chunks, &narrow);
+            std::fs::write(&path, stale.to_json().to_string()).unwrap();
+            let replaced = stored_phase_map(&ctx, Benchmark::Vortex, Scale::Quick, &t);
+            assert_eq!(replaced, fresh, "a map of another max_k is re-clustered");
+            let reparsed = PhaseMap::parse(&std::fs::read_to_string(&path).unwrap())
+                .expect("replaced cache is valid JSON");
+            assert_eq!(reparsed, fresh, "and rewritten");
         }
     }
 

@@ -23,8 +23,7 @@
 //!
 //! * `<dir>/<tool>.manifest.json` — the [`RunManifest`]: configuration and
 //!   per-run counters copied from the simulator's own statistics, span
-//!   timings, the metrics snapshot, and (for sampled campaigns) the
-//!   progress time series;
+//!   timings and the metrics snapshot;
 //! * `<dir>/<tool>.events.jsonl` (events mode) — one JSON object per
 //!   mispredicted branch.
 //!
@@ -41,8 +40,8 @@ use crate::runner::Scale;
 use branch_predictors::BranchClassStats;
 use sim_isa::BranchClass;
 use sim_telemetry::{
-    write_jsonl, CellRecord, Event, EventSink, HotProfiler, Json, MetricsRegistry, RunManifest,
-    RunRecord, SampleRow, SpanRegistry,
+    write_jsonl, CellRecord, Event, EventSink, Json, MetricsRegistry, RunManifest, RunRecord,
+    SpanRegistry,
 };
 
 pub use sim_telemetry::{ProfMode, TelemetryConfig, TelemetryMode};
@@ -52,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
-use target_cache::telemetry::HarnessTelemetry;
+use target_cache::harness::{Source, SourceCounts};
 use target_cache::TargetCacheStats;
 
 thread_local! {
@@ -90,8 +89,6 @@ struct State {
     events: Vec<(String, Event)>,
     /// Cell outcomes reported by the jobs runner.
     cells: Vec<CellRecord>,
-    /// Fixed-tick campaign snapshots pushed at each log heartbeat.
-    timeseries: Vec<SampleRow>,
     /// Campaign correlation id, stamped into the manifest when set.
     trace_id: String,
 }
@@ -112,7 +109,6 @@ pub struct Hub {
     prof: ProfMode,
     registry: MetricsRegistry,
     spans: SpanRegistry,
-    hot: HotProfiler,
     state: Mutex<State>,
 }
 
@@ -123,7 +119,6 @@ impl Hub {
             prof,
             registry: MetricsRegistry::new(),
             spans: prof.span_registry(),
-            hot: HotProfiler::new(),
             state: Mutex::new(State::default()),
         }
     }
@@ -143,29 +138,9 @@ impl Hub {
         &self.spans
     }
 
-    /// The hub's hot-path profiler (populated in `full` prof mode only).
-    pub fn hot(&self) -> &HotProfiler {
-        &self.hot
-    }
-
     /// The hub's metrics registry.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Fresh hooks for one harness (or timing) run, wired to this hub's
-    /// registry and, in events mode, to an event sink of their own that
-    /// [`finish_run`](Self::finish_run) drains. In `REPRO_PROF=full` the
-    /// hooks carry the hub's hot-path profiler, so harness and engine
-    /// phase timings all land in one place.
-    pub fn harness_telemetry(&self) -> HarnessTelemetry {
-        let sink = self.mode.events().then(EventSink::new);
-        let t = HarnessTelemetry::new(&self.registry, sink);
-        if self.prof.hot() {
-            t.with_hot_profiler(self.hot.clone())
-        } else {
-            t
-        }
     }
 
     /// Declares which benchmark the calling thread's subsequent runs and
@@ -195,30 +170,37 @@ impl Hub {
             .push(record);
     }
 
-    /// Appends one heartbeat's snapshot to the manifest's time series.
-    pub fn push_sample(&self, row: SampleRow) {
-        self.state
-            .lock()
-            .expect("hub state poisoned")
-            .timeseries
-            .push(row);
-    }
-
-    /// Records one completed harness (or timing) run: copies the
-    /// simulator's statistics into a manifest [`RunRecord`] and drains the
-    /// event sink of the run's `hooks`, attributing events to the current
-    /// benchmark.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one completed harness (or timing) run from its lane's
+    /// books: adds its branches, mispredicts and mispredicts by source to
+    /// the registry's `harness.*` counters, copies its statistics into a
+    /// manifest [`RunRecord`], and drains its event sink (if it ran with
+    /// one), attributing events to the current benchmark.
     pub fn finish_run(
         &self,
-        hooks: &HarnessTelemetry,
+        events: Option<&EventSink>,
         config: &str,
         instructions: u64,
-        stats: &BranchClassStats,
-        tc: Option<&TargetCacheStats>,
-        cascade: Option<(u64, u64)>,
+        books: Books<'_>,
         wall_ns: u64,
     ) {
+        let Books {
+            stats,
+            by_source,
+            tc,
+            cascade,
+        } = books;
+        let metrics = &self.registry;
+        metrics
+            .counter("harness.branches")
+            .add(stats.total_executed());
+        metrics
+            .counter("harness.mispredicts")
+            .add(stats.total_mispredicted());
+        for source in Source::ALL {
+            metrics
+                .counter(&format!("harness.mispredicts.{}", source.label()))
+                .add(by_source[source as usize]);
+        }
         let mut state = self.state.lock().expect("hub state poisoned");
         let label = state.label();
         let mut run = RunRecord::new(label.clone(), config);
@@ -247,13 +229,26 @@ impl Hub {
             run.count("cascade.total", total);
         }
         state.runs.push(run);
-        if let Some(sink) = hooks.events() {
+        if let Some(sink) = events {
             state.events_dropped += sink.dropped();
             state
                 .events
                 .extend(sink.drain().into_iter().map(|e| (label.clone(), e)));
         }
     }
+}
+
+/// What one harness (or timing) run's lane booked, as
+/// [`Hub::finish_run`] records it.
+pub struct Books<'a> {
+    /// Branch statistics.
+    pub stats: &'a BranchClassStats,
+    /// Mispredicts by the source that supplied the prediction.
+    pub by_source: &'a SourceCounts,
+    /// Target-cache statistics, if a target cache is configured.
+    pub tc: Option<&'a TargetCacheStats>,
+    /// The cascade's `(filtered, total)` jump counts, if one is configured.
+    pub cascade: Option<(u64, u64)>,
 }
 
 /// A cheap, clonable handle to a session's telemetry — the explicit
@@ -367,8 +362,6 @@ impl Session {
         manifest.events_recorded = state.events.len() as u64;
         manifest.events_dropped = state.events_dropped;
         manifest.wall_ns = self.started.elapsed().as_nanos() as u64;
-        manifest.hot_phases = hub.hot.snapshot();
-        manifest.timeseries = state.timeseries.clone();
         manifest.trace_id = state.trace_id.clone();
 
         // Stage-and-rename writes: a crash mid-write must never leave a
@@ -616,8 +609,8 @@ fn fmt_ms(ns: u64) -> String {
 }
 
 /// Renders a manifest's throughput-accounting view: the aggregate and
-/// per-run rates of the `perf` section, the hot-path phase totals
-/// (`REPRO_PROF=full` runs), and the span totals with self time.
+/// per-run rates of the `perf` section, and the span totals with self
+/// time.
 pub fn render_perf_report(manifest: &sim_telemetry::Json) -> String {
     use std::fmt::Write as _;
     let s = |k: &str| manifest.get(k).and_then(Json::as_str).unwrap_or("?");
@@ -664,28 +657,6 @@ pub fn render_perf_report(manifest: &sim_telemetry::Json) -> String {
                         .unwrap_or(0.0)
                 ),
             );
-        }
-    }
-    if let Some(Json::Obj(hot)) = manifest.get("hot_phases") {
-        if !hot.is_empty() {
-            let _ = writeln!(out, "\nhot phases (REPRO_PROF=full):");
-            for (name, stat) in hot {
-                let count = stat.get("count").and_then(Json::as_u64).unwrap_or(0);
-                let total = stat.get("total_ns").and_then(Json::as_u64).unwrap_or(0);
-                let mean = if count == 0 {
-                    0.0
-                } else {
-                    total as f64 / count as f64
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<16} {:>12} calls {:>12} total {:>8.1} ns/call",
-                    name,
-                    count,
-                    fmt_ms(total),
-                    mean
-                );
-            }
         }
     }
     if let Some(Json::Obj(spans)) = manifest.get("spans") {
@@ -841,7 +812,7 @@ mod tests {
         let manifest = sim_telemetry::json::parse(
             r#"{
               "tool": "repro_all", "scale": "quick",
-              "telemetry_mode": "summary", "prof_mode": "full",
+              "telemetry_mode": "summary", "prof_mode": "spans",
               "runs": [{"label": "perl", "config": "btb-only",
                         "instructions": 100000, "counters": {}, "wall_ns": 50000000}],
               "perf": {"instructions": 100000, "run_wall_ns": 50000000,
@@ -850,7 +821,6 @@ mod tests {
                        "runs": [{"label": "perl", "config": "btb-only",
                                  "instr_per_sec": 2000000.0,
                                  "predictions_per_sec": 400000.0}]},
-              "hot_phases": {"btb-lookup": {"count": 20000, "total_ns": 4200000}},
               "spans": {"harness-replay": {"count": 1, "total_ns": 50000000, "self_ns": 1000000}},
               "cells": [
                 {"cell": "table1/perl", "ok": true, "attempts": 1, "deadline_kills": 0,
@@ -865,10 +835,8 @@ mod tests {
         .unwrap();
 
         let perf = render_perf_report(&manifest);
-        assert!(perf.contains("prof full"), "{perf}");
+        assert!(perf.contains("prof spans"), "{perf}");
         assert!(perf.contains("2.00 M/s"), "{perf}");
-        assert!(perf.contains("btb-lookup"), "{perf}");
-        assert!(perf.contains("210.0 ns/call"), "{perf}");
         assert!(perf.contains("harness-replay"), "{perf}");
         assert!(perf.contains("1.000 ms self"), "{perf}");
 

@@ -6,7 +6,8 @@ use experiments::runner::{functional, trace, Scale};
 use experiments::telemetry::{session_with_config, TelemetryConfig, TelemetryCtx, TelemetryMode};
 use sim_telemetry::json::{parse, Json};
 use sim_workloads::Benchmark;
-use target_cache::harness::{FrontEndConfig, PredictionHarness};
+use std::collections::BTreeMap;
+use target_cache::harness::{FrontEndConfig, PredictionHarness, Source};
 use target_cache::TargetCacheConfig;
 
 #[test]
@@ -115,11 +116,14 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
     // --- Event stream parses line-by-line and reconciles -------------
     let events_text = std::fs::read_to_string(&events_path).expect("events written");
     let mut mispredicts = 0u64;
+    let mut by_source: BTreeMap<String, u64> = BTreeMap::new();
     for line in events_text.lines() {
         let v = parse(line).expect("every JSONL line is valid JSON");
         assert_eq!(v.get("run").unwrap().as_str(), Some(bench.name()));
         if v.get("event").unwrap().as_str() == Some("mispredict") {
             mispredicts += 1;
+            let source = v.get("source").and_then(Json::as_str).expect("source");
+            *by_source.entry(source.to_string()).or_insert(0) += 1;
             assert_ne!(
                 v.get("predicted").unwrap().as_u64(),
                 v.get("actual").unwrap().as_u64(),
@@ -137,6 +141,25 @@ fn events_run_writes_reconcilable_manifest_and_jsonl() {
         Some(mispredicts)
     );
     assert_eq!(manifest.get("events_dropped").unwrap().as_u64(), Some(0));
+
+    // The per-source counters sum to the mispredicts, and each one counts
+    // the mispredict events carrying its source.
+    let metric = |name: &str| metrics.get(name).and_then(Json::as_u64);
+    let per_source: u64 = Source::ALL
+        .iter()
+        .map(|s| {
+            let label = s.label();
+            let count = metric(&format!("harness.mispredicts.{label}")).expect(label);
+            assert_eq!(count, by_source.remove(label).unwrap_or(0), "{label}");
+            count
+        })
+        .sum();
+    assert_eq!(Some(per_source), metric("harness.mispredicts"));
+    assert!(
+        by_source.is_empty(),
+        "events of unknown sources: {by_source:?}"
+    );
+    assert!(per_source > 0, "perl mispredicts some branches");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -238,10 +238,9 @@ pub struct Phase {
 /// representative per phase.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseMap {
-    /// Seed the map was built with.
-    pub seed: u64,
-    /// Projection dimensionality used.
-    pub dims: u32,
+    /// The clustering configuration the map was built with (all zeros for
+    /// [`PhaseMap::exhaustive`]).
+    pub config: ClusterConfig,
     /// Number of phases.
     pub k: u32,
     /// Total chunks clustered.
@@ -258,8 +257,12 @@ impl PhaseMap {
     /// recombines to exactly the full simulation (see [`recombine`]).
     pub fn exhaustive(chunks: usize) -> PhaseMap {
         PhaseMap {
-            seed: 0,
-            dims: 0,
+            config: ClusterConfig {
+                seed: 0,
+                dims: 0,
+                max_k: 0,
+                iters: 0,
+            },
             k: chunks as u32,
             chunks: chunks as u64,
             assignments: (0..chunks as u32).collect(),
@@ -284,13 +287,16 @@ impl PhaseMap {
         }
     }
 
-    /// The map as JSON (stable field order). The seed is written as a
-    /// hex string: JSON numbers are f64 and a 64-bit seed must
-    /// round-trip exactly.
+    /// The map as JSON (stable field order), with its clustering
+    /// configuration. The seed is written as a hex string: JSON numbers
+    /// are f64 and a 64-bit seed must round-trip exactly.
     pub fn to_json(&self) -> Json {
+        let cfg = &self.config;
         obj([
-            ("seed", Json::from(format!("{:#018x}", self.seed))),
-            ("dims", Json::from(u64::from(self.dims))),
+            ("seed", Json::from(format!("{:#018x}", cfg.seed))),
+            ("dims", Json::from(cfg.dims as u64)),
+            ("max_k", Json::from(cfg.max_k as u64)),
+            ("iters", Json::from(cfg.iters as u64)),
             ("k", Json::from(u64::from(self.k))),
             ("chunks", Json::from(self.chunks)),
             (
@@ -372,8 +378,12 @@ impl PhaseMap {
             .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
             .ok_or("phase map missing hex \"seed\"")?;
         Ok(PhaseMap {
-            seed,
-            dims: num("dims")? as u32,
+            config: ClusterConfig {
+                seed,
+                dims: num("dims")? as usize,
+                max_k: num("max_k")? as usize,
+                iters: num("iters")? as usize,
+            },
             k: num("k")? as u32,
             chunks: num("chunks")?,
             assignments,
@@ -401,8 +411,7 @@ pub fn cluster(bbvs: &[ChunkFingerprint], cfg: &ClusterConfig) -> PhaseMap {
     let n = bbvs.len();
     if n == 0 {
         return PhaseMap {
-            seed: cfg.seed,
-            dims: cfg.dims as u32,
+            config: *cfg,
             k: 0,
             chunks: 0,
             assignments: Vec::new(),
@@ -454,8 +463,7 @@ pub fn cluster(bbvs: &[ChunkFingerprint], cfg: &ClusterConfig) -> PhaseMap {
         })
         .collect();
     PhaseMap {
-        seed: cfg.seed,
-        dims: cfg.dims as u32,
+        config: *cfg,
         k: k as u32,
         chunks: n as u64,
         assignments: assignments.iter().map(|&a| a as u32).collect(),

@@ -5,7 +5,7 @@
 //!
 //! The crate is deliberately `std`-only so every simulator crate can
 //! depend on it without dragging anything external into the build. It
-//! provides four instruments:
+//! provides:
 //!
 //! - [`MetricsRegistry`] — named [`Counter`]s and log2-bucketed
 //!   [`Histogram`]s behind `Arc`-backed handles; one relaxed atomic add
@@ -15,10 +15,8 @@
 //!   JSONL by [`write_jsonl`].
 //! - [`SpanRegistry`] — hierarchical wall-clock timing scopes with
 //!   `Drop` guards: nested spans build `parent;child` paths with
-//!   self-vs-total accounting and a folded-stack (flamegraph) dump.
-//! - [`PhaseTimer`] / [`HotProfiler`] — lock-free per-operation timers
-//!   for the prediction hot loop, enabled by `REPRO_PROF=full` (see
-//!   [`ProfMode`]).
+//!   self-vs-total accounting and a folded-stack (flamegraph) dump;
+//!   `REPRO_PROF` ([`ProfMode`]) turns them off.
 //! - [`RunManifest`] — the per-invocation JSON document tying it all
 //!   together: configuration snapshot, per-benchmark counters copied from
 //!   the simulator's own statistics, span totals, and the metrics
@@ -61,12 +59,12 @@ pub use event::{write_jsonl, Event, EventRing, EventSink, DEFAULT_RING_CAPACITY}
 pub use fsio::{atomic_write, atomic_write_str};
 pub use id::{SpanId, TraceId};
 pub use json::Json;
-pub use manifest::{CellRecord, RunManifest, RunRecord, SampleRow};
+pub use manifest::{CellRecord, RunManifest, RunRecord};
 pub use metrics::{
     bucket_bounds, bucket_index, check_prometheus_text, prometheus_name, Counter, Gauge, Histogram,
     MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use prof::{HotProfiler, PhaseStat, PhaseTimer, ProfMode};
+pub use prof::ProfMode;
 pub use progress::{
     eta_ms, parse_events, read_events, CampaignEvent, CampaignLog, CellOutcome, CellStatus,
     LogEntry, LOG_FORMAT,

@@ -8,7 +8,6 @@
 
 use crate::json::{obj, Json};
 use crate::metrics::MetricsSnapshot;
-use crate::prof::PhaseStat;
 use crate::progress::{CellOutcome, CellStatus};
 use crate::span::SpanRegistry;
 use std::collections::BTreeMap;
@@ -149,44 +148,6 @@ impl From<&CellOutcome> for CellRecord {
     }
 }
 
-/// One fixed-tick snapshot of a running campaign, captured at each
-/// campaign-log heartbeat into the manifest's `timeseries` section.
-///
-/// Rows give the manifest the same "phase behavior over time" lens the
-/// SimPoint line of work applies to programs: how throughput and cell
-/// completion evolved over the run, not just the final totals.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SampleRow {
-    /// Milliseconds since campaign start (monotonic clock).
-    pub t_ms: u64,
-    /// Cells with a final outcome at this tick.
-    pub done: u64,
-    /// Cells with an attempt in flight at this tick.
-    pub active: u64,
-    /// Cumulative values of the metrics registry's counters at this
-    /// tick.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl SampleRow {
-    fn to_json(&self) -> Json {
-        obj([
-            ("t_ms", Json::from(self.t_ms)),
-            ("done", Json::from(self.done)),
-            ("active", Json::from(self.active)),
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::from(v)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// The manifest for one experiment invocation (one table binary run).
 #[derive(Clone, Debug, Default)]
 pub struct RunManifest {
@@ -199,7 +160,7 @@ pub struct RunManifest {
     pub scale: String,
     /// The `REPRO_TELEMETRY` mode (`summary` or `events`).
     pub mode: String,
-    /// The `REPRO_PROF` mode (`off`, `spans`, or `full`).
+    /// The `REPRO_PROF` mode (`off` or `spans`).
     pub prof_mode: String,
     /// Per-benchmark instruction budget at this scale.
     pub instruction_budget: u64,
@@ -214,11 +175,6 @@ pub struct RunManifest {
     pub events_dropped: u64,
     /// Wall-clock nanoseconds for the whole invocation.
     pub wall_ns: u64,
-    /// Hot-path phase totals (`REPRO_PROF=full` only; empty otherwise).
-    pub hot_phases: Vec<PhaseStat>,
-    /// Fixed-tick campaign snapshots taken at each campaign-log
-    /// heartbeat (empty for runs without heartbeats).
-    pub timeseries: Vec<SampleRow>,
 }
 
 impl RunManifest {
@@ -372,23 +328,6 @@ impl RunManifest {
             ("events_recorded", Json::from(self.events_recorded)),
             ("events_dropped", Json::from(self.events_dropped)),
             ("spans", spans.to_json()),
-            (
-                "hot_phases",
-                Json::Obj(
-                    self.hot_phases
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.name.clone(),
-                                obj([
-                                    ("count", Json::from(s.count)),
-                                    ("total_ns", Json::from(s.total_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
             ("perf", self.perf_json()),
             ("metrics", metrics.to_json()),
             ("wall_ns", Json::from(self.wall_ns)),
@@ -406,14 +345,6 @@ impl RunManifest {
         }
         if let Some(sampling) = Self::sampling_json(metrics) {
             fields.insert("sampling".to_string(), sampling);
-        }
-        // Only campaigns with the sampler running carry a time series;
-        // omitting the empty section keeps older manifests byte-stable.
-        if !self.timeseries.is_empty() {
-            fields.insert(
-                "timeseries".to_string(),
-                Json::Arr(self.timeseries.iter().map(SampleRow::to_json).collect()),
-            );
         }
         Json::Obj(fields)
     }
@@ -541,22 +472,17 @@ mod tests {
     #[test]
     fn perf_section_reports_throughput() {
         let mut m = RunManifest::new("table1");
-        m.prof_mode = "full".to_string();
+        m.prof_mode = "spans".to_string();
         let mut run = RunRecord::new("perl", "btb");
         run.instructions = 1_000_000;
         run.wall_ns = 500_000_000; // 0.5 s → 2 M instr/sec
         run.count("branches", 100_000);
         m.push_run(run);
-        m.hot_phases.push(PhaseStat {
-            name: "btb-lookup".to_string(),
-            count: 100_000,
-            total_ns: 42_000,
-        });
 
         let registry = MetricsRegistry::new();
         let spans = SpanRegistry::new();
         let v = m.to_json(&spans, &registry.snapshot());
-        assert_eq!(v.get("prof_mode").unwrap().as_str(), Some("full"));
+        assert_eq!(v.get("prof_mode").unwrap().as_str(), Some("spans"));
         let perf = v.get("perf").unwrap();
         assert_eq!(perf.get("instructions").unwrap().as_u64(), Some(1_000_000));
         let ips = perf.get("instr_per_sec").unwrap().as_f64().unwrap();
@@ -565,15 +491,6 @@ mod tests {
         assert!((pps - 200_000.0).abs() < 1.0, "{pps}");
         let per_run = perf.get("runs").unwrap().as_arr().unwrap();
         assert_eq!(per_run[0].get("label").unwrap().as_str(), Some("perl"));
-        let hot = v.get("hot_phases").unwrap();
-        assert_eq!(
-            hot.get("btb-lookup")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64(),
-            Some(100_000)
-        );
         // And the whole document still parses strictly.
         assert!(parse(&v.to_string()).is_ok());
     }
@@ -643,44 +560,6 @@ mod tests {
         assert!(
             (fraction - 61_440.0 / 401_408.0).abs() < 1e-12,
             "{fraction}"
-        );
-        assert!(parse(&v.to_string()).is_ok());
-    }
-
-    #[test]
-    fn timeseries_section_appears_only_when_sampled() {
-        let spans = SpanRegistry::new();
-        let registry = MetricsRegistry::new();
-
-        let mut m = RunManifest::new("repro_all");
-        let v = m.to_json(&spans, &registry.snapshot());
-        assert!(v.get("timeseries").is_none());
-
-        m.timeseries.push(SampleRow {
-            t_ms: 1000,
-            done: 3,
-            active: 4,
-            counters: BTreeMap::from([("harness.instructions".to_string(), 300_000u64)]),
-        });
-        m.timeseries.push(SampleRow {
-            t_ms: 2000,
-            done: 9,
-            active: 4,
-            counters: BTreeMap::from([("harness.instructions".to_string(), 900_000u64)]),
-        });
-        let v = m.to_json(&spans, &registry.snapshot());
-        let rows = v.get("timeseries").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("t_ms").unwrap().as_u64(), Some(1000));
-        assert_eq!(rows[1].get("done").unwrap().as_u64(), Some(9));
-        assert_eq!(
-            rows[1]
-                .get("counters")
-                .unwrap()
-                .get("harness.instructions")
-                .unwrap()
-                .as_u64(),
-            Some(900_000)
         );
         assert!(parse(&v.to_string()).is_ok());
     }

@@ -129,19 +129,6 @@ impl SpanRegistry {
         entry.total_ns += elapsed_ns;
     }
 
-    /// Directly accumulates `elapsed_ns` under a pre-built path without
-    /// opening a guard — used to fold externally measured phase totals
-    /// (hot-path timers) into the same tree.
-    pub fn record_external(&self, path: &str, count: u64, elapsed_ns: u64) {
-        if !self.enabled() || count == 0 && elapsed_ns == 0 {
-            return;
-        }
-        let mut map = self.0.totals.lock().expect("span registry poisoned");
-        let entry = map.entry(path.to_string()).or_default();
-        entry.count += count;
-        entry.total_ns += elapsed_ns;
-    }
-
     /// Point-in-time totals for every span path, sorted by path, with
     /// self time (total minus the totals of direct children) computed.
     pub fn snapshot(&self) -> Vec<SpanStat> {
@@ -429,23 +416,6 @@ mod tests {
             let value: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             assert!(value > 0);
         }
-    }
-
-    #[test]
-    fn record_external_folds_into_the_tree() {
-        let spans = SpanRegistry::new();
-        {
-            let _g = spans.span("replay");
-        }
-        spans.record_external("replay;hot.btb-lookup", 10, 1234);
-        let snap = spans.snapshot();
-        assert_eq!(snap[1].path, "replay;hot.btb-lookup");
-        assert_eq!(snap[1].count, 10);
-        assert_eq!(snap[1].total_ns, 1234);
-        // Disabled registries ignore external records too.
-        let off = SpanRegistry::disabled();
-        off.record_external("x", 1, 1);
-        assert!(off.snapshot().is_empty());
     }
 
     #[test]

@@ -9,16 +9,18 @@
 //! of the harness lane with the same index. The lanes share no state, so
 //! they give the host core independent dependency chains to overlap.
 //! [`simulate`] is a batch of one.
+//!
+//! The pass reads no clock and counts nothing of its own about
+//! predictions: each machine's [`SimReport`] carries the books of its
+//! harness lane, its branch statistics and its mispredicts by source.
 
 use crate::config::MachineConfig;
 use crate::dcache::DataCache;
 use crate::report::SimReport;
 use sim_isa::reg::REG_COUNT;
 use sim_isa::{DynInstr, InstrClass, Reg};
-use sim_telemetry::PhaseTimer;
-use std::time::Instant;
+use sim_telemetry::EventSink;
 use target_cache::harness::{FrontEndConfig, PredictionHarness};
-use target_cache::telemetry::HarnessTelemetry;
 
 /// Simulates a trace on the configured machine and reports cycles and
 /// statistics — a [`simulate_batch`] of one machine.
@@ -60,18 +62,17 @@ where
 /// front-end depth and the indirect predictor may differ from machine to
 /// machine.
 ///
-/// With `telemetry` (one set of hooks per machine, in batch order), every
-/// branch of a machine feeds its hooks' counters and mispredict events
-/// exactly as a [`PredictionHarness`] lane with those hooks attached does;
-/// give each machine its own event sink to keep its events apart. A
-/// hot-path profiler on a machine's hooks also times its `uarch-fetch`/
-/// `uarch-execute`/`uarch-retire` stages.
+/// Each report carries its machine's front-end books — branch statistics
+/// and mispredicts by source — exactly as a [`PredictionHarness`] lane
+/// books them. With `events` (one sink per machine, in batch order), every
+/// branch a machine mispredicts also records a mispredict event in its
+/// sink, as a lane with that sink attached does.
 ///
 /// # Panics
 ///
 /// Panics if `machines` is empty, if a machine is invalid
 /// ([`MachineConfig::check`]) or does not share the first one's baseline,
-/// or if `telemetry` does not hold one entry per machine.
+/// or if `events` does not hold one sink per machine.
 ///
 /// # Example
 ///
@@ -95,7 +96,7 @@ where
 pub fn simulate_batch<T>(
     trace: &T,
     machines: &[MachineConfig],
-    telemetry: Option<&[HarnessTelemetry]>,
+    events: Option<&[EventSink]>,
 ) -> Vec<SimReport>
 where
     T: AsRef<[DynInstr]> + ?Sized,
@@ -112,33 +113,19 @@ where
             "every machine of a batch must share its baseline front end and data cache"
         );
     }
-    if let Some(hooks) = telemetry {
-        assert_eq!(
-            hooks.len(),
-            machines.len(),
-            "one set of telemetry hooks per machine"
-        );
+    if let Some(sinks) = events {
+        assert_eq!(sinks.len(), machines.len(), "one event sink per machine");
     }
     let frontends: Vec<FrontEndConfig> = machines.iter().map(|m| m.frontend).collect();
     let mut front = PredictionHarness::batch(&frontends);
-    for (i, hooks) in telemetry.into_iter().flatten().enumerate() {
-        front.attach_lane_telemetry(i, hooks.clone());
+    for (i, sink) in events.into_iter().flatten().enumerate() {
+        front.attach_events(i, sink.clone());
     }
-    let mut lanes: Vec<Lane> = machines
-        .iter()
-        .enumerate()
-        .map(|(i, machine)| Lane::new(machine, telemetry.map(|hooks| &hooks[i])))
-        .collect();
+    let mut lanes: Vec<Lane> = machines.iter().map(Lane::new).collect();
     let mut dcache = DataCache::new(first.dcache);
     let miss_penalty = first.dcache.miss_penalty as u64;
     let trace = trace.as_ref();
-    // Stage timing is decided once per batch, so an untimed pass carries
-    // no clock checks in its hot loop.
-    if lanes.iter().any(|lane| lane.stage_timers.is_some()) {
-        run::<true>(trace, miss_penalty, &mut front, &mut dcache, &mut lanes);
-    } else {
-        run::<false>(trace, miss_penalty, &mut front, &mut dcache, &mut lanes);
-    }
+    run(trace, miss_penalty, &mut front, &mut dcache, &mut lanes);
 
     let dcache_stats = dcache.stats();
     front
@@ -150,6 +137,7 @@ where
             instructions: trace.len() as u64,
             mispredict_stall_cycles: lane.mispredict_stall_cycles,
             branch_stats: front.stats().clone(),
+            mispredicts_by_source: *front.mispredicts_by_source(),
             dcache_stats,
             target_cache_stats: front.indirect().target_cache_stats().copied(),
             cascade_counts: front.indirect().cascade_counts(),
@@ -157,10 +145,8 @@ where
         .collect()
 }
 
-/// Advances the batch through the whole trace, one instruction at a time;
-/// with `TIMED`, lanes that carry stage timers time their
-/// `uarch-fetch`/`uarch-execute`/`uarch-retire` stages.
-fn run<const TIMED: bool>(
+/// Advances the batch through the whole trace, one instruction at a time.
+fn run(
     trace: &[DynInstr],
     miss_penalty: u64,
     front: &mut PredictionHarness,
@@ -183,8 +169,8 @@ fn run<const TIMED: bool>(
         };
         let Some(b) = instr.branch_exec() else {
             for lane in lanes.iter_mut() {
-                let (_, complete) = lane.issue::<TIMED>(&op);
-                lane.retire::<TIMED>(complete);
+                let (_, complete) = lane.issue(&op);
+                lane.retire(complete);
             }
             continue;
         };
@@ -192,9 +178,9 @@ fn run<const TIMED: bool>(
         // each schedule lane follows the harness lane with its index.
         front.run_observed(std::iter::once(instr), |i, _, outcome| {
             let lane = &mut lanes[i];
-            let (fetch_cycle, complete) = lane.issue::<TIMED>(&op);
+            let (fetch_cycle, complete) = lane.issue(&op);
             lane.redirect(outcome.correct(), b.taken, fetch_cycle, complete);
-            lane.retire::<TIMED>(complete);
+            lane.retire(complete);
         });
     }
 }
@@ -227,8 +213,7 @@ struct Op {
     miss_penalty: u64,
 }
 
-/// One machine's schedule in a lockstep pass: its parameters, its state and
-/// its stage timers.
+/// One machine's schedule in a lockstep pass: its parameters and its state.
 struct Lane {
     fetch_width: usize,
     retire_width: usize,
@@ -259,13 +244,10 @@ struct Lane {
     slot: usize,
 
     mispredict_stall_cycles: u64,
-    /// `uarch-fetch`, `uarch-execute` and `uarch-retire` timers, resolved
-    /// once when the hooks carry a hot-path profiler (`REPRO_PROF=full`).
-    stage_timers: Option<[PhaseTimer; 3]>,
 }
 
 impl Lane {
-    fn new(machine: &MachineConfig, telemetry: Option<&HarnessTelemetry>) -> Self {
+    fn new(machine: &MachineConfig) -> Self {
         Lane {
             fetch_width: machine.fetch_width,
             retire_width: machine.retire_width,
@@ -281,23 +263,6 @@ impl Lane {
             window: vec![0; machine.window_size],
             slot: 0,
             mispredict_stall_cycles: 0,
-            stage_timers: telemetry.and_then(|t| t.hot_profiler()).map(|h| {
-                ["uarch-fetch", "uarch-execute", "uarch-retire"].map(|stage| h.timer(stage))
-            }),
-        }
-    }
-
-    /// Starts a stage's clock when stage timing is on.
-    #[inline(always)]
-    fn clock<const TIMED: bool>(&self) -> Option<Instant> {
-        (TIMED && self.stage_timers.is_some()).then(Instant::now)
-    }
-
-    /// Stops stage `i`'s clock, started by [`clock`](Self::clock).
-    #[inline(always)]
-    fn stop(&self, i: usize, t0: Option<Instant>) {
-        if let (Some(timers), Some(t0)) = (&self.stage_timers, t0) {
-            timers[i].stop(t0);
         }
     }
 
@@ -306,8 +271,7 @@ impl Lane {
     /// selects rather than branches: lanes interleave, so branches on
     /// their diverging schedules would mispredict on the host.
     #[inline(always)]
-    fn issue<const TIMED: bool>(&mut self, op: &Op) -> (u64, u64) {
-        let t0 = self.clock::<TIMED>();
+    fn issue(&mut self, op: &Op) -> (u64, u64) {
         // Window constraint: the instruction `window_size` older must have
         // retired before this one can occupy a slot. Then a full fetch
         // group moves fetch to the next cycle.
@@ -320,11 +284,7 @@ impl Lane {
         fetched = if full { 0 } else { fetched };
         self.stream_cycle = fetch_cycle;
         self.fetched_this_cycle = fetched + 1;
-        if TIMED {
-            self.stop(0, t0);
-        }
 
-        let t0 = self.clock::<TIMED>();
         let decode_done = fetch_cycle + self.front_depth;
         let operands_ready = self.reg_ready[op.srcs[0]].max(self.reg_ready[op.srcs[1]]);
         let fu_free = &mut self.fu_free;
@@ -347,9 +307,6 @@ impl Lane {
 
         let complete = start + self.latencies[op.class] + op.miss_penalty;
         self.reg_ready[op.dst] = complete;
-        if TIMED {
-            self.stop(1, t0);
-        }
         (fetch_cycle, complete)
     }
 
@@ -379,8 +336,7 @@ impl Lane {
     /// Retires the instruction whose result is ready at `complete`, in
     /// order and at most `retire_width` per cycle.
     #[inline(always)]
-    fn retire<const TIMED: bool>(&mut self, complete: u64) {
-        let t0 = self.clock::<TIMED>();
+    fn retire(&mut self, complete: u64) {
         let last = self.last_retire_cycle;
         let mut retire_cycle = (complete + 1).max(last);
         retire_cycle += (retire_cycle == last && self.retired_in_cycle == self.retire_width) as u64;
@@ -392,9 +348,6 @@ impl Lane {
         self.last_retire_cycle = retire_cycle;
         self.window[self.slot] = retire_cycle + 1;
         self.slot = ring_next(self.slot, self.window.len());
-        if TIMED {
-            self.stop(2, t0);
-        }
     }
 }
 
@@ -412,7 +365,6 @@ fn ring_next(i: usize, len: usize) -> usize {
 mod tests {
     use super::*;
     use sim_isa::{Addr, BranchClass, BranchExec, Reg, VecTrace};
-    use target_cache::harness::FrontEndConfig;
 
     fn machine() -> MachineConfig {
         MachineConfig::isca97(FrontEndConfig::isca97_baseline())
@@ -653,56 +605,32 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_simulation_reconciles_with_the_report() {
-        use sim_telemetry::{EventSink, MetricsRegistry};
+    fn an_instrumented_simulation_books_every_mispredict_once() {
+        use sim_telemetry::{Event, EventSink};
+        use target_cache::harness::Source;
 
         let trace = sim_workloads::Benchmark::Gcc.workload().generate(30_000);
-        let registry = MetricsRegistry::new();
         let sink = EventSink::new();
-        let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
-        let r = simulate_batch(&trace, &[machine()], Some(&[telemetry])).remove(0);
+        let r = simulate_batch(&trace, &[machine()], Some(std::slice::from_ref(&sink))).remove(0);
 
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("harness.branches"),
-            r.branch_stats.total_executed()
-        );
-        assert_eq!(
-            snap.counter("harness.mispredicts"),
-            r.branch_stats.total_mispredicted()
-        );
-        assert_eq!(sink.len() as u64, r.branch_stats.total_mispredicted());
-
-        // Identical timing with and without instrumentation.
-        let plain = simulate(&trace, &machine());
-        assert_eq!(plain.cycles, r.cycles);
-        assert_eq!(plain.branch_stats, r.branch_stats);
-    }
-
-    #[test]
-    fn full_profiling_times_pipeline_stages_without_changing_timing() {
-        use sim_telemetry::{HotProfiler, MetricsRegistry};
-
-        let trace = sim_workloads::Benchmark::Perl.workload().generate(20_000);
-        let registry = MetricsRegistry::new();
-        let hot = HotProfiler::new();
-        let telemetry = HarnessTelemetry::new(&registry, None).with_hot_profiler(hot.clone());
-        let r = simulate_batch(&trace, &[machine()], Some(&[telemetry])).remove(0);
-
-        let snap = hot.snapshot();
-        let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
-        for stage in ["uarch-fetch", "uarch-execute", "uarch-retire"] {
-            assert!(names.contains(&stage), "missing stage {stage}");
+        // The per-source books sum to the mispredicts, and each source's
+        // count is the number of its events.
+        let mispredicts = r.branch_stats.total_mispredicted();
+        assert_eq!(r.mispredicts_by_source.iter().sum::<u64>(), mispredicts);
+        let events = sink.drain();
+        assert_eq!(events.len() as u64, mispredicts);
+        for source in Source::ALL {
+            let labelled = events
+                .iter()
+                .filter(
+                    |e| matches!(e, Event::Mispredict { source: s, .. } if *s == source.label()),
+                )
+                .count() as u64;
+            assert_eq!(labelled, r.mispredicts_by_source[source as usize]);
         }
-        // One sample per instruction per stage.
-        let fetch = snap.iter().find(|s| s.name == "uarch-fetch").unwrap();
-        assert_eq!(fetch.count, r.instructions);
-        // Harness prediction phases land in the same profiler.
-        assert!(names.contains(&"btb-lookup"), "{names:?}");
-        // The simulated schedule is identical to an unprofiled run.
-        let plain = simulate(&trace, &machine());
-        assert_eq!(plain.cycles, r.cycles);
-        assert_eq!(plain.branch_stats, r.branch_stats);
+
+        // Identical timing and books with and without a sink.
+        assert_eq!(simulate(&trace, &machine()), r);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::dcache::DCacheStats;
 use branch_predictors::BranchClassStats;
 use std::fmt;
+use target_cache::harness::SourceCounts;
 use target_cache::TargetCacheStats;
 
 /// The result of one timing simulation.
@@ -18,6 +19,10 @@ pub struct SimReport {
     pub mispredict_stall_cycles: u64,
     /// Per-branch-class prediction statistics from the front end.
     pub branch_stats: BranchClassStats,
+    /// The front end's mispredicts by the source that supplied the
+    /// prediction, indexed by `Source as usize` (see
+    /// [`target_cache::harness::Source`]).
+    pub mispredicts_by_source: SourceCounts,
     /// Data-cache statistics.
     pub dcache_stats: DCacheStats,
     /// Target-cache structural statistics, if one is configured (for a
@@ -105,6 +110,7 @@ mod tests {
             instructions,
             mispredict_stall_cycles: 0,
             branch_stats: BranchClassStats::default(),
+            mispredicts_by_source: SourceCounts::default(),
             dcache_stats: DCacheStats::default(),
             target_cache_stats: None,
             cascade_counts: None,

@@ -8,11 +8,10 @@ use branch_predictors::{BtbConfig, DirectionConfig, PathFilter, PathHistoryConfi
 use hps_uarch::{simulate, simulate_batch, DCacheConfig, MachineConfig};
 use proptest::prelude::*;
 use sim_isa::{Addr, BranchClass, BranchExec, DynInstr, InstrClass, Reg, VecTrace};
-use sim_telemetry::{EventSink, MetricsRegistry};
-use target_cache::harness::{FrontEndConfig, IndirectPredictor};
+use sim_telemetry::EventSink;
+use target_cache::harness::{FrontEndConfig, IndirectPredictor, Source};
 use target_cache::{
-    CascadeConfig, HarnessTelemetry, HistorySource, IndexScheme, Organization, TaggedIndexScheme,
-    TargetCacheConfig, PREDICTOR_SOURCES,
+    CascadeConfig, HistorySource, IndexScheme, Organization, TaggedIndexScheme, TargetCacheConfig,
 };
 
 fn machine() -> MachineConfig {
@@ -301,7 +300,7 @@ proptest! {
         indirect in arb_indirect(),
     ) {
         let m = with_indirect(&machine, indirect);
-        prop_assert_eq!(simulate(&trace, &m), reference::simulate(trace.as_slice(), &m, None));
+        prop_assert_eq!(simulate(&trace, &m), reference::simulate(trace.as_slice(), &m, None).0);
     }
 
     #[test]
@@ -324,7 +323,7 @@ proptest! {
         let reports = simulate_batch(&trace, &machines, None);
         prop_assert_eq!(reports.len(), machines.len());
         for (m, report) in machines.iter().zip(&reports) {
-            prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, None));
+            prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, None).0);
             prop_assert_eq!(report, &simulate(&trace, m));
         }
         // No lane's report depends on its place in the batch.
@@ -344,26 +343,25 @@ proptest! {
     ) {
         let machines: Vec<MachineConfig> =
             lanes.into_iter().map(|indirect| with_indirect(&machine, indirect)).collect();
-        let hooks = || {
-            let registry = MetricsRegistry::new();
-            let sink = EventSink::new();
-            let telemetry = HarnessTelemetry::new(&registry, Some(sink.clone()));
-            (registry, sink, telemetry)
-        };
-        // Each lane feeds its own registry and event sink.
-        let lane_hooks: Vec<_> = machines.iter().map(|_| hooks()).collect();
-        let telemetry: Vec<HarnessTelemetry> = lane_hooks.iter().map(|(_, _, t)| t.clone()).collect();
-        let reports = simulate_batch(&trace, &machines, Some(&telemetry));
-        for ((m, report), (registry, sink, _)) in machines.iter().zip(&reports).zip(&lane_hooks) {
-            let (ref_registry, ref_sink, ref_hooks) = hooks();
-            prop_assert_eq!(report, &reference::simulate(trace.as_slice(), m, Some(ref_hooks)));
-            let (want, got) = (ref_registry.snapshot(), registry.snapshot());
-            for name in ["harness.branches".to_string(), "harness.mispredicts".to_string()]
-                .into_iter()
-                .chain(PREDICTOR_SOURCES.iter().map(|s| format!("harness.mispredicts.{s}")))
-            {
-                prop_assert_eq!(got.counter(&name), want.counter(&name), "{}", name);
+        // Each lane records into its own event sink.
+        let sinks: Vec<EventSink> = machines.iter().map(|_| EventSink::new()).collect();
+        let reports = simulate_batch(&trace, &machines, Some(&sinks));
+        for ((m, report), sink) in machines.iter().zip(&reports).zip(&sinks) {
+            let ref_sink = EventSink::new();
+            let (want, by_label) = reference::simulate(trace.as_slice(), m, Some(ref_sink.clone()));
+            prop_assert_eq!(report, &want);
+            // The same mispredicts under the same sources, and no source
+            // outside the vocabulary.
+            for source in Source::ALL {
+                let label = source.label();
+                let count = by_label.get(label).copied().unwrap_or(0);
+                prop_assert_eq!(report.mispredicts_by_source[source as usize], count, "{}", label);
             }
+            prop_assert_eq!(by_label.values().sum::<u64>(), want.branch_stats.total_mispredicted());
+            prop_assert_eq!(
+                report.mispredicts_by_source.iter().sum::<u64>(),
+                report.branch_stats.total_mispredicted()
+            );
             // The same mispredict events, in order: pc, class, predicted,
             // actual, history and source.
             prop_assert_eq!(sink.drain(), ref_sink.drain());
@@ -392,7 +390,7 @@ fn sweep_matches_the_reference_on_the_paper_workloads() {
         for (m, report) in machines.iter().zip(simulate_batch(&trace, &machines, None)) {
             assert_eq!(
                 report,
-                reference::simulate(trace.as_slice(), m, None),
+                reference::simulate(trace.as_slice(), m, None).0,
                 "{bench} {:?}",
                 m.frontend.indirect
             );

@@ -1,28 +1,31 @@
 //! The reference timing model: the whole machine simulated per
-//! configuration, one instruction at a time — an embedded
-//! `PredictionHarness` front end, a live data cache, a `BinaryHeap` of
+//! configuration, one instruction at a time — its own front end (a
+//! `BaseFrontEnd` beside an `IndirectStage`, both probed and trained on
+//! every branch, with its own books), a live data cache, a `BinaryHeap` of
 //! function-unit free times and a `VecDeque` window. Every lane of
 //! `simulate_batch` must reproduce its `SimReport` bit for bit.
 
+use branch_predictors::BranchClassStats;
 use hps_uarch::{DataCache, MachineConfig, SimReport};
 use sim_isa::{DynInstr, InstrClass};
+use sim_telemetry::{Event, EventSink};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use target_cache::harness::PredictionHarness;
-use target_cache::HarnessTelemetry;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use target_cache::harness::{BaseFrontEnd, IndirectStage, Source};
 
-/// Simulates `trace` on `config`, feeding `telemetry` from the embedded
-/// harness exactly as a functional replay would.
+/// Simulates `trace` on `config`; with `events`, every mispredicted branch
+/// records a mispredict event in it. Returns the report and the
+/// mispredicts keyed by source label.
 pub fn simulate(
     trace: &[DynInstr],
     config: &MachineConfig,
-    telemetry: Option<HarnessTelemetry>,
-) -> SimReport {
+    events: Option<EventSink>,
+) -> (SimReport, BTreeMap<&'static str, u64>) {
     config.check().expect("machine configuration must be valid");
-    let mut harness = PredictionHarness::new(config.frontend);
-    if let Some(t) = telemetry {
-        harness.attach_telemetry(t);
-    }
+    let mut base = BaseFrontEnd::new(&config.frontend);
+    let mut indirect = IndirectStage::new(config.frontend.indirect);
+    let mut branch_stats = BranchClassStats::default();
+    let mut mispredicts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut dcache = DataCache::new(config.dcache);
 
     let mut stream_cycle: u64 = 0;
@@ -78,15 +81,42 @@ pub fn simulate(
         }
 
         // Branch prediction and fetch redirection.
-        if let Some(outcome) = harness.process(instr) {
-            if !outcome.correct() {
+        if let Some(b) = instr.branch_exec() {
+            let pc = instr.pc();
+            let actual = b.next_pc(pc);
+            let history = indirect.history_value(pc);
+            let hit = base.lookup(pc);
+            let probe = indirect.probe(pc, b.class, history, hit.map(|h| h.target));
+            let decision = base.decide(pc, hit);
+            let (predicted, source) = match decision.source {
+                Source::BtbFallback => indirect.predict(&probe, decision.predicted, actual),
+                s => (decision.predicted, s),
+            };
+            base.resolve_ras(pc, b.class);
+            base.resolve_direction(pc, b);
+            base.resolve_btb(pc, b);
+            indirect.train(pc, probe, b.target);
+            indirect.train_history(pc, b, actual);
+            branch_stats.record(b.class, predicted == actual);
+            if predicted != actual {
+                *mispredicts.entry(source.label()).or_insert(0) += 1;
+                if let Some(sink) = &events {
+                    sink.record(Event::Mispredict {
+                        pc: pc.raw(),
+                        class: b.class.mnemonic(),
+                        predicted: predicted.raw(),
+                        actual: actual.raw(),
+                        history: history.unwrap_or(0),
+                        source: source.label(),
+                    });
+                }
                 let resume = complete + 1;
                 if resume > stream_cycle {
                     mispredict_stall_cycles += resume - stream_cycle - 1;
                     stream_cycle = resume;
                     fetched_this_cycle = 0;
                 }
-            } else if instr.branch_exec().is_some_and(|b| b.taken) {
+            } else if b.taken {
                 stream_cycle = fetch_cycle + 1;
                 fetched_this_cycle = 0;
             }
@@ -107,13 +137,16 @@ pub fn simulate(
         final_cycle = retire_cycle;
     }
 
-    SimReport {
+    let report = SimReport {
         cycles: final_cycle,
         instructions: trace.len() as u64,
         mispredict_stall_cycles,
-        branch_stats: harness.stats().clone(),
+        branch_stats,
+        mispredicts_by_source: Source::ALL
+            .map(|s| mispredicts.get(s.label()).copied().unwrap_or(0)),
         dcache_stats: dcache.stats(),
-        target_cache_stats: harness.target_cache_stats().copied(),
-        cascade_counts: harness.cascade_counts(),
-    }
+        target_cache_stats: indirect.target_cache_stats().copied(),
+        cascade_counts: indirect.cascade_counts(),
+    };
+    (report, mispredicts)
 }
